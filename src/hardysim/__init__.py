@@ -1,47 +1,36 @@
 """Two-qubit Hardy nonlocality test: exact simulation, noisy emulation, metrics."""
 
-from .statevector import (
-    Circuit,
-    DensityMatrix,
-    StateVector,
-    UnitaryMatrix,
-    apply_channel,
-    apply_gate,
-    circuit_unitary,
-    outcome_distribution,
-    run_circuit,
-    tensor,
-    to_density,
+from .engine import (
+    EXPERIMENT_SETTINGS,
+    FLAGGED_OUTCOME,
+    evolve,
+    experiment_distributions,
+    experiment_states,
+    experiment_steps,
+    ground_state,
+    readout_distributions,
+    steps_unitary,
 )
 from .hardy import (
     HardyParams,
-    HardyProbabilities,
-    MeasurementSetting,
     StateClass,
     StateKind,
     analytic_q,
     chi_of,
     classify_state,
     concurrence,
-    hardy_vector,
-    joint_probability,
-    measurement_setting,
     optimal_angles,
-    outcome_probabilities,
-    prepare_state,
     q_max,
 )
 from .noise import (
     EpsilonEstimates,
     NoiseModel,
     ShotConfig,
-    depolarizing_kraus,
+    epsilons_from_distributions,
     estimate_epsilons,
-    experiment_circuit,
     load_noise_profile,
     measure_epsilons,
     sample_shots,
-    simulate_noisy,
     statistical_error,
 )
 from .sweep import (

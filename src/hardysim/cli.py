@@ -191,6 +191,11 @@ def _cmd_sweep(args, out) -> int:
 
 
 def _cmd_metrics(args, out) -> int:
+    _require_finite(k_sigma=args.k_sigma, rho=args.rho)
+    if args.baseline is not None:
+        _require_finite(baseline=args.baseline)
+    if args.k_sigma <= 0:
+        raise UsageError(f"--k-sigma must be positive, got {args.k_sigma:g}")
     rows = read_csv(args.in_path)
     try:
         report, baseline = performance_report(

@@ -1,9 +1,15 @@
 """Constructors for the named gates of the Hardy interferometer circuits.
 
-Angles are radians.  The coupling decomposition binds the phase-gate angle to
-the coupling angle (lambda = phi): basis-state phase tracking shows the
-five-step identity holds exactly, with no residual global phase, only under
-that binding.
+Every constructor broadcasts: angle arrays of shape S give matrices of shape
+S + (2, 2), or S + (4, 4) for two-qubit gates.  Angles are radians.
+
+A circuit is a list of steps.  A step is either (qubit, matrix), a one-qubit
+gate on qubit 0 (Bob) or 1 (Alice), or CX, the CNOT with Alice as control and
+Bob as target.
+
+The coupling decomposition binds the phase-gate angle to the coupling angle
+(lambda = phi): basis-state phase tracking shows the five-step identity holds
+exactly, with no residual global phase, only under that binding.
 """
 
 from __future__ import annotations
@@ -12,89 +18,77 @@ import math
 
 import numpy as np
 
-from .statevector import Circuit, UnitaryMatrix, tensor
+CX = "cx"
 
 
-def u1(lam: float) -> UnitaryMatrix:
+def _matrix(a, b, c, d) -> np.ndarray:
+    """Stack broadcast entries into [[a, b], [c, d]] along two new last axes."""
+    a, b, c, d = np.broadcast_arrays(*(np.asarray(x, dtype=np.complex128) for x in (a, b, c, d)))
+    return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
+
+
+def u1(lam) -> np.ndarray:
     """Phase gate diag(1, e^{i lam})."""
-    return UnitaryMatrix([[1.0, 0.0], [0.0, np.exp(1j * lam)]])
+    return _matrix(1.0, 0.0, 0.0, np.exp(1j * lam))
 
 
-def u3(theta: float, phi: float, lam: float) -> UnitaryMatrix:
+def u3(theta, phi, lam) -> np.ndarray:
     """General single-qubit rotation, standard hardware-gate convention.
 
     [[cos(t/2),            -e^{i lam} sin(t/2)      ],
      [e^{i phi} sin(t/2),   e^{i(phi+lam)} cos(t/2) ]]
     """
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    return UnitaryMatrix(
-        [
-            [c, -np.exp(1j * lam) * s],
-            [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
-        ]
-    )
+    c = np.cos(theta / 2.0)
+    s = np.sin(theta / 2.0)
+    return _matrix(c, -np.exp(1j * lam) * s, np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c)
 
 
-def beam_splitter(theta: float) -> UnitaryMatrix:
+def beam_splitter(theta) -> np.ndarray:
     """Real rotation [[cos t, -sin t], [sin t, cos t]]; equals u3(2t, 0, 0)."""
-    c = math.cos(theta)
-    s = math.sin(theta)
-    return UnitaryMatrix([[c, -s], [s, c]])
+    c = np.cos(theta)
+    s = np.sin(theta)
+    return _matrix(c, -s, s, c)
 
 
-def phase_shifter(phi: float) -> UnitaryMatrix:
+def phase_shifter(phi) -> np.ndarray:
     """Phase shifter diag(1, e^{i phi}); same definition as u1."""
     return u1(phi)
 
 
-def coupling(phi: float) -> UnitaryMatrix:
+def coupling(phi) -> np.ndarray:
     """Two-qubit coupling diag(1, 1, 1, e^{2i phi}): phases only |11>."""
-    return UnitaryMatrix(np.diag([1.0, 1.0, 1.0, np.exp(2j * phi)]))
+    phase = np.exp(2j * phi)
+    diagonal = np.stack(np.broadcast_arrays(1.0 + 0j, 1.0 + 0j, 1.0 + 0j, phase), axis=-1)
+    return diagonal[..., None] * np.eye(4)
 
 
-def coupling_decomposed(phi: float) -> Circuit:
-    """Five-step CNOT + phase-gate realization of coupling(phi).
+def coupling_steps(lam) -> list:
+    """Five-step CNOT + phase-gate realization of coupling(lam), as circuit steps.
 
-    Steps (applied left to right): Id (x) u1(-lam), CNOT,
-    u1(lam) (x) u1(-lam), CNOT, Id (x) u1(2 lam), on (Alice=qubit 1,
-    Bob=qubit 0) with Alice the CNOT control.
+    In order: u1(-lam) on Bob, CNOT, u1(lam) on Alice with u1(-lam) on Bob,
+    CNOT, u1(2 lam) on Bob.  It equals coupling(phi) only for lam = phi.
     """
-    lam = phi  # exact-identity binding
-    cx = cnot(1, 0)
-    steps = (
-        (u1(-lam), (0,)),
-        (cx, (1, 0)),
-        (tensor(u1(lam), u1(-lam)), (1, 0)),
-        (cx, (1, 0)),
-        (u1(2.0 * lam), (0,)),
-    )
-    return Circuit(2, steps)
+    return [(0, u1(-lam)), CX, (1, u1(lam)), (0, u1(-lam)), CX, (0, u1(2.0 * lam))]
 
 
-def cnot(control: int = 1, target: int = 0) -> UnitaryMatrix:
+def cnot(control: int = 1, target: int = 0) -> np.ndarray:
     """CNOT on two qubits; `control`/`target` name the gate's own bits."""
     if control == target:
         raise ValueError("control and target must differ")
     if {control, target} != {0, 1}:
         raise ValueError("control/target must be the gate bits 0 and 1")
-    mat = np.zeros((4, 4), dtype=np.complex128)
-    for basis in range(4):
-        if (basis >> control) & 1:
-            mat[basis ^ (1 << target), basis] = 1.0
-        else:
-            mat[basis, basis] = 1.0
-    return UnitaryMatrix(mat)
+    order = [basis ^ (1 << target) if (basis >> control) & 1 else basis for basis in range(4)]
+    return np.eye(4, dtype=np.complex128)[order]
 
 
-def hadamard() -> UnitaryMatrix:
+def hadamard() -> np.ndarray:
     h = 1.0 / math.sqrt(2.0)
-    return UnitaryMatrix([[h, h], [h, -h]])
+    return _matrix(h, h, h, -h)
 
 
-def pauli_x() -> UnitaryMatrix:
-    return UnitaryMatrix([[0.0, 1.0], [1.0, 0.0]])
+def pauli_x() -> np.ndarray:
+    return _matrix(0.0, 1.0, 1.0, 0.0)
 
 
-def identity() -> UnitaryMatrix:
-    return UnitaryMatrix(np.eye(2))
+def identity() -> np.ndarray:
+    return np.eye(2, dtype=np.complex128)

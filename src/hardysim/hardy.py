@@ -5,7 +5,8 @@ The prepared state (Alice = first ket symbol = qubit 1, Bob = qubit 0) is
     |psi> = cos(theta)/sqrt2 (|00> + |10>) + sin(theta)/sqrt2 (|01> + e^{2i phi} |11>)
 
 built operationally as coupling(phi) applied after beam_splitter(pi/4) on
-Alice and beam_splitter(theta) on Bob.  Each party measures in the sigma_z
+Alice and beam_splitter(theta) on Bob; the gate-level circuit, with its
+measurement settings, is defined once in `engine`.  Each party measures in the sigma_z
 basis after one of two local rotations; outcome |0> maps to +1 and |1> to -1
 for both parties.  That outcome mapping is the unique symmetric choice under
 which the three zero conditions of Hardy's equations vanish identically for
@@ -28,9 +29,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import gates
-from .statevector import StateVector, UnitaryMatrix, apply_gate, outcome_distribution
-
 # Concurrence closer than this to 0 (1) classifies as product (maximally
 # entangled); parameters are exact inputs, so no fuzzier boundary is needed.
 CLASSIFICATION_TOL = 1e-9
@@ -38,12 +36,6 @@ CLASSIFICATION_TOL = 1e-9
 # |cos(theta)| below this counts as the tan(theta) singularity: chi is then
 # the continuous limit (0 or pi by the sign of cos(phi)) and gets flagged.
 _SINGULAR_COS = 1e-12
-
-ALICE = "alice"
-BOB = "bob"
-
-# Computational outcome |0> reports +1, |1> reports -1, both parties.
-OUTCOME_BIT = {+1: 0, -1: 1}
 
 
 class StateKind(str, Enum):
@@ -58,13 +50,6 @@ class StateClass:
 
     kind: StateKind
     concurrence: float
-
-
-@dataclass(frozen=True)
-class MeasurementSetting:
-    party: str
-    index: int
-    rotation: UnitaryMatrix
 
 
 @dataclass(frozen=True)
@@ -112,106 +97,6 @@ def chi_of(theta: float, phi: float) -> float:
     return _chi_with_flag(theta, phi)[0]
 
 
-def prepare_state(params: HardyParams) -> StateVector:
-    """Prepare the Hardy state through the gate pipeline.
-
-    Built from gates rather than the closed-form amplitudes so that gate or
-    decomposition bugs surface in Hardy-level tests; the closed form is the
-    test oracle.
-    """
-    state = StateVector.basis(2, 0)
-    state = apply_gate(state, gates.beam_splitter(math.pi / 4.0), (1,))
-    state = apply_gate(state, gates.beam_splitter(params.theta), (0,))
-    return apply_gate(state, gates.coupling(params.phi), (1, 0))
-
-
-def measurement_setting(params: HardyParams, party: str, index: int) -> MeasurementSetting:
-    """Local rotation for one party's setting.
-
-    Alice: a1 = beam_splitter(pi/4),
-           a2 = phase_shifter(2 phi) beam_splitter(pi/4) phase_shifter(-2 phi).
-    Bob:   b1 = beam_splitter(0) (identity),
-           b2 = phase_shifter(phi) beam_splitter(chi) phase_shifter(-phi).
-    """
-    if index not in (1, 2):
-        raise ValueError(f"setting index must be 1 or 2, got {index}")
-    lam = params.lam
-    if party == ALICE:
-        if index == 1:
-            rotation = gates.beam_splitter(math.pi / 4.0)
-        else:
-            rotation = (
-                gates.phase_shifter(2.0 * lam)
-                @ gates.beam_splitter(math.pi / 4.0)
-                @ gates.phase_shifter(-2.0 * lam)
-            )
-    elif party == BOB:
-        if index == 1:
-            rotation = gates.beam_splitter(0.0)
-        else:
-            rotation = (
-                gates.phase_shifter(lam)
-                @ gates.beam_splitter(params.chi)
-                @ gates.phase_shifter(-lam)
-            )
-    else:
-        raise ValueError(f"unknown party {party!r}")
-    return MeasurementSetting(party, index, rotation)
-
-
-def outcome_probabilities(params: HardyParams, a_index: int, b_index: int) -> np.ndarray:
-    """All four joint outcome probabilities for one setting pair.
-
-    Index k = 2a + b where a (b) is Alice's (Bob's) measured bit.
-    """
-    state = prepare_state(params)
-    state = apply_gate(state, measurement_setting(params, ALICE, a_index).rotation, (1,))
-    state = apply_gate(state, measurement_setting(params, BOB, b_index).rotation, (0,))
-    return outcome_distribution(state)
-
-
-def joint_probability(
-    params: HardyParams, a_index: int, b_index: int, a_outcome: int, b_outcome: int
-) -> float:
-    """P(a_outcome, b_outcome | A_{a_index}, B_{b_index}) for the ideal circuit."""
-    if a_outcome not in OUTCOME_BIT or b_outcome not in OUTCOME_BIT:
-        raise ValueError("outcomes must be +1 or -1")
-    dist = outcome_probabilities(params, a_index, b_index)
-    return float(dist[2 * OUTCOME_BIT[a_outcome] + OUTCOME_BIT[b_outcome]])
-
-
-@dataclass(frozen=True)
-class HardyProbabilities:
-    """The four Hardy joint probabilities (ideal values)."""
-
-    p11_A1B1: float
-    p1m1_A2B1: float
-    pm11_A1B2: float
-    p11_A2B2: float
-
-
-def hardy_vector(params: HardyParams) -> HardyProbabilities:
-    """All four Hardy probabilities; the first three vanish for every (theta, phi).
-
-    Shares one prepared state and one set of rotations across the four
-    setting pairs, so grid scans stay cheap.
-    """
-    prep = prepare_state(params)
-    a_rot = {i: measurement_setting(params, ALICE, i).rotation for i in (1, 2)}
-    b_rot = {i: measurement_setting(params, BOB, i).rotation for i in (1, 2)}
-    after_a = {i: apply_gate(prep, a_rot[i], (1,)) for i in (1, 2)}
-
-    def dist(a_index, b_index):
-        return outcome_distribution(apply_gate(after_a[a_index], b_rot[b_index], (0,)))
-
-    return HardyProbabilities(
-        p11_A1B1=float(dist(1, 1)[0]),
-        p1m1_A2B1=float(dist(2, 1)[1]),
-        pm11_A1B2=float(dist(1, 2)[2]),
-        p11_A2B2=float(dist(2, 2)[0]),
-    )
-
-
 def analytic_q(theta: float, phi: float) -> float:
     """Closed form of P(+1,+1 | A2,B2) for the ideal circuit."""
     chi = chi_of(theta, phi)
@@ -230,14 +115,14 @@ def optimal_angles() -> tuple[float, float]:
     return theta, theta
 
 
-def concurrence(params: HardyParams) -> float:
+def concurrence(theta: float, phi: float) -> float:
     """Concurrence of the prepared state: |sin(2 theta) sin(phi)|."""
-    return abs(math.sin(2.0 * params.theta) * math.sin(params.phi))
+    return abs(math.sin(2.0 * theta) * math.sin(phi))
 
 
 def classify_state(params: HardyParams) -> StateClass:
     """Classify as PS / MES / NMES by concurrence with CLASSIFICATION_TOL."""
-    c = concurrence(params)
+    c = concurrence(params.theta, params.phi)
     if c < CLASSIFICATION_TOL:
         kind = StateKind.PS
     elif c > 1.0 - CLASSIFICATION_TOL:

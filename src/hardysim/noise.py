@@ -1,13 +1,14 @@
-"""Hardware-emulation layer: noise channels, shot sampling, epsilon estimates.
+"""Hardware-emulation layer: noise model, shot sampling, epsilon estimates.
 
 The noise mechanism is symmetric depolarizing after every gate application
 (rate p1 for single-qubit gates, p2 for CNOTs) plus a terminal per-qubit
 readout confusion matrix.  The experiment names error magnitudes only, so the
-mechanism is a modeling choice, kept swappable behind NoiseModel.
+mechanism is a modeling choice, kept swappable behind NoiseModel; `engine`
+evolves the density matrices under it.
 
-Noisy runs evolve a density matrix (exact at two qubits); randomness enters
-only at shot sampling, where every (experiment, run) pair derives its own
-generator from the master seed so parallel and serial execution agree.
+Randomness enters only at shot sampling, where every (experiment, run) pair
+derives its own generator from the master seed, so results do not depend on
+the order in which points, experiments or runs are evaluated.
 """
 
 from __future__ import annotations
@@ -18,27 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import gates
+from .engine import FLAGGED_OUTCOME, experiment_distributions
 from .hardy import HardyParams, analytic_q
-from .statevector import (
-    Circuit,
-    DensityMatrix,
-    StateVector,
-    apply_channel,
-    to_density,
-)
-
-_PAULI_1Q = (
-    np.eye(2, dtype=np.complex128),
-    np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    np.array([[1, 0], [0, -1]], dtype=np.complex128),
-)
-
-# Experiment order and the basis index each experiment flags:
-# (a1,b1)->|00>, (a2,b1)->|01>, (a1,b2)->|10>, (a2,b2)->|00>.
-EXPERIMENT_SETTINGS = ((1, 1), (2, 1), (1, 2), (2, 2))
-FLAGGED_OUTCOME = (0, 1, 2, 0)
 
 DEFAULT_SHOTS_PER_RUN = 8192
 
@@ -159,88 +141,6 @@ class ShotConfig:
             raise ValueError("runs must be >= 1")
 
 
-def depolarizing_kraus(p: float, num_targets: int) -> list[np.ndarray]:
-    """Symmetric depolarizing channel taking rho to (1-p) rho + p * I/dim."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing probability must be in [0, 1], got {p}")
-    if num_targets not in (1, 2):
-        raise ValueError("depolarizing_kraus supports 1 or 2 targets")
-    if p == 0.0:
-        return [np.eye(2**num_targets, dtype=np.complex128)]
-    if num_targets == 1:
-        paulis = _PAULI_1Q
-    else:
-        paulis = [np.kron(a, b) for a in _PAULI_1Q for b in _PAULI_1Q]
-    count = len(paulis)
-    weights = [1.0 - (count - 1) * p / count] + [p / count] * (count - 1)
-    return [math.sqrt(w) * op for w, op in zip(weights, paulis)]
-
-
-def experiment_circuit(params: HardyParams, a_index: int, b_index: int) -> Circuit:
-    """Gate-level circuit for one Hardy experiment, as run on hardware.
-
-    Preparation uses the five-step coupling decomposition (single-qubit phase
-    gates plus two CNOTs); each measurement setting is its own u1/u3 gate
-    sequence, including the explicit identity u3(0,0,0) for b1.
-    """
-    if a_index not in (1, 2) or b_index not in (1, 2):
-        raise ValueError("setting indices must be 1 or 2")
-    lam = params.lam
-    cx = gates.cnot(1, 0)
-    steps: list = [
-        (gates.u3(math.pi / 2.0, 0.0, 0.0), (1,)),  # beam_splitter(pi/4) on Alice
-        (gates.u3(2.0 * params.theta, 0.0, 0.0), (0,)),  # beam_splitter(theta) on Bob
-        (gates.u1(-lam), (0,)),
-        (cx, (1, 0)),
-        (gates.u1(lam), (1,)),
-        (gates.u1(-lam), (0,)),
-        (cx, (1, 0)),
-        (gates.u1(2.0 * lam), (0,)),
-    ]
-    if a_index == 1:
-        steps.append((gates.u3(math.pi / 2.0, 0.0, 0.0), (1,)))
-    else:
-        steps += [
-            (gates.u1(-2.0 * lam), (1,)),
-            (gates.u3(math.pi / 2.0, 0.0, 0.0), (1,)),
-            (gates.u1(2.0 * lam), (1,)),
-        ]
-    if b_index == 1:
-        steps.append((gates.u3(0.0, 0.0, 0.0), (0,)))
-    else:
-        steps += [
-            (gates.u1(-lam), (0,)),
-            (gates.u3(2.0 * params.chi, 0.0, 0.0), (0,)),
-            (gates.u1(lam), (0,)),
-        ]
-    return Circuit(2, steps)
-
-
-def apply_readout(probabilities: np.ndarray, noise: NoiseModel) -> np.ndarray:
-    """Push true outcome probabilities through the per-qubit confusion matrices."""
-    transfer = np.kron(noise.readout[1].T, noise.readout[0].T)
-    return transfer @ probabilities
-
-
-def noisy_distribution(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
-    """Density-matrix run of `circuit` with depolarizing noise after each gate."""
-    rho: DensityMatrix = to_density(StateVector.basis(circuit.num_qubits, 0))
-    for gate, targets in circuit.steps:
-        rho = apply_channel(rho, [gate.entries], targets)
-        p = noise.p2 if len(targets) == 2 else noise.p1
-        if p > 0.0:
-            rho = apply_channel(rho, depolarizing_kraus(p, len(targets)), targets)
-    probs = rho.probabilities()
-    if not noise.readout_is_trivial:
-        probs = apply_readout(probs, noise)
-    return probs
-
-
-def simulate_noisy(params: HardyParams, a_index: int, b_index: int, noise: NoiseModel) -> np.ndarray:
-    """Noisy outcome distribution (4 probabilities) for one setting pair."""
-    return noisy_distribution(experiment_circuit(params, a_index, b_index), noise)
-
-
 def _normalize_distribution(dist) -> np.ndarray:
     dist = np.asarray(dist, dtype=np.float64)
     if np.min(dist) < -1e-9:
@@ -262,8 +162,8 @@ def sample_shots(dist, cfg: ShotConfig, stream=0) -> np.ndarray:
     """Multinomial counts, shape (runs, outcomes); reproducible by construction.
 
     Run r draws from a generator seeded by (cfg.seed, *stream, r), so distinct
-    experiments get independent streams and parallel evaluation of runs or
-    grid points reproduces the serial counts exactly.
+    experiments get independent streams and the counts do not depend on which
+    runs, experiments or grid points were evaluated before.
     """
     dist = _normalize_distribution(dist)
     seed_base = cfg.seed & 0xFFFFFFFFFFFFFFFF
@@ -373,22 +273,15 @@ def estimate_epsilons(counts_by_experiment, q_theory: float) -> EpsilonEstimates
     )
 
 
-def measure_epsilons(
-    params: HardyParams,
-    noise: NoiseModel,
-    cfg: ShotConfig | None,
-    stream_base=(),
+def epsilons_from_distributions(
+    dists, q_theory: float, cfg: ShotConfig | None, stream_base=()
 ) -> EpsilonEstimates:
-    """Full pipeline for one parameter point: four circuits, sample, estimate.
+    """Epsilon estimates from one point's four experiment distributions, shape (4, 4).
 
     With cfg=None the infinite-shot limit is returned: epsilons are the exact
-    noisy distributions' flagged entries and statistical errors are zero.
+    distributions' flagged entries and statistical errors are zero.
     `stream_base` namespaces the sampling streams (e.g. per grid point).
     """
-    q = analytic_q(params.theta, params.phi)
-    dists = [
-        simulate_noisy(params, a, b, noise) for a, b in EXPERIMENT_SETTINGS
-    ]
     if cfg is None:
         values = [float(np.clip(d[flag], 0.0, 1.0)) for d, flag in zip(dists, FLAGGED_OUTCOME)]
         return EpsilonEstimates(
@@ -396,7 +289,7 @@ def measure_epsilons(
             eps2=values[1],
             eps3=values[2],
             eps5=values[3],
-            q_theory=q,
+            q_theory=q_theory,
             stat_err1=0.0,
             stat_err2=0.0,
             stat_err3=0.0,
@@ -408,4 +301,16 @@ def measure_epsilons(
         sample_shots(dist, cfg, stream=base + (exp_idx,))
         for exp_idx, dist in enumerate(dists)
     ]
-    return estimate_epsilons(counts, q)
+    return estimate_epsilons(counts, q_theory)
+
+
+def measure_epsilons(
+    params: HardyParams,
+    noise: NoiseModel,
+    cfg: ShotConfig | None,
+    stream_base=(),
+) -> EpsilonEstimates:
+    """Full pipeline for one parameter point: four circuits, sample, estimate."""
+    dists = experiment_distributions([params.theta], [params.phi], noise)[0]
+    q = analytic_q(params.theta, params.phi)
+    return epsilons_from_distributions(dists, q, cfg, stream_base)

@@ -19,6 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import gates
+from .engine import (
+    evolve,
+    experiment_distributions,
+    experiment_steps,
+    ground_state,
+    readout_distributions,
+)
 from .hardy import (
     HardyParams,
     StateClass,
@@ -31,14 +38,13 @@ from .hardy import (
 from .noise import (
     NoiseModel,
     ShotConfig,
-    experiment_circuit,
+    epsilons_from_distributions,
     measure_epsilons,
-    noisy_distribution,
     sample_shots,
 )
-from .statevector import Circuit
 
 CSV_HEADER = "theta_deg,phi_deg,q_theory,eps1,eps2,eps3,eps5,eps4_est,stat_err,class"
+_PROBABILITY_FIELDS = ("q_theory", "eps1", "eps2", "eps3", "eps5")
 
 # Reference angle (degrees) for the shift and interval metrics: the diagonal
 # parameter maximizing q, quoted at the customary 51.827.
@@ -166,26 +172,33 @@ def q_surface(theta_deg, phi_deg) -> np.ndarray:
     return np.abs(amp) ** 2
 
 
-def _row_for_point(
-    theta_deg: float,
-    phi_deg: float,
-    noise: NoiseModel,
-    cfg: ShotConfig | None,
-    stream_base,
-) -> SweepRow:
-    params = HardyParams.from_degrees(theta_deg, phi_deg)
-    est = measure_epsilons(params, noise, cfg, stream_base=stream_base)
-    return SweepRow(
-        theta_deg=float(theta_deg),
-        phi_deg=float(phi_deg),
-        q_theory=est.q_theory,
-        eps1=est.eps1,
-        eps2=est.eps2,
-        eps3=est.eps3,
-        eps5=est.eps5,
-        stat_err=est.stat_err5,
-        state_class=classify_state(params),
-    )
+def _sweep_rows(
+    thetas_deg, phis_deg, noise: NoiseModel, cfg: ShotConfig | None
+) -> list[SweepRow]:
+    """Rows for paired angle lists: one engine batch, then per-point estimates.
+
+    Point i samples from the streams (_STREAM_SWEEP, i, experiment, run).
+    """
+    dists = experiment_distributions(np.radians(thetas_deg), np.radians(phis_deg), noise)
+    rows = []
+    for i, (theta_deg, phi_deg) in enumerate(zip(thetas_deg, phis_deg)):
+        params = HardyParams.from_degrees(theta_deg, phi_deg)
+        q = analytic_q(params.theta, params.phi)
+        est = epsilons_from_distributions(dists[i], q, cfg, stream_base=(_STREAM_SWEEP, i))
+        rows.append(
+            SweepRow(
+                theta_deg=theta_deg,
+                phi_deg=phi_deg,
+                q_theory=est.q_theory,
+                eps1=est.eps1,
+                eps2=est.eps2,
+                eps3=est.eps3,
+                eps5=est.eps5,
+                stat_err=est.stat_err5,
+                state_class=classify_state(params),
+            )
+        )
+    return rows
 
 
 def diagonal_sweep(
@@ -195,13 +208,10 @@ def diagonal_sweep(
 
     cfg=None gives the infinite-shot limit (exact distributions, zero errors).
     """
-    points = list(points_deg)
+    points = [float(p) for p in points_deg]
     if not points:
         raise ValueError("no sweep points")
-    return [
-        _row_for_point(p, p, noise, cfg, (_STREAM_SWEEP, i))
-        for i, p in enumerate(points)
-    ]
+    return _sweep_rows(points, points, noise, cfg)
 
 
 def surface_sweep(
@@ -212,11 +222,9 @@ def surface_sweep(
     phis = [float(p) for p in phi_deg]
     if not thetas or not phis:
         raise ValueError("empty grid")
-    rows = []
-    for i, t in enumerate(thetas):
-        for j, p in enumerate(phis):
-            rows.append(_row_for_point(t, p, noise, cfg, (_STREAM_SWEEP, i * len(phis) + j)))
-    return rows
+    return _sweep_rows(
+        [t for t in thetas for _ in phis], [p for _ in thetas for p in phis], noise, cfg
+    )
 
 
 def baseline_eps4(
@@ -380,6 +388,8 @@ def performance_report(
     The baseline defaults to the largest eps5 over the MES / PS rows present
     in the sweep itself.
     """
+    if k_sigma <= 0:
+        raise ValueError("k_sigma must be positive")
     rows = list(rows)
     if baseline is None:
         floor_rows = [r.eps5 for r in rows if r.state_class.kind is not StateKind.NMES]
@@ -401,7 +411,7 @@ def performance_report(
     return report, baseline
 
 
-def _reduced_circuit(variant: str) -> tuple[HardyParams, Circuit]:
+def _reduced_steps(variant: str) -> tuple[HardyParams, list]:
     """Few-gate preparation plus the fourth-experiment measurement gates.
 
     ps_00 (theta = phi = 0): one Hadamard makes (|0>+|1>)|0>/sqrt2; the phase
@@ -413,21 +423,21 @@ def _reduced_circuit(variant: str) -> tuple[HardyParams, Circuit]:
     half_pi = math.pi / 2.0
     if variant == "ps_00":
         params = HardyParams.from_degrees(0.0, 0.0)
-        steps = (
-            (gates.hadamard(), (1,)),
-            (gates.u3(half_pi, 0.0, 0.0), (1,)),
-            (gates.u3(2.0 * params.chi, 0.0, 0.0), (0,)),
-        )
+        steps = [
+            (1, gates.hadamard()),
+            (1, gates.u3(half_pi, 0.0, 0.0)),
+            (0, gates.u3(2.0 * params.chi, 0.0, 0.0)),
+        ]
     elif variant == "ps_01":
         params = HardyParams.from_degrees(90.0, 0.0)
-        steps = (
-            (gates.hadamard(), (1,)),
-            (gates.pauli_x(), (0,)),
-            (gates.u3(half_pi, 0.0, 0.0), (1,)),
-        )
+        steps = [
+            (1, gates.hadamard()),
+            (0, gates.pauli_x()),
+            (1, gates.u3(half_pi, 0.0, 0.0)),
+        ]
     else:
         raise ValueError(f"unknown variant {variant!r}; expected ps_00 or ps_01")
-    return params, Circuit(2, steps)
+    return params, steps
 
 
 def reduced_circuit_compare(
@@ -439,9 +449,10 @@ def reduced_circuit_compare(
     flagged outcome (+1, +1) has probability zero ideally, so any excess is
     circuit error.  cfg=None compares exact distributions.
     """
-    params, reduced = _reduced_circuit(variant)
-    full = experiment_circuit(params, 2, 2)
-    dists = (noisy_distribution(full, noise), noisy_distribution(reduced, noise))
+    params, reduced = _reduced_steps(variant)
+    full = experiment_steps(2, 2, params.theta, params.lam, params.chi)
+    dists = [readout_distributions(evolve(ground_state(), steps, noise), noise)
+             for steps in (full, reduced)]
     if cfg is None:
         full_eps, reduced_eps = (float(d[0]) for d in dists)
     else:
@@ -454,8 +465,8 @@ def reduced_circuit_compare(
         variant=variant,
         full_eps=full_eps,
         reduced_eps=reduced_eps,
-        full_gate_count=full.gate_count(),
-        reduced_gate_count=reduced.gate_count(),
+        full_gate_count=len(full),
+        reduced_gate_count=len(reduced),
     )
 
 
@@ -493,9 +504,10 @@ def write_csv(rows, path) -> None:
 def read_csv(path) -> list[SweepRow]:
     """Parse a sweep CSV back into rows.
 
-    The eps4_est column is redundant (eps5 - q_theory); it is checked for
-    consistency and the exact difference is used.  Class is taken from the
-    file; concurrence is recomputed from the angles.
+    Every numeric field must be finite, and q_theory and eps1..eps5 must lie
+    in [0, 1].  The eps4_est column is redundant (eps5 - q_theory); it is
+    checked for consistency and the exact difference is used.  Class is taken
+    from the file; concurrence is recomputed from the angles.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -514,16 +526,24 @@ def read_csv(path) -> list[SweepRow]:
         if len(record) != len(header_fields):
             raise SweepCsvError(lineno, f"expected {len(header_fields)} fields, got {len(record)}")
         try:
-            theta, phi, q, e1, e2, e3, e5, e4_est, err = (float(v) for v in record[:9])
+            values = [float(v) for v in record[:9]]
         except ValueError as exc:
             raise SweepCsvError(lineno, f"non-numeric field ({exc})") from exc
+        if not all(map(math.isfinite, values)):
+            name = next(n for n, v in zip(header_fields, values) if not math.isfinite(v))
+            raise SweepCsvError(lineno, f"non-finite {name}")
+        theta, phi, q, e1, e2, e3, e5, e4_est, err = values
+        probabilities = (q, e1, e2, e3, e5)
+        if min(probabilities) < 0.0 or max(probabilities) > 1.0:
+            name, value = next((n, v) for n, v in zip(_PROBABILITY_FIELDS, probabilities)
+                               if not 0.0 <= v <= 1.0)
+            raise SweepCsvError(lineno, f"{name}={value!r} outside [0, 1]")
         try:
             kind = StateKind(record[9])
         except ValueError as exc:
             raise SweepCsvError(lineno, f"unknown class {record[9]!r}") from exc
         if abs(e4_est - (e5 - q)) > 1e-6:
             raise SweepCsvError(lineno, "eps4_est is not eps5 - q_theory")
-        params = HardyParams.from_degrees(theta, phi)
         rows.append(
             SweepRow(
                 theta_deg=theta,
@@ -534,7 +554,9 @@ def read_csv(path) -> list[SweepRow]:
                 eps3=e3,
                 eps5=e5,
                 stat_err=err,
-                state_class=StateClass(kind, concurrence(params)),
+                state_class=StateClass(
+                    kind, concurrence(math.radians(theta), math.radians(phi))
+                ),
             )
         )
     if not rows:

@@ -9,30 +9,33 @@ import math
 import numpy as np
 import pytest
 
+import kraus_reference as ref
 from hardysim.cli import EXIT_OK, main
+from hardysim.engine import (
+    FLAGGED_OUTCOME,
+    evolve,
+    experiment_distributions,
+    ground_state,
+    preparation_steps,
+    steps_unitary,
+)
 from hardysim.hardy import (
     HardyParams,
     StateKind,
     analytic_q,
     classify_state,
-    hardy_vector,
     optimal_angles,
-    outcome_probabilities,
-    prepare_state,
     q_max,
 )
 from hardysim.noise import (
-    EXPERIMENT_SETTINGS,
     NoiseModel,
     ShotConfig,
     measure_epsilons,
     sample_shots,
-    simulate_noisy,
     statistical_error,
 )
 from hardysim.sweep import CSV_HEADER, q_surface, reduced_circuit_compare
 from hardysim import gates
-from hardysim.statevector import circuit_unitary
 
 DEG = math.radians
 
@@ -75,14 +78,14 @@ def test_c02_theoretical_q_column():
 def test_c03_hardy_equations_on_grid():
     worst_zero = 0.0
     worst_diff = 0.0
-    for theta_deg in range(181):
-        for phi_deg in range(181):
-            params = HardyParams.from_degrees(float(theta_deg), float(phi_deg))
-            vec = hardy_vector(params)
-            worst_zero = max(worst_zero, vec.p11_A1B1, vec.p1m1_A2B1, vec.pm11_A1B2)
-            worst_diff = max(
-                worst_diff, abs(vec.p11_A2B2 - analytic_q(params.theta, params.phi))
-            )
+    phi = np.radians(np.arange(181.0))
+    for theta_deg in range(181):  # one engine batch per theta row
+        theta = np.full_like(phi, math.radians(theta_deg))
+        dists = experiment_distributions(theta, phi, NoiseModel.none())
+        flagged = dists[:, range(4), FLAGGED_OUTCOME]
+        worst_zero = max(worst_zero, float(np.max(flagged[:, :3])))
+        for t, p, q in zip(theta, phi, flagged[:, 3]):
+            worst_diff = max(worst_diff, abs(q - analytic_q(t, p)))
     assert worst_zero <= 1e-12
     assert worst_diff <= 1e-10
     report(3, f"181x181 grid: zero residual {worst_zero:.2e}, q mismatch {worst_diff:.2e}")
@@ -92,18 +95,13 @@ def test_c04_decomposition_identities():
     rng = np.random.default_rng(123)
     worst_coupling = 0.0
     for phi in rng.uniform(0.0, 2 * math.pi, 1000):
-        diff = np.max(
-            np.abs(
-                circuit_unitary(gates.coupling_decomposed(phi))
-                - gates.coupling(phi).entries
-            )
-        )
+        diff = np.max(np.abs(steps_unitary(gates.coupling_steps(phi)) - gates.coupling(phi)))
         worst_coupling = max(worst_coupling, float(diff))
     assert worst_coupling <= 1e-12
     worst_anchor = 0.0
     for theta in rng.uniform(-2 * math.pi, 2 * math.pi, 1000):
         diff = np.max(
-            np.abs(gates.beam_splitter(theta).entries - gates.u3(2 * theta, 0, 0).entries)
+            np.abs(gates.beam_splitter(theta) - gates.u3(2 * theta, 0, 0))
         )
         worst_anchor = max(worst_anchor, float(diff))
     assert worst_anchor <= 1e-12
@@ -118,8 +116,9 @@ def test_c05_classification_table():
     params = HardyParams.from_degrees(51.827, 51.827)
     result = classify_state(params)
     assert result.kind is StateKind.NMES
-    amps = prepare_state(params).amplitudes
-    oracle = 2.0 * abs(amps[0] * amps[3] - amps[1] * amps[2])
+    # pure prepared rho: concurrence = 2 sqrt(det Tr_Bob rho)
+    rho = evolve(ground_state(), preparation_steps(params.theta, params.phi), NoiseModel.none())
+    oracle = 2.0 * math.sqrt(np.linalg.det(rho[0::2, 0::2] + rho[1::2, 1::2]).real)
     assert abs(result.concurrence - oracle) <= 1e-10
     report(5, f"4 table rows + NMES optimum, concurrence {result.concurrence:.4f}")
 
@@ -147,7 +146,7 @@ def test_c07_optimum_location():
 
 def test_c08_shot_statistics():
     params = HardyParams(*optimal_angles())
-    dist = outcome_probabilities(params, 2, 2)
+    dist = experiment_distributions([params.theta], [params.phi], NoiseModel.none())[0, 3]
     tol = 4 * statistical_error(float(dist[0]), 10)
     worst = 0.0
     for seed in range(20):
@@ -161,16 +160,16 @@ def test_c08_shot_statistics():
 
 def test_c09_noisy_model_properties():
     optimum = HardyParams(*optimal_angles())
-    # (a) zero-noise density pipeline reproduces the ideal distributions
+    # (a) zero-noise engine reproduces the ideal distributions of the
+    # independent dense Kraus-sum reference
     quiet = NoiseModel.none()
     for theta_deg, phi_deg in ((51.827, 51.827), (30, 60), (45, 90), (0, 0)):
         params = HardyParams.from_degrees(theta_deg, phi_deg)
-        for a, b in EXPERIMENT_SETTINGS:
-            np.testing.assert_allclose(
-                simulate_noisy(params, a, b, quiet),
-                outcome_probabilities(params, a, b),
-                atol=1e-10,
-            )
+        np.testing.assert_allclose(
+            experiment_distributions([params.theta], [params.phi], quiet)[0],
+            ref.distributions(params.theta, params.phi, 0.0, 0.0, 0.0, 0.0),
+            atol=1e-10,
+        )
     # (b) default profile keeps the three zero-equations in (0, 0.1)
     est = measure_epsilons(optimum, NoiseModel.default_profile(), None)
     for eps in (est.eps1, est.eps2, est.eps3):

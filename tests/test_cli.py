@@ -2,6 +2,7 @@
 
 import io
 import math
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from hardysim.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from hardysim.hardy import analytic_q
 from hardysim.selftest import run_validation_suites
 from hardysim.sweep import CSV_HEADER
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def run_cli(argv):
@@ -139,6 +142,71 @@ class TestExitCodes:
         code, _ = run_cli(["metrics", "--in", str(path)])
         assert code == EXIT_IO
         assert "at least 3 rows" in capsys.readouterr().err
+
+
+class TestMetricsInputChecks:
+    """Bad metrics flags are usage errors; bad CSV cells are input errors."""
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--k-sigma", "-5"], "--k-sigma must be positive"),
+            (["--k-sigma", "0"], "--k-sigma must be positive"),
+            (["--k-sigma", "nan"], "k_sigma must be finite"),
+            (["--rho", "nan"], "rho must be finite"),
+            (["--baseline", "inf"], "baseline must be finite"),
+        ],
+    )
+    def test_bad_flag_is_usage_error(self, tmp_path, capsys, flags, message):
+        path = tmp_path / "peak.csv"
+        write_peaked_csv(path, 51.827)
+        code, _ = run_cli(["metrics", "--in", str(path), *flags])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cells,message",
+        [
+            ({0: "nan"}, "non-finite theta_deg"),
+            ({2: "nan", 6: "nan", 7: "nan"}, "non-finite q_theory"),
+            ({8: "inf"}, "non-finite stat_err"),
+            ({3: "1.5"}, "eps1=1.5 outside [0, 1]"),
+            ({2: "-0.25", 7: "0.35"}, "q_theory=-0.25 outside [0, 1]"),
+        ],
+    )
+    def test_bad_csv_cell_is_input_error(self, tmp_path, capsys, cells, message):
+        path = tmp_path / "bad.csv"
+        write_peaked_csv(path, 51.827)
+        lines = path.read_text().splitlines()
+        fields = lines[3].split(",")
+        for index, value in cells.items():
+            fields[index] = value
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        code, _ = run_cli(["metrics", "--in", str(path)])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert "line 4" in err and message in err
+
+
+class TestGoldenOutputs:
+    """CSV bytes must match files saved from the per-gate Kraus implementation."""
+
+    @pytest.mark.parametrize(
+        "name,argv",
+        [
+            ("surface_15deg_exact_default.csv",
+             ["sweep", "surface", "--from", "0", "--to", "90", "--step", "15",
+              "--noise", "default", "--shots", "0"]),
+            ("diagonal_5deg_sampled_default_seed7.csv",
+             ["sweep", "diagonal", "--from", "0", "--to", "90", "--step", "5",
+              "--noise", "default", "--seed", "7"]),
+        ],
+    )
+    def test_csv_matches_golden(self, tmp_path, name, argv):
+        out = tmp_path / name
+        assert run_cli([*argv, "--out", str(out)])[0] == EXIT_OK
+        assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
 
 
 class TestSweepCommand:

@@ -8,44 +8,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardysim import gates
-from hardysim.statevector import StateVector, apply_gate, circuit_unitary
+from hardysim.engine import steps_unitary
 
 SQ2 = 1.0 / math.sqrt(2.0)
+BASIS = np.eye(4, dtype=complex)  # BASIS[k] is the basis state |k>
 
 
 class TestSingleQubitGates:
     def test_u1_special_values(self):
-        np.testing.assert_allclose(gates.u1(0.0).entries, np.eye(2), atol=1e-15)
-        np.testing.assert_allclose(gates.u1(math.pi).entries, np.diag([1, -1]), atol=1e-15)
-        np.testing.assert_allclose(gates.u1(math.pi / 2).entries, np.diag([1, 1j]), atol=1e-15)
+        np.testing.assert_allclose(gates.u1(0.0), np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(gates.u1(math.pi), np.diag([1, -1]), atol=1e-15)
+        np.testing.assert_allclose(gates.u1(math.pi / 2), np.diag([1, 1j]), atol=1e-15)
 
     def test_u3_identity(self):
-        np.testing.assert_allclose(gates.u3(0, 0, 0).entries, np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(gates.u3(0, 0, 0), np.eye(2), atol=1e-15)
 
     def test_u3_hadamard(self):
         h = np.array([[1, 1], [1, -1]]) * SQ2
-        np.testing.assert_allclose(gates.u3(math.pi / 2, 0, math.pi).entries, h, atol=1e-15)
+        np.testing.assert_allclose(gates.u3(math.pi / 2, 0, math.pi), h, atol=1e-15)
 
     def test_u3_quarter_beam(self):
         expect = np.array([[1, -1], [1, 1]]) * SQ2
-        np.testing.assert_allclose(gates.u3(math.pi / 2, 0, 0).entries, expect, atol=1e-15)
+        np.testing.assert_allclose(gates.u3(math.pi / 2, 0, 0), expect, atol=1e-15)
 
     def test_beam_splitter_values(self):
-        np.testing.assert_allclose(gates.beam_splitter(0.0).entries, np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(gates.beam_splitter(0.0), np.eye(2), atol=1e-15)
         np.testing.assert_allclose(
-            gates.beam_splitter(math.pi / 4).entries,
+            gates.beam_splitter(math.pi / 4),
             np.array([[1, -1], [1, 1]]) * SQ2,
             atol=1e-15,
         )
         np.testing.assert_allclose(
-            gates.beam_splitter(math.pi / 2).entries, [[0, -1], [1, 0]], atol=1e-15
+            gates.beam_splitter(math.pi / 2), [[0, -1], [1, 0]], atol=1e-15
         )
 
     def test_phase_shifter_equals_u1(self):
         rng = np.random.default_rng(42)
         for phi in rng.uniform(-2 * math.pi, 2 * math.pi, 100):
             np.testing.assert_array_equal(
-                gates.phase_shifter(phi).entries, gates.u1(phi).entries
+                gates.phase_shifter(phi), gates.u1(phi)
             )
 
     def test_conjugated_beam_splitter(self):
@@ -56,7 +57,7 @@ class TestSingleQubitGates:
                 gates.phase_shifter(2 * phi)
                 @ gates.beam_splitter(math.pi / 4)
                 @ gates.phase_shifter(-2 * phi)
-            ).entries
+            )
             oracle = SQ2 * np.array(
                 [[1, -np.exp(-2j * phi)], [np.exp(2j * phi), 1]]
             )
@@ -68,14 +69,14 @@ class TestSingleQubitGates:
             t1, t2 = rng.uniform(-math.pi, math.pi, 2)
             composed = gates.beam_splitter(t1) @ gates.beam_splitter(t2)
             np.testing.assert_allclose(
-                composed.entries, gates.beam_splitter(t1 + t2).entries, atol=1e-10
+                composed, gates.beam_splitter(t1 + t2), atol=1e-10
             )
 
     @given(st.floats(-10 * math.pi, 10 * math.pi))
     def test_beam_splitter_anchor(self, theta):
         np.testing.assert_allclose(
-            gates.beam_splitter(theta).entries,
-            gates.u3(2 * theta, 0, 0).entries,
+            gates.beam_splitter(theta),
+            gates.u3(2 * theta, 0, 0),
             atol=1e-12,
         )
 
@@ -93,29 +94,27 @@ class TestSingleQubitGates:
                 gates.pauli_x(),
                 gates.identity(),
             ):
-                assert abs(abs(np.linalg.det(g.entries)) - 1.0) < 1e-10
+                assert abs(abs(np.linalg.det(g)) - 1.0) < 1e-10
 
 
 class TestCoupling:
     def test_coupling_zero_is_identity(self):
-        np.testing.assert_allclose(gates.coupling(0.0).entries, np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(gates.coupling(0.0), np.eye(4), atol=1e-15)
 
     def test_coupling_half_pi_is_cz(self):
         np.testing.assert_allclose(
-            gates.coupling(math.pi / 2).entries, np.diag([1, 1, 1, -1]), atol=1e-15
+            gates.coupling(math.pi / 2), np.diag([1, 1, 1, -1]), atol=1e-15
         )
 
     def test_coupling_phases_only_11(self):
         rng = np.random.default_rng(10)
         for phi in rng.uniform(0, 2 * math.pi, 20):
-            out = apply_gate(StateVector.basis(2, 3), gates.coupling(phi), (1, 0))
-            np.testing.assert_allclose(
-                out.amplitudes, [0, 0, 0, np.exp(2j * phi)], atol=1e-15
-            )
+            out = gates.coupling(phi) @ BASIS[3]
+            np.testing.assert_allclose(out, [0, 0, 0, np.exp(2j * phi)], atol=1e-15)
 
     def test_decomposition_zero(self):
         np.testing.assert_allclose(
-            circuit_unitary(gates.coupling_decomposed(0.0)), np.eye(4), atol=1e-15
+            steps_unitary(gates.coupling_steps(0.0)), np.eye(4), atol=1e-15
         )
 
     def test_decomposition_half_pi_by_direct_product(self):
@@ -129,7 +128,7 @@ class TestCoupling:
         oracle = m3 @ cx @ m2 @ cx @ m1
         np.testing.assert_allclose(oracle, np.diag([1, 1, 1, -1]), atol=1e-12)
         np.testing.assert_allclose(
-            circuit_unitary(gates.coupling_decomposed(lam)), oracle, atol=1e-12
+            steps_unitary(gates.coupling_steps(lam)), oracle, atol=1e-12
         )
 
     def test_decomposition_random_phase_tracking(self):
@@ -137,7 +136,7 @@ class TestCoupling:
         # |10> -> 1, |11> -> e^{2il}
         rng = np.random.default_rng(11)
         for phi in rng.uniform(0, 2 * math.pi, 100):
-            composed = circuit_unitary(gates.coupling_decomposed(phi))
+            composed = steps_unitary(gates.coupling_steps(phi))
             oracle = np.diag([1.0, 1.0, 1.0, np.exp(2j * phi)])
             np.testing.assert_allclose(composed, oracle, atol=1e-12)
 
@@ -145,23 +144,23 @@ class TestCoupling:
     @given(st.floats(0.0, 2 * math.pi))
     def test_decomposition_equals_coupling(self, phi):
         diff = np.max(
-            np.abs(circuit_unitary(gates.coupling_decomposed(phi)) - gates.coupling(phi).entries)
+            np.abs(steps_unitary(gates.coupling_steps(phi)) - gates.coupling(phi))
         )
         assert diff <= 1e-12
 
 
 class TestTwoLevelGates:
     def test_cnot_control_set(self):
-        out = apply_gate(StateVector.basis(2, 2), gates.cnot(1, 0), (1, 0))
-        np.testing.assert_allclose(out.amplitudes, [0, 0, 0, 1], atol=1e-15)
+        out = gates.cnot(1, 0) @ BASIS[2]
+        np.testing.assert_allclose(out, [0, 0, 0, 1], atol=1e-15)
 
     def test_cnot_control_clear(self):
-        out = apply_gate(StateVector.basis(2, 1), gates.cnot(1, 0), (1, 0))
-        np.testing.assert_allclose(out.amplitudes, [0, 1, 0, 0], atol=1e-15)
+        out = gates.cnot(1, 0) @ BASIS[1]
+        np.testing.assert_allclose(out, [0, 1, 0, 0], atol=1e-15)
 
     def test_cnot_low_control(self):
-        out = apply_gate(StateVector.basis(2, 1), gates.cnot(0, 1), (1, 0))
-        np.testing.assert_allclose(out.amplitudes, [0, 0, 0, 1], atol=1e-15)
+        out = gates.cnot(0, 1) @ BASIS[1]
+        np.testing.assert_allclose(out, [0, 0, 0, 1], atol=1e-15)
 
     def test_cnot_equal_control_target_rejected(self):
         with pytest.raises(ValueError, match="must differ"):
@@ -169,9 +168,9 @@ class TestTwoLevelGates:
 
     def test_hadamard_squares_to_identity(self):
         np.testing.assert_allclose(
-            (gates.hadamard() @ gates.hadamard()).entries, np.eye(2), atol=1e-15
+            (gates.hadamard() @ gates.hadamard()), np.eye(2), atol=1e-15
         )
 
     def test_pauli_x_flips(self):
-        out = apply_gate(StateVector.basis(1, 0), gates.pauli_x(), (0,))
-        np.testing.assert_allclose(out.amplitudes, [0, 1], atol=1e-15)
+        out = gates.pauli_x() @ np.array([1, 0])
+        np.testing.assert_allclose(out, [0, 1], atol=1e-15)

@@ -7,26 +7,53 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardysim.engine import (
+    FLAGGED_OUTCOME,
+    alice_steps,
+    bob_steps,
+    evolve,
+    experiment_distributions,
+    ground_state,
+    preparation_steps,
+    steps_unitary,
+)
 from hardysim.hardy import (
-    ALICE,
-    BOB,
     HardyParams,
     StateKind,
     analytic_q,
     chi_of,
     classify_state,
     concurrence,
-    hardy_vector,
-    joint_probability,
-    measurement_setting,
     optimal_angles,
-    outcome_probabilities,
-    prepare_state,
     q_max,
 )
+from hardysim.noise import NoiseModel
 
 DEG = math.radians
 SQ2 = 1.0 / math.sqrt(2.0)
+QUIET = NoiseModel.none()
+EYE2 = np.eye(2)
+
+
+def prepared_rho(params):
+    """Noiseless prepared density matrix from the engine."""
+    return evolve(ground_state(), preparation_steps(params.theta, params.phi), QUIET)
+
+
+def prepared_amplitudes(params):
+    """Amplitudes of the pure prepared state, phase fixed by the real |00> entry."""
+    rho = prepared_rho(params)
+    return rho[:, 0] / math.sqrt(rho[0, 0].real)
+
+
+def ideal_distributions(params):
+    """Noiseless (4, 4) distributions: experiment (a1b1, a2b1, a1b2, a2b2), outcome 2a + b."""
+    return experiment_distributions([params.theta], [params.phi], QUIET)[0]
+
+
+def hardy_probabilities(params):
+    """The four Hardy probabilities: the three zero conditions, then q."""
+    return ideal_distributions(params)[range(4), FLAGGED_OUTCOME]
 
 
 def closed_form_amplitudes(theta, phi):
@@ -94,45 +121,48 @@ class TestChi:
 
 class TestPrepareState:
     def test_theta_zero_row(self):
-        amps = prepare_state(HardyParams(0.0, 1.234)).amplitudes
+        amps = prepared_amplitudes(HardyParams(0.0, 1.234))
         np.testing.assert_allclose(amps, [SQ2, 0, SQ2, 0], atol=1e-12)
 
     def test_mes_row(self):
-        amps = prepare_state(HardyParams.from_degrees(45, 90)).amplitudes
+        amps = prepared_amplitudes(HardyParams.from_degrees(45, 90))
         np.testing.assert_allclose(amps, [0.5, 0.5, 0.5, -0.5], atol=1e-12)
 
     def test_theta_90_row(self):
-        amps = prepare_state(HardyParams.from_degrees(90, 0)).amplitudes
-        np.testing.assert_allclose(amps, [0, SQ2, 0, SQ2], atol=1e-12)
+        rho = prepared_rho(HardyParams.from_degrees(90, 0))
+        amps = np.array([0, SQ2, 0, SQ2])
+        np.testing.assert_allclose(rho, np.outer(amps, amps), atol=1e-12)
 
     def test_matches_closed_form(self):
         rng = np.random.default_rng(14)
         for theta, phi in rng.uniform(0, math.pi, (50, 2)):
-            got = prepare_state(HardyParams(theta, phi)).amplitudes
-            np.testing.assert_allclose(got, closed_form_amplitudes(theta, phi), atol=1e-12)
+            amps = closed_form_amplitudes(theta, phi)
+            got = prepared_rho(HardyParams(theta, phi))
+            np.testing.assert_allclose(got, np.outer(amps, amps.conj()), atol=1e-12)
 
 
 class TestMeasurementSettings:
     def test_b1_is_identity(self):
-        rot = measurement_setting(HardyParams(0.7, 0.3), BOB, 1).rotation
-        np.testing.assert_allclose(rot.entries, np.eye(2), atol=1e-15)
+        rot = steps_unitary(bob_steps(1, 0.3, 0.9))
+        np.testing.assert_allclose(rot, np.eye(4), atol=1e-15)
 
     def test_a1_is_quarter_beam_splitter(self):
-        rot = measurement_setting(HardyParams(0.7, 0.3), ALICE, 1).rotation
-        np.testing.assert_allclose(rot.entries, SQ2 * np.array([[1, -1], [1, 1]]), atol=1e-15)
+        rot = steps_unitary(alice_steps(1, 0.3))
+        oracle = SQ2 * np.array([[1, -1], [1, 1]])
+        np.testing.assert_allclose(rot, np.kron(oracle, EYE2), atol=1e-15)
 
     def test_a2_matches_product_oracle(self):
         rng = np.random.default_rng(15)
         for phi in rng.uniform(0, 2 * math.pi, 25):
-            rot = measurement_setting(HardyParams(0.7, phi), ALICE, 2).rotation
+            rot = steps_unitary(alice_steps(2, phi))
             oracle = SQ2 * np.array([[1, -np.exp(-2j * phi)], [np.exp(2j * phi), 1]])
-            np.testing.assert_allclose(rot.entries, oracle, atol=1e-12)
+            np.testing.assert_allclose(rot, np.kron(oracle, EYE2), atol=1e-12)
 
     def test_b2_matches_product_oracle(self):
         rng = np.random.default_rng(16)
         for theta, phi in rng.uniform(0.1, 1.4, (25, 2)):
             params = HardyParams(theta, phi)
-            rot = measurement_setting(params, BOB, 2).rotation
+            rot = steps_unitary(bob_steps(2, params.lam, params.chi))
             chi = solve_chi_bisect(theta, phi)
             oracle = np.array(
                 [
@@ -140,13 +170,13 @@ class TestMeasurementSettings:
                     [math.sin(chi) * np.exp(1j * phi), math.cos(chi)],
                 ]
             )
-            np.testing.assert_allclose(rot.entries, oracle, atol=1e-9)
+            np.testing.assert_allclose(rot, np.kron(EYE2, oracle), atol=1e-9)
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):
-            measurement_setting(HardyParams(0.1, 0.1), ALICE, 3)
+            alice_steps(3, 0.1)
         with pytest.raises(ValueError):
-            measurement_setting(HardyParams(0.1, 0.1), "eve", 1)
+            bob_steps(0, 0.1, 0.1)
 
 
 class TestJointProbabilities:
@@ -154,57 +184,50 @@ class TestJointProbabilities:
         # the |00> amplitude after a1 (x) b1 cancels: (c - c)/2 = 0
         rng = np.random.default_rng(17)
         for theta, phi in rng.uniform(0.1, 1.5, (30, 2)):
-            p = joint_probability(HardyParams(theta, phi), 1, 1, +1, +1)
-            assert p <= 1e-12
+            assert ideal_distributions(HardyParams(theta, phi))[0, 0] <= 1e-12
 
     def test_q_at_optimum(self):
-        p = joint_probability(HardyParams.from_degrees(51.827, 51.827), 2, 2, +1, +1)
+        p = ideal_distributions(HardyParams.from_degrees(51.827, 51.827))[3, 0]
         assert abs(p - 0.09017) < 1e-4
 
     def test_q_zero_for_mes(self):
-        p = joint_probability(HardyParams.from_degrees(45, 90), 2, 2, +1, +1)
-        assert p <= 1e-12
-
-    def test_outcome_validation(self):
-        with pytest.raises(ValueError):
-            joint_probability(HardyParams(0.1, 0.1), 1, 1, 0, 1)
+        assert ideal_distributions(HardyParams.from_degrees(45, 90))[3, 0] <= 1e-12
 
     def test_distributions_sum_to_one(self):
         rng = np.random.default_rng(18)
-        for theta, phi in rng.uniform(0, math.pi, (20, 2)):
-            for a in (1, 2):
-                for b in (1, 2):
-                    dist = outcome_probabilities(HardyParams(theta, phi), a, b)
-                    assert abs(dist.sum() - 1.0) < 1e-10
+        theta, phi = rng.uniform(0, math.pi, (2, 20))
+        dists = experiment_distributions(theta, phi, QUIET)
+        assert np.max(np.abs(dists.sum(axis=-1) - 1.0)) < 1e-10
 
     def test_hardy_vector_consistent_with_joint(self):
-        params = HardyParams.from_degrees(33.3, 61.7)
-        vec = hardy_vector(params)
-        assert abs(vec.p11_A1B1 - joint_probability(params, 1, 1, +1, +1)) < 1e-14
-        assert abs(vec.p1m1_A2B1 - joint_probability(params, 2, 1, +1, -1)) < 1e-14
-        assert abs(vec.pm11_A1B2 - joint_probability(params, 1, 2, -1, +1)) < 1e-14
-        assert abs(vec.p11_A2B2 - joint_probability(params, 2, 2, +1, +1)) < 1e-14
+        # a batch gives each point exactly the distributions it gets alone
+        rng = np.random.default_rng(22)
+        theta, phi = rng.uniform(0, math.pi, (2, 6))
+        noise = NoiseModel.default_profile()
+        batch = experiment_distributions(theta, phi, noise)
+        for k in range(6):
+            alone = experiment_distributions([theta[k]], [phi[k]], noise)
+            np.testing.assert_array_equal(batch[k], alone[0])
 
 
 class TestHardyVector:
     def test_45_45(self):
-        vec = hardy_vector(HardyParams.from_degrees(45, 45))
-        assert max(vec.p11_A1B1, vec.p1m1_A2B1, vec.pm11_A1B2) <= 1e-12
-        assert abs(vec.p11_A2B2 - 0.0833) < 1e-4
+        vec = hardy_probabilities(HardyParams.from_degrees(45, 45))
+        assert max(vec[:3]) <= 1e-12
+        assert abs(vec[3] - 0.0833) < 1e-4
 
     def test_30_60(self):
-        vec = hardy_vector(HardyParams.from_degrees(30, 60))
-        assert abs(vec.p11_A2B2 - 0.0433) < 1e-4
+        vec = hardy_probabilities(HardyParams.from_degrees(30, 60))
+        assert abs(vec[3] - 0.0433) < 1e-4
 
     def test_product_state_all_zero(self):
-        vec = hardy_vector(HardyParams(0.0, 0.9))
-        assert max(vec.p11_A1B1, vec.p1m1_A2B1, vec.pm11_A1B2, vec.p11_A2B2) <= 1e-12
+        assert max(hardy_probabilities(HardyParams(0.0, 0.9))) <= 1e-12
 
     def test_zero_equations_on_grid(self):
-        for theta_deg in range(0, 181, 10):
-            for phi_deg in range(0, 181, 10):
-                vec = hardy_vector(HardyParams.from_degrees(theta_deg, phi_deg))
-                assert max(vec.p11_A1B1, vec.p1m1_A2B1, vec.pm11_A1B2) <= 1e-12
+        axis = np.radians(np.arange(0, 181, 10))
+        theta, phi = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
+        dists = experiment_distributions(theta, phi, QUIET)
+        assert np.max(dists[:, range(3), FLAGGED_OUTCOME[:3]]) <= 1e-12
 
 
 class TestAnalyticQ:
@@ -236,11 +259,11 @@ class TestAnalyticQ:
             assert abs(analytic_q(theta, phi) - analytic_q(phi, theta)) < 1e-10
 
     def test_equals_pipeline_on_grid(self):
-        for theta_deg in range(0, 181, 6):
-            for phi_deg in range(0, 181, 6):
-                params = HardyParams.from_degrees(theta_deg, phi_deg)
-                pipeline = hardy_vector(params).p11_A2B2
-                assert abs(pipeline - analytic_q(params.theta, params.phi)) <= 1e-10
+        axis = np.radians(np.arange(0, 181, 6))
+        theta, phi = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
+        pipeline = experiment_distributions(theta, phi, QUIET)[:, 3, 0]
+        for t, p, value in zip(theta, phi, pipeline):
+            assert abs(value - analytic_q(t, p)) <= 1e-10
 
 
 class TestQMaxAndOptimum:
@@ -310,7 +333,7 @@ class TestClassification:
         params = HardyParams.from_degrees(51.827, 51.827)
         result = classify_state(params)
         assert result.kind is StateKind.NMES
-        oracle = generic_concurrence(prepare_state(params).amplitudes)
+        oracle = generic_concurrence(prepared_amplitudes(params))
         assert abs(result.concurrence - oracle) < 1e-10
         assert abs(result.concurrence - 0.7639) < 1e-3
 
@@ -318,8 +341,8 @@ class TestClassification:
         rng = np.random.default_rng(20)
         for theta, phi in rng.uniform(0, math.pi, (30, 2)):
             params = HardyParams(theta, phi)
-            amps = prepare_state(params).amplitudes
-            c = concurrence(params)
+            amps = prepared_amplitudes(params)
+            c = concurrence(theta, phi)
             assert abs(c - generic_concurrence(amps)) < 1e-10
             assert abs(c - spin_flip_concurrence(amps)) < 1e-10
 
@@ -343,5 +366,4 @@ class TestClassification:
 @settings(max_examples=40)
 @given(st.floats(0.0, math.pi), st.floats(0.0, math.pi))
 def test_pipeline_equals_closed_form_q(theta, phi):
-    params = HardyParams(theta, phi)
-    assert abs(hardy_vector(params).p11_A2B2 - analytic_q(theta, phi)) <= 1e-10
+    assert abs(hardy_probabilities(HardyParams(theta, phi))[3] - analytic_q(theta, phi)) <= 1e-10

@@ -5,72 +5,103 @@ import math
 import numpy as np
 import pytest
 
-from hardysim.hardy import HardyParams, analytic_q, optimal_angles, outcome_probabilities
-from hardysim.noise import (
+import kraus_reference as ref
+from hardysim.engine import (
     EXPERIMENT_SETTINGS,
     FLAGGED_OUTCOME,
+    depolarize_one,
+    depolarize_two,
+    experiment_distributions,
+    experiment_steps,
+)
+from hardysim.hardy import HardyParams, analytic_q, optimal_angles
+from hardysim.noise import (
     EpsilonEstimates,
     NoiseModel,
     ProfileError,
     ShotConfig,
-    depolarizing_kraus,
     estimate_epsilons,
-    experiment_circuit,
     load_noise_profile,
     measure_epsilons,
-    noisy_distribution,
     sample_shots,
-    simulate_noisy,
     statistical_error,
 )
-from hardysim.statevector import DensityMatrix, apply_channel
 
 I2 = np.eye(2, dtype=complex)
 
 
+def depolarize(rho, p, num_targets, qubit=0):
+    """The engine's closed-form channel on one qubit or on both."""
+    return depolarize_one(rho, p, qubit) if num_targets == 1 else depolarize_two(rho, p)
+
+
+def random_rho(rng):
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    amps /= np.linalg.norm(amps)
+    return np.outer(amps, amps.conj())
+
+
+def simulate(params, a_index, b_index, noise):
+    """Engine distribution of one experiment at one point."""
+    dists = experiment_distributions([params.theta], [params.phi], noise)[0]
+    return dists[EXPERIMENT_SETTINGS.index((a_index, b_index))]
+
+
+def ideal(params, a_index, b_index):
+    """Noiseless distribution of one experiment from the Kraus reference."""
+    dists = ref.distributions(params.theta, params.phi, 0.0, 0.0, 0.0, 0.0)
+    return dists[EXPERIMENT_SETTINGS.index((a_index, b_index))]
+
+
 class TestDepolarizingKraus:
+    """The closed-form channels against the Pauli Kraus sums of the reference."""
+
     def test_zero_probability_is_identity_only(self):
-        ops = depolarizing_kraus(0.0, 1)
-        assert len(ops) == 1
-        np.testing.assert_array_equal(ops[0], I2)
+        rho = random_rho(np.random.default_rng(29))
+        for qubit in (0, 1):
+            assert depolarize_one(rho, 0.0, qubit) is rho
+        assert depolarize_two(rho, 0.0) is rho
 
     @pytest.mark.parametrize("p", [0.0, 0.01, 0.37, 1.0])
     @pytest.mark.parametrize("k", [1, 2])
     def test_completeness(self, p, k):
-        ops = depolarizing_kraus(p, k)
+        ops = ref.depolarizing_kraus(p, k)
         total = sum(o.conj().T @ o for o in ops)
         np.testing.assert_allclose(total, np.eye(2**k), atol=1e-12)
+        rho = random_rho(np.random.default_rng(28))
+        target = 0 if k == 1 else ref.BOTH
+        expect = ref.kraus_channel(rho, ops, target)
+        out = depolarize(rho, p, k)
+        np.testing.assert_allclose(out, expect, atol=1e-12)
+        assert abs(np.trace(out) - 1.0) < 1e-12
 
     def test_full_mixing_single_qubit(self):
-        rho = DensityMatrix([[1, 0], [0, 0]])
-        out = apply_channel(rho, depolarizing_kraus(1.0, 1), (0,))
-        np.testing.assert_allclose(out.entries, 0.5 * I2, atol=1e-12)
+        rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        out = depolarize_one(rho, 1.0, 0)
+        np.testing.assert_allclose(out, np.diag([0.5, 0.5, 0.0, 0.0]), atol=1e-12)
 
     def test_small_p_diagonal(self):
         p = 0.01
-        rho = DensityMatrix([[1, 0], [0, 0]])
-        out = apply_channel(rho, depolarizing_kraus(p, 1), (0,))
-        np.testing.assert_allclose(out.entries, np.diag([1 - p / 2, p / 2]), atol=1e-12)
+        rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        out = depolarize_one(rho, p, 1)
+        np.testing.assert_allclose(out, np.diag([1 - p / 2, 0, p / 2, 0]), atol=1e-12)
 
     def test_composition_effective_probability(self):
         # two passes at p equal one pass at 1 - (1-p)^2, exactly
         p = 0.01
         p_eff = 1.0 - (1.0 - p) ** 2
         rng = np.random.default_rng(30)
-        amps = rng.normal(size=2) + 1j * rng.normal(size=2)
-        amps /= np.linalg.norm(amps)
-        rho = DensityMatrix(np.outer(amps, amps.conj()))
-        twice = apply_channel(
-            apply_channel(rho, depolarizing_kraus(p, 1), (0,)), depolarizing_kraus(p, 1), (0,)
-        )
-        once = apply_channel(rho, depolarizing_kraus(p_eff, 1), (0,))
-        np.testing.assert_allclose(twice.entries, once.entries, atol=1e-12)
+        rho = random_rho(rng)
+        for k in (1, 2):
+            twice = depolarize(depolarize(rho, p, k), p, k)
+            once = depolarize(rho, p_eff, k)
+            np.testing.assert_allclose(twice, once, atol=1e-12)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            depolarizing_kraus(1.5, 1)
+            NoiseModel.from_rates(1.5, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            depolarizing_kraus(0.1, 3)
+            NoiseModel.from_rates(0.0, -0.1, 0.0, 0.0)
 
 
 class TestNoiseModel:
@@ -146,7 +177,8 @@ class TestExperimentCircuit:
         params = HardyParams.from_degrees(51.827, 51.827)
         expected = {(1, 1): 10, (2, 1): 12, (1, 2): 12, (2, 2): 14}
         for (a, b), count in expected.items():
-            assert experiment_circuit(params, a, b).gate_count() == count
+            steps = experiment_steps(a, b, params.theta, params.lam, params.chi)
+            assert len(steps) == count
 
     def test_zero_noise_matches_ideal(self):
         rng = np.random.default_rng(31)
@@ -154,16 +186,14 @@ class TestExperimentCircuit:
         for theta, phi in rng.uniform(0, math.pi, (8, 2)):
             params = HardyParams(theta, phi)
             for a, b in EXPERIMENT_SETTINGS:
-                noisy = simulate_noisy(params, a, b, quiet)
-                ideal = outcome_probabilities(params, a, b)
-                np.testing.assert_allclose(noisy, ideal, atol=1e-10)
+                noisy = simulate(params, a, b, quiet)
+                np.testing.assert_allclose(noisy, ideal(params, a, b), atol=1e-10)
 
     def test_full_readout_flip_relabels_outcomes(self):
         params = HardyParams.from_degrees(40, 70)
         flipped = NoiseModel.from_rates(0.0, 0.0, 1.0, 1.0)
-        noisy = simulate_noisy(params, 2, 2, flipped)
-        ideal = outcome_probabilities(params, 2, 2)
-        np.testing.assert_allclose(noisy, ideal[[3, 2, 1, 0]], atol=1e-10)
+        noisy = simulate(params, 2, 2, flipped)
+        np.testing.assert_allclose(noisy, ideal(params, 2, 2)[[3, 2, 1, 0]], atol=1e-10)
 
     def test_default_profile_epsilon_band(self):
         params = HardyParams.from_degrees(51.827, 51.827)
@@ -173,7 +203,7 @@ class TestExperimentCircuit:
 
     def test_distribution_sums_to_one(self):
         params = HardyParams.from_degrees(30, 60)
-        dist = simulate_noisy(params, 2, 2, NoiseModel.default_profile())
+        dist = simulate(params, 2, 2, NoiseModel.default_profile())
         assert abs(dist.sum() - 1.0) < 1e-10
 
 
@@ -319,7 +349,7 @@ class TestEpsilonEstimates:
         params = HardyParams.from_degrees(51.827, 51.827)
         noise = NoiseModel.default_profile()
         est = measure_epsilons(params, noise, None)
-        dist = simulate_noisy(params, 2, 2, noise)
+        dist = simulate(params, 2, 2, noise)
         assert abs(est.eps5 - dist[0]) < 1e-14
         assert est.stat_err5 == 0.0
 

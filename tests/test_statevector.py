@@ -1,24 +1,27 @@
-"""Simulation-core tests: gate application, channels, and their invariants."""
+"""Simulation-core tests: the batched density-matrix engine's gates, channels
+and final-distribution check, against dense matrices written out by hand."""
 
 import math
 
 import numpy as np
 import pytest
 
-from hardysim.statevector import (
-    Circuit,
-    DensityMatrix,
-    StateVector,
-    UnitaryMatrix,
-    apply_channel,
-    apply_gate,
-    circuit_unitary,
-    embed_gate,
-    outcome_distribution,
-    run_circuit,
-    tensor,
-    to_density,
+import kraus_reference as ref
+from hardysim import gates
+from hardysim.engine import (
+    CX,
+    apply_cx,
+    apply_one_qubit,
+    check_distributions,
+    depolarize_one,
+    depolarize_two,
+    evolve,
+    ground_state,
+    preparation_steps,
+    readout_distributions,
+    steps_unitary,
 )
+from hardysim.noise import NoiseModel
 
 # Test-local gate matrices, independent of the gates module.
 I2 = np.eye(2, dtype=complex)
@@ -29,6 +32,7 @@ H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 CNOT_HIGH_CTRL = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
+QUIET = NoiseModel.none()
 
 
 def random_unitary(rng, dim):
@@ -37,67 +41,63 @@ def random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_state(rng, n):
-    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return StateVector(amps / np.linalg.norm(amps), n)
+def random_amplitudes(rng):
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return amps / np.linalg.norm(amps)
+
+
+def pure(amps):
+    amps = np.asarray(amps, dtype=complex)
+    return np.outer(amps, amps.conj())
+
+
+def random_density(rng):
+    return pure(random_amplitudes(rng))
 
 
 class TestConstruction:
     def test_basis_state(self):
-        s = StateVector.basis(2, 1)
-        np.testing.assert_array_equal(s.amplitudes, [0, 1, 0, 0])
+        rho = ground_state((3,))
+        assert rho.shape == (3, 4, 4)
+        for point in rho:
+            np.testing.assert_array_equal(point, pure([1, 0, 0, 0]))
 
     def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError, match="zero-norm"):
-            StateVector([0, 0, 0, 0])
+        with pytest.raises(ValueError, match="sums differ"):
+            check_distributions(np.zeros(4))
 
     def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError, match="not normalized"):
-            StateVector([1, 1, 0, 0])
+        with pytest.raises(ValueError, match="sums differ"):
+            check_distributions(np.array([1.0, 1.0, 0.0, 0.0]))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            StateVector([np.nan, 0])
-
-    def test_too_many_qubits_rejected(self):
-        amps = np.zeros(64)
-        amps[0] = 1
-        with pytest.raises(ValueError):
-            StateVector(amps)
-
-    def test_amplitudes_immutable(self):
-        s = StateVector.basis(1, 0)
-        with pytest.raises(ValueError):
-            s.amplitudes[0] = 0.0
+            check_distributions(np.array([np.nan, 0.0, 0.0, 1.0]))
 
     def test_unitary_rejects_nonunitary(self):
-        with pytest.raises(ValueError, match="not unitary"):
-            UnitaryMatrix([[1, 0], [0, 2]])
+        # a non-unitary gate is not checked per step; the trace it breaks is
+        # caught by the final-distribution check
+        rho = evolve(ground_state(), [(1, H), (1, np.diag([1.0, 2.0]))], QUIET)
+        with pytest.raises(ValueError, match="sums differ"):
+            readout_distributions(rho, QUIET)
 
     def test_unitary_rejects_odd_dim(self):
         with pytest.raises(ValueError):
-            UnitaryMatrix(np.eye(3))
-
-    def test_density_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix([[0.5, 0.5], [0.0, 0.5]])
+            apply_one_qubit(ground_state(), np.eye(3), 0)
 
     def test_density_rejects_bad_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(np.eye(2))
+        with pytest.raises(ValueError, match="sums differ"):
+            readout_distributions(np.eye(4, dtype=complex) / 2, QUIET)
 
     def test_density_rejects_negative_eigenvalue(self):
-        with pytest.raises(ValueError, match="negative eigenvalue"):
-            DensityMatrix([[1.0, 0.9], [0.9, 0.0]])
+        with pytest.raises(ValueError, match="negative probability"):
+            check_distributions(np.array([[0.25] * 4, [1.1, -0.1, 0.0, 0.0]]))
 
     def test_circuit_rejects_bad_targets(self):
-        cx = UnitaryMatrix(CNOT_HIGH_CTRL)
-        with pytest.raises(ValueError, match="duplicate"):
-            Circuit(2, [(cx, (0, 0))])
-        with pytest.raises(ValueError, match="out of range"):
-            Circuit(2, [(cx, (2, 0))])
-        with pytest.raises(ValueError, match="does not match"):
-            Circuit(2, [(UnitaryMatrix(I2), (1, 0))])
+        with pytest.raises(ValueError, match="qubit must be 0 or 1"):
+            evolve(ground_state(), [(2, X)], QUIET)
+        with pytest.raises(ValueError):
+            evolve(ground_state(), [(0, CNOT_HIGH_CTRL)], QUIET)
 
     def test_complex_magnitudes_finite(self):
         # magnitude computable without overflow across the working range
@@ -109,208 +109,183 @@ class TestConstruction:
 class TestApplyGate:
     def test_identity_leaves_state(self):
         rng = np.random.default_rng(0)
-        s = random_state(rng, 2)
-        out = apply_gate(s, UnitaryMatrix(I2), (0,))
-        np.testing.assert_allclose(out.amplitudes, s.amplitudes, atol=1e-15)
+        rho = random_density(rng)
+        for qubit in (0, 1):
+            out = apply_one_qubit(rho, I2, qubit)
+            np.testing.assert_allclose(out, rho, atol=1e-15)
 
     def test_x_on_qubit0_flips_low_bit(self):
-        out = apply_gate(StateVector.basis(2, 0), UnitaryMatrix(X), (0,))
-        np.testing.assert_allclose(out.amplitudes, [0, 1, 0, 0], atol=1e-15)
+        out = apply_one_qubit(ground_state(), X, 0)
+        np.testing.assert_allclose(out, pure([0, 1, 0, 0]), atol=1e-15)
 
     def test_h_on_qubit1_splits_high_bit(self):
-        out = apply_gate(StateVector.basis(2, 0), UnitaryMatrix(H), (1,))
-        expect = np.array([1, 0, 1, 0]) / np.sqrt(2)
-        np.testing.assert_allclose(out.amplitudes, expect, atol=1e-15)
+        out = apply_one_qubit(ground_state(), H, 1)
+        np.testing.assert_allclose(out, pure(np.array([1, 0, 1, 0]) / np.sqrt(2)), atol=1e-15)
 
     def test_dimension_mismatch_rejected(self):
-        s = StateVector.basis(2, 0)
-        with pytest.raises(ValueError, match="does not match"):
-            apply_gate(s, UnitaryMatrix(I2), (0, 1))
+        with pytest.raises(ValueError):
+            apply_one_qubit(ground_state(), CNOT_HIGH_CTRL, 1)
 
     def test_out_of_range_target_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            apply_gate(StateVector.basis(2, 0), UnitaryMatrix(I2), (2,))
+        with pytest.raises(ValueError, match="qubit must be 0 or 1"):
+            apply_one_qubit(ground_state(), I2, 2)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(1)
-        for n in (1, 2, 3):
-            s = random_state(rng, n)
-            g = UnitaryMatrix(random_unitary(rng, 2))
-            out = apply_gate(s, g, (rng.integers(n),))
-            assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
+        for _ in range(10):
+            rho = random_density(rng)
+            out = apply_one_qubit(rho, random_unitary(rng, 2), int(rng.integers(2)))
+            assert abs(np.trace(out) - 1.0) < 1e-12
 
     def test_disjoint_gates_commute(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
-            s = random_state(rng, 3)
-            g1 = UnitaryMatrix(random_unitary(rng, 2))
-            g2 = UnitaryMatrix(random_unitary(rng, 2))
-            q1, q2 = rng.permutation(3)[:2]
-            ab = apply_gate(apply_gate(s, g1, (q1,)), g2, (q2,))
-            ba = apply_gate(apply_gate(s, g2, (q2,)), g1, (q1,))
-            np.testing.assert_allclose(ab.amplitudes, ba.amplitudes, atol=1e-12)
+            rho = random_density(rng)
+            g1 = random_unitary(rng, 2)
+            g0 = random_unitary(rng, 2)
+            ab = apply_one_qubit(apply_one_qubit(rho, g1, 1), g0, 0)
+            ba = apply_one_qubit(apply_one_qubit(rho, g0, 0), g1, 1)
+            np.testing.assert_allclose(ab, ba, atol=1e-12)
 
-    def test_matches_dense_oracle_on_three_qubits(self):
-        # embed-by-hand oracle: kron ordered high-to-low qubit
+    def test_matches_dense_oracle(self):
+        # kron ordered high-to-low qubit, on a batch of states and gates
         rng = np.random.default_rng(3)
-        s = random_state(rng, 3)
-        u = random_unitary(rng, 2)
-        got = apply_gate(s, UnitaryMatrix(u), (1,)).amplitudes
-        dense = np.kron(np.kron(I2, u), I2)
-        np.testing.assert_allclose(got, dense @ s.amplitudes, atol=1e-12)
-        # non-adjacent two-qubit targets: permute (q2,q1,q0) -> (q2,q0,q1),
-        # act with u4 (x) I on the top two bits, permute back
-        u4 = random_unitary(rng, 4)
-        got = apply_gate(s, UnitaryMatrix(u4), (2, 0)).amplitudes
-        perm = np.zeros((8, 8))
-        for i in range(8):
-            b2, b1, b0 = (i >> 2) & 1, (i >> 1) & 1, i & 1
-            perm[(b2 << 2) | (b0 << 1) | b1, i] = 1
-        dense = perm.T @ np.kron(u4, I2) @ perm
-        np.testing.assert_allclose(got, dense @ s.amplitudes, atol=1e-12)
-        np.testing.assert_allclose(embed_gate(u4, (2, 0), 3), dense, atol=1e-12)
+        rho = np.array([random_density(rng) for _ in range(5)])
+        u = np.array([random_unitary(rng, 2) for _ in range(5)])
+        for qubit in (0, 1):
+            got = apply_one_qubit(rho, u, qubit)
+            for k in range(5):
+                full = ref.embed(u[k], qubit)
+                np.testing.assert_allclose(got[k], full @ rho[k] @ full.conj().T, atol=1e-12)
 
 
 class TestTensorAndCircuit:
     def test_tensor_identity(self):
-        t = tensor(UnitaryMatrix(I2), UnitaryMatrix(I2))
-        np.testing.assert_array_equal(t.entries, np.eye(4))
+        np.testing.assert_array_equal(steps_unitary([(1, I2), (0, I2)]), np.eye(4))
 
     def test_tensor_x_goes_high(self):
-        t = tensor(UnitaryMatrix(X), UnitaryMatrix(I2))
-        out = apply_gate(StateVector.basis(2, 0), t, (1, 0))
-        np.testing.assert_allclose(out.amplitudes, [0, 0, 1, 0], atol=1e-15)
+        out = evolve(ground_state(), [(1, X), (0, I2)], QUIET)
+        np.testing.assert_allclose(out, pure([0, 0, 1, 0]), atol=1e-15)
 
     def test_tensor_phase_pair(self):
         lam = 0.731
-        a = UnitaryMatrix(np.diag([1, np.exp(1j * lam)]))
-        b = UnitaryMatrix(np.diag([1, np.exp(-1j * lam)]))
+        a = np.diag([1, np.exp(1j * lam)])
+        b = np.diag([1, np.exp(-1j * lam)])
         # direct 4x4 oracle: diag(1, e^{-il}, e^{il}, e^{il} e^{-il})
         oracle = np.diag(
             [1, np.exp(-1j * lam), np.exp(1j * lam), np.exp(1j * lam) * np.exp(-1j * lam)]
         )
-        np.testing.assert_allclose(tensor(a, b).entries, oracle, atol=1e-15)
+        np.testing.assert_allclose(steps_unitary([(1, a), (0, b)]), oracle, atol=1e-15)
 
     def test_empty_circuit_is_identity(self):
         rng = np.random.default_rng(4)
-        s = random_state(rng, 2)
-        out = run_circuit(Circuit(2, []), s)
-        np.testing.assert_array_equal(out.amplitudes, s.amplitudes)
+        rho = random_density(rng)
+        np.testing.assert_array_equal(evolve(rho, [], NoiseModel.default_profile()), rho)
 
     def test_bell_pair(self):
-        c = Circuit(2, [(UnitaryMatrix(H), (1,)), (UnitaryMatrix(CNOT_HIGH_CTRL), (1, 0))])
-        out = run_circuit(c, StateVector.basis(2, 0))
-        expect = np.array([1, 0, 0, 1]) / np.sqrt(2)
-        np.testing.assert_allclose(out.amplitudes, expect, atol=1e-15)
-
-    def test_qubit_count_mismatch(self):
-        with pytest.raises(ValueError, match="qubit counts"):
-            run_circuit(Circuit(2, []), StateVector.basis(1, 0))
+        out = evolve(ground_state(), [(1, H), CX], QUIET)
+        np.testing.assert_allclose(out, pure(np.array([1, 0, 0, 1]) / np.sqrt(2)), atol=1e-15)
 
     def test_random_circuits_preserve_norm(self):
         rng = np.random.default_rng(5)
+        noise = NoiseModel.from_rates(0.05, 0.1, 0.0, 0.0)
         for _ in range(20):
-            n = int(rng.integers(1, 4))
             steps = []
             for _ in range(int(rng.integers(0, 21))):
-                if n >= 2 and rng.random() < 0.3:
-                    t = tuple(rng.permutation(n)[:2])
-                    steps.append((UnitaryMatrix(random_unitary(rng, 4)), t))
+                if rng.random() < 0.3:
+                    steps.append(CX)
                 else:
-                    steps.append((UnitaryMatrix(random_unitary(rng, 2)), (int(rng.integers(n)),)))
-            out = run_circuit(Circuit(n, steps), random_state(rng, n))
-            assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
+                    steps.append((int(rng.integers(2)), random_unitary(rng, 2)))
+            out = evolve(random_density(rng), steps, noise)
+            assert abs(np.trace(out) - 1.0) < 1e-10
+            assert np.max(np.abs(out - out.conj().T)) < 1e-10
 
     def test_interferometer_circuit_kills_first_outcome(self):
         # full preparation plus the first setting pair at the q-maximizing
         # angles: the (+1,+1) outcome amplitude cancels exactly
-        from hardysim import gates
-
         theta = phi = math.radians(51.827)
-        c = Circuit(
-            2,
-            [
-                (gates.beam_splitter(math.pi / 4), (1,)),
-                (gates.beam_splitter(theta), (0,)),
-                (gates.coupling(phi), (1, 0)),
-                (gates.beam_splitter(math.pi / 4), (1,)),  # b1 is the identity
-            ],
-        )
-        out = run_circuit(c, StateVector.basis(2, 0))
-        assert outcome_distribution(out)[0] <= 1e-12
+        steps = [
+            (1, gates.beam_splitter(math.pi / 4)),
+            (0, gates.beam_splitter(theta)),
+            *gates.coupling_steps(phi),
+            (1, gates.beam_splitter(math.pi / 4)),  # b1 is the identity
+        ]
+        out = evolve(ground_state(), steps, QUIET)
+        assert readout_distributions(out, QUIET)[0] <= 1e-12
 
     def test_circuit_unitary_matches_run(self):
         rng = np.random.default_rng(6)
         steps = [
-            (UnitaryMatrix(random_unitary(rng, 2)), (0,)),
-            (UnitaryMatrix(random_unitary(rng, 4)), (1, 0)),
-            (UnitaryMatrix(random_unitary(rng, 2)), (1,)),
+            (0, random_unitary(rng, 2)),
+            CX,
+            (1, random_unitary(rng, 2)),
         ]
-        c = Circuit(2, steps)
-        s = random_state(rng, 2)
-        np.testing.assert_allclose(
-            circuit_unitary(c) @ s.amplitudes,
-            run_circuit(c, s).amplitudes,
-            atol=1e-12,
-        )
+        u = steps_unitary(steps)
+        oracle = ref.embed(steps[2][1], 1) @ CNOT_HIGH_CTRL @ ref.embed(steps[0][1], 0)
+        np.testing.assert_allclose(u, oracle, atol=1e-12)
+        rho = random_density(rng)
+        np.testing.assert_allclose(u @ rho @ u.conj().T, evolve(rho, steps, QUIET), atol=1e-12)
 
 
 class TestDistributionsAndDensity:
     def test_basis_distribution(self):
-        np.testing.assert_array_equal(
-            outcome_distribution(StateVector.basis(2, 0)), [1, 0, 0, 0]
-        )
+        np.testing.assert_array_equal(readout_distributions(ground_state(), QUIET), [1, 0, 0, 0])
 
     def test_bell_distribution(self):
-        s = StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2))
-        np.testing.assert_allclose(outcome_distribution(s), [0.5, 0, 0, 0.5], atol=1e-15)
+        rho = pure(np.array([1, 0, 0, 1]) / np.sqrt(2))
+        np.testing.assert_allclose(readout_distributions(rho, QUIET), [0.5, 0, 0, 0.5], atol=1e-15)
 
     def test_flat_distribution_from_prepared_amplitudes(self):
-        # closed-form amplitudes at theta=45deg, phi=0: all magnitude 1/2
-        c = s = np.cos(np.pi / 4) / np.sqrt(2)
-        state = StateVector([c, s, c, s])
-        np.testing.assert_allclose(outcome_distribution(state), [0.25] * 4, atol=1e-12)
+        # prepared state at theta=45deg, phi=0: all amplitudes of magnitude 1/2
+        rho = evolve(ground_state(), preparation_steps(math.pi / 4, 0.0), QUIET)
+        np.testing.assert_allclose(readout_distributions(rho, QUIET), [0.25] * 4, atol=1e-12)
 
     def test_to_density_pure_cases(self):
-        rho = to_density(StateVector([1, 0]))
-        np.testing.assert_array_equal(rho.entries, [[1, 0], [0, 0]])
-        rho = to_density(StateVector(np.array([1, 1]) / np.sqrt(2)))
-        np.testing.assert_allclose(rho.entries, 0.5 * np.ones((2, 2)), atol=1e-15)
+        # the engine's states stay projectors |psi><psi| under noiseless gates
+        rho = evolve(ground_state(), [(1, H)], QUIET)
+        np.testing.assert_allclose(rho, pure(np.array([1, 0, 1, 0]) / np.sqrt(2)), atol=1e-15)
+        np.testing.assert_allclose(rho @ rho, rho, atol=1e-15)
 
     def test_to_density_purity(self):
-        # prepared-state amplitudes at theta=30deg, phi=60deg, closed form
+        # prepared state at theta=30deg, phi=60deg against its closed form
         theta, phi = math.radians(30), math.radians(60)
         amps = np.array(
             [math.cos(theta), math.sin(theta), math.cos(theta),
              math.sin(theta) * np.exp(2j * phi)]
         ) / math.sqrt(2)
-        rho = to_density(StateVector(amps))
-        assert abs(rho.purity() - 1.0) < 1e-12
-        assert abs(np.trace(rho.entries) - 1.0) < 1e-12
+        rho = evolve(ground_state(), preparation_steps(theta, phi), QUIET)
+        np.testing.assert_allclose(rho, pure(amps), atol=1e-12)
+        assert abs(np.trace(rho @ rho) - 1.0) < 1e-12
+        assert abs(np.trace(rho) - 1.0) < 1e-12
 
     def test_density_diagonal_equals_distribution(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            s = random_state(rng, 2)
+            amps = random_amplitudes(rng)
             np.testing.assert_allclose(
-                to_density(s).probabilities(), outcome_distribution(s), atol=1e-12
+                readout_distributions(pure(amps), QUIET), np.abs(amps) ** 2, atol=1e-12
             )
 
 
 class TestApplyChannel:
     def test_unitary_channel(self):
         rng = np.random.default_rng(9)
-        rho = to_density(random_state(rng, 1))
+        rho = random_density(rng)
         u = random_unitary(rng, 2)
-        out = apply_channel(rho, [u], (0,))
-        np.testing.assert_allclose(out.entries, u @ rho.entries @ u.conj().T, atol=1e-12)
+        out = apply_one_qubit(rho, u, 0)
+        expect = ref.kraus_channel(rho, [u], 0)
+        np.testing.assert_allclose(out, expect, atol=1e-12)
 
     def test_full_depolarizing_gives_maximally_mixed(self):
-        # p = 1 Kraus set written out by hand
-        kraus = [0.5 * I2, 0.5 * X, 0.5 * Y, 0.5 * Z]
-        rho = DensityMatrix([[1, 0], [0, 0]])
-        out = apply_channel(rho, kraus, (0,))
-        np.testing.assert_allclose(out.entries, 0.5 * I2, atol=1e-12)
+        rho = ground_state()
+        # p = 1 on one qubit leaves I/2 there and the other qubit untouched
+        np.testing.assert_allclose(
+            depolarize_one(rho, 1.0, 1), np.kron(0.5 * I2, pure([1, 0])), atol=1e-15
+        )
+        np.testing.assert_allclose(
+            depolarize_one(depolarize_one(rho, 1.0, 1), 1.0, 0), np.eye(4) / 4, atol=1e-15
+        )
+        np.testing.assert_allclose(depolarize_two(rho, 1.0), np.eye(4) / 4, atol=1e-15)
 
     def test_depolarizing_small_p_matches_bruteforce_sum(self):
         p = 0.01
@@ -320,38 +295,28 @@ class TestApplyChannel:
             np.sqrt(p / 4) * Y,
             np.sqrt(p / 4) * Z,
         ]
-        rho = DensityMatrix([[1, 0], [0, 0]])
-        # brute-force 4-term sum, independent of apply_channel
-        expect = sum(k @ rho.entries @ k.conj().T for k in kraus)
-        np.testing.assert_allclose(expect, np.diag([1 - p / 2, p / 2]), atol=1e-15)
-        out = apply_channel(rho, kraus, (0,))
-        np.testing.assert_allclose(out.entries, expect, atol=1e-12)
-
-    def test_incomplete_kraus_rejected(self):
-        rho = DensityMatrix([[1, 0], [0, 0]])
-        with pytest.raises(ValueError, match="trace preserving"):
-            apply_channel(rho, [0.5 * I2], (0,))
+        rng = np.random.default_rng(12)
+        rho = random_density(rng)
+        for qubit in (0, 1):
+            # brute-force 4-term sum, independent of the engine
+            expect = sum(ref.embed(k, qubit) @ rho @ ref.embed(k, qubit).conj().T for k in kraus)
+            np.testing.assert_allclose(depolarize_one(rho, p, qubit), expect, atol=1e-15)
 
     def test_random_channels_preserve_trace_and_hermiticity(self):
         rng = np.random.default_rng(10)
         for _ in range(15):
-            rho = to_density(random_state(rng, 2))
-            # random valid Kraus set via column-isometry normalization
-            raw = [
-                rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                for _ in range(int(rng.integers(1, 5)))
-            ]
-            gram = sum(a.conj().T @ a for a in raw)
-            vals, vecs = np.linalg.eigh(gram)
-            inv_sqrt = vecs @ np.diag(vals**-0.5) @ vecs.conj().T
-            kraus = [a @ inv_sqrt for a in raw]
-            out = apply_channel(rho, kraus, (int(rng.integers(2)),))
-            assert abs(np.trace(out.entries) - 1.0) < 1e-10
-            assert np.max(np.abs(out.entries - out.entries.conj().T)) < 1e-10
+            rho = random_density(rng)
+            p = float(rng.random())
+            for out in (depolarize_one(rho, p, int(rng.integers(2))), depolarize_two(rho, p)):
+                assert abs(np.trace(out) - 1.0) < 1e-10
+                assert np.max(np.abs(out - out.conj().T)) < 1e-10
+                assert np.min(np.linalg.eigvalsh(out)) > -1e-12
 
     def test_two_qubit_target_channel(self):
         rng = np.random.default_rng(11)
-        rho = to_density(random_state(rng, 2))
-        u = random_unitary(rng, 4)
-        out = apply_channel(rho, [u], (1, 0))
-        np.testing.assert_allclose(out.entries, u @ rho.entries @ u.conj().T, atol=1e-12)
+        rho = random_density(rng)
+        np.testing.assert_allclose(
+            apply_cx(rho), CNOT_HIGH_CTRL @ rho @ CNOT_HIGH_CTRL.conj().T, atol=1e-15
+        )
+        expect = ref.kraus_channel(rho, ref.depolarizing_kraus(0.3, 2), ref.BOTH)
+        np.testing.assert_allclose(depolarize_two(rho, 0.3), expect, atol=1e-12)

@@ -300,6 +300,12 @@ class TestPerformanceReport:
         _, baseline = performance_report(rows, baseline=0.123)
         assert baseline == 0.123
 
+    @pytest.mark.parametrize("k_sigma", [0.0, -5.0])
+    def test_k_sigma_validation(self, k_sigma):
+        rows = [synthetic_row(t, 0.05) for t in (40.0, 50.0, 60.0)]
+        with pytest.raises(ValueError, match="k_sigma"):
+            performance_report(rows, k_sigma=k_sigma)
+
 
 class TestReducedCircuit:
     def test_gate_counts(self):
