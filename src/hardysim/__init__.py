@@ -23,29 +23,22 @@ from .hardy import (
     q_max,
 )
 from .noise import (
-    EpsilonEstimates,
     NoiseModel,
     ShotConfig,
-    epsilons_from_distributions,
-    estimate_epsilons,
+    estimate_batch,
     load_noise_profile,
     measure_epsilons,
-    sample_shots,
     statistical_error,
 )
 from .sweep import (
     PerformanceReport,
     ReducedComparison,
     SweepRow,
-    baseline_eps4,
-    delta_interval,
     diagonal_points,
     diagonal_sweep,
     metric_fluctuation,
-    metric_min_q,
-    metric_shift,
+    peak_offset,
     performance_report,
-    q_ladder,
     q_surface,
     read_csv,
     reduced_circuit_compare,

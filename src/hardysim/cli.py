@@ -11,7 +11,9 @@ import argparse
 import math
 import sys
 
-from .hardy import HardyParams, classify_state
+import numpy as np
+
+from .hardy import HardyParams, analytic_q, classify_state
 from .noise import (
     NoiseModel,
     ProfileError,
@@ -137,36 +139,24 @@ def _cmd_probe(args, out) -> int:
     cfg = _resolve_shots(args)
     params = HardyParams.from_degrees(theta, phi)
     cls = classify_state(params)
-    est = measure_epsilons(params, noise, cfg)
+    q = analytic_q(params.theta, params.phi)
+    eps, stat_err, eps5_per_run = measure_epsilons(params, noise, cfg)
+    eps, stat_err = eps.tolist(), stat_err.tolist()
     _print_kv(out, "theta_deg", theta)
     _print_kv(out, "phi_deg", phi)
     _print_kv(out, "class", cls.kind.value)
     _print_kv(out, "concurrence", cls.concurrence)
-    _print_kv(out, "q_theory", est.q_theory)
-    for i, (eps, err) in enumerate(
-        [(est.eps1, est.stat_err1), (est.eps2, est.stat_err2), (est.eps3, est.stat_err3)],
-        start=1,
-    ):
-        _print_kv(out, f"eps{i}", eps)
-        _print_kv(out, f"stat_err{i}", err)
-    _print_kv(out, "eps5", est.eps5)
-    _print_kv(out, "stat_err5", est.stat_err5)
-    _print_kv(out, "eps5_run_std", est.eps5_run_std)
-    _print_kv(out, "eps4_est", est.eps4_estimated)
+    _print_kv(out, "q_theory", q)
+    for i in range(3):
+        _print_kv(out, f"eps{i + 1}", eps[i])
+        _print_kv(out, f"stat_err{i + 1}", stat_err[i])
+    _print_kv(out, "eps5", eps[3])
+    _print_kv(out, "stat_err5", stat_err[3])
+    _print_kv(out, "eps5_run_std", float(np.std(eps5_per_run)))
+    _print_kv(out, "eps4_est", eps[3] - q)
     _print_kv(out, "noise_profile", noise.name or "unnamed")
     if args.out:
-        row = SweepRow(
-            theta_deg=theta,
-            phi_deg=phi,
-            q_theory=est.q_theory,
-            eps1=est.eps1,
-            eps2=est.eps2,
-            eps3=est.eps3,
-            eps5=est.eps5,
-            stat_err=est.stat_err5,
-            state_class=cls,
-        )
-        write_csv([row], args.out)
+        write_csv([SweepRow(theta, phi, q, *eps, stat_err[3], cls)], args.out)
     return EXIT_OK
 
 
@@ -194,26 +184,34 @@ def _cmd_metrics(args, out) -> int:
     _require_finite(k_sigma=args.k_sigma, rho=args.rho)
     if args.baseline is not None:
         _require_finite(baseline=args.baseline)
+        if not 0.0 <= args.baseline <= 1.0:
+            raise UsageError(f"--baseline must be in [0, 1], got {args.baseline:g}")
     if args.k_sigma <= 0:
         raise UsageError(f"--k-sigma must be positive, got {args.k_sigma:g}")
     rows = read_csv(args.in_path)
     try:
-        report, baseline = performance_report(
+        report = performance_report(
             rows, baseline=args.baseline, k_sigma=args.k_sigma, rho_deg=args.rho
         )
     except ValueError as exc:  # usable CSV but unusable sweep (too few rows, no coverage)
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_IO
+    if report.baseline_source == "none":
+        print("note: no MES/PS rows and no --baseline; min q is not established",
+              file=sys.stderr)
     print(f"performance measures from {args.in_path} ({len(rows)} rows)", file=out)
-    _print_kv(out, "baseline_eps4", baseline)
+    _print_kv(out, "baseline_eps4", "none" if report.baseline is None else report.baseline)
+    _print_kv(out, "baseline_source", report.baseline_source)
     _print_kv(out, "k_sigma", args.k_sigma)
     _print_kv(out, "rho_deg", args.rho)
-    if report.min_distinguishable_q is None:
-        _print_kv(out, "min_distinguishable_q", "not_established")
-    else:
-        _print_kv(out, "min_distinguishable_q", report.min_distinguishable_q)
-    _print_kv(out, "shift_deg", report.shift_deg)
-    _print_kv(out, "delta_interval_deg", report.delta_interval_deg)
+    min_q = report.min_distinguishable_q
+    _print_kv(out, "min_distinguishable_q", "not_established" if min_q is None else min_q)
+    # delta, the half-width of the smallest [rho - delta, rho + delta] holding
+    # the peak, is the shift by definition: both keys print the one offset.
+    _print_kv(out, "shift_deg", report.peak_offset_deg)
+    _print_kv(out, "delta_interval_deg", report.peak_offset_deg)
+    _print_kv(out, "peak_tied", str(report.peak_tied).lower())
+    _print_kv(out, "peak_on_boundary", str(report.peak_on_boundary).lower())
     _print_kv(out, "eps4_fluctuation_std", report.eps4_fluctuation_std)
     _print_kv(out, "eps4_fluctuation_range", report.eps4_fluctuation_range)
     return EXIT_OK

@@ -33,10 +33,6 @@ import numpy as np
 # entangled); parameters are exact inputs, so no fuzzier boundary is needed.
 CLASSIFICATION_TOL = 1e-9
 
-# |cos(theta)| below this counts as the tan(theta) singularity: chi is then
-# the continuous limit (0 or pi by the sign of cos(phi)) and gets flagged.
-_SINGULAR_COS = 1e-12
-
 
 class StateKind(str, Enum):
     MES = "MES"
@@ -57,34 +53,23 @@ class HardyParams:
     """Experiment parameters (radians) with the derived angles.
 
     chi solves cot(chi) = tan(theta) cos(phi) on (0, pi); lam is bound to phi
-    (the coupling-decomposition identity requires it).  chi_at_limit marks
-    parameters where theta sits on the tan singularity and chi is the
-    continuous limit rather than a solution of the defining relation.
+    (the coupling-decomposition identity requires it).
     """
 
     theta: float
     phi: float
     chi: float = field(init=False)
     lam: float = field(init=False)
-    chi_at_limit: bool = field(init=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
             raise ValueError("angles must be finite")
-        chi, at_limit = _chi_with_flag(self.theta, self.phi)
-        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "chi", chi_of(self.theta, self.phi))
         object.__setattr__(self, "lam", self.phi)
-        object.__setattr__(self, "chi_at_limit", at_limit)
 
     @classmethod
     def from_degrees(cls, theta_deg: float, phi_deg: float) -> "HardyParams":
         return cls(math.radians(theta_deg), math.radians(phi_deg))
-
-
-def _chi_with_flag(theta: float, phi: float) -> tuple[float, bool]:
-    at_limit = abs(math.cos(theta)) < _SINGULAR_COS and abs(math.cos(phi)) > _SINGULAR_COS
-    chi = math.atan2(1.0, math.tan(theta) * math.cos(phi))
-    return chi, at_limit
 
 
 def chi_of(theta: float, phi: float) -> float:
@@ -94,7 +79,7 @@ def chi_of(theta: float, phi: float) -> float:
     the tan(theta) singularity it degrades continuously to the limit (near 0
     or pi by the sign of cos(phi)) instead of failing.
     """
-    return _chi_with_flag(theta, phi)[0]
+    return math.atan2(1.0, math.tan(theta) * math.cos(phi))
 
 
 def analytic_q(theta: float, phi: float) -> float:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,42 +32,18 @@ from .hardy import (
     analytic_q,
     classify_state,
     concurrence,
-    optimal_angles,
 )
-from .noise import (
-    NoiseModel,
-    ShotConfig,
-    epsilons_from_distributions,
-    measure_epsilons,
-    sample_shots,
-)
+from .noise import NoiseModel, ShotConfig, estimate_batch
 
 CSV_HEADER = "theta_deg,phi_deg,q_theory,eps1,eps2,eps3,eps5,eps4_est,stat_err,class"
 _PROBABILITY_FIELDS = ("q_theory", "eps1", "eps2", "eps3", "eps5")
 
-# Reference angle (degrees) for the shift and interval metrics: the diagonal
-# parameter maximizing q, quoted at the customary 51.827.
+# Reference angle (degrees) for the peak measure: the diagonal parameter
+# maximizing q, quoted at the customary 51.827.
 REFERENCE_ANGLE_DEG = 51.827
 
-# MES / PS points whose fourth-experiment value calibrates the error floor.
-BASELINE_POINTS_DEG = ((45.0, 90.0), (0.0, 0.0), (90.0, 0.0), (45.0, 0.0), (90.0, 45.0))
-
-# NMES points spanning the four q levels used for the min-q ladder.
-NMES_LADDER_POINTS_DEG = (
-    (51.827, 51.827),
-    (55.0, 55.0),
-    (45.0, 45.0),
-    (30.0, 60.0),
-    (60.0, 30.0),
-    (10.0, 80.0),
-    (80.0, 10.0),
-)
-
-# Stream namespaces keeping sampling independent across pipeline stages.
+# Stream namespace of sweep points: point i samples from (_STREAM_SWEEP, i, ...).
 _STREAM_SWEEP = 0
-_STREAM_BASELINE = 1
-_STREAM_LADDER = 2
-_STREAM_REDUCED = 3
 
 
 class SweepCsvError(ValueError):
@@ -103,23 +78,23 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class PerformanceReport:
-    """The three performance measures extracted from one sweep."""
+    """The three performance measures of one sweep and the decisions behind them.
 
+    baseline_source says where the error floor came from: "flag" (given by
+    the caller), "rows" (largest eps5 over the MES / PS rows) or "none"
+    (neither; baseline and min q are then None).  peak_offset_deg is
+    |peak - rho|, which is both the shift of the eps5 peak and the half-width
+    delta of the smallest interval [rho - delta, rho + delta] holding it.
+    """
+
+    baseline: float | None
+    baseline_source: str
     min_distinguishable_q: float | None
-    shift_deg: float
-    delta_interval_deg: float
+    peak_offset_deg: float
+    peak_tied: bool
+    peak_on_boundary: bool
     eps4_fluctuation_std: float
     eps4_fluctuation_range: float
-
-    def __post_init__(self):
-        values = [self.shift_deg, self.delta_interval_deg,
-                  self.eps4_fluctuation_std, self.eps4_fluctuation_range]
-        if self.min_distinguishable_q is not None:
-            values.append(self.min_distinguishable_q)
-        if any(v < 0 for v in values):
-            raise ValueError("performance measures must be nonnegative")
-        if self.delta_interval_deg + 1e-12 < self.shift_deg:
-            raise ValueError("delta interval cannot be smaller than the shift")
 
 
 @dataclass(frozen=True)
@@ -175,29 +150,16 @@ def q_surface(theta_deg, phi_deg) -> np.ndarray:
 def _sweep_rows(
     thetas_deg, phis_deg, noise: NoiseModel, cfg: ShotConfig | None
 ) -> list[SweepRow]:
-    """Rows for paired angle lists: one engine batch, then per-point estimates.
-
-    Point i samples from the streams (_STREAM_SWEEP, i, experiment, run).
-    """
+    """Rows for paired angle lists: one engine batch, then one estimate batch."""
     dists = experiment_distributions(np.radians(thetas_deg), np.radians(phis_deg), noise)
+    eps, stat_err, _ = estimate_batch(dists, cfg, [(_STREAM_SWEEP, i) for i in range(len(dists))])
     rows = []
-    for i, (theta_deg, phi_deg) in enumerate(zip(thetas_deg, phis_deg)):
+    for theta_deg, phi_deg, eps_i, err in zip(
+        thetas_deg, phis_deg, eps.tolist(), stat_err[:, 3].tolist()
+    ):
         params = HardyParams.from_degrees(theta_deg, phi_deg)
         q = analytic_q(params.theta, params.phi)
-        est = epsilons_from_distributions(dists[i], q, cfg, stream_base=(_STREAM_SWEEP, i))
-        rows.append(
-            SweepRow(
-                theta_deg=theta_deg,
-                phi_deg=phi_deg,
-                q_theory=est.q_theory,
-                eps1=est.eps1,
-                eps2=est.eps2,
-                eps3=est.eps3,
-                eps5=est.eps5,
-                stat_err=est.stat_err5,
-                state_class=classify_state(params),
-            )
-        )
+        rows.append(SweepRow(theta_deg, phi_deg, q, *eps_i, err, classify_state(params)))
     return rows
 
 
@@ -227,67 +189,6 @@ def surface_sweep(
     )
 
 
-def baseline_eps4(
-    noise: NoiseModel, cfg: ShotConfig | None, points_deg=BASELINE_POINTS_DEG
-) -> float:
-    """Largest fourth-experiment value over the MES / PS calibration points.
-
-    q is zero at every one of these points, so the measured value is the
-    error floor against which NMES runs are compared.
-    """
-    best = 0.0
-    for i, (t, p) in enumerate(points_deg):
-        params = HardyParams.from_degrees(t, p)
-        est = measure_epsilons(params, noise, cfg, stream_base=(_STREAM_BASELINE, i))
-        best = max(best, est.eps5)
-    return best
-
-
-def _diagonal_angle_for_q(target: float) -> float:
-    """Diagonal angle (radians) with analytic_q(t, t) = target, by bisection."""
-    hi = optimal_angles()[0]
-    if not 0.0 < target < analytic_q(hi, hi):
-        raise ValueError(f"target q {target} outside the diagonal range")
-    lo = 1e-6
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
-        if analytic_q(mid, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def q_ladder(num_refine: int = 2, base_points_deg=NMES_LADDER_POINTS_DEG) -> list[tuple[float, float]]:
-    """NMES points ordered by descending q, geometrically refined across gaps.
-
-    Wherever consecutive q levels differ by more than 4x, `num_refine`
-    diagonal points are inserted at geometrically interpolated q values.
-    """
-    points = sorted(
-        ((float(t), float(p)) for t, p in base_points_deg),
-        key=lambda tp: analytic_q(math.radians(tp[0]), math.radians(tp[1])),
-        reverse=True,
-    )
-    levels: list[float] = []
-    for t, p in points:
-        q = analytic_q(math.radians(t), math.radians(p))
-        if not levels or abs(q - levels[-1]) > 1e-12:
-            levels.append(q)
-    ladder = list(points)
-    for hi, lo in zip(levels, levels[1:]):
-        if hi / lo > 4.0 and num_refine > 0:
-            for k in range(1, num_refine + 1):
-                q_mid = hi * (lo / hi) ** (k / (num_refine + 1))
-                angle = math.degrees(_diagonal_angle_for_q(q_mid))
-                ladder.append((angle, angle))
-    ladder.sort(
-        key=lambda tp: analytic_q(math.radians(tp[0]), math.radians(tp[1])),
-        reverse=True,
-    )
-    return ladder
-
-
 def min_established_q(entries, baseline: float, k_sigma: float) -> float | None:
     """Smallest q in the maximal passing prefix of a descending-q ladder.
 
@@ -305,46 +206,24 @@ def min_established_q(entries, baseline: float, k_sigma: float) -> float | None:
     return established
 
 
-def metric_min_q(
-    noise: NoiseModel,
-    cfg: ShotConfig | None,
-    k_sigma: float = 3.0,
-    ladder_deg=None,
-    baseline: float | None = None,
-) -> float | None:
-    """Smallest q for which the pipeline still distinguishes NMES from the floor."""
-    if k_sigma <= 0:
-        raise ValueError("k_sigma must be positive")
-    if baseline is None:
-        baseline = baseline_eps4(noise, cfg)
-    ladder = q_ladder() if ladder_deg is None else list(ladder_deg)
-    entries = []
-    for i, (t, p) in enumerate(ladder):
-        params = HardyParams.from_degrees(t, p)
-        est = measure_epsilons(params, noise, cfg, stream_base=(_STREAM_LADDER, i))
-        entries.append((est.q_theory, est.eps5, est.stat_err5))
-    return min_established_q(entries, baseline, k_sigma)
+def peak_offset(rows, rho_deg: float = REFERENCE_ANGLE_DEG) -> tuple[float, bool, bool]:
+    """(|peak - rho|, tied, on_boundary) for the theta_deg of the largest eps5.
 
-
-def _peak_theta(rows) -> tuple[float, bool]:
-    """theta_deg of the largest eps5; ties resolve to the smaller angle."""
-    rows = list(rows)
-    if not rows:
-        raise ValueError("no rows")
-    best = max(r.eps5 for r in rows)
-    candidates = [r.theta_deg for r in rows if r.eps5 == best]
-    return min(candidates), len(candidates) > 1
-
-
-def metric_shift(rows, reference_deg: float = REFERENCE_ANGLE_DEG) -> float:
-    """Distance (degrees) of the observed eps5 peak from the theoretical one."""
+    Ties resolve to the smaller angle and set `tied`.  `on_boundary` marks a
+    peak on the smallest or largest swept theta: the true peak may then lie
+    outside the sweep and the offset is only the bound the range allows.
+    """
     rows = list(rows)
     if len(rows) < 3:
-        raise ValueError("shift metric needs at least 3 rows")
-    peak, tied = _peak_theta(rows)
-    if tied:
-        warnings.warn("eps5 peak is tied; reporting the smallest angle", stacklevel=2)
-    return abs(peak - reference_deg)
+        raise ValueError("peak measure needs at least 3 rows")
+    thetas = [r.theta_deg for r in rows]
+    lo, hi = min(thetas), max(thetas)
+    if not lo <= rho_deg <= hi:
+        raise ValueError("swept rows do not cover the reference angle")
+    best = max(r.eps5 for r in rows)
+    candidates = [r.theta_deg for r in rows if r.eps5 == best]
+    peak = min(candidates)
+    return abs(peak - rho_deg), len(candidates) > 1, peak in (lo, hi)
 
 
 def metric_fluctuation(rows) -> tuple[float, float]:
@@ -356,59 +235,46 @@ def metric_fluctuation(rows) -> tuple[float, float]:
     return float(np.std(values)), float(np.max(values) - np.min(values))
 
 
-def delta_interval(rows, rho_deg: float = REFERENCE_ANGLE_DEG) -> float:
-    """Smallest delta with the eps5 peak inside [rho - delta, rho + delta].
-
-    A peak sitting on the swept boundary is flagged with a warning: the true
-    peak may lie outside and delta is then only the bound the range allows.
-    """
-    rows = list(rows)
-    thetas = [r.theta_deg for r in rows]
-    if not (min(thetas) <= rho_deg <= max(thetas)):
-        raise ValueError("swept rows do not cover the reference angle")
-    peak, tied = _peak_theta(rows)
-    if tied:
-        warnings.warn("eps5 peak is tied; reporting the smallest angle", stacklevel=2)
-    if peak in (min(thetas), max(thetas)):
-        warnings.warn(
-            "eps5 peak sits on the swept boundary; delta is only a lower bound",
-            stacklevel=2,
-        )
-    return abs(peak - rho_deg)
-
-
 def performance_report(
     rows,
     baseline: float | None = None,
     k_sigma: float = 3.0,
     rho_deg: float = REFERENCE_ANGLE_DEG,
-) -> tuple[PerformanceReport, float]:
-    """All three measures from finished sweep rows; returns (report, baseline).
+) -> PerformanceReport:
+    """All three measures from finished sweep rows.
 
     The baseline defaults to the largest eps5 over the MES / PS rows present
-    in the sweep itself.
+    in the sweep itself; with no such rows and none given, min q is not
+    established.
     """
     if k_sigma <= 0:
         raise ValueError("k_sigma must be positive")
+    if baseline is not None and not 0.0 <= baseline <= 1.0:
+        raise ValueError(f"baseline must be in [0, 1], got {baseline}")
     rows = list(rows)
+    std, spread = metric_fluctuation(rows)
+    offset, tied, on_boundary = peak_offset(rows, rho_deg)
+    source = "flag"
     if baseline is None:
         floor_rows = [r.eps5 for r in rows if r.state_class.kind is not StateKind.NMES]
-        baseline = max(floor_rows) if floor_rows else 0.0
+        source = "rows" if floor_rows else "none"
+        baseline = max(floor_rows, default=None)
     nmes = [
         (r.q_theory, r.eps5, r.stat_err)
         for r in rows
         if r.state_class.kind is StateKind.NMES
     ]
-    min_q = min_established_q(nmes, baseline, k_sigma) if nmes else None
-    std, spread = metric_fluctuation(rows)
-    report = PerformanceReport(
+    min_q = min_established_q(nmes, baseline, k_sigma) if baseline is not None else None
+    return PerformanceReport(
+        baseline=baseline,
+        baseline_source=source,
         min_distinguishable_q=min_q,
-        shift_deg=metric_shift(rows, reference_deg=rho_deg),
-        delta_interval_deg=delta_interval(rows, rho_deg=rho_deg),
+        peak_offset_deg=offset,
+        peak_tied=tied,
+        peak_on_boundary=on_boundary,
         eps4_fluctuation_std=std,
         eps4_fluctuation_range=spread,
     )
-    return report, baseline
 
 
 def _reduced_steps(variant: str) -> tuple[HardyParams, list]:
@@ -440,27 +306,19 @@ def _reduced_steps(variant: str) -> tuple[HardyParams, list]:
     return params, steps
 
 
-def reduced_circuit_compare(
-    variant: str, noise: NoiseModel, cfg: ShotConfig | None = None
-) -> ReducedComparison:
-    """Fourth-experiment error of the full pipeline vs the reduced preparation.
+def reduced_circuit_compare(variant: str, noise: NoiseModel) -> ReducedComparison:
+    """Exact fourth-experiment error of the full pipeline vs the reduced preparation.
 
     Both circuits target the same product state and the same measurement; the
     flagged outcome (+1, +1) has probability zero ideally, so any excess is
-    circuit error.  cfg=None compares exact distributions.
+    circuit error.
     """
     params, reduced = _reduced_steps(variant)
     full = experiment_steps(2, 2, params.theta, params.lam, params.chi)
-    dists = [readout_distributions(evolve(ground_state(), steps, noise), noise)
-             for steps in (full, reduced)]
-    if cfg is None:
-        full_eps, reduced_eps = (float(d[0]) for d in dists)
-    else:
-        pooled = []
-        for i, dist in enumerate(dists):
-            counts = sample_shots(dist, cfg, stream=(_STREAM_REDUCED, i))
-            pooled.append(float(counts[:, 0].sum()) / float(counts.sum()))
-        full_eps, reduced_eps = pooled
+    full_eps, reduced_eps = (
+        float(readout_distributions(evolve(ground_state(), steps, noise), noise)[0])
+        for steps in (full, reduced)
+    )
     return ReducedComparison(
         variant=variant,
         full_eps=full_eps,

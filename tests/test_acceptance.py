@@ -30,8 +30,8 @@ from hardysim.hardy import (
 from hardysim.noise import (
     NoiseModel,
     ShotConfig,
+    estimate_batch,
     measure_epsilons,
-    sample_shots,
     statistical_error,
 )
 from hardysim.sweep import CSV_HEADER, q_surface, reduced_circuit_compare
@@ -146,12 +146,11 @@ def test_c07_optimum_location():
 
 def test_c08_shot_statistics():
     params = HardyParams(*optimal_angles())
-    dist = experiment_distributions([params.theta], [params.phi], NoiseModel.none())[0, 3]
-    tol = 4 * statistical_error(float(dist[0]), 10)
+    dists = experiment_distributions([params.theta], [params.phi], NoiseModel.none())
+    tol = 4 * statistical_error(float(dists[0, 3, 0]), 10)
     worst = 0.0
     for seed in range(20):
-        counts = sample_shots(dist, ShotConfig(seed=seed))
-        pooled = counts[:, 0].sum() / counts.sum()
+        pooled = estimate_batch(dists, ShotConfig(seed=seed), [()])[0][0, 3]
         worst = max(worst, abs(pooled - 0.09017))
         assert abs(pooled - 0.09017) <= tol, seed
     assert abs(statistical_error(0.5, 1) - 0.005524) < 1e-6
@@ -171,9 +170,9 @@ def test_c09_noisy_model_properties():
             atol=1e-10,
         )
     # (b) default profile keeps the three zero-equations in (0, 0.1)
-    est = measure_epsilons(optimum, NoiseModel.default_profile(), None)
-    for eps in (est.eps1, est.eps2, est.eps3):
-        assert 0.0 < eps < 0.1
+    eps, _, _ = measure_epsilons(optimum, NoiseModel.default_profile(), None)
+    for e in eps[:3]:
+        assert 0.0 < e < 0.1
     # (c) error sum is monotone along a 5-point ladder in each rate
     base = NoiseModel.default_profile()
     for which in ("p1", "p2", "readout"):
@@ -185,8 +184,8 @@ def test_c09_noisy_model_properties():
                 0.02 * (factor if which == "readout" else 1.0),
                 0.02 * (factor if which == "readout" else 1.0),
             )
-            e = measure_epsilons(optimum, model, None)
-            values.append(e.eps1 + e.eps2 + e.eps3)
+            eps, _, _ = measure_epsilons(optimum, model, None)
+            values.append(eps[:3].sum())
         assert np.all(np.diff(values) >= -1e-12), (which, values)
     # (d) fewer gates means less error whenever the CNOTs are noisy
     for variant in ("ps_00", "ps_01"):

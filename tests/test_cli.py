@@ -155,6 +155,7 @@ class TestMetricsInputChecks:
             (["--k-sigma", "nan"], "k_sigma must be finite"),
             (["--rho", "nan"], "rho must be finite"),
             (["--baseline", "inf"], "baseline must be finite"),
+            (["--baseline", "1.5"], "--baseline must be in [0, 1], got 1.5"),
         ],
     )
     def test_bad_flag_is_usage_error(self, tmp_path, capsys, flags, message):
@@ -163,6 +164,18 @@ class TestMetricsInputChecks:
         code, _ = run_cli(["metrics", "--in", str(path), *flags])
         assert code == EXIT_USAGE
         assert message in capsys.readouterr().err
+
+    def test_negative_baseline_is_usage_error(self, tmp_path, capsys):
+        # before the check, -1 made every NMES row pass on a 5-degree sweep
+        path = tmp_path / "diag.csv"
+        assert run_cli(
+            ["sweep", "diagonal", "--from", "0", "--to", "90", "--step", "5",
+             "--noise", "default", "--out", str(path)]
+        )[0] == EXIT_OK
+        code, text = run_cli(["metrics", "--in", str(path), "--baseline", "-1"])
+        assert code == EXIT_USAGE
+        assert "min_distinguishable_q" not in text
+        assert "--baseline must be in [0, 1], got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "cells,message",
@@ -334,6 +347,48 @@ class TestMetricsCommand:
         code, text = run_cli(["metrics", "--in", str(path), "--rho", "62"])
         assert code == EXIT_OK
         assert float(kv(text)["shift_deg"]) < 1e-9
+
+
+    def test_sweep_without_floor_rows(self, tmp_path, capsys):
+        path = tmp_path / "nofloor.csv"
+        assert run_cli(
+            ["sweep", "diagonal", "--from", "40", "--to", "60", "--step", "2",
+             "--noise", "default", "--shots", "0", "--out", str(path)]
+        )[0] == EXIT_OK
+        code, text = run_cli(["metrics", "--in", str(path)])
+        assert code == EXIT_OK
+        values = kv(text)
+        assert values["baseline_source"] == "none"
+        assert values["baseline_eps4"] == "none"
+        assert values["min_distinguishable_q"] == "not_established"
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "min q is not established" in err
+
+    def test_baseline_source_lines(self, tmp_path):
+        path = tmp_path / "peak.csv"
+        write_peaked_csv(path, 51.827)
+        assert kv(run_cli(["metrics", "--in", str(path)])[1])["baseline_source"] == "rows"
+        flagged = run_cli(["metrics", "--in", str(path), "--baseline", "0.05"])[1]
+        assert kv(flagged)["baseline_source"] == "flag"
+        assert kv(flagged)["baseline_eps4"] == "0.05"
+
+    def test_peak_diagnostic_lines(self, tmp_path):
+        path = tmp_path / "peak.csv"
+        write_peaked_csv(path, 62.0)
+        values = kv(run_cli(["metrics", "--in", str(path)])[1])
+        assert (values["peak_tied"], values["peak_on_boundary"]) == ("false", "false")
+        assert values["shift_deg"] == values["delta_interval_deg"]
+        write_peaked_csv(path, 90.0)
+        values = kv(run_cli(["metrics", "--in", str(path)])[1])
+        assert values["peak_on_boundary"] == "true"
+        lines = [CSV_HEADER]
+        for t, eps5 in ((40, 0.2), (50, 0.2), (60, 0.1)):
+            q = analytic_q(math.radians(t), math.radians(t))
+            lines.append(f"{t},{t},{q:.9g},0,0,0,{eps5},{eps5 - q:.9g},0.001,NMES")
+        path.write_text("\n".join(lines) + "\n")
+        values = kv(run_cli(["metrics", "--in", str(path)])[1])
+        assert (values["peak_tied"], values["peak_on_boundary"]) == ("true", "true")
+        assert abs(float(values["shift_deg"]) - (51.827 - 40.0)) < 1e-9
 
 
 class TestValidateCommand:

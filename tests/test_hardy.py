@@ -100,15 +100,9 @@ class TestChi:
         assert 0.0 < chi_of(theta, phi) < math.pi
 
     def test_singular_theta_flagged(self):
-        p = HardyParams(math.pi / 2, 0.3)
-        assert p.chi_at_limit
-        assert p.chi < 1e-10  # cos(phi) > 0 pulls chi to the 0 limit
-        p = HardyParams(math.pi / 2, 3.0)
-        assert p.chi_at_limit
-        assert p.chi > math.pi - 1e-10
-        assert not HardyParams(DEG(89.99), 0.3).chi_at_limit
-        # cos(phi) = 0 keeps chi regular even at theta = pi/2
-        assert not HardyParams(math.pi / 2, math.pi / 2).chi_at_limit
+        # at theta = pi/2 chi takes the continuous limit instead of failing
+        assert HardyParams(math.pi / 2, 0.3).chi < 1e-10  # cos(phi) > 0: the 0 limit
+        assert HardyParams(math.pi / 2, 3.0).chi > math.pi - 1e-10
 
     def test_lambda_bound_to_phi(self):
         p = HardyParams(0.4, 1.1)

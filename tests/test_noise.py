@@ -9,6 +9,7 @@ import kraus_reference as ref
 from hardysim.engine import (
     EXPERIMENT_SETTINGS,
     FLAGGED_OUTCOME,
+    check_distributions,
     depolarize_one,
     depolarize_two,
     experiment_distributions,
@@ -16,16 +17,15 @@ from hardysim.engine import (
 )
 from hardysim.hardy import HardyParams, analytic_q, optimal_angles
 from hardysim.noise import (
-    EpsilonEstimates,
     NoiseModel,
     ProfileError,
     ShotConfig,
-    estimate_epsilons,
+    estimate_batch,
     load_noise_profile,
     measure_epsilons,
-    sample_shots,
     statistical_error,
 )
+from hardysim.sweep import SweepRow
 
 I2 = np.eye(2, dtype=complex)
 
@@ -45,6 +45,11 @@ def simulate(params, a_index, b_index, noise):
     """Engine distribution of one experiment at one point."""
     dists = experiment_distributions([params.theta], [params.phi], noise)[0]
     return dists[EXPERIMENT_SETTINGS.index((a_index, b_index))]
+
+
+def every_experiment(*dists):
+    """Batch of shape (len(dists), 4, 4): each point runs `dist` in all four experiments."""
+    return np.repeat(np.asarray(dists, dtype=np.float64)[:, None, :], 4, axis=1)
 
 
 def ideal(params, a_index, b_index):
@@ -120,11 +125,6 @@ class TestNoiseModel:
         with pytest.raises(ValueError, match="sum to 1"):
             NoiseModel(0.0, 0.0, (np.array([[0.9, 0.2], [0, 1]]), np.eye(2)))
 
-    def test_scaled(self):
-        m = NoiseModel.default_profile().scaled(2.0)
-        assert m.p1 == 0.002 and m.p2 == 0.02
-        assert abs(m.readout[1][0, 1] - 0.04) < 1e-15
-
 
 class TestProfileFile:
     def test_round_trip(self, tmp_path):
@@ -197,9 +197,8 @@ class TestExperimentCircuit:
 
     def test_default_profile_epsilon_band(self):
         params = HardyParams.from_degrees(51.827, 51.827)
-        est = measure_epsilons(params, NoiseModel.default_profile(), None)
-        for eps in (est.eps1, est.eps2, est.eps3):
-            assert 0.0 < eps < 0.1
+        eps, _, _ = measure_epsilons(params, NoiseModel.default_profile(), None)
+        assert np.all((0.0 < eps[:3]) & (eps[:3] < 0.1))
 
     def test_distribution_sums_to_one(self):
         params = HardyParams.from_degrees(30, 60)
@@ -209,49 +208,54 @@ class TestExperimentCircuit:
 
 class TestSampling:
     def test_point_mass(self):
-        counts = sample_shots([1.0, 0.0, 0.0, 0.0], ShotConfig(shots_per_run=100, runs=3, seed=1))
-        assert counts.shape == (3, 4)
-        np.testing.assert_array_equal(counts[:, 0], [100, 100, 100])
-        assert counts[:, 1:].sum() == 0
+        cfg = ShotConfig(shots_per_run=100, runs=3, seed=1)
+        dists = np.zeros((2, 4, 4))
+        dists[0, range(4), FLAGGED_OUTCOME] = 1.0
+        dists[1, range(4), (np.array(FLAGGED_OUTCOME) + 1) % 4] = 1.0
+        eps, err, per_run = estimate_batch(dists, cfg, [(0,), (1,)])
+        np.testing.assert_array_equal(eps, [[1.0] * 4, [0.0] * 4])
+        np.testing.assert_array_equal(err, np.zeros((2, 4)))
+        np.testing.assert_array_equal(per_run, [[1.0] * 3, [0.0] * 3])
 
     def test_uniform_concentration(self):
         cfg = ShotConfig(shots_per_run=8192, runs=1, seed=2)
-        counts = sample_shots([0.25] * 4, cfg)[0]
+        eps, _, _ = estimate_batch(every_experiment([0.25] * 4), cfg, [()])
         sigma = math.sqrt(8192 * 0.25 * 0.75)
-        assert np.all(np.abs(counts - 2048) <= 5 * sigma)
+        assert np.all(np.abs(eps * 8192 - 2048) <= 5 * sigma)
 
     def test_deterministic_for_equal_seed(self):
         cfg = ShotConfig(shots_per_run=512, runs=5, seed=77)
-        dist = [0.1, 0.2, 0.3, 0.4]
-        np.testing.assert_array_equal(sample_shots(dist, cfg), sample_shots(dist, cfg))
+        dists = every_experiment([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1])
+        first, second = (estimate_batch(dists, cfg, [(0, 0), (0, 1)]) for _ in range(2))
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
 
     def test_streams_are_independent(self):
         cfg = ShotConfig(shots_per_run=512, runs=2, seed=77)
-        dist = [0.25] * 4
-        a = sample_shots(dist, cfg, stream=0)
-        b = sample_shots(dist, cfg, stream=1)
-        assert not np.array_equal(a, b)
+        _, _, per_run = estimate_batch(every_experiment([0.25] * 4, [0.25] * 4), cfg, [(0,), (1,)])
+        assert not np.array_equal(per_run[0], per_run[1])
 
     def test_negative_seed_accepted(self):
         cfg = ShotConfig(shots_per_run=16, runs=1, seed=-12345)
-        counts = sample_shots([0.5, 0.5], cfg)
-        assert counts.sum() == 16
+        eps, _, _ = estimate_batch(every_experiment([0.5, 0.5, 0.0, 0.0]), cfg, [()])
+        assert np.all((0.0 <= eps) & (eps <= 1.0))
 
     def test_frequency_convergence(self):
         dist = np.array([0.6, 0.25, 0.1, 0.05])
+        flagged = dist[list(FLAGGED_OUTCOME)]
         n = 8192 * 10
+        dists = every_experiment(dist)
         for seed in range(5):
-            counts = sample_shots(dist, ShotConfig(runs=10, seed=seed))
-            freq = counts.sum(axis=0) / n
-            bound = 6 * np.sqrt(dist * (1 - dist) / n)
-            assert np.all(np.abs(freq - dist) <= bound)
+            eps, _, _ = estimate_batch(dists, ShotConfig(runs=10, seed=seed), [()])
+            bound = 6 * np.sqrt(flagged * (1 - flagged) / n)
+            assert np.all(np.abs(eps[0] - flagged) <= bound)
 
     def test_invalid_distribution_rejected(self):
-        cfg = ShotConfig(shots_per_run=16, runs=1)
-        with pytest.raises(ValueError):
-            sample_shots([0.5, 0.2], cfg)
-        with pytest.raises(ValueError):
-            sample_shots([-0.2, 1.2], cfg)
+        # checked once where distributions are made; the sampler trusts them
+        with pytest.raises(ValueError, match="sums differ"):
+            check_distributions(np.array([0.5, 0.2, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="negative"):
+            check_distributions(np.array([-0.2, 1.2, 0.0, 0.0]))
 
     def test_shot_config_validation(self):
         with pytest.raises(ValueError):
@@ -279,79 +283,53 @@ class TestStatisticalError:
 
 
 class TestEpsilonEstimates:
-    def _counts(self, flagged, total_per_run, runs, flag_index):
-        """Counts with `flagged` hits of outcome flag_index spread over runs."""
-        counts = np.zeros((runs, 4), dtype=int)
-        base, extra = divmod(flagged, runs)
-        for r in range(runs):
-            hits = base + (1 if r < extra else 0)
-            counts[r, flag_index] = hits
-            counts[r, (flag_index + 1) % 4] = total_per_run - hits
-        return counts
-
     def test_pooled_frequencies_and_identity(self):
         runs, shots = 10, 8192
-        per_exp_hits = [82, 164, 246, 10494]
-        counts = [
-            self._counts(h, shots, runs, flag)
-            for h, flag in zip(per_exp_hits, FLAGGED_OUTCOME)
-        ]
-        q = 0.09017
-        est = estimate_epsilons(counts, q)
-        total = runs * shots
-        assert abs(est.eps1 - 82 / total) < 1e-15
-        assert abs(est.eps5 - 10494 / total) < 1e-15
-        assert est.eps4_estimated == est.eps5 - q
-        assert est.stat_err4 == est.stat_err5
-        assert abs(est.stat_err5 - statistical_error(est.eps5, runs, shots)) < 1e-15
-        assert est.eps5_per_run.shape == (runs,)
+        cfg = ShotConfig(shots_per_run=shots, runs=runs, seed=5)
+        params = HardyParams(0.9, 0.9)
+        noise = NoiseModel.default_profile()
+        dists = experiment_distributions([params.theta], [params.phi], noise)
+        eps, err, per_run = estimate_batch(dists, cfg, [()])
+        hits = eps * (runs * shots)
+        np.testing.assert_array_equal(hits, np.round(hits))
+        assert abs(eps[0, 3] - per_run[0].mean()) < 1e-15
+        np.testing.assert_array_equal(err, statistical_error(eps, runs, shots))
+        assert per_run.shape == (1, runs)
+        # a single point is the batch of one with stream base ()
+        for single, batched in zip(measure_epsilons(params, noise, cfg), (eps, err, per_run)):
+            np.testing.assert_array_equal(single, batched[0])
 
     def test_estimate_is_plain_subtraction(self):
         # the estimate column is literally eps5 - q
-        mes = EpsilonEstimates(
-            eps1=0, eps2=0, eps3=0, eps5=0.0807, q_theory=0.0,
-            stat_err1=0, stat_err2=0, stat_err3=0, stat_err5=0.0037,
-            eps5_per_run=np.array([0.0807]),
-        )
-        assert abs(mes.eps4_estimated - 0.0807) < 1e-12
-        nmes = EpsilonEstimates(
-            eps1=0, eps2=0, eps3=0, eps5=0.1281, q_theory=0.09017,
-            stat_err1=0, stat_err2=0, stat_err3=0, stat_err5=0.0039,
-            eps5_per_run=np.array([0.1281]),
-        )
-        assert abs(nmes.eps4_estimated - 0.03793) < 1e-12
+        def row(eps5, q):
+            return SweepRow(0.0, 0.0, q, 0.0, 0.0, 0.0, eps5, 0.0, None)
+
+        assert abs(row(0.0807, 0.0).eps4_estimated - 0.0807) < 1e-12
+        assert abs(row(0.1281, 0.09017).eps4_estimated - 0.03793) < 1e-12
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
-            EpsilonEstimates(
-                eps1=1.5, eps2=0, eps3=0, eps5=0, q_theory=0,
-                stat_err1=0, stat_err2=0, stat_err3=0, stat_err5=0,
-                eps5_per_run=np.array([0.0]),
-            )
-
-    def test_bad_counts_rejected(self):
-        good = np.full((2, 4), 10)
-        with pytest.raises(ValueError, match="four experiments"):
-            estimate_epsilons([good] * 3, 0.0)
-        with pytest.raises(ValueError, match="shape"):
-            estimate_epsilons([good, good, good, np.full((2, 3), 10)], 0.0)
+        # exact-mode estimates stay in [0, 1] despite rounding in the engine
+        dists = every_experiment([-1e-17, 1.0, 0.0, 0.0], [1.0 + 1e-16, 0.0, 0.0, 0.0])
+        eps, err, _ = estimate_batch(dists, None, [(), ()])
+        np.testing.assert_array_equal(eps[0, [0, 3]], [0.0, 0.0])
+        np.testing.assert_array_equal(eps[1, [0, 3]], [1.0, 1.0])
+        np.testing.assert_array_equal(err, np.zeros((2, 4)))
 
     def test_noiseless_sampled_pipeline_near_ideal(self):
         params = HardyParams(*optimal_angles())
         q = analytic_q(params.theta, params.phi)
-        est = measure_epsilons(params, NoiseModel.none(), ShotConfig(seed=3))
+        eps, _, _ = measure_epsilons(params, NoiseModel.none(), ShotConfig(seed=3))
         tol = 4 * statistical_error(q, 10)
-        assert abs(est.eps5 - q) <= tol
-        assert abs(est.eps4_estimated) <= tol
-        assert est.eps1 == est.eps2 == est.eps3 == 0.0
+        assert abs(eps[3] - q) <= tol
+        assert eps[0] == eps[1] == eps[2] == 0.0
 
     def test_exact_mode_matches_distributions(self):
         params = HardyParams.from_degrees(51.827, 51.827)
         noise = NoiseModel.default_profile()
-        est = measure_epsilons(params, noise, None)
+        eps, err, _ = measure_epsilons(params, noise, None)
         dist = simulate(params, 2, 2, noise)
-        assert abs(est.eps5 - dist[0]) < 1e-14
-        assert est.stat_err5 == 0.0
+        assert abs(eps[3] - dist[0]) < 1e-14
+        assert err[3] == 0.0
 
 
 class TestMonotonicity:
@@ -359,8 +337,8 @@ class TestMonotonicity:
 
     def _eps_sum(self, noise):
         params = HardyParams(*optimal_angles())
-        est = measure_epsilons(params, noise, None)
-        return est.eps1 + est.eps2 + est.eps3
+        eps, _, _ = measure_epsilons(params, noise, None)
+        return eps[:3].sum()
 
     @pytest.mark.parametrize("which", ["p1", "p2", "readout"])
     def test_error_sum_monotone_in_each_rate(self, which):

@@ -8,21 +8,16 @@ import pytest
 from hardysim.hardy import HardyParams, StateClass, StateKind, analytic_q
 from hardysim.noise import NoiseModel, ShotConfig
 from hardysim.sweep import (
-    BASELINE_POINTS_DEG,
     CSV_HEADER,
     SweepCsvError,
     SweepRow,
-    baseline_eps4,
-    delta_interval,
     diagonal_points,
     diagonal_sweep,
     grid_degrees,
     metric_fluctuation,
-    metric_min_q,
-    metric_shift,
     min_established_q,
+    peak_offset,
     performance_report,
-    q_ladder,
     q_surface,
     read_csv,
     reduced_circuit_compare,
@@ -149,33 +144,55 @@ class TestDiagonalSweep:
         ]
 
 
+def floor_sweep(noise, cfg):
+    """Diagonal 0..90 in 15-degree steps plus the MES / PS points that set the floor."""
+    rows = diagonal_sweep(diagonal_points(0, 90, 15), noise, cfg)
+    return rows + surface_sweep([45.0, 90.0], [0.0, 90.0], noise, cfg)
+
+
 class TestBaseline:
     def test_zero_noise_floor_is_zero(self):
-        assert baseline_eps4(NoiseModel.none(), None) <= 1e-12
-        assert baseline_eps4(NoiseModel.none(), ShotConfig(seed=5)) <= 1e-12
+        for cfg in (None, ShotConfig(seed=5)):
+            report = performance_report(floor_sweep(NoiseModel.none(), cfg))
+            assert report.baseline_source == "rows"
+            assert report.baseline <= 1e-12
 
     def test_default_profile_band(self):
-        value = baseline_eps4(NoiseModel.default_profile(), None)
-        assert 0.0 < value < 0.1
+        report = performance_report(floor_sweep(NoiseModel.default_profile(), None))
+        assert 0.0 < report.baseline < 0.1
 
     def test_baseline_points_all_product_or_mes(self):
-        from hardysim.hardy import classify_state
+        # q vanishes on every floor (MES / PS) row, so eps5 there is pure error
+        axis = [float(a) for a in np.arange(0.0, 90.0 + 1e-9, 5.0)]
+        rows = surface_sweep(axis, axis, NoiseModel.none(), None)
+        floor = [r for r in rows if r.state_class.kind is not StateKind.NMES]
+        assert {r.state_class.kind for r in floor} == {StateKind.PS, StateKind.MES}
+        assert all(r.q_theory <= 1e-12 for r in floor)
 
-        for t, p in BASELINE_POINTS_DEG:
-            kind = classify_state(HardyParams.from_degrees(t, p)).kind
-            assert kind in (StateKind.PS, StateKind.MES)
-            assert analytic_q(math.radians(t), math.radians(p)) <= 1e-12
+    def test_no_floor_rows_leave_baseline_unset(self):
+        rows = diagonal_sweep(diagonal_points(40, 60, 2), NoiseModel.default_profile(), None)
+        report = performance_report(rows)
+        assert report.baseline_source == "none"
+        assert report.baseline is None
+        assert report.min_distinguishable_q is None
+        assert performance_report(rows, baseline=0.05).baseline_source == "flag"
+
+    @pytest.mark.parametrize("baseline", [-1.0, 1.5, math.nan])
+    def test_out_of_range_baseline_rejected(self, baseline):
+        rows = [synthetic_row(t, 0.05) for t in (40.0, 50.0, 60.0)]
+        with pytest.raises(ValueError, match="baseline"):
+            performance_report(rows, baseline=baseline)
 
 
 class TestMinQ:
     def test_zero_noise_floor_allows_smallest_ladder_point(self):
-        result = metric_min_q(NoiseModel.none(), ShotConfig(seed=6))
-        assert result is not None
-        assert result <= 0.005
+        report = performance_report(floor_sweep(NoiseModel.none(), ShotConfig(seed=6)))
+        assert report.min_distinguishable_q is not None
+        assert report.min_distinguishable_q <= 0.005
 
     def test_forced_huge_baseline_gives_none(self):
-        result = metric_min_q(NoiseModel.none(), ShotConfig(seed=6), baseline=1.0)
-        assert result is None
+        rows = floor_sweep(NoiseModel.none(), ShotConfig(seed=6))
+        assert performance_report(rows, baseline=1.0).min_distinguishable_q is None
 
     def test_hardware_scale_boundary(self):
         # entries at real-device scale: error floor 0.0807, NMES points above
@@ -196,21 +213,6 @@ class TestMinQ:
         entries = [(0.09, 0.5, 0.001), (0.05, 0.001, 0.001), (0.01, 0.9, 0.001)]
         assert min_established_q(entries, baseline=0.1, k_sigma=3.0) == 0.09
 
-    def test_ladder_descends_and_refines(self):
-        ladder = q_ladder()
-        qs = [analytic_q(math.radians(t), math.radians(p)) for t, p in ladder]
-        assert qs == sorted(qs, reverse=True)
-        assert len(ladder) > 7  # refinement inserted points into the wide gap
-        assert q_ladder(num_refine=0) == sorted(
-            q_ladder(num_refine=0),
-            key=lambda tp: analytic_q(math.radians(tp[0]), math.radians(tp[1])),
-            reverse=True,
-        )
-
-    def test_k_sigma_validation(self):
-        with pytest.raises(ValueError):
-            metric_min_q(NoiseModel.none(), None, k_sigma=0)
-
 
 class TestShiftAndInterval:
     def _rows_with_peak(self, peak_deg, lo=0.0, hi=90.0, step=1.0):
@@ -221,40 +223,42 @@ class TestShiftAndInterval:
         return rows
 
     def test_shift_for_injected_peak_at_40(self):
-        assert abs(metric_shift(self._rows_with_peak(40.0)) - 11.827) < 1e-9
+        assert abs(peak_offset(self._rows_with_peak(40.0))[0] - 11.827) < 1e-9
 
     def test_shift_for_injected_peak_at_62(self):
-        assert abs(metric_shift(self._rows_with_peak(62.0)) - 10.173) < 1e-9
+        assert abs(peak_offset(self._rows_with_peak(62.0))[0] - 10.173) < 1e-9
 
     def test_ideal_distribution_sweep_shift_within_step(self):
         rows = diagonal_sweep(diagonal_points(40, 65, 1), NoiseModel.none(), None)
-        assert metric_shift(rows) <= 1.0
+        assert peak_offset(rows)[0] <= 1.0
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
-            metric_shift(self._rows_with_peak(40.0)[:2])
+            peak_offset(self._rows_with_peak(40.0)[:2])
 
-    def test_tie_warns_and_takes_smaller_angle(self):
+    def test_tie_flagged_and_takes_smaller_angle(self):
         rows = [synthetic_row(t, eps5) for t, eps5 in ((40.0, 0.2), (50.0, 0.2), (60.0, 0.1))]
-        with pytest.warns(UserWarning, match="tied"):
-            assert abs(metric_shift(rows) - abs(40.0 - 51.827)) < 1e-9
+        offset, tied, on_boundary = peak_offset(rows)
+        assert abs(offset - abs(40.0 - 51.827)) < 1e-9
+        assert tied and on_boundary
+        assert peak_offset(self._rows_with_peak(40.0))[1:] == (False, False)
 
     def test_delta_interval_constructed_peak(self):
-        assert abs(delta_interval(self._rows_with_peak(40.0)) - 11.827) < 1e-9
+        report = performance_report(self._rows_with_peak(40.0))
+        assert abs(report.peak_offset_deg - 11.827) < 1e-9
 
     def test_delta_interval_ideal_sweep_within_step(self):
         rows = diagonal_sweep(diagonal_points(40, 65, 1), NoiseModel.none(), None)
-        assert delta_interval(rows) <= 1.0
+        assert performance_report(rows).peak_offset_deg <= 1.0
 
     def test_delta_interval_boundary_flagged(self):
-        rows = self._rows_with_peak(90.0, lo=40.0, hi=90.0)
-        with pytest.warns(UserWarning, match="boundary"):
-            delta = delta_interval(rows)
-        assert abs(delta - (90.0 - 51.827)) < 1e-9
+        report = performance_report(self._rows_with_peak(90.0, lo=40.0, hi=90.0))
+        assert report.peak_on_boundary and not report.peak_tied
+        assert abs(report.peak_offset_deg - (90.0 - 51.827)) < 1e-9
 
     def test_delta_interval_requires_coverage(self):
         with pytest.raises(ValueError, match="cover"):
-            delta_interval(self._rows_with_peak(10.0, lo=0.0, hi=20.0))
+            peak_offset(self._rows_with_peak(10.0, lo=0.0, hi=20.0))
 
 
 class TestFluctuation:
@@ -286,10 +290,9 @@ class TestPerformanceReport:
         for t in np.arange(5.0, 90.0, 5.0):
             eps5 = analytic_q(math.radians(t), math.radians(t)) + 0.01
             rows.append(synthetic_row(float(t), eps5, stat_err=0.001))
-        report, baseline = performance_report(rows)
-        assert baseline == 0.01
+        report = performance_report(rows)
+        assert report.baseline == 0.01 and report.baseline_source == "rows"
         assert report.min_distinguishable_q is not None
-        assert report.delta_interval_deg >= report.shift_deg
         assert report.eps4_fluctuation_range >= report.eps4_fluctuation_std
 
     def test_explicit_baseline_wins(self):
@@ -297,8 +300,8 @@ class TestPerformanceReport:
             synthetic_row(t, eps5)
             for t, eps5 in ((40.0, 0.04), (50.0, 0.06), (60.0, 0.05), (51.0, 0.055))
         ]
-        _, baseline = performance_report(rows, baseline=0.123)
-        assert baseline == 0.123
+        report = performance_report(rows, baseline=0.123)
+        assert report.baseline == 0.123 and report.baseline_source == "flag"
 
     @pytest.mark.parametrize("k_sigma", [0.0, -5.0])
     def test_k_sigma_validation(self, k_sigma):
@@ -336,12 +339,6 @@ class TestReducedCircuit:
     def test_default_profile_orders_errors(self, variant):
         rc = reduced_circuit_compare(variant, NoiseModel.default_profile())
         assert rc.reduced_eps < rc.full_eps
-
-    def test_sampled_mode(self):
-        rc = reduced_circuit_compare(
-            "ps_00", NoiseModel.default_profile(), ShotConfig(seed=8)
-        )
-        assert 0.0 <= rc.reduced_eps < rc.full_eps
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
