@@ -3,21 +3,14 @@
 from .engine import (
     EXPERIMENT_SETTINGS,
     FLAGGED_OUTCOME,
-    evolve,
     experiment_distributions,
     experiment_states,
     experiment_steps,
-    ground_state,
-    readout_distributions,
-    steps_unitary,
 )
 from .hardy import (
-    HardyParams,
-    StateClass,
-    StateKind,
     analytic_q,
     chi_of,
-    classify_state,
+    classify,
     concurrence,
     optimal_angles,
     q_max,
@@ -27,19 +20,17 @@ from .noise import (
     ShotConfig,
     estimate_batch,
     load_noise_profile,
-    measure_epsilons,
     statistical_error,
 )
 from .sweep import (
     PerformanceReport,
     ReducedComparison,
-    SweepRow,
+    SweepTable,
     diagonal_points,
     diagonal_sweep,
     metric_fluctuation,
     peak_offset,
     performance_report,
-    q_surface,
     read_csv,
     reduced_circuit_compare,
     surface_sweep,

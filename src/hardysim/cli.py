@@ -13,23 +13,22 @@ import sys
 
 import numpy as np
 
-from .hardy import HardyParams, analytic_q, classify_state
+from .hardy import concurrence
 from .noise import (
+    DEFAULT_SHOTS_PER_RUN,
     NoiseModel,
     ProfileError,
     ShotConfig,
     load_noise_profile,
-    measure_epsilons,
 )
 from .selftest import run_validation_suites
 from .sweep import (
-    CSV_HEADER,
     REFERENCE_ANGLE_DEG,
     SweepCsvError,
-    SweepRow,
     diagonal_points,
     diagonal_sweep,
     grid_degrees,
+    measure_points,
     performance_report,
     read_csv,
     substitute_singular,
@@ -104,13 +103,16 @@ def _resolve_noise(spec: str) -> NoiseModel:
 
 
 def _resolve_shots(args) -> ShotConfig | None:
-    if args.shots == 0:
-        return None
+    """The shot plan, or None for --shots 0 (exact); --runs and --seed are checked either way."""
     if args.shots < 0:
         raise UsageError("--shots must be >= 0")
-    if args.runs < 1:
-        raise UsageError("--runs must be >= 1")
-    return ShotConfig(shots_per_run=args.shots, runs=args.runs, seed=args.seed)
+    try:
+        cfg = ShotConfig(
+            shots_per_run=args.shots or DEFAULT_SHOTS_PER_RUN, runs=args.runs, seed=args.seed
+        )
+    except ValueError as exc:  # "runs must be ..." / "seed must be ..."
+        raise UsageError(f"--{exc}") from exc
+    return cfg if args.shots else None
 
 
 def _print_kv(out, key, value):
@@ -137,15 +139,12 @@ def _cmd_probe(args, out) -> int:
         )
     noise = _resolve_noise(args.noise)
     cfg = _resolve_shots(args)
-    params = HardyParams.from_degrees(theta, phi)
-    cls = classify_state(params)
-    q = analytic_q(params.theta, params.phi)
-    eps, stat_err, eps5_per_run = measure_epsilons(params, noise, cfg)
-    eps, stat_err = eps.tolist(), stat_err.tolist()
+    table, stat_err, eps5_per_run = measure_points([theta], [phi], noise, cfg, [()])
+    eps, stat_err, q = table.eps[0].tolist(), stat_err[0].tolist(), float(table.q[0])
     _print_kv(out, "theta_deg", theta)
     _print_kv(out, "phi_deg", phi)
-    _print_kv(out, "class", cls.kind.value)
-    _print_kv(out, "concurrence", cls.concurrence)
+    _print_kv(out, "class", table.kind[0])
+    _print_kv(out, "concurrence", float(concurrence(math.radians(theta), math.radians(phi))))
     _print_kv(out, "q_theory", q)
     for i in range(3):
         _print_kv(out, f"eps{i + 1}", eps[i])
@@ -156,7 +155,7 @@ def _cmd_probe(args, out) -> int:
     _print_kv(out, "eps4_est", eps[3] - q)
     _print_kv(out, "noise_profile", noise.name or "unnamed")
     if args.out:
-        write_csv([SweepRow(theta, phi, q, *eps, stat_err[3], cls)], args.out)
+        write_csv(table, args.out)
     return EXIT_OK
 
 
@@ -170,13 +169,13 @@ def _cmd_sweep(args, out) -> int:
         raise UsageError("--to must be >= --from")
     if args.mode == "diagonal":
         points = diagonal_points(args.start_deg, args.stop_deg, args.step)
-        rows = diagonal_sweep(points, noise, cfg)
+        table = diagonal_sweep(points, noise, cfg)
     else:
         phis = [float(p) for p in grid_degrees(args.start_deg, args.stop_deg, args.step)]
         thetas = [substitute_singular(p) for p in phis]
-        rows = surface_sweep(thetas, phis, noise, cfg)
-    write_csv(rows, args.out)
-    print(f"wrote {len(rows)} rows to {args.out}", file=out)
+        table = surface_sweep(thetas, phis, noise, cfg)
+    write_csv(table, args.out)
+    print(f"wrote {len(table)} rows to {args.out}", file=out)
     return EXIT_OK
 
 
@@ -188,10 +187,10 @@ def _cmd_metrics(args, out) -> int:
             raise UsageError(f"--baseline must be in [0, 1], got {args.baseline:g}")
     if args.k_sigma <= 0:
         raise UsageError(f"--k-sigma must be positive, got {args.k_sigma:g}")
-    rows = read_csv(args.in_path)
+    table = read_csv(args.in_path)
     try:
         report = performance_report(
-            rows, baseline=args.baseline, k_sigma=args.k_sigma, rho_deg=args.rho
+            table, baseline=args.baseline, k_sigma=args.k_sigma, rho_deg=args.rho
         )
     except ValueError as exc:  # usable CSV but unusable sweep (too few rows, no coverage)
         print(f"input error: {exc}", file=sys.stderr)
@@ -199,7 +198,7 @@ def _cmd_metrics(args, out) -> int:
     if report.baseline_source == "none":
         print("note: no MES/PS rows and no --baseline; min q is not established",
               file=sys.stderr)
-    print(f"performance measures from {args.in_path} ({len(rows)} rows)", file=out)
+    print(f"performance measures from {args.in_path} ({len(table)} rows)", file=out)
     _print_kv(out, "baseline_eps4", "none" if report.baseline is None else report.baseline)
     _print_kv(out, "baseline_source", report.baseline_source)
     _print_kv(out, "k_sigma", args.k_sigma)
@@ -214,6 +213,7 @@ def _cmd_metrics(args, out) -> int:
     _print_kv(out, "peak_on_boundary", str(report.peak_on_boundary).lower())
     _print_kv(out, "eps4_fluctuation_std", report.eps4_fluctuation_std)
     _print_kv(out, "eps4_fluctuation_range", report.eps4_fluctuation_range)
+    _print_kv(out, "zero_condition_max", report.zero_condition_max)
     return EXIT_OK
 
 

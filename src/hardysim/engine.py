@@ -166,7 +166,7 @@ def experiment_states(theta, phi, noise) -> np.ndarray:
     """
     theta = np.asarray(theta, dtype=np.float64)
     lam = np.asarray(phi, dtype=np.float64)
-    chi = np.array([chi_of(t, p) for t, p in zip(theta.tolist(), lam.tolist())])
+    chi = chi_of(theta, lam)
     prepared = evolve(ground_state(theta.shape), preparation_steps(theta, lam), noise)
     after_alice = {a: evolve(prepared, alice_steps(a, lam), noise) for a in (1, 2)}
     bob = {b: bob_steps(b, lam, chi) for b in (1, 2)}

@@ -24,8 +24,6 @@ Hardy's argument run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -33,60 +31,25 @@ import numpy as np
 # entangled); parameters are exact inputs, so no fuzzier boundary is needed.
 CLASSIFICATION_TOL = 1e-9
 
-
-class StateKind(str, Enum):
-    MES = "MES"
-    PS = "PS"
-    NMES = "NMES"
+# The class names, indexed by (concurrence >= tol) + (concurrence > 1 - tol).
+CLASSES = ("PS", "NMES", "MES")
 
 
-@dataclass(frozen=True)
-class StateClass:
-    """Entanglement class plus the concurrence it was decided on."""
-
-    kind: StateKind
-    concurrence: float
-
-
-@dataclass(frozen=True)
-class HardyParams:
-    """Experiment parameters (radians) with the derived angles.
-
-    chi solves cot(chi) = tan(theta) cos(phi) on (0, pi); lam is bound to phi
-    (the coupling-decomposition identity requires it).
-    """
-
-    theta: float
-    phi: float
-    chi: float = field(init=False)
-    lam: float = field(init=False)
-
-    def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError("angles must be finite")
-        object.__setattr__(self, "chi", chi_of(self.theta, self.phi))
-        object.__setattr__(self, "lam", self.phi)
-
-    @classmethod
-    def from_degrees(cls, theta_deg: float, phi_deg: float) -> "HardyParams":
-        return cls(math.radians(theta_deg), math.radians(phi_deg))
-
-
-def chi_of(theta: float, phi: float) -> float:
+def chi_of(theta, phi):
     """Angle chi in (0, pi) with cot(chi) = tan(theta) cos(phi).
 
     Evaluated as the half-plane arctangent of (1, tan(theta) cos(phi)), so at
     the tan(theta) singularity it degrades continuously to the limit (near 0
     or pi by the sign of cos(phi)) instead of failing.
     """
-    return math.atan2(1.0, math.tan(theta) * math.cos(phi))
+    return np.arctan2(1.0, np.tan(theta) * np.cos(phi))
 
 
-def analytic_q(theta: float, phi: float) -> float:
+def analytic_q(theta, phi):
     """Closed form of P(+1,+1 | A2,B2) for the ideal circuit."""
     chi = chi_of(theta, phi)
-    amp = 0.5 * math.cos(theta) * math.cos(chi) * (1.0 - np.exp(-2j * phi))
-    return float(abs(amp) ** 2)
+    amp = 0.5 * np.cos(theta) * np.cos(chi) * (1.0 - np.exp(-2j * phi))
+    return np.abs(amp) ** 2
 
 
 def q_max() -> float:
@@ -100,18 +63,13 @@ def optimal_angles() -> tuple[float, float]:
     return theta, theta
 
 
-def concurrence(theta: float, phi: float) -> float:
+def concurrence(theta, phi):
     """Concurrence of the prepared state: |sin(2 theta) sin(phi)|."""
-    return abs(math.sin(2.0 * theta) * math.sin(phi))
+    return np.abs(np.sin(2.0 * theta) * np.sin(phi))
 
 
-def classify_state(params: HardyParams) -> StateClass:
-    """Classify as PS / MES / NMES by concurrence with CLASSIFICATION_TOL."""
-    c = concurrence(params.theta, params.phi)
-    if c < CLASSIFICATION_TOL:
-        kind = StateKind.PS
-    elif c > 1.0 - CLASSIFICATION_TOL:
-        kind = StateKind.MES
-    else:
-        kind = StateKind.NMES
-    return StateClass(kind, c)
+def classify(theta, phi):
+    """Class "PS", "MES" or "NMES" of each point, by concurrence with CLASSIFICATION_TOL."""
+    c = concurrence(theta, phi)
+    index = (c >= CLASSIFICATION_TOL).astype(np.intp) + (c > 1.0 - CLASSIFICATION_TOL)
+    return np.array(CLASSES)[index]

@@ -18,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import FLAGGED_OUTCOME, experiment_distributions
-from .hardy import HardyParams
+from .engine import FLAGGED_OUTCOME
 
 DEFAULT_SHOTS_PER_RUN = 8192
 
@@ -127,6 +126,9 @@ class ShotConfig:
             raise ValueError("shots_per_run must be >= 1")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        # Checked, not reduced modulo 2**64: a reduced seed would alias another.
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 def statistical_error(P, runs: int, shots_per_run: int = DEFAULT_SHOTS_PER_RUN):
@@ -165,13 +167,12 @@ def estimate_batch(
         return eps, np.zeros_like(eps), eps[:, 3:].copy()
     pvals = np.clip(dists, 0.0, None)
     pvals /= pvals.sum(axis=-1, keepdims=True)
-    seed = cfg.seed & 0xFFFFFFFFFFFFFFFF
     hits = np.zeros(flagged.shape, dtype=np.int64)
     eps5_per_run = np.empty((len(dists), cfg.runs))
     for i, base in enumerate(bases):
         for exp, flag in enumerate(FLAGGED_OUTCOME):
             for run in range(cfg.runs):
-                rng = np.random.default_rng((seed, *base, exp, run))
+                rng = np.random.default_rng((cfg.seed, *base, exp, run))
                 hit = rng.multinomial(cfg.shots_per_run, pvals[i, exp])[flag]
                 hits[i, exp] += hit
                 if exp == 3:
@@ -179,10 +180,3 @@ def estimate_batch(
     eps = hits / (cfg.shots_per_run * cfg.runs)
     return eps, statistical_error(eps, cfg.runs, cfg.shots_per_run), eps5_per_run
 
-
-def measure_epsilons(
-    params: HardyParams, noise: NoiseModel, cfg: ShotConfig | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """estimate_batch for one parameter point (a batch of one, stream base ())."""
-    dists = experiment_distributions([params.theta], [params.phi], noise)
-    return tuple(a[0] for a in estimate_batch(dists, cfg, [()]))

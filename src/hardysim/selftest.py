@@ -20,14 +20,7 @@ from .engine import (
     preparation_steps,
     steps_unitary,
 )
-from .hardy import (
-    HardyParams,
-    StateKind,
-    analytic_q,
-    classify_state,
-    optimal_angles,
-    q_max,
-)
+from .hardy import analytic_q, classify, concurrence, optimal_angles, q_max
 from .noise import NoiseModel
 
 # Invariant checks on computed quantities use VALIDATION_TOL; exact-math
@@ -105,44 +98,43 @@ def _suite_q_equivalence() -> tuple[str, bool, str]:
     worst = 0.0
     for theta, phi in _grid_rows():
         pipeline = _ideal_flagged(theta, phi)[:, 3]
-        for t, p, value in zip(theta.tolist(), phi.tolist(), pipeline.tolist()):
-            worst = max(worst, abs(value - analytic_q(t, p)))
+        worst = max(worst, float(np.max(np.abs(pipeline - analytic_q(theta, phi)))))
     return "analytic-q-equivalence", worst <= VALIDATION_TOL, f"worst |diff| {worst:.2e}"
 
 
 def _suite_classification() -> tuple[str, bool, str]:
     cases = [
-        ((0.0, 37.0), StateKind.PS),
-        ((63.0, 0.0), StateKind.PS),
-        ((90.0, 55.0), StateKind.PS),
-        ((45.0, 90.0), StateKind.MES),
-        ((51.827, 51.827), StateKind.NMES),
-        ((30.0, 60.0), StateKind.NMES),
+        ((0.0, 37.0), "PS"),
+        ((63.0, 0.0), "PS"),
+        ((90.0, 55.0), "PS"),
+        ((45.0, 90.0), "MES"),
+        ((51.827, 51.827), "NMES"),
+        ((30.0, 60.0), "NMES"),
     ]
-    failures = []
-    for (t, p), expected in cases:
-        params = HardyParams.from_degrees(t, p)
-        result = classify_state(params)
-        # Independent check from the prepared state: for a pure rho,
-        # concurrence^2 = 4 det(Tr_Bob rho).
-        steps = preparation_steps(params.theta, params.phi)
-        rho = evolve(ground_state(), steps, NoiseModel.none())
-        det = np.linalg.det(rho[0::2, 0::2] + rho[1::2, 1::2]).real
-        if result.kind is not expected or abs(result.concurrence**2 - 4.0 * det) > VALIDATION_TOL:
-            failures.append((t, p, result.kind.value, expected.value))
+    theta, phi = np.radians([angles for angles, _ in cases]).T
+    kinds = classify(theta, phi)
+    c = concurrence(theta, phi)
+    # Independent check from the prepared states: for a pure rho,
+    # concurrence^2 = 4 det(Tr_Bob rho).
+    rho = evolve(ground_state(theta.shape), preparation_steps(theta, phi), NoiseModel.none())
+    det = np.linalg.det(rho[:, 0::2, 0::2] + rho[:, 1::2, 1::2]).real
+    failures = [
+        (*angles, str(kind), expected)
+        for (angles, expected), kind, defect in zip(cases, kinds, np.abs(c**2 - 4.0 * det))
+        if kind != expected or defect > VALIDATION_TOL
+    ]
     return "state-classification", not failures, f"failures {failures}" if failures else "6 cases"
 
 
 def _suite_optimum() -> tuple[str, bool, str]:
     theta_opt, phi_opt = optimal_angles()
     checks = [
-        abs(analytic_q(theta_opt, phi_opt) - q_max()) <= VALIDATION_TOL,
+        abs(float(analytic_q(theta_opt, phi_opt)) - q_max()) <= VALIDATION_TOL,
         abs(math.cos(2 * theta_opt) - (2.0 - math.sqrt(5.0))) <= EXACT_TOL,
     ]
     # Coarse scan must not beat the claimed maximum.
     angles = np.radians(np.arange(0.0, 360.0, 0.25))
-    diag = [analytic_q(a, a) for a in angles]
-    checks.append(max(diag) <= q_max() + VALIDATION_TOL)
+    checks.append(float(np.max(analytic_q(angles, angles))) <= q_max() + VALIDATION_TOL)
     ok = all(checks)
     return "q-maximum-location", ok, f"checks {checks}"
 

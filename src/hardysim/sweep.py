@@ -1,7 +1,8 @@
 """Parameter sweeps, performance measures, and the reduced-gate comparison.
 
-Rows are emitted in sweep order (no internal sorting) so plotted curves match
-the swept axis directly.  The CSV interface is fixed:
+A sweep is one SweepTable, a column per quantity and a row per grid point.
+Rows stay in sweep order (no internal sorting) so plotted curves match the
+swept axis directly.  The CSV interface is fixed:
 
     theta_deg,phi_deg,q_theory,eps1,eps2,eps3,eps5,eps4_est,stat_err,class
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,17 +27,11 @@ from .engine import (
     ground_state,
     readout_distributions,
 )
-from .hardy import (
-    HardyParams,
-    StateClass,
-    StateKind,
-    analytic_q,
-    classify_state,
-    concurrence,
-)
+from .hardy import CLASSES, analytic_q, chi_of, classify
 from .noise import NoiseModel, ShotConfig, estimate_batch
 
 CSV_HEADER = "theta_deg,phi_deg,q_theory,eps1,eps2,eps3,eps5,eps4_est,stat_err,class"
+_HEADER_FIELDS = CSV_HEADER.split(",")
 _PROBABILITY_FIELDS = ("q_theory", "eps1", "eps2", "eps3", "eps5")
 
 # Reference angle (degrees) for the peak measure: the diagonal parameter
@@ -57,23 +53,33 @@ class SweepCsvError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One sweep point: angles, theoretical q, measured epsilons, class."""
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """One sweep as columns of equal length N; row i is grid point i.
 
-    theta_deg: float
-    phi_deg: float
-    q_theory: float
-    eps1: float
-    eps2: float
-    eps3: float
-    eps5: float
-    stat_err: float
-    state_class: StateClass
+    Angles are in degrees and q is the theoretical q.  eps has shape (N, 4)
+    with columns eps1, eps2, eps3, eps5; stat_err is the statistical error
+    of eps5; kind holds each point's class name ("PS", "MES" or "NMES").
+    """
+
+    theta_deg: np.ndarray
+    phi_deg: np.ndarray
+    q: np.ndarray
+    eps: np.ndarray
+    stat_err: np.ndarray
+    kind: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.theta_deg)
 
     @property
-    def eps4_estimated(self) -> float:
-        return self.eps5 - self.q_theory
+    def eps5(self) -> np.ndarray:
+        return self.eps[:, 3]
+
+    @property
+    def eps4_est(self) -> np.ndarray:
+        """The estimate eps5 - q of eps4, which is not measurable on its own."""
+        return self.eps5 - self.q
 
 
 @dataclass(frozen=True)
@@ -85,6 +91,8 @@ class PerformanceReport:
     (neither; baseline and min q are then None).  peak_offset_deg is
     |peak - rho|, which is both the shift of the eps5 peak and the half-width
     delta of the smallest interval [rho - delta, rho + delta] holding it.
+    zero_condition_max is the largest of eps1..eps3 over all rows, the worst
+    residual of the three zero conditions.
     """
 
     baseline: float | None
@@ -95,6 +103,7 @@ class PerformanceReport:
     peak_on_boundary: bool
     eps4_fluctuation_std: float
     eps4_fluctuation_range: float
+    zero_condition_max: float
 
 
 @dataclass(frozen=True)
@@ -133,115 +142,101 @@ def diagonal_points(start_deg: float, stop_deg: float, step_deg: float) -> list[
     return [substitute_singular(float(p)) for p in grid_degrees(start_deg, stop_deg, step_deg)]
 
 
-def q_surface(theta_deg, phi_deg) -> np.ndarray:
-    """Theoretical q on the outer grid of the two angle arrays (degrees).
+def measure_points(
+    theta_deg, phi_deg, noise: NoiseModel, cfg: ShotConfig | None, bases
+) -> tuple[SweepTable, np.ndarray, np.ndarray]:
+    """One engine batch and one estimate batch for paired angle arrays (degrees).
 
-    Entry [i, j] is q at (theta_deg[i], phi_deg[j]).
+    Returns (table, stat_err, eps5_per_run): the table, then the statistical
+    errors of all four columns of table.eps and the fourth experiment's
+    per-run frequencies, as estimate_batch gives them.  Point i samples from
+    the streams of bases[i].
     """
-    th = np.radians(np.asarray(theta_deg, dtype=np.float64)).reshape(-1, 1)
-    ph = np.radians(np.asarray(phi_deg, dtype=np.float64)).reshape(1, -1)
-    if th.size == 0 or ph.size == 0:
-        raise ValueError("empty grid")
-    chi = np.arctan2(1.0, np.tan(th) * np.cos(ph))
-    amp = 0.5 * np.cos(th) * np.cos(chi) * (1.0 - np.exp(-2j * ph))
-    return np.abs(amp) ** 2
+    theta_deg = np.asarray(theta_deg, dtype=np.float64)
+    phi_deg = np.asarray(phi_deg, dtype=np.float64)
+    theta, phi = np.radians(theta_deg), np.radians(phi_deg)
+    dists = experiment_distributions(theta, phi, noise)
+    eps, stat_err, eps5_per_run = estimate_batch(dists, cfg, bases)
+    table = SweepTable(
+        theta_deg, phi_deg, analytic_q(theta, phi), eps, stat_err[:, 3], classify(theta, phi)
+    )
+    return table, stat_err, eps5_per_run
 
 
-def _sweep_rows(
-    thetas_deg, phis_deg, noise: NoiseModel, cfg: ShotConfig | None
-) -> list[SweepRow]:
-    """Rows for paired angle lists: one engine batch, then one estimate batch."""
-    dists = experiment_distributions(np.radians(thetas_deg), np.radians(phis_deg), noise)
-    eps, stat_err, _ = estimate_batch(dists, cfg, [(_STREAM_SWEEP, i) for i in range(len(dists))])
-    rows = []
-    for theta_deg, phi_deg, eps_i, err in zip(
-        thetas_deg, phis_deg, eps.tolist(), stat_err[:, 3].tolist()
-    ):
-        params = HardyParams.from_degrees(theta_deg, phi_deg)
-        q = analytic_q(params.theta, params.phi)
-        rows.append(SweepRow(theta_deg, phi_deg, q, *eps_i, err, classify_state(params)))
-    return rows
+def _sweep(theta_deg, phi_deg, noise: NoiseModel, cfg: ShotConfig | None) -> SweepTable:
+    bases = [(_STREAM_SWEEP, i) for i in range(len(theta_deg))]
+    return measure_points(theta_deg, phi_deg, noise, cfg, bases)[0]
 
 
-def diagonal_sweep(
-    points_deg, noise: NoiseModel, cfg: ShotConfig | None
-) -> list[SweepRow]:
+def diagonal_sweep(points_deg, noise: NoiseModel, cfg: ShotConfig | None) -> SweepTable:
     """Full noisy pipeline at theta = phi for each point (degrees).
 
     cfg=None gives the infinite-shot limit (exact distributions, zero errors).
     """
-    points = [float(p) for p in points_deg]
-    if not points:
+    points = np.asarray(points_deg, dtype=np.float64)
+    if not points.size:
         raise ValueError("no sweep points")
-    return _sweep_rows(points, points, noise, cfg)
+    return _sweep(points, points, noise, cfg)
 
 
-def surface_sweep(
-    theta_deg, phi_deg, noise: NoiseModel, cfg: ShotConfig | None
-) -> list[SweepRow]:
+def surface_sweep(theta_deg, phi_deg, noise: NoiseModel, cfg: ShotConfig | None) -> SweepTable:
     """Full noisy pipeline on the outer grid, row-major over (theta, phi)."""
-    thetas = [float(t) for t in theta_deg]
-    phis = [float(p) for p in phi_deg]
-    if not thetas or not phis:
+    thetas = np.asarray(theta_deg, dtype=np.float64)
+    phis = np.asarray(phi_deg, dtype=np.float64)
+    if not thetas.size or not phis.size:
         raise ValueError("empty grid")
-    return _sweep_rows(
-        [t for t in thetas for _ in phis], [p for _ in thetas for p in phis], noise, cfg
-    )
+    return _sweep(np.repeat(thetas, phis.size), np.tile(phis, thetas.size), noise, cfg)
 
 
-def min_established_q(entries, baseline: float, k_sigma: float) -> float | None:
-    """Smallest q in the maximal passing prefix of a descending-q ladder.
+def min_established_q(q, eps5, stat_err, baseline: float, k_sigma: float) -> float | None:
+    """Smallest q in the maximal passing prefix of the descending-q ladder.
 
-    `entries` holds (q_theory, eps5, stat_err) triples; a point passes when
-    eps5 - k_sigma * stat_err > baseline.  Returns None when even the largest
-    q fails (non-locality not established).
+    The ladder orders the points by descending q, ties in their given order;
+    a point passes when eps5 - k_sigma * stat_err > baseline.  Returns None
+    when even the largest q fails (non-locality not established).
     """
-    ordered = sorted(entries, key=lambda e: e[0], reverse=True)
-    established: float | None = None
-    for q, eps5, err in ordered:
-        if eps5 - k_sigma * err > baseline:
-            established = q
-        else:
-            break
-    return established
+    q, eps5, stat_err = (np.asarray(a, dtype=np.float64) for a in (q, eps5, stat_err))
+    order = np.argsort(-q, kind="stable")
+    passed = np.logical_and.accumulate(eps5[order] - k_sigma * stat_err[order] > baseline)
+    count = int(np.count_nonzero(passed))
+    return float(q[order[count - 1]]) if count else None
 
 
-def peak_offset(rows, rho_deg: float = REFERENCE_ANGLE_DEG) -> tuple[float, bool, bool]:
+def peak_offset(
+    table: SweepTable, rho_deg: float = REFERENCE_ANGLE_DEG
+) -> tuple[float, bool, bool]:
     """(|peak - rho|, tied, on_boundary) for the theta_deg of the largest eps5.
 
     Ties resolve to the smaller angle and set `tied`.  `on_boundary` marks a
     peak on the smallest or largest swept theta: the true peak may then lie
     outside the sweep and the offset is only the bound the range allows.
     """
-    rows = list(rows)
-    if len(rows) < 3:
+    if len(table) < 3:
         raise ValueError("peak measure needs at least 3 rows")
-    thetas = [r.theta_deg for r in rows]
-    lo, hi = min(thetas), max(thetas)
+    theta = table.theta_deg
+    lo, hi = float(theta.min()), float(theta.max())
     if not lo <= rho_deg <= hi:
         raise ValueError("swept rows do not cover the reference angle")
-    best = max(r.eps5 for r in rows)
-    candidates = [r.theta_deg for r in rows if r.eps5 == best]
-    peak = min(candidates)
-    return abs(peak - rho_deg), len(candidates) > 1, peak in (lo, hi)
+    candidates = theta[table.eps5 == table.eps5.max()]
+    peak = float(candidates.min())
+    return abs(peak - rho_deg), candidates.size > 1, peak in (lo, hi)
 
 
-def metric_fluctuation(rows) -> tuple[float, float]:
+def metric_fluctuation(table: SweepTable) -> tuple[float, float]:
     """(standard deviation, max - min) of estimated eps4 across rows."""
-    rows = list(rows)
-    if len(rows) < 2:
+    if len(table) < 2:
         raise ValueError("fluctuation metric needs at least 2 rows")
-    values = np.array([r.eps4_estimated for r in rows])
+    values = table.eps4_est
     return float(np.std(values)), float(np.max(values) - np.min(values))
 
 
 def performance_report(
-    rows,
+    table: SweepTable,
     baseline: float | None = None,
     k_sigma: float = 3.0,
     rho_deg: float = REFERENCE_ANGLE_DEG,
 ) -> PerformanceReport:
-    """All three measures from finished sweep rows.
+    """All three measures from a finished sweep.
 
     The baseline defaults to the largest eps5 over the MES / PS rows present
     in the sweep itself; with no such rows and none given, min q is not
@@ -251,20 +246,19 @@ def performance_report(
         raise ValueError("k_sigma must be positive")
     if baseline is not None and not 0.0 <= baseline <= 1.0:
         raise ValueError(f"baseline must be in [0, 1], got {baseline}")
-    rows = list(rows)
-    std, spread = metric_fluctuation(rows)
-    offset, tied, on_boundary = peak_offset(rows, rho_deg)
+    std, spread = metric_fluctuation(table)
+    offset, tied, on_boundary = peak_offset(table, rho_deg)
+    nmes = table.kind == "NMES"
     source = "flag"
     if baseline is None:
-        floor_rows = [r.eps5 for r in rows if r.state_class.kind is not StateKind.NMES]
-        source = "rows" if floor_rows else "none"
-        baseline = max(floor_rows, default=None)
-    nmes = [
-        (r.q_theory, r.eps5, r.stat_err)
-        for r in rows
-        if r.state_class.kind is StateKind.NMES
-    ]
-    min_q = min_established_q(nmes, baseline, k_sigma) if baseline is not None else None
+        floor = table.eps5[~nmes]
+        source = "rows" if floor.size else "none"
+        baseline = float(floor.max()) if floor.size else None
+    min_q = None
+    if baseline is not None:
+        min_q = min_established_q(
+            table.q[nmes], table.eps5[nmes], table.stat_err[nmes], baseline, k_sigma
+        )
     return PerformanceReport(
         baseline=baseline,
         baseline_source=source,
@@ -274,11 +268,12 @@ def performance_report(
         peak_on_boundary=on_boundary,
         eps4_fluctuation_std=std,
         eps4_fluctuation_range=spread,
+        zero_condition_max=float(table.eps[:, :3].max()),
     )
 
 
-def _reduced_steps(variant: str) -> tuple[HardyParams, list]:
-    """Few-gate preparation plus the fourth-experiment measurement gates.
+def _reduced_steps(variant: str) -> tuple[float, float, list]:
+    """(theta, phi, steps): few-gate preparation plus the fourth-experiment measurement gates.
 
     ps_00 (theta = phi = 0): one Hadamard makes (|0>+|1>)|0>/sqrt2; the phase
     gates of the measurement are identities at phi = 0 and are dropped.
@@ -288,14 +283,14 @@ def _reduced_steps(variant: str) -> tuple[HardyParams, list]:
     """
     half_pi = math.pi / 2.0
     if variant == "ps_00":
-        params = HardyParams.from_degrees(0.0, 0.0)
+        theta, phi = 0.0, 0.0
         steps = [
             (1, gates.hadamard()),
             (1, gates.u3(half_pi, 0.0, 0.0)),
-            (0, gates.u3(2.0 * params.chi, 0.0, 0.0)),
+            (0, gates.u3(2.0 * chi_of(theta, phi), 0.0, 0.0)),
         ]
     elif variant == "ps_01":
-        params = HardyParams.from_degrees(90.0, 0.0)
+        theta, phi = math.radians(90.0), 0.0
         steps = [
             (1, gates.hadamard()),
             (0, gates.pauli_x()),
@@ -303,7 +298,7 @@ def _reduced_steps(variant: str) -> tuple[HardyParams, list]:
         ]
     else:
         raise ValueError(f"unknown variant {variant!r}; expected ps_00 or ps_01")
-    return params, steps
+    return theta, phi, steps
 
 
 def reduced_circuit_compare(variant: str, noise: NoiseModel) -> ReducedComparison:
@@ -313,8 +308,8 @@ def reduced_circuit_compare(variant: str, noise: NoiseModel) -> ReducedCompariso
     flagged outcome (+1, +1) has probability zero ideally, so any excess is
     circuit error.
     """
-    params, reduced = _reduced_steps(variant)
-    full = experiment_steps(2, 2, params.theta, params.lam, params.chi)
+    theta, phi, reduced = _reduced_steps(variant)
+    full = experiment_steps(2, 2, theta, phi, chi_of(theta, phi))
     full_eps, reduced_eps = (
         float(readout_distributions(evolve(ground_state(), steps, noise), noise)[0])
         for steps in (full, reduced)
@@ -328,95 +323,91 @@ def reduced_circuit_compare(variant: str, noise: NoiseModel) -> ReducedCompariso
     )
 
 
-def _format_value(value: float) -> str:
-    return format(float(value), ".9g")
-
-
-def rows_to_csv(rows) -> str:
-    """Render sweep rows as the fixed-header CSV (LF endings)."""
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _format_value(r.theta_deg),
-                    _format_value(r.phi_deg),
-                    _format_value(r.q_theory),
-                    _format_value(r.eps1),
-                    _format_value(r.eps2),
-                    _format_value(r.eps3),
-                    _format_value(r.eps5),
-                    _format_value(r.eps4_estimated),
-                    _format_value(r.stat_err),
-                    r.state_class.kind.value,
-                ]
-            )
-        )
+def rows_to_csv(table: SweepTable) -> str:
+    """Render a sweep table as the fixed-header CSV (LF endings)."""
+    columns = (
+        table.theta_deg, table.phi_deg, table.q, *table.eps.T, table.eps4_est, table.stat_err
+    )
+    cells = [[format(v, ".9g") for v in column.tolist()] for column in columns]
+    lines = [CSV_HEADER, *map(",".join, zip(*cells, table.kind.tolist()))]
     return "\n".join(lines) + "\n"
 
 
-def write_csv(rows, path) -> None:
-    Path(path).write_bytes(rows_to_csv(rows).encode("utf-8"))
+def write_csv(table: SweepTable, path) -> None:
+    Path(path).write_bytes(rows_to_csv(table).encode("utf-8"))
 
 
-def read_csv(path) -> list[SweepRow]:
-    """Parse a sweep CSV back into rows.
+def read_csv(path) -> SweepTable:
+    """Parse a sweep CSV back into a table.
 
     Every numeric field must be finite, and q_theory and eps1..eps5 must lie
     in [0, 1].  The eps4_est column is redundant (eps5 - q_theory); it is
-    checked for consistency and the exact difference is used.  Class is taken
-    from the file; concurrence is recomputed from the angles.
+    checked for consistency and the exact difference is used.  A bad file is
+    reported at its earliest bad line.
     """
+    values, kinds, linenos = array("d"), [], array("q")
+    failure = None  # a line that could not be parsed; earlier lines are checked first
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        with open(path, newline="", encoding="utf-8") as handle:
+            for lineno, record in enumerate(csv.reader(handle), start=1):
+                if lineno == 1:
+                    if record != _HEADER_FIELDS:
+                        raise SweepCsvError(1, f"bad header {record!r}")
+                    continue
+                if not record:
+                    continue
+                if len(record) != len(_HEADER_FIELDS):
+                    failure = SweepCsvError(
+                        lineno, f"expected {len(_HEADER_FIELDS)} fields, got {len(record)}"
+                    )
+                    break
+                try:
+                    values.fromlist([float(v) for v in record[:9]])
+                except ValueError as exc:
+                    failure = SweepCsvError(lineno, f"non-numeric field ({exc})")
+                    break
+                kinds.append(record[9])
+                linenos.append(lineno)
+    except (OSError, UnicodeDecodeError) as exc:
         raise SweepCsvError(0, f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(text.splitlines())
-    rows: list[SweepRow] = []
-    header_fields = CSV_HEADER.split(",")
-    for lineno, record in enumerate(reader, start=1):
-        if lineno == 1:
-            if record != header_fields:
-                raise SweepCsvError(1, f"bad header {record!r}")
-            continue
-        if not record:
-            continue
-        if len(record) != len(header_fields):
-            raise SweepCsvError(lineno, f"expected {len(header_fields)} fields, got {len(record)}")
-        try:
-            values = [float(v) for v in record[:9]]
-        except ValueError as exc:
-            raise SweepCsvError(lineno, f"non-numeric field ({exc})") from exc
-        if not all(map(math.isfinite, values)):
-            name = next(n for n, v in zip(header_fields, values) if not math.isfinite(v))
-            raise SweepCsvError(lineno, f"non-finite {name}")
-        theta, phi, q, e1, e2, e3, e5, e4_est, err = values
-        probabilities = (q, e1, e2, e3, e5)
-        if min(probabilities) < 0.0 or max(probabilities) > 1.0:
-            name, value = next((n, v) for n, v in zip(_PROBABILITY_FIELDS, probabilities)
-                               if not 0.0 <= v <= 1.0)
-            raise SweepCsvError(lineno, f"{name}={value!r} outside [0, 1]")
-        try:
-            kind = StateKind(record[9])
-        except ValueError as exc:
-            raise SweepCsvError(lineno, f"unknown class {record[9]!r}") from exc
-        if abs(e4_est - (e5 - q)) > 1e-6:
-            raise SweepCsvError(lineno, "eps4_est is not eps5 - q_theory")
-        rows.append(
-            SweepRow(
-                theta_deg=theta,
-                phi_deg=phi,
-                q_theory=q,
-                eps1=e1,
-                eps2=e2,
-                eps3=e3,
-                eps5=e5,
-                stat_err=err,
-                state_class=StateClass(
-                    kind, concurrence(math.radians(theta), math.radians(phi))
-                ),
-            )
-        )
-    if not rows:
+    data = np.frombuffer(values).reshape(-1, 9)
+    _check_rows(data, kinds, linenos)
+    if failure is not None:
+        raise failure
+    if not kinds:
         raise SweepCsvError(1, "no data rows")
-    return rows
+    return SweepTable(
+        theta_deg=data[:, 0],
+        phi_deg=data[:, 1],
+        q=data[:, 2],
+        eps=data[:, 3:7],
+        stat_err=data[:, 8],
+        kind=np.array(kinds),
+    )
+
+
+def _check_rows(data, kinds, linenos) -> None:
+    """Raise SweepCsvError at the earliest parsed row failing a check.
+
+    Within a row the checks apply in order: finite, probabilities in [0, 1],
+    known class, eps4_est consistent.
+    """
+    finite = np.isfinite(data)
+    probabilities = data[:, 2:7]
+    in_range = (probabilities >= 0.0) & (probabilities <= 1.0)
+    known = np.array([kind in CLASSES for kind in kinds], dtype=bool)
+    consistent = ~(np.abs(data[:, 7] - (data[:, 6] - data[:, 2])) > 1e-6)
+    good = finite.all(axis=1) & in_range.all(axis=1) & known & consistent
+    if good.all():
+        return
+    row = int(np.argmin(good))
+    line = linenos[row]
+    if not finite[row].all():
+        raise SweepCsvError(line, f"non-finite {_HEADER_FIELDS[int(np.argmin(finite[row]))]}")
+    if not in_range[row].all():
+        column = int(np.argmin(in_range[row]))
+        value = float(probabilities[row, column])
+        raise SweepCsvError(line, f"{_PROBABILITY_FIELDS[column]}={value!r} outside [0, 1]")
+    if not known[row]:
+        raise SweepCsvError(line, f"unknown class {kinds[row]!r}")
+    raise SweepCsvError(line, "eps4_est is not eps5 - q_theory")

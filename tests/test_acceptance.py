@@ -19,22 +19,14 @@ from hardysim.engine import (
     preparation_steps,
     steps_unitary,
 )
-from hardysim.hardy import (
-    HardyParams,
-    StateKind,
-    analytic_q,
-    classify_state,
-    optimal_angles,
-    q_max,
-)
+from hardysim.hardy import analytic_q, classify, concurrence, optimal_angles, q_max
 from hardysim.noise import (
     NoiseModel,
     ShotConfig,
     estimate_batch,
-    measure_epsilons,
     statistical_error,
 )
-from hardysim.sweep import CSV_HEADER, q_surface, reduced_circuit_compare
+from hardysim.sweep import CSV_HEADER, reduced_circuit_compare
 from hardysim import gates
 
 DEG = math.radians
@@ -84,8 +76,7 @@ def test_c03_hardy_equations_on_grid():
         dists = experiment_distributions(theta, phi, NoiseModel.none())
         flagged = dists[:, range(4), FLAGGED_OUTCOME]
         worst_zero = max(worst_zero, float(np.max(flagged[:, :3])))
-        for t, p, q in zip(theta, phi, flagged[:, 3]):
-            worst_diff = max(worst_diff, abs(q - analytic_q(t, p)))
+        worst_diff = max(worst_diff, float(np.max(np.abs(flagged[:, 3] - analytic_q(theta, phi)))))
     assert worst_zero <= 1e-12
     assert worst_diff <= 1e-10
     report(3, f"181x181 grid: zero residual {worst_zero:.2e}, q mismatch {worst_diff:.2e}")
@@ -109,33 +100,29 @@ def test_c04_decomposition_identities():
 
 
 def test_c05_classification_table():
-    assert classify_state(HardyParams.from_degrees(0, 37)).kind is StateKind.PS
-    assert classify_state(HardyParams.from_degrees(63, 0)).kind is StateKind.PS
-    assert classify_state(HardyParams.from_degrees(90, 55)).kind is StateKind.PS
-    assert classify_state(HardyParams.from_degrees(45, 90)).kind is StateKind.MES
-    params = HardyParams.from_degrees(51.827, 51.827)
-    result = classify_state(params)
-    assert result.kind is StateKind.NMES
+    theta, phi = np.radians([[0, 63, 90, 45, 51.827], [37, 0, 55, 90, 51.827]])
+    assert classify(theta, phi).tolist() == ["PS", "PS", "PS", "MES", "NMES"]
+    optimum = DEG(51.827), DEG(51.827)
+    c = concurrence(*optimum)
     # pure prepared rho: concurrence = 2 sqrt(det Tr_Bob rho)
-    rho = evolve(ground_state(), preparation_steps(params.theta, params.phi), NoiseModel.none())
+    rho = evolve(ground_state(), preparation_steps(*optimum), NoiseModel.none())
     oracle = 2.0 * math.sqrt(np.linalg.det(rho[0::2, 0::2] + rho[1::2, 1::2]).real)
-    assert abs(result.concurrence - oracle) <= 1e-10
-    report(5, f"4 table rows + NMES optimum, concurrence {result.concurrence:.4f}")
+    assert abs(c - oracle) <= 1e-10
+    report(5, f"4 table rows + NMES optimum, concurrence {c:.4f}")
 
 
 def test_c06_phi_90_failure_case():
     for theta_deg in range(10, 81):
         if theta_deg == 45:
             continue
-        params = HardyParams.from_degrees(float(theta_deg), 90.0)
-        assert classify_state(params).kind is StateKind.NMES
-        assert analytic_q(params.theta, params.phi) <= 1e-12
+        assert classify(DEG(theta_deg), DEG(90.0)) == "NMES"
+        assert analytic_q(DEG(theta_deg), DEG(90.0)) <= 1e-12
     report(6, "NMES with q = 0 for theta in 10..80 deg (except 45) at phi = 90 deg")
 
 
 def test_c07_optimum_location():
     axis = np.arange(0.0, 90.0 + 1e-9, 0.1)
-    q = q_surface(axis, axis)
+    q = analytic_q(np.radians(axis)[:, None], np.radians(axis)[None, :])
     i, j = np.unravel_index(np.argmax(q), q.shape)
     theta_star, phi_star = axis[i], axis[j]
     assert abs(theta_star - 51.827) <= 0.1
@@ -145,8 +132,8 @@ def test_c07_optimum_location():
 
 
 def test_c08_shot_statistics():
-    params = HardyParams(*optimal_angles())
-    dists = experiment_distributions([params.theta], [params.phi], NoiseModel.none())
+    theta, phi = optimal_angles()
+    dists = experiment_distributions([theta], [phi], NoiseModel.none())
     tol = 4 * statistical_error(float(dists[0, 3, 0]), 10)
     worst = 0.0
     for seed in range(20):
@@ -158,20 +145,23 @@ def test_c08_shot_statistics():
 
 
 def test_c09_noisy_model_properties():
-    optimum = HardyParams(*optimal_angles())
+    optimum = [[angle] for angle in optimal_angles()]
+
+    def exact_eps(model):
+        return estimate_batch(experiment_distributions(*optimum, model), None, [()])[0][0]
+
     # (a) zero-noise engine reproduces the ideal distributions of the
     # independent dense Kraus-sum reference
     quiet = NoiseModel.none()
     for theta_deg, phi_deg in ((51.827, 51.827), (30, 60), (45, 90), (0, 0)):
-        params = HardyParams.from_degrees(theta_deg, phi_deg)
+        theta, phi = DEG(theta_deg), DEG(phi_deg)
         np.testing.assert_allclose(
-            experiment_distributions([params.theta], [params.phi], quiet)[0],
-            ref.distributions(params.theta, params.phi, 0.0, 0.0, 0.0, 0.0),
+            experiment_distributions([theta], [phi], quiet)[0],
+            ref.distributions(theta, phi, 0.0, 0.0, 0.0, 0.0),
             atol=1e-10,
         )
     # (b) default profile keeps the three zero-equations in (0, 0.1)
-    eps, _, _ = measure_epsilons(optimum, NoiseModel.default_profile(), None)
-    for e in eps[:3]:
+    for e in exact_eps(NoiseModel.default_profile())[:3]:
         assert 0.0 < e < 0.1
     # (c) error sum is monotone along a 5-point ladder in each rate
     base = NoiseModel.default_profile()
@@ -184,8 +174,7 @@ def test_c09_noisy_model_properties():
                 0.02 * (factor if which == "readout" else 1.0),
                 0.02 * (factor if which == "readout" else 1.0),
             )
-            eps, _, _ = measure_epsilons(optimum, model, None)
-            values.append(eps[:3].sum())
+            values.append(exact_eps(model)[:3].sum())
         assert np.all(np.diff(values) >= -1e-12), (which, values)
     # (d) fewer gates means less error whenever the CNOTs are noisy
     for variant in ("ps_00", "ps_01"):

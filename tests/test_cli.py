@@ -98,6 +98,23 @@ class TestExitCodes:
         code, _ = run_cli(["probe", "1", "2", "--shots", "-5"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--seed", "-1"], "--seed must be in [0, 2**64), got -1"),
+            (["--seed", str(2**64)], f"--seed must be in [0, 2**64), got {2**64}"),
+            (["--shots", "0", "--seed", "-1"], "--seed must be in [0, 2**64), got -1"),
+            (["--shots", "0", "--runs", "-3"], "--runs must be >= 1"),
+            (["--runs", "0"], "--runs must be >= 1"),
+        ],
+    )
+    def test_bad_shot_flag_is_usage_error(self, capsys, flags, message):
+        # before, -1 and 2**64 - 1 (and 2**64 and 0) sampled the same streams
+        code, text = run_cli(["probe", "51.827", "51.827", "--noise", "default", *flags])
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert message in capsys.readouterr().err
+
     def test_unreadable_noise_file_is_io_error(self, tmp_path):
         code, _ = run_cli(["probe", "1", "2", "--noise", str(tmp_path / "missing.profile")])
         assert code == EXIT_IO
@@ -203,7 +220,12 @@ class TestMetricsInputChecks:
 
 
 class TestGoldenOutputs:
-    """CSV bytes must match files saved from the per-gate Kraus implementation."""
+    """Output bytes must match files saved from earlier implementations.
+
+    The CSVs were saved from the per-gate Kraus implementation; the metrics
+    lines from the per-row implementation, before the columnar table, with
+    the zero_condition_max line appended when it was added.
+    """
 
     @pytest.mark.parametrize(
         "name,argv",
@@ -220,6 +242,16 @@ class TestGoldenOutputs:
         out = tmp_path / name
         assert run_cli([*argv, "--out", str(out)])[0] == EXIT_OK
         assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+    def test_metrics_matches_golden(self):
+        golden = GOLDEN_DIR / "metrics_diagonal_5deg_sampled_default_seed7.txt"
+        code, text = run_cli(
+            ["metrics", "--in", str(GOLDEN_DIR / "diagonal_5deg_sampled_default_seed7.csv")]
+        )
+        assert code == EXIT_OK
+        lines = "".join(line + "\n" for line in text.splitlines() if "=" in line)
+        assert lines.encode() == golden.read_bytes()
 
 
 class TestSweepCommand:
@@ -363,6 +395,20 @@ class TestMetricsCommand:
         assert values["min_distinguishable_q"] == "not_established"
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "min q is not established" in err
+
+    def test_zero_condition_max_line(self, tmp_path):
+        path = tmp_path / "peak.csv"
+        write_peaked_csv(path, 51.827)
+        lines = path.read_text().splitlines()
+        for index, eps in ((5, "0.0125"), (40, "0.03125")):  # eps1 and eps3 of two rows
+            fields = lines[index].split(",")
+            fields[3 if index == 5 else 5] = eps
+            lines[index] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        code, text = run_cli(["metrics", "--in", str(path)])
+        assert code == EXIT_OK
+        assert kv(text)["zero_condition_max"] == "0.03125"
+        assert text.splitlines()[-1] == "zero_condition_max=0.03125"
 
     def test_baseline_source_lines(self, tmp_path):
         path = tmp_path / "peak.csv"

@@ -18,11 +18,10 @@ from hardysim.engine import (
     steps_unitary,
 )
 from hardysim.hardy import (
-    HardyParams,
-    StateKind,
+    CLASSIFICATION_TOL,
     analytic_q,
     chi_of,
-    classify_state,
+    classify,
     concurrence,
     optimal_angles,
     q_max,
@@ -35,25 +34,25 @@ QUIET = NoiseModel.none()
 EYE2 = np.eye(2)
 
 
-def prepared_rho(params):
+def prepared_rho(theta, phi):
     """Noiseless prepared density matrix from the engine."""
-    return evolve(ground_state(), preparation_steps(params.theta, params.phi), QUIET)
+    return evolve(ground_state(), preparation_steps(theta, phi), QUIET)
 
 
-def prepared_amplitudes(params):
+def prepared_amplitudes(theta, phi):
     """Amplitudes of the pure prepared state, phase fixed by the real |00> entry."""
-    rho = prepared_rho(params)
+    rho = prepared_rho(theta, phi)
     return rho[:, 0] / math.sqrt(rho[0, 0].real)
 
 
-def ideal_distributions(params):
+def ideal_distributions(theta, phi):
     """Noiseless (4, 4) distributions: experiment (a1b1, a2b1, a1b2, a2b2), outcome 2a + b."""
-    return experiment_distributions([params.theta], [params.phi], QUIET)[0]
+    return experiment_distributions([theta], [phi], QUIET)[0]
 
 
-def hardy_probabilities(params):
+def hardy_probabilities(theta, phi):
     """The four Hardy probabilities: the three zero conditions, then q."""
-    return ideal_distributions(params)[range(4), FLAGGED_OUTCOME]
+    return ideal_distributions(theta, phi)[range(4), FLAGGED_OUTCOME]
 
 
 def closed_form_amplitudes(theta, phi):
@@ -101,29 +100,21 @@ class TestChi:
 
     def test_singular_theta_flagged(self):
         # at theta = pi/2 chi takes the continuous limit instead of failing
-        assert HardyParams(math.pi / 2, 0.3).chi < 1e-10  # cos(phi) > 0: the 0 limit
-        assert HardyParams(math.pi / 2, 3.0).chi > math.pi - 1e-10
-
-    def test_lambda_bound_to_phi(self):
-        p = HardyParams(0.4, 1.1)
-        assert p.lam == p.phi
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            HardyParams(math.nan, 0.0)
+        assert chi_of(math.pi / 2, 0.3) < 1e-10  # cos(phi) > 0: the 0 limit
+        assert chi_of(math.pi / 2, 3.0) > math.pi - 1e-10
 
 
 class TestPrepareState:
     def test_theta_zero_row(self):
-        amps = prepared_amplitudes(HardyParams(0.0, 1.234))
+        amps = prepared_amplitudes(0.0, 1.234)
         np.testing.assert_allclose(amps, [SQ2, 0, SQ2, 0], atol=1e-12)
 
     def test_mes_row(self):
-        amps = prepared_amplitudes(HardyParams.from_degrees(45, 90))
+        amps = prepared_amplitudes(DEG(45), DEG(90))
         np.testing.assert_allclose(amps, [0.5, 0.5, 0.5, -0.5], atol=1e-12)
 
     def test_theta_90_row(self):
-        rho = prepared_rho(HardyParams.from_degrees(90, 0))
+        rho = prepared_rho(DEG(90), DEG(0))
         amps = np.array([0, SQ2, 0, SQ2])
         np.testing.assert_allclose(rho, np.outer(amps, amps), atol=1e-12)
 
@@ -131,7 +122,7 @@ class TestPrepareState:
         rng = np.random.default_rng(14)
         for theta, phi in rng.uniform(0, math.pi, (50, 2)):
             amps = closed_form_amplitudes(theta, phi)
-            got = prepared_rho(HardyParams(theta, phi))
+            got = prepared_rho(theta, phi)
             np.testing.assert_allclose(got, np.outer(amps, amps.conj()), atol=1e-12)
 
 
@@ -155,8 +146,7 @@ class TestMeasurementSettings:
     def test_b2_matches_product_oracle(self):
         rng = np.random.default_rng(16)
         for theta, phi in rng.uniform(0.1, 1.4, (25, 2)):
-            params = HardyParams(theta, phi)
-            rot = steps_unitary(bob_steps(2, params.lam, params.chi))
+            rot = steps_unitary(bob_steps(2, phi, chi_of(theta, phi)))
             chi = solve_chi_bisect(theta, phi)
             oracle = np.array(
                 [
@@ -178,14 +168,14 @@ class TestJointProbabilities:
         # the |00> amplitude after a1 (x) b1 cancels: (c - c)/2 = 0
         rng = np.random.default_rng(17)
         for theta, phi in rng.uniform(0.1, 1.5, (30, 2)):
-            assert ideal_distributions(HardyParams(theta, phi))[0, 0] <= 1e-12
+            assert ideal_distributions(theta, phi)[0, 0] <= 1e-12
 
     def test_q_at_optimum(self):
-        p = ideal_distributions(HardyParams.from_degrees(51.827, 51.827))[3, 0]
+        p = ideal_distributions(DEG(51.827), DEG(51.827))[3, 0]
         assert abs(p - 0.09017) < 1e-4
 
     def test_q_zero_for_mes(self):
-        assert ideal_distributions(HardyParams.from_degrees(45, 90))[3, 0] <= 1e-12
+        assert ideal_distributions(DEG(45), DEG(90))[3, 0] <= 1e-12
 
     def test_distributions_sum_to_one(self):
         rng = np.random.default_rng(18)
@@ -206,16 +196,16 @@ class TestJointProbabilities:
 
 class TestHardyVector:
     def test_45_45(self):
-        vec = hardy_probabilities(HardyParams.from_degrees(45, 45))
+        vec = hardy_probabilities(DEG(45), DEG(45))
         assert max(vec[:3]) <= 1e-12
         assert abs(vec[3] - 0.0833) < 1e-4
 
     def test_30_60(self):
-        vec = hardy_probabilities(HardyParams.from_degrees(30, 60))
+        vec = hardy_probabilities(DEG(30), DEG(60))
         assert abs(vec[3] - 0.0433) < 1e-4
 
     def test_product_state_all_zero(self):
-        assert max(hardy_probabilities(HardyParams(0.0, 0.9))) <= 1e-12
+        assert max(hardy_probabilities(0.0, 0.9)) <= 1e-12
 
     def test_zero_equations_on_grid(self):
         axis = np.radians(np.arange(0, 181, 10))
@@ -256,8 +246,38 @@ class TestAnalyticQ:
         axis = np.radians(np.arange(0, 181, 6))
         theta, phi = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
         pipeline = experiment_distributions(theta, phi, QUIET)[:, 3, 0]
-        for t, p, value in zip(theta, phi, pipeline):
-            assert abs(value - analytic_q(t, p)) <= 1e-10
+        assert np.max(np.abs(pipeline - analytic_q(theta, phi))) <= 1e-10
+
+
+class TestBroadcasting:
+    """Each quantity has one definition, serving scalars and arrays alike."""
+
+    @staticmethod
+    def _points():
+        rng = np.random.default_rng(23)
+        theta, phi = rng.uniform(-math.pi, math.pi, (2, 40))
+        theta[:3], phi[:3] = (0.0, math.pi / 2, DEG(45)), (0.0, 0.3, DEG(90))
+        return theta, phi
+
+    @pytest.mark.parametrize("fn", [chi_of, analytic_q, concurrence])
+    def test_array_equals_pointwise(self, fn):
+        theta, phi = self._points()
+        pointwise = [fn(t, p) for t, p in zip(theta.tolist(), phi.tolist())]
+        # numpy may take vector code paths for arrays: last-bit agreement only
+        np.testing.assert_allclose(fn(theta, phi), pointwise, rtol=1e-14, atol=1e-15)
+
+    def test_classify_array_equals_pointwise(self):
+        theta, phi = self._points()
+        kinds = classify(theta, phi)
+        assert kinds.shape == theta.shape
+        assert kinds.tolist() == [classify(t, p) for t, p in zip(theta.tolist(), phi.tolist())]
+        assert {"PS", "MES", "NMES"} == set(kinds.tolist())
+
+    def test_outer_grid_shape(self):
+        axis = np.radians(np.arange(0.0, 91.0, 5.0))
+        q = analytic_q(axis[:, None], axis[None, :3])
+        assert q.shape == (19, 3)
+        assert classify(axis[:, None], axis[None, :3]).shape == (19, 3)
 
 
 class TestQMaxAndOptimum:
@@ -309,33 +329,38 @@ def spin_flip_concurrence(amps):
 
 class TestClassification:
     def test_mes_row(self):
-        result = classify_state(HardyParams.from_degrees(45, 90))
-        assert result.kind is StateKind.MES
-        assert abs(result.concurrence - 1.0) < 1e-12
+        assert classify(DEG(45), DEG(90)) == "MES"
+        assert abs(concurrence(DEG(45), DEG(90)) - 1.0) < 1e-12
 
     def test_ps_phi_zero(self):
         for theta_deg in (13, 45, 77):
-            result = classify_state(HardyParams.from_degrees(theta_deg, 0))
-            assert result.kind is StateKind.PS
-            assert result.concurrence < 1e-12
+            assert classify(DEG(theta_deg), 0.0) == "PS"
+            assert concurrence(DEG(theta_deg), 0.0) < 1e-12
 
     def test_ps_theta_zero_and_90(self):
-        assert classify_state(HardyParams.from_degrees(0, 33)).kind is StateKind.PS
-        assert classify_state(HardyParams.from_degrees(90, 33)).kind is StateKind.PS
+        assert classify(0.0, DEG(33)) == "PS"
+        assert classify(DEG(90), DEG(33)) == "PS"
+
+    def test_boundaries_at_tolerance(self):
+        # concurrence sin(phi) at theta = 45 deg: below the tolerance is PS,
+        # above 1 - tolerance is MES, both boundaries themselves are NMES
+        theta = DEG(45)
+        c = np.array([0.0, 0.5 * CLASSIFICATION_TOL, 2.0 * CLASSIFICATION_TOL, 0.5,
+                      1.0 - 2.0 * CLASSIFICATION_TOL, 1.0 - 0.5 * CLASSIFICATION_TOL, 1.0])
+        kinds = classify(theta, np.arcsin(c))
+        assert kinds.tolist() == ["PS", "PS", "NMES", "NMES", "NMES", "MES", "MES"]
 
     def test_optimum_is_nmes(self):
-        params = HardyParams.from_degrees(51.827, 51.827)
-        result = classify_state(params)
-        assert result.kind is StateKind.NMES
-        oracle = generic_concurrence(prepared_amplitudes(params))
-        assert abs(result.concurrence - oracle) < 1e-10
-        assert abs(result.concurrence - 0.7639) < 1e-3
+        angles = DEG(51.827), DEG(51.827)
+        assert classify(*angles) == "NMES"
+        oracle = generic_concurrence(prepared_amplitudes(*angles))
+        assert abs(concurrence(*angles) - oracle) < 1e-10
+        assert abs(concurrence(*angles) - 0.7639) < 1e-3
 
     def test_concurrence_against_both_oracles(self):
         rng = np.random.default_rng(20)
         for theta, phi in rng.uniform(0, math.pi, (30, 2)):
-            params = HardyParams(theta, phi)
-            amps = prepared_amplitudes(params)
+            amps = prepared_amplitudes(theta, phi)
             c = concurrence(theta, phi)
             assert abs(c - generic_concurrence(amps)) < 1e-10
             assert abs(c - spin_flip_concurrence(amps)) < 1e-10
@@ -343,8 +368,7 @@ class TestClassification:
     def test_ps_and_mes_imply_zero_q(self):
         rng = np.random.default_rng(21)
         for theta, phi in rng.uniform(0, math.pi, (200, 2)):
-            kind = classify_state(HardyParams(theta, phi)).kind
-            if kind in (StateKind.PS, StateKind.MES):
+            if classify(theta, phi) in ("PS", "MES"):
                 assert analytic_q(theta, phi) <= 1e-12
 
     def test_phi_90_nmes_with_zero_q(self):
@@ -352,12 +376,11 @@ class TestClassification:
         for theta_deg in range(10, 81, 10):
             if theta_deg == 45:
                 continue
-            params = HardyParams.from_degrees(theta_deg, 90)
-            assert classify_state(params).kind is StateKind.NMES
-            assert analytic_q(params.theta, params.phi) <= 1e-12
+            assert classify(DEG(theta_deg), DEG(90)) == "NMES"
+            assert analytic_q(DEG(theta_deg), DEG(90)) <= 1e-12
 
 
 @settings(max_examples=40)
 @given(st.floats(0.0, math.pi), st.floats(0.0, math.pi))
 def test_pipeline_equals_closed_form_q(theta, phi):
-    assert abs(hardy_probabilities(HardyParams(theta, phi))[3] - analytic_q(theta, phi)) <= 1e-10
+    assert abs(hardy_probabilities(theta, phi)[3] - analytic_q(theta, phi)) <= 1e-10

@@ -15,17 +15,18 @@ from hardysim.engine import (
     experiment_distributions,
     experiment_steps,
 )
-from hardysim.hardy import HardyParams, analytic_q, optimal_angles
+from hardysim.hardy import analytic_q, chi_of, optimal_angles
 from hardysim.noise import (
     NoiseModel,
     ProfileError,
     ShotConfig,
     estimate_batch,
     load_noise_profile,
-    measure_epsilons,
     statistical_error,
 )
-from hardysim.sweep import SweepRow
+from hardysim.sweep import SweepTable, measure_points
+
+DEG = math.radians
 
 I2 = np.eye(2, dtype=complex)
 
@@ -41,10 +42,16 @@ def random_rho(rng):
     return np.outer(amps, amps.conj())
 
 
-def simulate(params, a_index, b_index, noise):
+def simulate(theta, phi, a_index, b_index, noise):
     """Engine distribution of one experiment at one point."""
-    dists = experiment_distributions([params.theta], [params.phi], noise)[0]
+    dists = experiment_distributions([theta], [phi], noise)[0]
     return dists[EXPERIMENT_SETTINGS.index((a_index, b_index))]
+
+
+def measure_point(theta, phi, noise, cfg):
+    """(eps, stat_err, eps5_per_run) at one point: a batch of one with stream base ()."""
+    dists = experiment_distributions([theta], [phi], noise)
+    return tuple(a[0] for a in estimate_batch(dists, cfg, [()]))
 
 
 def every_experiment(*dists):
@@ -52,9 +59,9 @@ def every_experiment(*dists):
     return np.repeat(np.asarray(dists, dtype=np.float64)[:, None, :], 4, axis=1)
 
 
-def ideal(params, a_index, b_index):
+def ideal(theta, phi, a_index, b_index):
     """Noiseless distribution of one experiment from the Kraus reference."""
-    dists = ref.distributions(params.theta, params.phi, 0.0, 0.0, 0.0, 0.0)
+    dists = ref.distributions(theta, phi, 0.0, 0.0, 0.0, 0.0)
     return dists[EXPERIMENT_SETTINGS.index((a_index, b_index))]
 
 
@@ -174,35 +181,31 @@ class TestProfileFile:
 
 class TestExperimentCircuit:
     def test_gate_counts_per_setting(self):
-        params = HardyParams.from_degrees(51.827, 51.827)
+        theta = phi = DEG(51.827)
         expected = {(1, 1): 10, (2, 1): 12, (1, 2): 12, (2, 2): 14}
         for (a, b), count in expected.items():
-            steps = experiment_steps(a, b, params.theta, params.lam, params.chi)
+            steps = experiment_steps(a, b, theta, phi, chi_of(theta, phi))
             assert len(steps) == count
 
     def test_zero_noise_matches_ideal(self):
         rng = np.random.default_rng(31)
         quiet = NoiseModel.none()
         for theta, phi in rng.uniform(0, math.pi, (8, 2)):
-            params = HardyParams(theta, phi)
             for a, b in EXPERIMENT_SETTINGS:
-                noisy = simulate(params, a, b, quiet)
-                np.testing.assert_allclose(noisy, ideal(params, a, b), atol=1e-10)
+                noisy = simulate(theta, phi, a, b, quiet)
+                np.testing.assert_allclose(noisy, ideal(theta, phi, a, b), atol=1e-10)
 
     def test_full_readout_flip_relabels_outcomes(self):
-        params = HardyParams.from_degrees(40, 70)
         flipped = NoiseModel.from_rates(0.0, 0.0, 1.0, 1.0)
-        noisy = simulate(params, 2, 2, flipped)
-        np.testing.assert_allclose(noisy, ideal(params, 2, 2)[[3, 2, 1, 0]], atol=1e-10)
+        noisy = simulate(DEG(40), DEG(70), 2, 2, flipped)
+        np.testing.assert_allclose(noisy, ideal(DEG(40), DEG(70), 2, 2)[[3, 2, 1, 0]], atol=1e-10)
 
     def test_default_profile_epsilon_band(self):
-        params = HardyParams.from_degrees(51.827, 51.827)
-        eps, _, _ = measure_epsilons(params, NoiseModel.default_profile(), None)
+        eps, _, _ = measure_point(DEG(51.827), DEG(51.827), NoiseModel.default_profile(), None)
         assert np.all((0.0 < eps[:3]) & (eps[:3] < 0.1))
 
     def test_distribution_sums_to_one(self):
-        params = HardyParams.from_degrees(30, 60)
-        dist = simulate(params, 2, 2, NoiseModel.default_profile())
+        dist = simulate(DEG(30), DEG(60), 2, 2, NoiseModel.default_profile())
         assert abs(dist.sum() - 1.0) < 1e-10
 
 
@@ -235,10 +238,19 @@ class TestSampling:
         _, _, per_run = estimate_batch(every_experiment([0.25] * 4, [0.25] * 4), cfg, [(0,), (1,)])
         assert not np.array_equal(per_run[0], per_run[1])
 
-    def test_negative_seed_accepted(self):
-        cfg = ShotConfig(shots_per_run=16, runs=1, seed=-12345)
-        eps, _, _ = estimate_batch(every_experiment([0.5, 0.5, 0.0, 0.0]), cfg, [()])
-        assert np.all((0.0 <= eps) & (eps <= 1.0))
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_rejected(self, seed):
+        # reducing such a seed modulo 2**64 would alias another seed's streams
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            ShotConfig(seed=seed)
+
+    def test_seed_range_ends_accepted(self):
+        dists = every_experiment([0.5, 0.5, 0.0, 0.0])
+        first, last = (
+            estimate_batch(dists, ShotConfig(shots_per_run=64, runs=2, seed=seed), [()])[2]
+            for seed in (0, 2**64 - 1)
+        )
+        assert not np.array_equal(first, last)
 
     def test_frequency_convergence(self):
         dist = np.array([0.6, 0.25, 0.1, 0.05])
@@ -286,26 +298,28 @@ class TestEpsilonEstimates:
     def test_pooled_frequencies_and_identity(self):
         runs, shots = 10, 8192
         cfg = ShotConfig(shots_per_run=shots, runs=runs, seed=5)
-        params = HardyParams(0.9, 0.9)
         noise = NoiseModel.default_profile()
-        dists = experiment_distributions([params.theta], [params.phi], noise)
+        dists = experiment_distributions([0.9], [0.9], noise)
         eps, err, per_run = estimate_batch(dists, cfg, [()])
         hits = eps * (runs * shots)
         np.testing.assert_array_equal(hits, np.round(hits))
         assert abs(eps[0, 3] - per_run[0].mean()) < 1e-15
         np.testing.assert_array_equal(err, statistical_error(eps, runs, shots))
         assert per_run.shape == (1, runs)
-        # a single point is the batch of one with stream base ()
-        for single, batched in zip(measure_epsilons(params, noise, cfg), (eps, err, per_run)):
-            np.testing.assert_array_equal(single, batched[0])
+        # a single point (probe) is the sweep's batch of one with stream base ()
+        angle_deg = math.degrees(0.9)  # converts back to exactly 0.9
+        table, single_err, single_per_run = measure_points(
+            [angle_deg], [angle_deg], noise, cfg, [()]
+        )
+        for single, batched in zip((table.eps, single_err, single_per_run), (eps, err, per_run)):
+            np.testing.assert_array_equal(single, batched)
 
     def test_estimate_is_plain_subtraction(self):
         # the estimate column is literally eps5 - q
-        def row(eps5, q):
-            return SweepRow(0.0, 0.0, q, 0.0, 0.0, 0.0, eps5, 0.0, None)
-
-        assert abs(row(0.0807, 0.0).eps4_estimated - 0.0807) < 1e-12
-        assert abs(row(0.1281, 0.09017).eps4_estimated - 0.03793) < 1e-12
+        eps5, q, zeros = np.array([0.0807, 0.1281]), np.array([0.0, 0.09017]), np.zeros(2)
+        eps = np.column_stack([zeros, zeros, zeros, eps5])
+        table = SweepTable(zeros, zeros, q, eps, zeros, np.array(["PS", "NMES"]))
+        np.testing.assert_allclose(table.eps4_est, [0.0807, 0.03793], rtol=0, atol=1e-12)
 
     def test_range_validation(self):
         # exact-mode estimates stay in [0, 1] despite rounding in the engine
@@ -316,18 +330,16 @@ class TestEpsilonEstimates:
         np.testing.assert_array_equal(err, np.zeros((2, 4)))
 
     def test_noiseless_sampled_pipeline_near_ideal(self):
-        params = HardyParams(*optimal_angles())
-        q = analytic_q(params.theta, params.phi)
-        eps, _, _ = measure_epsilons(params, NoiseModel.none(), ShotConfig(seed=3))
+        q = analytic_q(*optimal_angles())
+        eps, _, _ = measure_point(*optimal_angles(), NoiseModel.none(), ShotConfig(seed=3))
         tol = 4 * statistical_error(q, 10)
         assert abs(eps[3] - q) <= tol
         assert eps[0] == eps[1] == eps[2] == 0.0
 
     def test_exact_mode_matches_distributions(self):
-        params = HardyParams.from_degrees(51.827, 51.827)
         noise = NoiseModel.default_profile()
-        eps, err, _ = measure_epsilons(params, noise, None)
-        dist = simulate(params, 2, 2, noise)
+        eps, err, _ = measure_point(DEG(51.827), DEG(51.827), noise, None)
+        dist = simulate(DEG(51.827), DEG(51.827), 2, 2, noise)
         assert abs(eps[3] - dist[0]) < 1e-14
         assert err[3] == 0.0
 
@@ -336,8 +348,7 @@ class TestMonotonicity:
     LADDER = [0.0, 0.5, 1.0, 2.0, 4.0]
 
     def _eps_sum(self, noise):
-        params = HardyParams(*optimal_angles())
-        eps, _, _ = measure_epsilons(params, noise, None)
+        eps, _, _ = measure_point(*optimal_angles(), noise, None)
         return eps[:3].sum()
 
     @pytest.mark.parametrize("which", ["p1", "p2", "readout"])

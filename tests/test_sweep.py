@@ -1,16 +1,17 @@
 """Sweep, metrics, reduced-circuit, and CSV-format tests."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from hardysim.hardy import HardyParams, StateClass, StateKind, analytic_q
+from hardysim.hardy import analytic_q, classify
 from hardysim.noise import NoiseModel, ShotConfig
 from hardysim.sweep import (
     CSV_HEADER,
     SweepCsvError,
-    SweepRow,
+    SweepTable,
     diagonal_points,
     diagonal_sweep,
     grid_degrees,
@@ -18,7 +19,6 @@ from hardysim.sweep import (
     min_established_q,
     peak_offset,
     performance_report,
-    q_surface,
     read_csv,
     reduced_circuit_compare,
     rows_to_csv,
@@ -28,61 +28,61 @@ from hardysim.sweep import (
 )
 
 
-def synthetic_row(theta_deg, eps5, q=None, stat_err=0.001, kind=None):
-    q = analytic_q(math.radians(theta_deg), math.radians(theta_deg)) if q is None else q
-    params = HardyParams.from_degrees(theta_deg, theta_deg)
-    if kind is None:
-        from hardysim.hardy import classify_state
+def synthetic_row(theta_deg, eps5, q=None, stat_err=0.001):
+    """(theta_deg, q, eps5, stat_err, class) of a diagonal point with zero eps1..eps3."""
+    angle = math.radians(theta_deg)
+    q = analytic_q(angle, angle) if q is None else q
+    return theta_deg, q, eps5, stat_err, str(classify(angle, angle))
 
-        cls = classify_state(params)
-    else:
-        cls = StateClass(kind, 0.5)
-    return SweepRow(
-        theta_deg=theta_deg,
-        phi_deg=theta_deg,
-        q_theory=q,
-        eps1=0.0,
-        eps2=0.0,
-        eps3=0.0,
-        eps5=eps5,
-        stat_err=stat_err,
-        state_class=cls,
-    )
+
+def table_of(rows) -> SweepTable:
+    """SweepTable of synthetic rows."""
+    theta, q, eps5, stat_err, kind = (np.array(column) for column in zip(*rows))
+    zeros = np.zeros(len(theta))
+    return SweepTable(theta, theta, q, np.column_stack([zeros, zeros, zeros, eps5]),
+                      stat_err, kind)
+
+
+def concat(*tables) -> SweepTable:
+    """The rows of several tables, one after the other."""
+    return SweepTable(*(
+        np.concatenate([getattr(t, field.name) for t in tables])
+        for field in dataclasses.fields(SweepTable)
+    ))
+
+
+def q_grid(theta_deg, phi_deg):
+    """analytic_q on the outer grid of two degree axes; entry [i, j] is (theta[i], phi[j])."""
+    theta = np.radians(np.asarray(theta_deg, dtype=float))
+    phi = np.radians(np.asarray(phi_deg, dtype=float))
+    return analytic_q(theta[:, None], phi[None, :])
 
 
 class TestQSurface:
     def test_peak_on_coarse_grid(self):
         axis = np.arange(0.0, 90.0 + 1e-9, 1.0)
-        q = q_surface(axis, axis)
+        q = q_grid(axis, axis)
         i, j = np.unravel_index(np.argmax(q), q.shape)
         assert (axis[i], axis[j]) == (52.0, 52.0)
         assert abs(q.max() - 0.09017) < 1e-3
 
     def test_phi_zero_row_vanishes(self):
-        q = q_surface(np.arange(0.0, 91.0, 5.0), [0.0])
+        q = q_grid(np.arange(0.0, 91.0, 5.0), [0.0])
         assert np.max(q) <= 1e-12
 
     def test_symmetric_under_swap(self):
         axis = np.arange(0.0, 91.0, 3.0)
-        q = q_surface(axis, axis)
+        q = q_grid(axis, axis)
         assert np.max(np.abs(q - q.T)) <= 1e-10
-
-    def test_matches_scalar_analytic_q(self):
-        thetas = [10.0, 37.5, 51.827, 80.0]
-        phis = [5.0, 45.0, 89.0]
-        q = q_surface(thetas, phis)
-        for i, t in enumerate(thetas):
-            for j, p in enumerate(phis):
-                assert abs(q[i, j] - analytic_q(math.radians(t), math.radians(p))) < 1e-14
 
     def test_full_turn_max_is_q_max(self):
         axis = np.arange(0.0, 360.0 + 1e-9, 1.0)
-        q = q_surface(axis, axis)
+        q = q_grid(axis, axis)
         assert abs(q.max() - 0.09016994) < 1e-3
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            q_surface([], [1.0])
+        with pytest.raises(ValueError, match="empty grid"):
+            surface_sweep([], [1.0], NoiseModel.none(), None)
 
 
 class TestDiagonalPoints:
@@ -111,43 +111,45 @@ class TestDiagonalPoints:
 
 class TestDiagonalSweep:
     def test_exact_zero_noise_rows(self):
-        rows = diagonal_sweep(diagonal_points(0, 90, 15), NoiseModel.none(), None)
-        for row in rows:
-            assert abs(row.eps5 - row.q_theory) <= 1e-10
-            assert abs(row.eps4_estimated) <= 1e-10
-            assert max(row.eps1, row.eps2, row.eps3) <= 1e-10
+        table = diagonal_sweep(diagonal_points(0, 90, 15), NoiseModel.none(), None)
+        assert len(table) == 7
+        assert np.max(np.abs(table.eps5 - table.q)) <= 1e-10
+        assert np.max(np.abs(table.eps4_est)) <= 1e-10
+        assert np.max(table.eps[:, :3]) <= 1e-10
 
     def test_sampled_zero_noise_tracks_q(self):
         cfg = ShotConfig(seed=4)
-        rows = diagonal_sweep([30.0, 45.0, 51.827], NoiseModel.none(), cfg)
-        for row in rows:
-            assert abs(row.eps5 - row.q_theory) <= 5 * max(row.stat_err, 1e-4)
+        table = diagonal_sweep([30.0, 45.0, 51.827], NoiseModel.none(), cfg)
+        assert np.all(np.abs(table.eps5 - table.q) <= 5 * np.maximum(table.stat_err, 1e-4))
 
     def test_default_noise_positive_eps4(self):
-        rows = diagonal_sweep(
+        table = diagonal_sweep(
             diagonal_points(0, 90, 15), NoiseModel.default_profile(), None
         )
-        assert all(row.eps4_estimated > 0 for row in rows)
+        assert np.all(table.eps4_est > 0)
 
     def test_rows_keep_sweep_order(self):
-        rows = diagonal_sweep([50.0, 10.0, 70.0], NoiseModel.none(), None)
-        assert [r.theta_deg for r in rows] == [50.0, 10.0, 70.0]
+        table = diagonal_sweep([50.0, 10.0, 70.0], NoiseModel.none(), None)
+        assert table.theta_deg.tolist() == [50.0, 10.0, 70.0]
 
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
             diagonal_sweep([], NoiseModel.none(), None)
 
     def test_surface_sweep_row_major(self):
-        rows = surface_sweep([0.0, 30.0], [0.0, 60.0], NoiseModel.none(), None)
-        assert [(r.theta_deg, r.phi_deg) for r in rows] == [
+        table = surface_sweep([0.0, 30.0], [0.0, 60.0], NoiseModel.none(), None)
+        assert list(zip(table.theta_deg.tolist(), table.phi_deg.tolist())) == [
             (0.0, 0.0), (0.0, 60.0), (30.0, 0.0), (30.0, 60.0),
         ]
+        assert table.kind.tolist() == ["PS", "PS", "PS", "NMES"]
 
 
 def floor_sweep(noise, cfg):
     """Diagonal 0..90 in 15-degree steps plus the MES / PS points that set the floor."""
-    rows = diagonal_sweep(diagonal_points(0, 90, 15), noise, cfg)
-    return rows + surface_sweep([45.0, 90.0], [0.0, 90.0], noise, cfg)
+    return concat(
+        diagonal_sweep(diagonal_points(0, 90, 15), noise, cfg),
+        surface_sweep([45.0, 90.0], [0.0, 90.0], noise, cfg),
+    )
 
 
 class TestBaseline:
@@ -164,24 +166,24 @@ class TestBaseline:
     def test_baseline_points_all_product_or_mes(self):
         # q vanishes on every floor (MES / PS) row, so eps5 there is pure error
         axis = [float(a) for a in np.arange(0.0, 90.0 + 1e-9, 5.0)]
-        rows = surface_sweep(axis, axis, NoiseModel.none(), None)
-        floor = [r for r in rows if r.state_class.kind is not StateKind.NMES]
-        assert {r.state_class.kind for r in floor} == {StateKind.PS, StateKind.MES}
-        assert all(r.q_theory <= 1e-12 for r in floor)
+        table = surface_sweep(axis, axis, NoiseModel.none(), None)
+        floor = table.kind != "NMES"
+        assert set(table.kind[floor].tolist()) == {"PS", "MES"}
+        assert np.all(table.q[floor] <= 1e-12)
 
     def test_no_floor_rows_leave_baseline_unset(self):
-        rows = diagonal_sweep(diagonal_points(40, 60, 2), NoiseModel.default_profile(), None)
-        report = performance_report(rows)
+        table = diagonal_sweep(diagonal_points(40, 60, 2), NoiseModel.default_profile(), None)
+        report = performance_report(table)
         assert report.baseline_source == "none"
         assert report.baseline is None
         assert report.min_distinguishable_q is None
-        assert performance_report(rows, baseline=0.05).baseline_source == "flag"
+        assert performance_report(table, baseline=0.05).baseline_source == "flag"
 
     @pytest.mark.parametrize("baseline", [-1.0, 1.5, math.nan])
     def test_out_of_range_baseline_rejected(self, baseline):
-        rows = [synthetic_row(t, 0.05) for t in (40.0, 50.0, 60.0)]
+        table = table_of(synthetic_row(t, 0.05) for t in (40.0, 50.0, 60.0))
         with pytest.raises(ValueError, match="baseline"):
-            performance_report(rows, baseline=baseline)
+            performance_report(table, baseline=baseline)
 
 
 class TestMinQ:
@@ -191,8 +193,8 @@ class TestMinQ:
         assert report.min_distinguishable_q <= 0.005
 
     def test_forced_huge_baseline_gives_none(self):
-        rows = floor_sweep(NoiseModel.none(), ShotConfig(seed=6))
-        assert performance_report(rows, baseline=1.0).min_distinguishable_q is None
+        table = floor_sweep(NoiseModel.none(), ShotConfig(seed=6))
+        assert performance_report(table, baseline=1.0).min_distinguishable_q is None
 
     def test_hardware_scale_boundary(self):
         # entries at real-device scale: error floor 0.0807, NMES points above
@@ -206,12 +208,18 @@ class TestMinQ:
             (0.00088, 0.067, 0.0038),
             (0.00088, 0.0241, 0.0016),
         ]
-        result = min_established_q(entries, baseline=0.0807, k_sigma=3.0)
+        result = min_established_q(*np.array(entries).T, baseline=0.0807, k_sigma=3.0)
         assert result == 0.0833
 
     def test_prefix_rule_stops_at_first_failure(self):
         entries = [(0.09, 0.5, 0.001), (0.05, 0.001, 0.001), (0.01, 0.9, 0.001)]
-        assert min_established_q(entries, baseline=0.1, k_sigma=3.0) == 0.09
+        assert min_established_q(*np.array(entries).T, baseline=0.1, k_sigma=3.0) == 0.09
+
+    def test_ladder_ties_keep_given_order(self):
+        # equal q: the first failing entry in the given order ends the ladder
+        q, eps5 = [0.09, 0.05, 0.05, 0.01], [0.5, 0.5, 0.001, 0.9]
+        assert min_established_q(q, eps5, [0.001] * 4, baseline=0.1, k_sigma=3.0) == 0.05
+        assert min_established_q([], [], [], baseline=0.1, k_sigma=3.0) is None
 
 
 class TestShiftAndInterval:
@@ -220,7 +228,7 @@ class TestShiftAndInterval:
         for t in np.arange(lo, hi + 1e-9, step):
             eps5 = 0.1 * math.exp(-((t - peak_deg) ** 2) / 200.0)
             rows.append(synthetic_row(float(t), eps5))
-        return rows
+        return table_of(rows)
 
     def test_shift_for_injected_peak_at_40(self):
         assert abs(peak_offset(self._rows_with_peak(40.0))[0] - 11.827) < 1e-9
@@ -229,16 +237,17 @@ class TestShiftAndInterval:
         assert abs(peak_offset(self._rows_with_peak(62.0))[0] - 10.173) < 1e-9
 
     def test_ideal_distribution_sweep_shift_within_step(self):
-        rows = diagonal_sweep(diagonal_points(40, 65, 1), NoiseModel.none(), None)
-        assert peak_offset(rows)[0] <= 1.0
+        table = diagonal_sweep(diagonal_points(40, 65, 1), NoiseModel.none(), None)
+        assert peak_offset(table)[0] <= 1.0
 
     def test_too_few_rows(self):
+        rows = [synthetic_row(t, 0.1) for t in (40.0, 50.0)]
         with pytest.raises(ValueError):
-            peak_offset(self._rows_with_peak(40.0)[:2])
+            peak_offset(table_of(rows))
 
     def test_tie_flagged_and_takes_smaller_angle(self):
         rows = [synthetic_row(t, eps5) for t, eps5 in ((40.0, 0.2), (50.0, 0.2), (60.0, 0.1))]
-        offset, tied, on_boundary = peak_offset(rows)
+        offset, tied, on_boundary = peak_offset(table_of(rows))
         assert abs(offset - abs(40.0 - 51.827)) < 1e-9
         assert tied and on_boundary
         assert peak_offset(self._rows_with_peak(40.0))[1:] == (False, False)
@@ -248,8 +257,8 @@ class TestShiftAndInterval:
         assert abs(report.peak_offset_deg - 11.827) < 1e-9
 
     def test_delta_interval_ideal_sweep_within_step(self):
-        rows = diagonal_sweep(diagonal_points(40, 65, 1), NoiseModel.none(), None)
-        assert performance_report(rows).peak_offset_deg <= 1.0
+        table = diagonal_sweep(diagonal_points(40, 65, 1), NoiseModel.none(), None)
+        assert performance_report(table).peak_offset_deg <= 1.0
 
     def test_delta_interval_boundary_flagged(self):
         report = performance_report(self._rows_with_peak(90.0, lo=40.0, hi=90.0))
@@ -264,24 +273,24 @@ class TestShiftAndInterval:
 class TestFluctuation:
     def test_constant_rows(self):
         rows = [synthetic_row(t, 0.05, q=0.01) for t in (10.0, 20.0, 30.0)]
-        std, spread = metric_fluctuation(rows)
+        std, spread = metric_fluctuation(table_of(rows))
         assert std == 0.0 and spread == 0.0
 
     def test_exact_zero_noise_rows_flat(self):
-        rows = diagonal_sweep(diagonal_points(0, 90, 10), NoiseModel.none(), None)
-        std, spread = metric_fluctuation(rows)
+        table = diagonal_sweep(diagonal_points(0, 90, 10), NoiseModel.none(), None)
+        std, spread = metric_fluctuation(table)
         assert std <= 1e-10 and spread <= 1e-10
 
     def test_sampled_noise_fluctuates(self):
-        rows = diagonal_sweep(
+        table = diagonal_sweep(
             diagonal_points(0, 90, 15), NoiseModel.default_profile(), ShotConfig(seed=7)
         )
-        std, spread = metric_fluctuation(rows)
+        std, spread = metric_fluctuation(table)
         assert std > 0.0 and spread >= std
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
-            metric_fluctuation([synthetic_row(10.0, 0.1)])
+            metric_fluctuation(table_of([synthetic_row(10.0, 0.1)]))
 
 
 class TestPerformanceReport:
@@ -290,7 +299,7 @@ class TestPerformanceReport:
         for t in np.arange(5.0, 90.0, 5.0):
             eps5 = analytic_q(math.radians(t), math.radians(t)) + 0.01
             rows.append(synthetic_row(float(t), eps5, stat_err=0.001))
-        report = performance_report(rows)
+        report = performance_report(table_of(rows))
         assert report.baseline == 0.01 and report.baseline_source == "rows"
         assert report.min_distinguishable_q is not None
         assert report.eps4_fluctuation_range >= report.eps4_fluctuation_std
@@ -300,14 +309,14 @@ class TestPerformanceReport:
             synthetic_row(t, eps5)
             for t, eps5 in ((40.0, 0.04), (50.0, 0.06), (60.0, 0.05), (51.0, 0.055))
         ]
-        report = performance_report(rows, baseline=0.123)
+        report = performance_report(table_of(rows), baseline=0.123)
         assert report.baseline == 0.123 and report.baseline_source == "flag"
 
     @pytest.mark.parametrize("k_sigma", [0.0, -5.0])
     def test_k_sigma_validation(self, k_sigma):
-        rows = [synthetic_row(t, 0.05) for t in (40.0, 50.0, 60.0)]
+        table = table_of(synthetic_row(t, 0.05) for t in (40.0, 50.0, 60.0))
         with pytest.raises(ValueError, match="k_sigma"):
-            performance_report(rows, k_sigma=k_sigma)
+            performance_report(table, k_sigma=k_sigma)
 
 
 class TestReducedCircuit:
@@ -357,21 +366,21 @@ class TestCsv:
         assert text.endswith("\n")
 
     def test_significant_digits(self):
-        text = rows_to_csv([synthetic_row(51.827, 0.123456789, q=0.0901699437)])
+        text = rows_to_csv(table_of([synthetic_row(51.827, 0.123456789, q=0.0901699437)]))
         row = text.splitlines()[1].split(",")
         assert row[6] == "0.123456789"
         assert row[2] == "0.0901699437"
 
     def test_round_trip(self, tmp_path):
-        rows = self._rows()
+        table = self._rows()
         path = tmp_path / "sweep.csv"
-        write_csv(rows, path)
+        write_csv(table, path)
         back = read_csv(path)
-        assert len(back) == len(rows)
-        for a, b in zip(rows, back):
-            assert abs(a.eps5 - b.eps5) < 1e-8
-            assert abs(a.q_theory - b.q_theory) < 1e-8
-            assert a.state_class.kind is b.state_class.kind
+        assert len(back) == len(table)
+        assert np.max(np.abs(table.eps - back.eps)) < 1e-8
+        assert np.max(np.abs(table.q - back.q)) < 1e-8
+        assert np.max(np.abs(table.stat_err - back.stat_err)) < 1e-8
+        assert back.kind.tolist() == table.kind.tolist()
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -387,32 +396,58 @@ class TestCsv:
 
     def test_non_numeric_field(self, tmp_path):
         path = tmp_path / "bad.csv"
-        good = rows_to_csv([synthetic_row(10.0, 0.1)]).splitlines()
+        good = rows_to_csv(table_of([synthetic_row(10.0, 0.1)])).splitlines()
         path.write_text(good[0] + "\n" + good[1].replace("10", "ten", 1) + "\n")
         with pytest.raises(SweepCsvError, match="non-numeric"):
             read_csv(path)
 
     def test_unknown_class(self, tmp_path):
         path = tmp_path / "bad.csv"
-        good = rows_to_csv([synthetic_row(10.0, 0.1)]).splitlines()
+        good = rows_to_csv(table_of([synthetic_row(10.0, 0.1)])).splitlines()
         path.write_text(good[0] + "\n" + good[1].replace("NMES", "WAT") + "\n")
         with pytest.raises(SweepCsvError, match="unknown class"):
             read_csv(path)
 
     def test_inconsistent_eps4(self, tmp_path):
         path = tmp_path / "bad.csv"
-        row = synthetic_row(10.0, 0.1)
-        fields = rows_to_csv([row]).splitlines()
+        fields = rows_to_csv(table_of([synthetic_row(10.0, 0.1)])).splitlines()
         parts = fields[1].split(",")
         parts[7] = "0.9"
         path.write_text(fields[0] + "\n" + ",".join(parts) + "\n")
         with pytest.raises(SweepCsvError, match="eps4_est"):
             read_csv(path)
 
+    def test_earliest_bad_line_reported(self, tmp_path):
+        # line 3 has an out-of-range q_theory, line 5 a wrong field count
+        table = table_of(synthetic_row(t, 0.1) for t in (10.0, 20.0, 30.0))
+        lines = rows_to_csv(table).splitlines()
+        fields = lines[2].split(",")
+        fields[2] = "1.5"
+        lines[2] = ",".join(fields)
+        lines.append("1,2,3")
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SweepCsvError, match="line 3: q_theory=1.5 outside"):
+            read_csv(path)
+
+    def test_blank_line_counts_toward_line_number(self, tmp_path):
+        lines = rows_to_csv(table_of(synthetic_row(t, 0.1) for t in (10.0, 20.0))).splitlines()
+        lines[2] = lines[2].replace("NMES", "WAT")
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([lines[0], lines[1], "", lines[2]]) + "\n")
+        with pytest.raises(SweepCsvError, match="line 4: unknown class 'WAT'"):
+            read_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(CSV_HEADER + "\n")
         with pytest.raises(SweepCsvError, match="no data rows"):
+            read_csv(path)
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(CSV_HEADER.encode() + b"\n1,1,0,0,0,0,0,0,0,P\xffS\n")
+        with pytest.raises(SweepCsvError, match="cannot read"):
             read_csv(path)
 
     def test_missing_file(self, tmp_path):
