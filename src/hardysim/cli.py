@@ -1,4 +1,4 @@
-"""Command-line front end: probe, sweep, metrics, validate.
+"""Command-line front end: probe, sweep, metrics, reduced, validate.
 
 Angles are degrees at this boundary only (radians everywhere inside); a
 radians flag is deliberately omitted to avoid dual-unit bugs.  Exit codes:
@@ -8,6 +8,7 @@ radians flag is deliberately omitted to avoid dual-unit bugs.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -31,6 +32,7 @@ from .sweep import (
     measure_points,
     performance_report,
     read_csv,
+    reduced_circuit_compare,
     substitute_singular,
     surface_sweep,
     write_csv,
@@ -40,6 +42,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_VALIDATION = 3
+
+# ShotConfig's error messages name its fields; the CLI reports the flags.
+_FLAG_OF_FIELD = {"shots_per_run": "--shots", "runs": "--runs", "seed": "--seed"}
 
 
 class UsageError(Exception):
@@ -60,9 +65,12 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shot_flags(p):
+    def add_noise_flag(p):
         p.add_argument("--noise", default="none", metavar="PROFILE",
                        help="noise profile file, or 'none' / 'default'")
+
+    def add_shot_flags(p):
+        add_noise_flag(p)
         p.add_argument("--shots", type=int, default=8192, metavar="N",
                        help="shots per run; 0 = exact distributions, no sampling")
         p.add_argument("--runs", type=int, default=10, metavar="R")
@@ -90,6 +98,12 @@ def _build_parser() -> _Parser:
     metrics.add_argument("--rho", type=float, default=REFERENCE_ANGLE_DEG,
                          help="reference angle (deg) for shift and interval")
 
+    reduced = sub.add_parser(
+        "reduced", help="exact error of the full circuit vs a few-gate preparation"
+    )
+    reduced.add_argument("variant", choices=("ps_00", "ps_01"))
+    add_noise_flag(reduced)
+
     sub.add_parser("validate", help="run the built-in invariant suites")
     return parser
 
@@ -110,8 +124,9 @@ def _resolve_shots(args) -> ShotConfig | None:
         cfg = ShotConfig(
             shots_per_run=args.shots or DEFAULT_SHOTS_PER_RUN, runs=args.runs, seed=args.seed
         )
-    except ValueError as exc:  # "runs must be ..." / "seed must be ..."
-        raise UsageError(f"--{exc}") from exc
+    except ValueError as exc:
+        words = (_FLAG_OF_FIELD.get(word, word) for word in str(exc).split(" "))
+        raise UsageError(" ".join(words)) from exc
     return cfg if args.shots else None
 
 
@@ -139,7 +154,7 @@ def _cmd_probe(args, out) -> int:
         )
     noise = _resolve_noise(args.noise)
     cfg = _resolve_shots(args)
-    table, stat_err, eps5_per_run = measure_points([theta], [phi], noise, cfg, [()])
+    table, stat_err, eps5_per_run = measure_points([theta], [phi], noise, cfg)
     eps, stat_err, q = table.eps[0].tolist(), stat_err[0].tolist(), float(table.q[0])
     _print_kv(out, "theta_deg", theta)
     _print_kv(out, "phi_deg", phi)
@@ -217,6 +232,13 @@ def _cmd_metrics(args, out) -> int:
     return EXIT_OK
 
 
+def _cmd_reduced(args, out) -> int:
+    comparison = reduced_circuit_compare(args.variant, _resolve_noise(args.noise))
+    for key, value in dataclasses.asdict(comparison).items():
+        _print_kv(out, key, value)
+    return EXIT_OK
+
+
 def _cmd_validate(args, out) -> int:
     results = run_validation_suites()
     failed = 0
@@ -239,6 +261,8 @@ def main(argv=None, out=None) -> int:
             return _cmd_sweep(args, out)
         if args.command == "metrics":
             return _cmd_metrics(args, out)
+        if args.command == "reduced":
+            return _cmd_reduced(args, out)
         return _cmd_validate(args, out)
     except UsageError as exc:
         if exc.usage:

@@ -6,9 +6,8 @@ readout confusion matrix.  The experiment names error magnitudes only, so the
 mechanism is a modeling choice, kept swappable behind NoiseModel; `engine`
 evolves the density matrices under it.
 
-Randomness enters only at shot sampling, where every (experiment, run) pair
-derives its own generator from the master seed, so results do not depend on
-the order in which points, experiments or runs are evaluated.
+Randomness enters only at shot sampling: one generator per command, seeded
+by `--seed`, draws all flagged counts in sweep order.
 """
 
 from __future__ import annotations
@@ -126,6 +125,11 @@ class ShotConfig:
             raise ValueError("shots_per_run must be >= 1")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        # Pooled counts are int64; a larger total would wrap around silently.
+        if self.shots_per_run * self.runs >= 2**63:
+            raise ValueError(
+                f"shots_per_run * runs must be < 2**63, got {self.shots_per_run} * {self.runs}"
+            )
         # Checked, not reduced modulo 2**64: a reduced seed would alias another.
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
@@ -141,9 +145,7 @@ def statistical_error(P, runs: int, shots_per_run: int = DEFAULT_SHOTS_PER_RUN):
     return np.sqrt(P * (1.0 - P) / (shots_per_run * runs))
 
 
-def estimate_batch(
-    dists, cfg: ShotConfig | None, bases
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def estimate_batch(dists, cfg: ShotConfig | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Epsilon estimates for N points from their (N, 4, 4) experiment distributions.
 
     Returns (eps, stat_err, eps5_per_run): eps and stat_err have shape (N, 4)
@@ -154,29 +156,22 @@ def estimate_batch(
     estimate is eps5 - q_theory.
 
     With cfg=None the infinite-shot limit is returned: the exact flagged
-    entries, zero errors and one "run".  Otherwise run r of experiment e at
-    point i draws from a generator seeded by (cfg.seed, *bases[i], e, r), so
-    the counts do not depend on which points were evaluated before.  The
-    distributions are the engine's, already checked; they are only clipped
-    at 0 and renormalised.
+    entries, zero errors and one "run".  Otherwise one generator, seeded by
+    cfg.seed, draws all flagged counts in sweep order (point, experiment,
+    run).  Only the flagged cell of each run's multinomial is used, and that
+    cell alone is exactly Binomial(shots_per_run, p_flag).  The distributions
+    are the engine's, already checked; they are only clipped at 0 and
+    renormalised.
     """
     dists = np.asarray(dists, dtype=np.float64)
     flagged = dists[:, np.arange(4), FLAGGED_OUTCOME]
     if cfg is None:
         eps = np.clip(flagged, 0.0, 1.0)
         return eps, np.zeros_like(eps), eps[:, 3:].copy()
-    pvals = np.clip(dists, 0.0, None)
-    pvals /= pvals.sum(axis=-1, keepdims=True)
-    hits = np.zeros(flagged.shape, dtype=np.int64)
-    eps5_per_run = np.empty((len(dists), cfg.runs))
-    for i, base in enumerate(bases):
-        for exp, flag in enumerate(FLAGGED_OUTCOME):
-            for run in range(cfg.runs):
-                rng = np.random.default_rng((cfg.seed, *base, exp, run))
-                hit = rng.multinomial(cfg.shots_per_run, pvals[i, exp])[flag]
-                hits[i, exp] += hit
-                if exp == 3:
-                    eps5_per_run[i, run] = hit / cfg.shots_per_run
-    eps = hits / (cfg.shots_per_run * cfg.runs)
+    p_flag = np.clip(flagged, 0.0, None) / np.clip(dists, 0.0, None).sum(axis=-1)
+    counts = np.random.default_rng(cfg.seed).binomial(
+        cfg.shots_per_run, p_flag[..., None], size=(*p_flag.shape, cfg.runs)
+    )
+    eps = counts.sum(axis=-1) / (cfg.shots_per_run * cfg.runs)
+    eps5_per_run = counts[:, 3] / cfg.shots_per_run
     return eps, statistical_error(eps, cfg.runs, cfg.shots_per_run), eps5_per_run
-

@@ -38,10 +38,6 @@ _PROBABILITY_FIELDS = ("q_theory", "eps1", "eps2", "eps3", "eps5")
 # maximizing q, quoted at the customary 51.827.
 REFERENCE_ANGLE_DEG = 51.827
 
-# Stream namespace of sweep points: point i samples from (_STREAM_SWEEP, i, ...).
-_STREAM_SWEEP = 0
-
-
 class SweepCsvError(ValueError):
     """Malformed sweep CSV; carries the offending 1-based line number.
 
@@ -143,29 +139,25 @@ def diagonal_points(start_deg: float, stop_deg: float, step_deg: float) -> list[
 
 
 def measure_points(
-    theta_deg, phi_deg, noise: NoiseModel, cfg: ShotConfig | None, bases
+    theta_deg, phi_deg, noise: NoiseModel, cfg: ShotConfig | None
 ) -> tuple[SweepTable, np.ndarray, np.ndarray]:
     """One engine batch and one estimate batch for paired angle arrays (degrees).
 
     Returns (table, stat_err, eps5_per_run): the table, then the statistical
     errors of all four columns of table.eps and the fourth experiment's
-    per-run frequencies, as estimate_batch gives them.  Point i samples from
-    the streams of bases[i].
+    per-run frequencies, as estimate_batch gives them.  One generator per
+    call (so one per command), seeded by cfg.seed (`--seed`), draws all
+    flagged counts in sweep order.
     """
     theta_deg = np.asarray(theta_deg, dtype=np.float64)
     phi_deg = np.asarray(phi_deg, dtype=np.float64)
     theta, phi = np.radians(theta_deg), np.radians(phi_deg)
     dists = experiment_distributions(theta, phi, noise)
-    eps, stat_err, eps5_per_run = estimate_batch(dists, cfg, bases)
+    eps, stat_err, eps5_per_run = estimate_batch(dists, cfg)
     table = SweepTable(
         theta_deg, phi_deg, analytic_q(theta, phi), eps, stat_err[:, 3], classify(theta, phi)
     )
     return table, stat_err, eps5_per_run
-
-
-def _sweep(theta_deg, phi_deg, noise: NoiseModel, cfg: ShotConfig | None) -> SweepTable:
-    bases = [(_STREAM_SWEEP, i) for i in range(len(theta_deg))]
-    return measure_points(theta_deg, phi_deg, noise, cfg, bases)[0]
 
 
 def diagonal_sweep(points_deg, noise: NoiseModel, cfg: ShotConfig | None) -> SweepTable:
@@ -176,7 +168,7 @@ def diagonal_sweep(points_deg, noise: NoiseModel, cfg: ShotConfig | None) -> Swe
     points = np.asarray(points_deg, dtype=np.float64)
     if not points.size:
         raise ValueError("no sweep points")
-    return _sweep(points, points, noise, cfg)
+    return measure_points(points, points, noise, cfg)[0]
 
 
 def surface_sweep(theta_deg, phi_deg, noise: NoiseModel, cfg: ShotConfig | None) -> SweepTable:
@@ -185,7 +177,7 @@ def surface_sweep(theta_deg, phi_deg, noise: NoiseModel, cfg: ShotConfig | None)
     phis = np.asarray(phi_deg, dtype=np.float64)
     if not thetas.size or not phis.size:
         raise ValueError("empty grid")
-    return _sweep(np.repeat(thetas, phis.size), np.tile(phis, thetas.size), noise, cfg)
+    return measure_points(np.repeat(thetas, phis.size), np.tile(phis, thetas.size), noise, cfg)[0]
 
 
 def min_established_q(q, eps5, stat_err, baseline: float, k_sigma: float) -> float | None:

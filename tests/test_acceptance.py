@@ -137,7 +137,7 @@ def test_c08_shot_statistics():
     tol = 4 * statistical_error(float(dists[0, 3, 0]), 10)
     worst = 0.0
     for seed in range(20):
-        pooled = estimate_batch(dists, ShotConfig(seed=seed), [()])[0][0, 3]
+        pooled = estimate_batch(dists, ShotConfig(seed=seed))[0][0, 3]
         worst = max(worst, abs(pooled - 0.09017))
         assert abs(pooled - 0.09017) <= tol, seed
     assert abs(statistical_error(0.5, 1) - 0.005524) < 1e-6
@@ -148,7 +148,7 @@ def test_c09_noisy_model_properties():
     optimum = [[angle] for angle in optimal_angles()]
 
     def exact_eps(model):
-        return estimate_batch(experiment_distributions(*optimum, model), None, [()])[0][0]
+        return estimate_batch(experiment_distributions(*optimum, model), None)[0][0]
 
     # (a) zero-noise engine reproduces the ideal distributions of the
     # independent dense Kraus-sum reference

@@ -115,6 +115,24 @@ class TestExitCodes:
         assert text == ""
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--shots", "9223372036854775807", "--runs", "3"],
+            ["--shots", "99999999999999999999"],
+            ["--runs", "100000000000000000000"],
+        ],
+    )
+    def test_pooled_count_overflow_is_usage_error(self, tmp_path, capsys, flags):
+        # with every readout flipped eps5 is exactly 1; before, the first
+        # command printed eps5=0.333333333 from a wrapped int64 sum
+        profile = tmp_path / "flip.profile"
+        profile.write_text("p1=0\np2=0\nreadout0=1\nreadout1=1\n")
+        code, text = run_cli(["probe", "15", "0", "--noise", str(profile), *flags])
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert "--shots * --runs must be < 2**63" in capsys.readouterr().err
+
     def test_unreadable_noise_file_is_io_error(self, tmp_path):
         code, _ = run_cli(["probe", "1", "2", "--noise", str(tmp_path / "missing.profile")])
         assert code == EXIT_IO
@@ -222,9 +240,12 @@ class TestMetricsInputChecks:
 class TestGoldenOutputs:
     """Output bytes must match files saved from earlier implementations.
 
-    The CSVs were saved from the per-gate Kraus implementation; the metrics
-    lines from the per-row implementation, before the columnar table, with
-    the zero_condition_max line appended when it was added.
+    The exact CSV was saved from the per-gate Kraus implementation, the
+    sampled one from the binomial sampler after every epsilon was checked
+    within 6 sigma of the exact values.  The metrics lines were saved from
+    the per-row implementation, before the columnar table, with the
+    zero_condition_max line appended when it was added; their input is the
+    sampled CSV of the earlier per-run multinomial sampler.
     """
 
     @pytest.mark.parametrize(
@@ -233,7 +254,7 @@ class TestGoldenOutputs:
             ("surface_15deg_exact_default.csv",
              ["sweep", "surface", "--from", "0", "--to", "90", "--step", "15",
               "--noise", "default", "--shots", "0"]),
-            ("diagonal_5deg_sampled_default_seed7.csv",
+            ("diagonal_5deg_sampled_default_seed7_binomial.csv",
              ["sweep", "diagonal", "--from", "0", "--to", "90", "--step", "5",
               "--noise", "default", "--seed", "7"]),
         ],
@@ -435,6 +456,30 @@ class TestMetricsCommand:
         values = kv(run_cli(["metrics", "--in", str(path)])[1])
         assert (values["peak_tied"], values["peak_on_boundary"]) == ("true", "true")
         assert abs(float(values["shift_deg"]) - (51.827 - 40.0)) < 1e-9
+
+
+class TestReducedCommand:
+    @pytest.mark.parametrize("variant", ["ps_00", "ps_01"])
+    def test_fewer_gates_less_error(self, variant):
+        code, text = run_cli(["reduced", variant, "--noise", "default"])
+        assert code == EXIT_OK
+        values = kv(text)
+        assert list(values) == [
+            "variant", "full_eps", "reduced_eps", "full_gate_count", "reduced_gate_count"
+        ]
+        assert values["variant"] == variant
+        assert 0.0 < float(values["reduced_eps"]) < float(values["full_eps"])
+        assert int(values["reduced_gate_count"]) < int(values["full_gate_count"])
+
+    def test_bad_variant_is_usage_error(self, capsys):
+        code, text = run_cli(["reduced", "ps_11", "--noise", "default"])
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_unreadable_noise_file_is_io_error(self, tmp_path):
+        code, _ = run_cli(["reduced", "ps_00", "--noise", str(tmp_path / "missing.profile")])
+        assert code == EXIT_IO
 
 
 class TestValidateCommand:

@@ -49,9 +49,9 @@ def simulate(theta, phi, a_index, b_index, noise):
 
 
 def measure_point(theta, phi, noise, cfg):
-    """(eps, stat_err, eps5_per_run) at one point: a batch of one with stream base ()."""
+    """(eps, stat_err, eps5_per_run) at one point: a batch of one."""
     dists = experiment_distributions([theta], [phi], noise)
-    return tuple(a[0] for a in estimate_batch(dists, cfg, [()]))
+    return tuple(a[0] for a in estimate_batch(dists, cfg))
 
 
 def every_experiment(*dists):
@@ -215,27 +215,28 @@ class TestSampling:
         dists = np.zeros((2, 4, 4))
         dists[0, range(4), FLAGGED_OUTCOME] = 1.0
         dists[1, range(4), (np.array(FLAGGED_OUTCOME) + 1) % 4] = 1.0
-        eps, err, per_run = estimate_batch(dists, cfg, [(0,), (1,)])
+        eps, err, per_run = estimate_batch(dists, cfg)
         np.testing.assert_array_equal(eps, [[1.0] * 4, [0.0] * 4])
         np.testing.assert_array_equal(err, np.zeros((2, 4)))
         np.testing.assert_array_equal(per_run, [[1.0] * 3, [0.0] * 3])
 
     def test_uniform_concentration(self):
         cfg = ShotConfig(shots_per_run=8192, runs=1, seed=2)
-        eps, _, _ = estimate_batch(every_experiment([0.25] * 4), cfg, [()])
+        eps, _, _ = estimate_batch(every_experiment([0.25] * 4), cfg)
         sigma = math.sqrt(8192 * 0.25 * 0.75)
         assert np.all(np.abs(eps * 8192 - 2048) <= 5 * sigma)
 
     def test_deterministic_for_equal_seed(self):
         cfg = ShotConfig(shots_per_run=512, runs=5, seed=77)
         dists = every_experiment([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1])
-        first, second = (estimate_batch(dists, cfg, [(0, 0), (0, 1)]) for _ in range(2))
+        first, second = (estimate_batch(dists, cfg) for _ in range(2))
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
 
     def test_streams_are_independent(self):
+        # two identical points in one batch draw different counts
         cfg = ShotConfig(shots_per_run=512, runs=2, seed=77)
-        _, _, per_run = estimate_batch(every_experiment([0.25] * 4, [0.25] * 4), cfg, [(0,), (1,)])
+        _, _, per_run = estimate_batch(every_experiment([0.25] * 4, [0.25] * 4), cfg)
         assert not np.array_equal(per_run[0], per_run[1])
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -247,10 +248,26 @@ class TestSampling:
     def test_seed_range_ends_accepted(self):
         dists = every_experiment([0.5, 0.5, 0.0, 0.0])
         first, last = (
-            estimate_batch(dists, ShotConfig(shots_per_run=64, runs=2, seed=seed), [()])[2]
+            estimate_batch(dists, ShotConfig(shots_per_run=64, runs=2, seed=seed))[2]
             for seed in (0, 2**64 - 1)
         )
         assert not np.array_equal(first, last)
+
+    @pytest.mark.parametrize("p", [0.0, 0.02, 0.09017, 0.5, 1.0])
+    def test_binomial_moments(self, p):
+        # the fourth experiment's flagged outcome is 0; its per-run counts
+        # over many identical points are samples of Binomial(shots, p)
+        shots, runs, points = 8192, 10, 2000
+        rest = (1.0 - p) / 3.0
+        dists = every_experiment(*[[p, rest, rest, rest]] * points)
+        _, _, per_run = estimate_batch(dists, ShotConfig(shots, runs, seed=4))
+        counts = (per_run * shots).ravel()  # shots is a power of 2: exact
+        n = counts.size
+        mean, var = shots * p, shots * p * (1.0 - p)
+        mu4 = var * (1.0 + 3.0 * (shots - 2) * p * (1.0 - p))  # binomial 4th central moment
+        var_of_var = (mu4 - var**2 * (n - 3) / (n - 1)) / n  # of the unbiased sample variance
+        assert abs(counts.mean() - mean) <= 5.0 * math.sqrt(var / n)
+        assert abs(counts.var(ddof=1) - var) <= 5.0 * math.sqrt(var_of_var)
 
     def test_frequency_convergence(self):
         dist = np.array([0.6, 0.25, 0.1, 0.05])
@@ -258,7 +275,7 @@ class TestSampling:
         n = 8192 * 10
         dists = every_experiment(dist)
         for seed in range(5):
-            eps, _, _ = estimate_batch(dists, ShotConfig(runs=10, seed=seed), [()])
+            eps, _, _ = estimate_batch(dists, ShotConfig(runs=10, seed=seed))
             bound = 6 * np.sqrt(flagged * (1 - flagged) / n)
             assert np.all(np.abs(eps[0] - flagged) <= bound)
 
@@ -274,6 +291,16 @@ class TestSampling:
             ShotConfig(shots_per_run=0)
         with pytest.raises(ValueError):
             ShotConfig(runs=0)
+
+    def test_pooled_count_limit(self):
+        # pooled counts are int64: a total of 2**63 shots or more would wrap
+        for shots, runs in ((2**62, 2), (2**63 - 1, 3), (10**20, 1)):
+            with pytest.raises(ValueError, match=r"shots_per_run \* runs must be < 2\*\*63"):
+                ShotConfig(shots_per_run=shots, runs=runs)
+        cfg = ShotConfig(shots_per_run=2**63 - 1, runs=1)
+        eps, _, per_run = estimate_batch(every_experiment([1.0, 0.0, 0.0, 0.0]), cfg)
+        np.testing.assert_array_equal(eps[0, [0, 3]], [1.0, 1.0])
+        np.testing.assert_array_equal(per_run, [[1.0]])
 
 
 class TestStatisticalError:
@@ -300,17 +327,15 @@ class TestEpsilonEstimates:
         cfg = ShotConfig(shots_per_run=shots, runs=runs, seed=5)
         noise = NoiseModel.default_profile()
         dists = experiment_distributions([0.9], [0.9], noise)
-        eps, err, per_run = estimate_batch(dists, cfg, [()])
+        eps, err, per_run = estimate_batch(dists, cfg)
         hits = eps * (runs * shots)
         np.testing.assert_array_equal(hits, np.round(hits))
         assert abs(eps[0, 3] - per_run[0].mean()) < 1e-15
         np.testing.assert_array_equal(err, statistical_error(eps, runs, shots))
         assert per_run.shape == (1, runs)
-        # a single point (probe) is the sweep's batch of one with stream base ()
+        # a single point (probe) is the sweep's batch of one
         angle_deg = math.degrees(0.9)  # converts back to exactly 0.9
-        table, single_err, single_per_run = measure_points(
-            [angle_deg], [angle_deg], noise, cfg, [()]
-        )
+        table, single_err, single_per_run = measure_points([angle_deg], [angle_deg], noise, cfg)
         for single, batched in zip((table.eps, single_err, single_per_run), (eps, err, per_run)):
             np.testing.assert_array_equal(single, batched)
 
@@ -324,7 +349,7 @@ class TestEpsilonEstimates:
     def test_range_validation(self):
         # exact-mode estimates stay in [0, 1] despite rounding in the engine
         dists = every_experiment([-1e-17, 1.0, 0.0, 0.0], [1.0 + 1e-16, 0.0, 0.0, 0.0])
-        eps, err, _ = estimate_batch(dists, None, [(), ()])
+        eps, err, _ = estimate_batch(dists, None)
         np.testing.assert_array_equal(eps[0, [0, 3]], [0.0, 0.0])
         np.testing.assert_array_equal(eps[1, [0, 3]], [1.0, 1.0])
         np.testing.assert_array_equal(err, np.zeros((2, 4)))

@@ -132,6 +132,19 @@ class TestDiagonalSweep:
         table = diagonal_sweep([50.0, 10.0, 70.0], NoiseModel.none(), None)
         assert table.theta_deg.tolist() == [50.0, 10.0, 70.0]
 
+    def test_one_generator_per_sampled_sweep(self, monkeypatch):
+        default_rng, built = np.random.default_rng, []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        points = diagonal_points(0, 90, 0.25)
+        table = diagonal_sweep(points, NoiseModel.default_profile(), ShotConfig(seed=3))
+        assert len(table) == 361
+        assert built == [(3,)]
+
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
             diagonal_sweep([], NoiseModel.none(), None)
