@@ -12,6 +12,13 @@ CNOT, rho -> (1 - p2) rho + p2 I/4.  A terminal per-qubit readout confusion
 acts on the final diagonal.  The noiseless case is the same engine with
 zero rates.  Inputs are validated where they enter (NoiseModel, the CLI);
 the engine checks only its final distributions, never an intermediate step.
+
+`evolve` applies this model in exactly merged form, by the same section's
+identities: per segment between CNOTs, one product of each qubit's gates
+and one channel at the composed rate 1 - (1 - p1)^n; for the call, one
+deferred channel at 1 - (1 - p2)^k for its k CNOTs.  A 2x2 gate acts
+elementwise on the (..., 2, 2, 2, 2) view of rho, on the left and then,
+conjugated, on the right.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ FLAGGED_OUTCOME = (0, 1, 2, 0)
 # Final distributions must be non-negative and sum to 1 within this.
 DISTRIBUTION_TOL = 1e-9
 
-_EYE_2 = np.eye(2)
 _CX_ORDER = [0, 1, 3, 2]  # CNOT as a basis permutation: |10> <-> |11>
 # Index blocks that pair up the two values of one qubit, by qubit.
 _BLOCKS = {
@@ -48,21 +54,45 @@ def ground_state(shape=()) -> np.ndarray:
     return rho
 
 
-def _on_qubit(u, qubit: int) -> np.ndarray:
-    """(..., 4, 4) operator acting as the (..., 2, 2) gate `u` on `qubit`."""
-    if qubit == 1:
-        full = np.einsum("...ij,kl->...ikjl", u, _EYE_2)
-    elif qubit == 0:
-        full = np.einsum("ij,...kl->...ikjl", _EYE_2, u)
-    else:
+def _contract(m, r, axis: int, block: int):
+    """sum_j m[..., i, j] r[..., j, ...]: the (..., 2, 2) matrix `m` on one axis of `r`.
+
+    `axis` counts back from the end of the last `block` axes of `r`, each of
+    size 2; the batch axes of `m` and `r` broadcast.  Two elementwise
+    products, no stacked matmul.
+    """
+    before = (None,) * (block + axis)
+    after = (None,) * (-1 - axis)
+    rest = (slice(None),) * (-1 - axis)
+    column = [m[(Ellipsis, *before, slice(None), j, *after)] for j in (0, 1)]
+    half = [r[(Ellipsis, slice(j, j + 1), *rest)] for j in (0, 1)]
+    return column[0] * half[0] + column[1] * half[1]
+
+
+def _row_axis(u, qubit: int) -> int:
+    """Axis of `qubit`'s row index in a (..., 2, 2, 2, 2) view; rejects non-2x2 `u`."""
+    if qubit not in (0, 1):
         raise ValueError(f"qubit must be 0 or 1, got {qubit!r}")
-    return full.reshape(full.shape[:-4] + (4, 4))
+    if np.shape(u)[-2:] != (2, 2):
+        raise ValueError(f"one-qubit gate must be (..., 2, 2), got shape {np.shape(u)}")
+    return -3 - qubit
+
+
+def _split(op) -> np.ndarray:
+    """(..., 4, 4) as its (..., 2, 2, 2, 2) view: Alice row, Bob row, Alice column, Bob column."""
+    return op.reshape(op.shape[:-2] + (2, 2, 2, 2))
+
+
+def _join(view) -> np.ndarray:
+    """Inverse of `_split`."""
+    return view.reshape(view.shape[:-4] + (4, 4))
 
 
 def apply_one_qubit(rho, u, qubit: int) -> np.ndarray:
     """rho -> U rho U^dag with U = `u` on `qubit`, identity on the other."""
-    full = _on_qubit(u, qubit)
-    return full @ rho @ np.conj(np.swapaxes(full, -1, -2))
+    row = _row_axis(u, qubit)
+    left = _contract(u, _split(rho), row, 4)
+    return _join(_contract(np.conj(u), left, row + 2, 4))
 
 
 def apply_cx(rho) -> np.ndarray:
@@ -90,14 +120,34 @@ def depolarize_two(rho, p: float) -> np.ndarray:
 
 
 def evolve(rho, steps, noise) -> np.ndarray:
-    """Run circuit steps on rho, each followed by its depolarizing channel."""
-    for step in steps:
-        if step is CX:
-            rho = depolarize_two(apply_cx(rho), noise.p2)
+    """Run circuit steps on rho, each followed by its depolarizing channel.
+
+    Applied in exactly merged form.  Between CNOTs, each qubit's gates are
+    multiplied into one 2x2 matrix, applied once, then followed by one
+    depolarizing channel at the composed rate 1 - (1 - p1)^n: the channel
+    commutes with gates on the other qubit and is covariant under gates on
+    its own.  The post-CNOT channels commute with every unitary and with the
+    one-qubit channel, so all k of them become one at 1 - (1 - p2)^k, last.
+    """
+    segment = {}  # qubit -> (product of its gates since the last CNOT, count)
+    cx_count = 0
+    for step in (*steps, None):  # None closes the last segment
+        if step is CX or step is None:
+            for qubit, (u, count) in segment.items():
+                rho = apply_one_qubit(rho, u, qubit)
+                rho = depolarize_one(rho, 1.0 - (1.0 - noise.p1) ** count, qubit)
+            segment = {}
+            if step is CX:
+                rho = apply_cx(rho)
+                cx_count += 1
         else:
             qubit, u = step
-            rho = depolarize_one(apply_one_qubit(rho, u, qubit), noise.p1, qubit)
-    return rho
+            if qubit in segment:
+                product, count = segment[qubit]
+                segment[qubit] = (_contract(u, product, -2, 2), count + 1)
+            else:
+                segment[qubit] = (u, 1)
+    return depolarize_two(rho, 1.0 - (1.0 - noise.p2) ** cx_count)
 
 
 def steps_unitary(steps) -> np.ndarray:
@@ -108,7 +158,7 @@ def steps_unitary(steps) -> np.ndarray:
             total = total[..., _CX_ORDER, :]
         else:
             qubit, u = step
-            total = _on_qubit(u, qubit) @ total
+            total = _join(_contract(u, _split(total), _row_axis(u, qubit), 4))
     return total
 
 

@@ -114,12 +114,16 @@ class ReducedComparison:
 
 
 def grid_degrees(start: float, stop: float, step: float) -> np.ndarray:
-    """Inclusive degree grid start, start+step, ..., stop."""
+    """Inclusive degree grid start, start+step, ..., stop; never beyond stop.
+
+    Whole steps that fit (within 1e-9 of a step) come first; when the last
+    of them falls short of stop, stop itself is appended.
+    """
     if step <= 0:
         raise ValueError("step must be positive")
     if stop < start:
         raise ValueError("stop must be >= start")
-    count = int(round((stop - start) / step))
+    count = math.floor((stop - start) / step + 1e-9)
     points = start + step * np.arange(count + 1)
     if points[-1] < stop - 1e-9:
         points = np.append(points, stop)

@@ -73,20 +73,24 @@ def circuit(theta, phi, a_index, b_index):
     return steps
 
 
+def run_steps(rho, steps, p1, p2):
+    """Apply each (gate, target) step, then its depolarizing Kraus channel, in order."""
+    for gate, target in steps:
+        rho = kraus_channel(rho, [gate], target)
+        if target is BOTH:
+            rho = kraus_channel(rho, depolarizing_kraus(p2, 2), BOTH)
+        else:
+            rho = kraus_channel(rho, depolarizing_kraus(p1, 1), target)
+    return rho
+
+
 def final_states(theta, phi, p1, p2):
     """Final density matrices, shape (4, 4, 4), of the experiments in SETTINGS."""
-    states = []
-    for a_index, b_index in SETTINGS:
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0] = 1.0
-        for gate, target in circuit(theta, phi, a_index, b_index):
-            rho = kraus_channel(rho, [gate], target)
-            if target is BOTH:
-                rho = kraus_channel(rho, depolarizing_kraus(p2, 2), BOTH)
-            else:
-                rho = kraus_channel(rho, depolarizing_kraus(p1, 1), target)
-        states.append(rho)
-    return np.array(states)
+    ground = np.zeros((4, 4), dtype=complex)
+    ground[0, 0] = 1.0
+    return np.array(
+        [run_steps(ground, circuit(theta, phi, a, b), p1, p2) for a, b in SETTINGS]
+    )
 
 
 def distributions(theta, phi, p1, p2, readout0, readout1):

@@ -315,6 +315,23 @@ class TestSweepCommand:
         )
         assert abs(best - 0.0902) < 1e-3
 
+    @pytest.mark.parametrize("mode", ["diagonal", "surface"])
+    def test_uneven_step_stops_at_to(self, tmp_path, mode):
+        # 10 / 0.6 = 16.7 steps: rounding would end at 10.2; whole steps end
+        # at 9.6, then --to itself
+        path = tmp_path / "uneven.csv"
+        code, _ = run_cli(
+            ["sweep", mode, "--from", "0", "--to", "10", "--step", "0.6",
+             "--noise", "none", "--shots", "0", "--out", str(path)]
+        )
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        thetas = [float(row[0]) for row in rows]
+        phis = [float(row[1]) for row in rows]
+        assert max(thetas) == max(phis) == 10.0
+        assert thetas[-1] == phis[-1] == 10.0
+        assert sorted(set(thetas))[-2] == pytest.approx(9.6)
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["sweep", "diagonal", "--from", "0", "--to", "90", "--step", "15",
                 "--noise", "default", "--seed", "42", "--out"]
@@ -494,6 +511,35 @@ class TestValidateCommand:
         results = {name: ok for name, ok, _ in run_validation_suites(coupling_lambda_scale=1.02)}
         assert results["coupling-decomposition"] is False
         assert results["beam-splitter-anchor"] is True
+
+    def test_grid_is_one_engine_batch(self, monkeypatch):
+        import hardysim.selftest as selftest_mod
+
+        engine_call, batches = selftest_mod.experiment_distributions, []
+
+        def counting(theta, phi, noise):
+            batches.append(len(theta))
+            return engine_call(theta, phi, noise)
+
+        monkeypatch.setattr(selftest_mod, "experiment_distributions", counting)
+        results = run_validation_suites()
+        assert all(ok for _, ok, _ in results)
+        assert batches == [37 * 37]
+
+    def test_perturbed_flagged_entry_fails_zero_suite(self, monkeypatch):
+        import hardysim.selftest as selftest_mod
+
+        engine_call = selftest_mod.experiment_distributions
+
+        def perturbed(theta, phi, noise):
+            dists = engine_call(theta, phi, noise).copy()
+            dists[700, 1, 1] += 1e-9  # second experiment's flagged outcome |01>
+            return dists
+
+        monkeypatch.setattr(selftest_mod, "experiment_distributions", perturbed)
+        results = {name: ok for name, ok, _ in run_validation_suites()}
+        assert results["hardy-zero-probabilities"] is False
+        assert results["analytic-q-equivalence"] is True
 
     def test_validation_exit_code_path(self, monkeypatch):
         import hardysim.cli as cli_mod

@@ -102,6 +102,16 @@ class TestDiagonalPoints:
         assert substitute_singular(270.0) == 269.99
         assert substitute_singular(45.0) == 45.0
 
+    def test_grid_never_passes_stop(self):
+        assert grid_degrees(0, 1, 0.6).tolist() == [0.0, 0.6, 1.0]
+        for start, stop, step in [(0, 90, 0.7), (0, 90, 5), (0, 0.3, 0.1), (10, 11, 0.35)]:
+            points = grid_degrees(start, stop, step)
+            assert points[0] == start
+            assert points[-1] == pytest.approx(stop, abs=1e-12)
+            assert np.all(np.diff(points) > 0) and np.all(np.diff(points) <= step + 1e-12)
+        assert len(grid_degrees(0, 90, 5)) == 19
+        assert len(grid_degrees(0, 90, 0.25)) == 361
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             grid_degrees(0, 10, 0)
