@@ -7,13 +7,14 @@ swept axis directly.  The CSV interface is fixed:
     theta_deg,phi_deg,q_theory,eps1,eps2,eps3,eps5,eps4_est,stat_err,class
 
 one row per grid point, decimal points, at least six significant digits.
+write_csv emits unquoted rows with LF endings; read_csv parses every data
+row with numpy's C tokenizer (np.loadtxt) and also accepts CRLF or CR
+endings, double-quoted fields and blank lines.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +34,10 @@ from .noise import NoiseModel, ShotConfig, estimate_batch
 CSV_HEADER = "theta_deg,phi_deg,q_theory,eps1,eps2,eps3,eps5,eps4_est,stat_err,class"
 _HEADER_FIELDS = CSV_HEADER.split(",")
 _PROBABILITY_FIELDS = ("q_theory", "eps1", "eps2", "eps3", "eps5")
+_ROW_DTYPE = np.dtype([("values", np.float64, (9,)), ("kind", object)])
+_CLASS_NAMES = np.array(CLASSES)
+_SENTINEL = "0,0,0,0,0,0,0,0,0,PS"  # a valid row; see _parse
+_BLOCK_LINES = 8192  # read_csv parses this many lines per loadtxt call
 
 # Reference angle (degrees) for the peak measure: the diagonal parameter
 # maximizing q, quoted at the customary 51.827.
@@ -336,41 +341,43 @@ def write_csv(table: SweepTable, path) -> None:
 def read_csv(path) -> SweepTable:
     """Parse a sweep CSV back into a table.
 
-    Every numeric field must be finite, and q_theory and eps1..eps5 must lie
-    in [0, 1].  The eps4_est column is redundant (eps5 - q_theory); it is
+    Lines end in LF, CRLF or CR.  Fields are separated by commas and may be
+    enclosed in double quotes; a quoted field ends on its own line.  Blank
+    lines are skipped but counted in line numbers; there are no comment
+    lines.  Numbers use numpy's float syntax (no digit separators).  Every
+    numeric field must be finite, and q_theory and eps1..eps5 must lie in
+    [0, 1].  The eps4_est column is redundant (eps5 - q_theory); it is
     checked for consistency and the exact difference is used.  A bad file is
     reported at its earliest bad line.
     """
-    values, kinds, linenos = array("d"), [], array("q")
-    failure = None  # a line that could not be parsed; earlier lines are checked first
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            for lineno, record in enumerate(csv.reader(handle), start=1):
-                if lineno == 1:
-                    if record != _HEADER_FIELDS:
-                        raise SweepCsvError(1, f"bad header {record!r}")
-                    continue
-                if not record:
-                    continue
-                if len(record) != len(_HEADER_FIELDS):
-                    failure = SweepCsvError(
-                        lineno, f"expected {len(_HEADER_FIELDS)} fields, got {len(record)}"
-                    )
-                    break
-                try:
-                    values.fromlist([float(v) for v in record[:9]])
-                except ValueError as exc:
-                    failure = SweepCsvError(lineno, f"non-numeric field ({exc})")
-                    break
-                kinds.append(record[9])
-                linenos.append(lineno)
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise SweepCsvError(0, f"cannot read {path}: {exc}") from exc
-    data = np.frombuffer(values).reshape(-1, 9)
+    if lines != [""] and (header := _fields(lines[0])) != _HEADER_FIELDS:
+        raise SweepCsvError(1, f"bad header {header!r}")
+    # 1-based line numbers of the non-empty data lines, which alone are parsed
+    lengths = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
+    linenos = np.flatnonzero(lengths[1:]) + 2
+    records = list(filter(None, lines[1:]))
+    rows = np.empty(len(records), _ROW_DTYPE)
+    failure = None
+    for start in range(0, len(records), _BLOCK_LINES):
+        block = records[start:start + _BLOCK_LINES]
+        parsed = _parse(block)
+        if parsed is None:
+            bad = _first_bad(block)
+            rows = rows[:start + bad]
+            rows[start:] = _parse(block[:bad])
+            failure = SweepCsvError(int(linenos[start + bad]), _fault(block[bad]))
+            break
+        rows[start:start + len(block)] = parsed
+    data, kinds = rows["values"], rows["kind"]
     _check_rows(data, kinds, linenos)
     if failure is not None:
         raise failure
-    if not kinds:
+    if not len(rows):
         raise SweepCsvError(1, "no data rows")
     return SweepTable(
         theta_deg=data[:, 0],
@@ -378,8 +385,65 @@ def read_csv(path) -> SweepTable:
         q=data[:, 2],
         eps=data[:, 3:7],
         stat_err=data[:, 8],
-        kind=np.array(kinds),
+        kind=kinds.astype(_CLASS_NAMES.dtype),
     )
+
+
+def _loadtxt(lines, dtype, **kwargs) -> np.ndarray:
+    """numpy's C tokenizer over lines with the sweep CSV's syntax."""
+    return np.loadtxt(
+        lines, delimiter=",", dtype=dtype, comments=None, quotechar='"', ndmin=1, **kwargs
+    )
+
+
+def _fields(line: str) -> list[str]:
+    """The fields of one line, unquoted."""
+    return _loadtxt([line], object).tolist() if line else []
+
+
+def _parse(lines: list[str]) -> np.ndarray | None:
+    """Rows of non-empty lines as a _ROW_DTYPE array, or None if any line is bad.
+
+    A line is bad when it does not hold ten fields, when one of its first nine
+    fields is not a number, or when a quoted field is still open at its end.
+    The valid sentinel row appended last finds the open quote: it is swallowed
+    into the quoted field, so the row count comes out short, or the row it
+    ends fails to parse.
+    """
+    try:
+        rows = _loadtxt([*lines, _SENTINEL], _ROW_DTYPE)
+    except ValueError:
+        return None
+    return rows[:-1] if len(rows) == len(lines) + 1 else None
+
+
+def _first_bad(lines: list[str]) -> int:
+    """Index of the first bad line of lines that _parse rejects, by bisection.
+
+    Whether a line is bad does not depend on the lines around it (a good line
+    closes its quotes), so a half is rejected exactly when it holds a bad line.
+    """
+    lo, hi = 0, len(lines)  # lines[:lo] are good; lines[lo:hi] hold a bad line
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _parse(lines[lo:mid]) is None:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def _fault(line: str) -> str:
+    """Why _parse rejects this one line."""
+    fields = _fields(line)
+    if len(fields) != len(_HEADER_FIELDS):
+        return f"expected {len(_HEADER_FIELDS)} fields, got {len(fields)}"
+    for column, field in enumerate(fields[:9]):
+        try:
+            _loadtxt([line], np.float64, usecols=column)
+        except ValueError:
+            return f"non-numeric field (could not convert string to float: {field!r})"
+    return "quoted field not closed on its line"
 
 
 def _check_rows(data, kinds, linenos) -> None:
@@ -391,13 +455,13 @@ def _check_rows(data, kinds, linenos) -> None:
     finite = np.isfinite(data)
     probabilities = data[:, 2:7]
     in_range = (probabilities >= 0.0) & (probabilities <= 1.0)
-    known = np.array([kind in CLASSES for kind in kinds], dtype=bool)
+    known = np.isin(kinds, _CLASS_NAMES)
     consistent = ~(np.abs(data[:, 7] - (data[:, 6] - data[:, 2])) > 1e-6)
     good = finite.all(axis=1) & in_range.all(axis=1) & known & consistent
     if good.all():
         return
     row = int(np.argmin(good))
-    line = linenos[row]
+    line = int(linenos[row])
     if not finite[row].all():
         raise SweepCsvError(line, f"non-finite {_HEADER_FIELDS[int(np.argmin(finite[row]))]}")
     if not in_range[row].all():

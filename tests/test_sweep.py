@@ -1,12 +1,18 @@
 """Sweep, metrics, reduced-circuit, and CSV-format tests."""
 
 import dataclasses
+import io
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hardysim.hardy import analytic_q, classify
+from hardysim import sweep
+from hardysim.cli import EXIT_IO, EXIT_OK, main
+from hardysim.hardy import CLASSES, analytic_q, classify
 from hardysim.noise import NoiseModel, ShotConfig
 from hardysim.sweep import (
     CSV_HEADER,
@@ -49,6 +55,29 @@ def concat(*tables) -> SweepTable:
         np.concatenate([getattr(t, field.name) for t in tables])
         for field in dataclasses.fields(SweepTable)
     ))
+
+
+def edit_line(index, change):
+    """Text edit applying change to line `index` (0 is the header) of LF-ended CSV text."""
+    def edit(text):
+        lines = text.split("\n")
+        lines[index] = change(lines[index])
+        return "\n".join(lines)
+    return edit
+
+
+def set_field(column, value):
+    """Line edit replacing the field at `column` with value."""
+    def change(line):
+        fields = line.split(",")
+        fields[column] = value
+        return ",".join(fields)
+    return change
+
+
+def nine_digits(values):
+    """The float each value reads back as after the writer's .9g formatting."""
+    return np.array([float(format(v, ".9g")) for v in np.ravel(values).tolist()])
 
 
 def q_grid(theta_deg, phi_deg):
@@ -476,3 +505,138 @@ class TestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SweepCsvError, match="cannot read"):
             read_csv(tmp_path / "nope.csv")
+
+    # Input forms that numpy's tokenizer could read differently from the
+    # csv module.  Each gives the outcome the csv-module reader gave: the
+    # same table, or the same exit code, line and message prefix.
+    PARITY_CASES = {
+        "crlf_endings": (lambda text: text.replace("\n", "\r\n"), None),
+        "cr_endings": (lambda text: text.replace("\n", "\r"), None),
+        "quoted_fields": (lambda text: re.sub(r"[^,\n]+", r'"\g<0>"', text), None),
+        "hash_is_no_comment": (edit_line(2, lambda line: "#" + line),
+                               (3, "non-numeric field (")),
+        "whitespace_only_line": (edit_line(2, lambda line: " \t"),
+                                 (3, "expected 10 fields, got 1")),
+        "trailing_comma": (edit_line(2, lambda line: line + ","),
+                           (3, "expected 10 fields, got 11")),
+        "empty_numeric_field": (edit_line(2, set_field(0, "")), (3, "non-numeric field (")),
+        "class_trailing_space": (edit_line(2, set_field(9, "NMES ")),
+                                 (3, "unknown class 'NMES '")),
+        "form_feed_stays_in_class": (edit_line(2, set_field(9, "NMES\x0c")),
+                                     (3, "unknown class 'NMES\\x0c'")),
+        "header_without_newline": (lambda text: CSV_HEADER, (1, "no data rows")),
+        "empty_file": (lambda text: "", (1, "no data rows")),
+    }
+
+    @pytest.mark.parametrize("case", PARITY_CASES)
+    def test_input_form_parity(self, tmp_path, case):
+        edit, expected = self.PARITY_CASES[case]
+        plain = rows_to_csv(table_of(synthetic_row(t, 0.1) for t in (40.0, 51.827, 60.0)))
+        path, plain_path = tmp_path / "in.csv", tmp_path / "plain.csv"
+        path.write_bytes(edit(plain).encode("utf-8"))
+        plain_path.write_bytes(plain.encode("utf-8"))
+        code = main(["metrics", "--in", str(path)], out=io.StringIO())
+        if expected is None:
+            back, reference = read_csv(path), read_csv(plain_path)
+            for field in dataclasses.fields(SweepTable):
+                np.testing.assert_array_equal(getattr(back, field.name),
+                                              getattr(reference, field.name))
+            assert code == EXIT_OK
+            return
+        line, prefix = expected
+        with pytest.raises(SweepCsvError) as info:
+            read_csv(path)
+        assert info.value.line == line
+        assert str(info.value).startswith(f"line {line}: {prefix}")
+        assert code == EXIT_IO
+
+    def test_digit_separator_is_non_numeric(self, tmp_path):
+        # float() reads "1_0" as 10; numpy's float syntax has no separators
+        path = tmp_path / "bad.csv"
+        text = rows_to_csv(table_of(synthetic_row(t, 0.1) for t in (10.0, 20.0)))
+        path.write_text(edit_line(2, set_field(0, "1_0"))(text))
+        with pytest.raises(SweepCsvError,
+                           match=re.escape("line 3: non-numeric field (could not convert "
+                                           "string to float: '1_0')")):
+            read_csv(path)
+
+    def test_quoted_field_must_close_on_its_line(self, tmp_path):
+        # the quote would otherwise swallow line 4 into line 3's class field
+        path = tmp_path / "bad.csv"
+        text = rows_to_csv(table_of(synthetic_row(t, 0.1) for t in (10.0, 20.0, 30.0)))
+        path.write_text(edit_line(2, set_field(9, '"NMES'))(text))
+        with pytest.raises(SweepCsvError, match="line 3: quoted field not closed on its line"):
+            read_csv(path)
+
+    def test_non_numeric_line_before_out_of_range_line(self, tmp_path):
+        table = table_of(synthetic_row(t, 0.1) for t in (10.0, 20.0, 30.0, 40.0))
+        text = edit_line(2, set_field(0, "ten"))(rows_to_csv(table))
+        text = edit_line(4, set_field(3, "1.5"))(text)
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(SweepCsvError, match="line 3: non-numeric field"):
+            read_csv(path)
+
+    def test_earliest_bad_line_across_blocks(self, tmp_path):
+        # longer than one parse block, so the bad last line sits in a later block
+        rows = sweep._BLOCK_LINES + 100
+        table = table_of(synthetic_row(t, 0.1) for t in np.linspace(1.0, 89.0, rows))
+        lines = rows_to_csv(table).splitlines()
+        lines[-1] = "1,2,3"
+        lines.insert(rows // 2, "")  # blank lines count toward line numbers
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SweepCsvError, match=f"line {rows + 2}: expected 10 fields, got 3"):
+            read_csv(path)
+        lines[2] = set_field(2, "1.5")(lines[2])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SweepCsvError, match="line 3: q_theory=1.5 outside"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("fault,message", [
+        (set_field(4, "x"), "non-numeric field (could not convert string to float: 'x')"),
+        (lambda line: line + ",1", "expected 10 fields, got 11"),
+        (set_field(9, '"NMES'), "quoted field not closed on its line"),
+    ])
+    def test_bad_line_found_at_every_position(self, tmp_path, monkeypatch, block, fault,
+                                              message):
+        monkeypatch.setattr(sweep, "_BLOCK_LINES", block)
+        table = table_of(synthetic_row(t, 0.1) for t in range(10, 90, 10))
+        clean = rows_to_csv(table).split("\n")
+        clean.insert(4, "")  # data lines 2-4, a blank line 5, data lines 6-10
+        path = tmp_path / "bad.csv"
+        for index, line in enumerate(clean):
+            if index == 0 or not line:
+                continue
+            lines = list(clean)
+            lines[index] = fault(line)
+            path.write_text("\n".join(lines))
+            with pytest.raises(SweepCsvError) as info:
+                read_csv(path)
+            assert str(info.value) == f"line {index + 1}: {message}"
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 3000),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from([0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308]),
+                 max_size=20),
+    )
+    @example(3, 0, [0.0, 1.0, 5e-324])
+    def test_round_trip_is_exact_at_nine_digits(self, tmp_path_factory, rows, seed, specials):
+        rng = np.random.default_rng(seed)
+        values = rng.random((rows, 8))
+        for value in specials:
+            values[rng.integers(rows), rng.integers(8)] = value
+        kind = np.array(CLASSES)[rng.integers(len(CLASSES), size=rows)]
+        table = SweepTable(values[:, 0], values[:, 1], values[:, 2], values[:, 3:7],
+                           values[:, 7], kind)
+        path = tmp_path_factory.mktemp("round_trip") / "sweep.csv"
+        write_csv(table, path)
+        back = read_csv(path)
+        for name in ("theta_deg", "phi_deg", "q", "eps", "stat_err"):
+            np.testing.assert_array_equal(np.ravel(getattr(back, name)),
+                                          nine_digits(getattr(table, name)))
+        assert back.kind.tolist() == kind.tolist()
+        assert back.kind.dtype == kind.dtype
