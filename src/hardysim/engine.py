@@ -16,9 +16,19 @@ the engine checks only its final distributions, never an intermediate step.
 `evolve` applies this model in exactly merged form, by the same section's
 identities: per segment between CNOTs, one product of each qubit's gates
 and one channel at the composed rate 1 - (1 - p1)^n; for the call, one
-deferred channel at 1 - (1 - p2)^k for its k CNOTs.  A 2x2 gate acts
-elementwise on the (..., 2, 2, 2, 2) view of rho, on the left and then,
-conjugated, on the right.
+deferred channel at 1 - (1 - p2)^k for its k CNOTs.
+
+Inside the engine rho is stored batch-last, shape (2, 2, 2, 2, *batch):
+Alice row, Bob row, Alice column, Bob column, then the batch axes, so every
+operation is a few ufunc calls over contiguous runs of the batch.  A 2x2
+gate is held as its four entries (arrays over the batch, or scalars for
+fixed gates), and one kernel, `_act`, applies it to one axis:
+out[i] = m[i][0] r[0] + m[i][1] r[1], written into the halves of a new
+state.  A gate acts on its qubit's row axis, then with conjugated entries
+on the matching column axis; gate products multiply the entry lists; CX is
+a fixed permutation of rows and columns; the channels act in closed form,
+in place, on the same view.  The public functions take and return the (..., 4, 4) layout
+and convert once on the way in and once on the way out.
 """
 
 from __future__ import annotations
@@ -40,11 +50,21 @@ FLAGGED_OUTCOME = (0, 1, 2, 0)
 DISTRIBUTION_TOL = 1e-9
 
 _CX_ORDER = [0, 1, 3, 2]  # CNOT as a basis permutation: |10> <-> |11>
-# Index blocks that pair up the two values of one qubit, by qubit.
-_BLOCKS = {
-    0: (slice(0, 4, 2), slice(1, 4, 2)),
-    1: (slice(0, 2), slice(2, 4)),
-}
+# CX as a permutation of the 16 (row, column) pairs, 4 row + column: of the
+# rows alone (CX U) and of rows and columns (CX rho CX).
+_CX_ROWS = [4 * row + column for row in _CX_ORDER for column in range(4)]
+_CX_BOTH = [4 * row + column for row in _CX_ORDER for column in _CX_ORDER]
+_ALL = slice(None)
+
+
+def _index(axis: int, value: int) -> tuple:
+    """Index of `value` on one of the four leading axes of a batch-last state."""
+    return (_ALL,) * axis + (value,)
+
+
+def _diagonal_block(qubit: int, value: int) -> tuple:
+    """Index of the block where `qubit` has `value` in both the row and the column."""
+    return (_ALL, value, _ALL, value) if qubit == 0 else (value, _ALL, value)
 
 
 def ground_state(shape=()) -> np.ndarray:
@@ -54,69 +74,132 @@ def ground_state(shape=()) -> np.ndarray:
     return rho
 
 
-def _contract(m, r, axis: int, block: int):
-    """sum_j m[..., i, j] r[..., j, ...]: the (..., 2, 2) matrix `m` on one axis of `r`.
-
-    `axis` counts back from the end of the last `block` axes of `r`, each of
-    size 2; the batch axes of `m` and `r` broadcast.  Two elementwise
-    products, no stacked matmul.
-    """
-    before = (None,) * (block + axis)
-    after = (None,) * (-1 - axis)
-    rest = (slice(None),) * (-1 - axis)
-    column = [m[(Ellipsis, *before, slice(None), j, *after)] for j in (0, 1)]
-    half = [r[(Ellipsis, slice(j, j + 1), *rest)] for j in (0, 1)]
-    return column[0] * half[0] + column[1] * half[1]
+def _entries(u) -> tuple:
+    """A (..., 2, 2) gate as its entries ((u00, u01), (u10, u11)), each over the batch."""
+    shape = np.shape(u)
+    if shape[-2:] != (2, 2):
+        raise ValueError(f"one-qubit gate must be (..., 2, 2), got shape {shape}")
+    u = np.asarray(u)
+    if u.ndim == 2:
+        return ((u[0, 0], u[0, 1]), (u[1, 0], u[1, 1]))
+    return tuple(tuple(np.ascontiguousarray(u[..., i, j]) for j in (0, 1)) for i in (0, 1))
 
 
-def _row_axis(u, qubit: int) -> int:
-    """Axis of `qubit`'s row index in a (..., 2, 2, 2, 2) view; rejects non-2x2 `u`."""
-    if qubit not in (0, 1):
-        raise ValueError(f"qubit must be 0 or 1, got {qubit!r}")
-    if np.shape(u)[-2:] != (2, 2):
-        raise ValueError(f"one-qubit gate must be (..., 2, 2), got shape {np.shape(u)}")
-    return -3 - qubit
+def _times(a, b) -> tuple:
+    """Product a b of two gates held as entry lists."""
+    return tuple(
+        tuple(a[i][0] * b[0][k] + a[i][1] * b[1][k] for k in (0, 1)) for i in (0, 1)
+    )
 
 
-def _split(op) -> np.ndarray:
-    """(..., 4, 4) as its (..., 2, 2, 2, 2) view: Alice row, Bob row, Alice column, Bob column."""
-    return op.reshape(op.shape[:-2] + (2, 2, 2, 2))
-
-
-def _join(view) -> np.ndarray:
-    """Inverse of `_split`."""
-    return view.reshape(view.shape[:-4] + (4, 4))
-
-
-def apply_one_qubit(rho, u, qubit: int) -> np.ndarray:
-    """rho -> U rho U^dag with U = `u` on `qubit`, identity on the other."""
-    row = _row_axis(u, qubit)
-    left = _contract(u, _split(rho), row, 4)
-    return _join(_contract(np.conj(u), left, row + 2, 4))
-
-
-def apply_cx(rho) -> np.ndarray:
-    """rho -> CX rho CX, a fixed permutation of rows and columns."""
-    return rho[..., _CX_ORDER, :][..., _CX_ORDER]
-
-
-def depolarize_one(rho, p: float, qubit: int) -> np.ndarray:
-    """(1 - p) rho + p (I/2 on `qubit`) (x) (partial trace of rho over `qubit`)."""
-    if p == 0.0:
-        return rho
-    low, high = _BLOCKS[qubit]
-    reduced = rho[..., low, low] + rho[..., high, high]
-    out = (1.0 - p) * rho
-    out[..., low, low] += 0.5 * p * reduced
-    out[..., high, high] += 0.5 * p * reduced
+def _act(m, r, axis: int) -> np.ndarray:
+    """`m` applied to `axis` of the batch-last r: out[i] = m[i][0] r[0] + m[i][1] r[1]."""
+    low, high = r[_index(axis, 0)], r[_index(axis, 1)]
+    out = np.empty(r.shape, dtype=np.complex128)
+    for i in (0, 1):
+        part = out[_index(axis, i)]
+        np.multiply(m[i][0], low, out=part)
+        part += m[i][1] * high
     return out
 
 
-def depolarize_two(rho, p: float) -> np.ndarray:
-    """(1 - p) rho + p I/4."""
-    if p == 0.0:
-        return rho
-    return (1.0 - p) * rho + (0.25 * p) * np.eye(4)
+def _conjugate(m, r, qubit: int) -> np.ndarray:
+    """U r U^dag, with U = `m` on `qubit`: rows on axis 1 - qubit, columns on 3 - qubit."""
+    conj = tuple(tuple(np.conj(x) for x in row) for row in m)
+    return _act(conj, _act(m, r, 1 - qubit), 3 - qubit)
+
+
+def _batch_of(shapes, steps) -> tuple:
+    """Broadcast batch shape of the given shapes and every gate among `steps`."""
+    return np.broadcast_shapes(*shapes, *(np.shape(s[1])[:-2] for s in steps if s is not CX))
+
+
+def _qubit(step) -> int:
+    qubit = step[0]
+    if qubit not in (0, 1):
+        raise ValueError(f"qubit must be 0 or 1, got {qubit!r}")
+    return qubit
+
+
+def _broadcast(r, batch: tuple) -> np.ndarray:
+    """The batch-last r as a read-only view broadcast to `batch`.
+
+    Batch shapes align on the right, as in the (..., 4, 4) layout.
+    """
+    r = r.reshape((2, 2, 2, 2) + (1,) * (len(batch) + 4 - r.ndim) + r.shape[4:])
+    return np.broadcast_to(r, (2, 2, 2, 2) + batch)
+
+
+def _permute(r, pairs) -> np.ndarray:
+    """r with its 16 (row, column) entries reordered by one of the fixed CX permutations."""
+    return np.take(r.reshape((16,) + r.shape[4:]), pairs, axis=0).reshape(r.shape)
+
+
+# The channels update r in place: `_run` applies them only to arrays that a
+# gate or a permutation has just returned, never to its read-only input.
+def _depolarize_qubit(r, p: float, qubit: int) -> np.ndarray:
+    """(1 - p) r + p (I/2 on `qubit`) (x) (partial trace of r over `qubit`)."""
+    low, high = _diagonal_block(qubit, 0), _diagonal_block(qubit, 1)
+    reduced = (r[low] + r[high]) * (0.5 * p)
+    r *= 1.0 - p
+    r[low] += reduced
+    r[high] += reduced
+    return r
+
+
+def _depolarize_both(r, p: float) -> np.ndarray:
+    """(1 - p) r + p I/4."""
+    r *= 1.0 - p
+    flat = _flat(r)
+    for k in range(4):
+        flat[k, k] += 0.25 * p
+    return r
+
+
+def _flat(r) -> np.ndarray:
+    """A batch-last state as (4, 4, *batch): row index 2a + b, column index 2a + b."""
+    return r.reshape((4, 4) + r.shape[4:])
+
+
+def _to_batch_last(rho) -> np.ndarray:
+    """(..., 4, 4) as a (2, 2, 2, 2, ...) view."""
+    rho = np.asarray(rho)
+    view = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
+    return np.moveaxis(view, (-4, -3, -2, -1), (0, 1, 2, 3))
+
+
+def _from_batch_last(r) -> np.ndarray:
+    """Inverse of `_to_batch_last`, as a view."""
+    return np.moveaxis(_flat(r), (0, 1), (-2, -1))
+
+
+def _run(r, steps, noise) -> np.ndarray:
+    """`evolve` on a batch-last state; returns a new batch-last state, `r` is not changed."""
+    r = _broadcast(r, _batch_of([r.shape[4:]], steps))
+    segment = {}  # qubit -> (product of its gates since the last CNOT, count)
+    cx_count = 0
+    for step in (*steps, None):  # None closes the last segment
+        if step is CX or step is None:
+            for qubit, (m, count) in segment.items():
+                r = _conjugate(m, r, qubit)
+                p = 1.0 - (1.0 - noise.p1) ** count
+                if p != 0.0:
+                    r = _depolarize_qubit(r, p, qubit)
+            segment = {}
+            if step is CX:
+                r = _permute(r, _CX_BOTH)
+                cx_count += 1
+        else:
+            qubit, m = _qubit(step), _entries(step[1])
+            if qubit in segment:
+                product, count = segment[qubit]
+                segment[qubit] = (_times(m, product), count + 1)
+            else:
+                segment[qubit] = (m, 1)
+    p = 1.0 - (1.0 - noise.p2) ** cx_count
+    if p != 0.0:
+        r = _depolarize_both(r, p)
+    return r if r.flags.writeable else r.copy()  # the input itself when no step ran
 
 
 def evolve(rho, steps, noise) -> np.ndarray:
@@ -129,37 +212,18 @@ def evolve(rho, steps, noise) -> np.ndarray:
     its own.  The post-CNOT channels commute with every unitary and with the
     one-qubit channel, so all k of them become one at 1 - (1 - p2)^k, last.
     """
-    segment = {}  # qubit -> (product of its gates since the last CNOT, count)
-    cx_count = 0
-    for step in (*steps, None):  # None closes the last segment
-        if step is CX or step is None:
-            for qubit, (u, count) in segment.items():
-                rho = apply_one_qubit(rho, u, qubit)
-                rho = depolarize_one(rho, 1.0 - (1.0 - noise.p1) ** count, qubit)
-            segment = {}
-            if step is CX:
-                rho = apply_cx(rho)
-                cx_count += 1
-        else:
-            qubit, u = step
-            if qubit in segment:
-                product, count = segment[qubit]
-                segment[qubit] = (_contract(u, product, -2, 2), count + 1)
-            else:
-                segment[qubit] = (u, 1)
-    return depolarize_two(rho, 1.0 - (1.0 - noise.p2) ** cx_count)
+    return _from_batch_last(_run(_to_batch_last(rho), steps, noise))
 
 
 def steps_unitary(steps) -> np.ndarray:
     """Noiseless circuit steps composed into one (..., 4, 4) unitary."""
-    total = np.eye(4, dtype=np.complex128)
+    u = _broadcast(_to_batch_last(np.eye(4)), _batch_of([], steps))
     for step in steps:
         if step is CX:
-            total = total[..., _CX_ORDER, :]
+            u = _permute(u, _CX_ROWS)
         else:
-            qubit, u = step
-            total = _join(_contract(u, _split(total), _row_axis(u, qubit), 4))
-    return total
+            u = _act(_entries(step[1]), u, 1 - _qubit(step))
+    return _from_batch_last(u if u.flags.writeable else u.copy())
 
 
 def preparation_steps(theta, lam) -> list:
@@ -208,8 +272,8 @@ def experiment_steps(a_index: int, b_index: int, theta, lam, chi) -> list:
     return preparation_steps(theta, lam) + alice_steps(a_index, lam) + bob_steps(b_index, lam, chi)
 
 
-def experiment_states(theta, phi, noise) -> np.ndarray:
-    """Final density matrices, shape (N, 4, 4, 4), of the experiments in EXPERIMENT_SETTINGS.
+def _final_states(theta, phi, noise) -> list:
+    """Batch-last final states of the experiments in EXPERIMENT_SETTINGS.
 
     The preparation runs once and branches into Alice's two settings, each
     of which branches into Bob's two.
@@ -217,26 +281,40 @@ def experiment_states(theta, phi, noise) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     lam = np.asarray(phi, dtype=np.float64)
     chi = chi_of(theta, lam)
-    prepared = evolve(ground_state(theta.shape), preparation_steps(theta, lam), noise)
-    after_alice = {a: evolve(prepared, alice_steps(a, lam), noise) for a in (1, 2)}
+    ground = _to_batch_last(ground_state(theta.shape))
+    prepared = _run(ground, preparation_steps(theta, lam), noise)
+    after_alice = {a: _run(prepared, alice_steps(a, lam), noise) for a in (1, 2)}
     bob = {b: bob_steps(b, lam, chi) for b in (1, 2)}
-    return np.stack(
-        [evolve(after_alice[a], bob[b], noise) for a, b in EXPERIMENT_SETTINGS], axis=-3
-    )
+    return [_run(after_alice[a], bob[b], noise) for a, b in EXPERIMENT_SETTINGS]
 
 
-def readout_distributions(rho, noise) -> np.ndarray:
-    """Outcome probabilities of rho (diagonal, through the readout confusion), checked."""
-    probs = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
+def experiment_states(theta, phi, noise) -> np.ndarray:
+    """Final density matrices, shape (N, 4, 4, 4), of the experiments in EXPERIMENT_SETTINGS."""
+    return np.stack([_from_batch_last(r) for r in _final_states(theta, phi, noise)], axis=-3)
+
+
+def _through_readout(probs, noise) -> np.ndarray:
+    """Ideal outcome probabilities (last axis) through the readout confusion, checked."""
     if not noise.readout_is_trivial:
         transfer = np.kron(noise.readout[1].T, noise.readout[0].T)
         probs = (transfer @ probs[..., None])[..., 0]
     return check_distributions(probs)
 
 
+def readout_distributions(rho, noise) -> np.ndarray:
+    """Outcome probabilities of rho (diagonal, through the readout confusion), checked."""
+    return _through_readout(np.real(np.diagonal(rho, axis1=-2, axis2=-1)), noise)
+
+
 def experiment_distributions(theta, phi, noise) -> np.ndarray:
-    """Outcome distributions, shape (N, 4, 4): point, experiment, outcome k = 2a + b."""
-    return readout_distributions(experiment_states(theta, phi, noise), noise)
+    """Outcome distributions, shape (N, 4, 4): point, experiment, outcome k = 2a + b.
+
+    Read from the diagonals of the batch-last final states.
+    """
+    diagonals = [
+        np.real(np.diagonal(_flat(r), axis1=0, axis2=1)) for r in _final_states(theta, phi, noise)
+    ]
+    return _through_readout(np.stack(diagonals, axis=-2), noise)
 
 
 def check_distributions(probs) -> np.ndarray:

@@ -50,11 +50,6 @@ def beam_splitter(theta) -> np.ndarray:
     return _matrix(c, -s, s, c)
 
 
-def phase_shifter(phi) -> np.ndarray:
-    """Phase shifter diag(1, e^{i phi}); same definition as u1."""
-    return u1(phi)
-
-
 def coupling(phi) -> np.ndarray:
     """Two-qubit coupling diag(1, 1, 1, e^{2i phi}): phases only |11>."""
     phase = np.exp(2j * phi)
@@ -71,16 +66,6 @@ def coupling_steps(lam) -> list:
     return [(0, u1(-lam)), CX, (1, u1(lam)), (0, u1(-lam)), CX, (0, u1(2.0 * lam))]
 
 
-def cnot(control: int = 1, target: int = 0) -> np.ndarray:
-    """CNOT on two qubits; `control`/`target` name the gate's own bits."""
-    if control == target:
-        raise ValueError("control and target must differ")
-    if {control, target} != {0, 1}:
-        raise ValueError("control/target must be the gate bits 0 and 1")
-    order = [basis ^ (1 << target) if (basis >> control) & 1 else basis for basis in range(4)]
-    return np.eye(4, dtype=np.complex128)[order]
-
-
 def hadamard() -> np.ndarray:
     h = 1.0 / math.sqrt(2.0)
     return _matrix(h, h, h, -h)
@@ -88,7 +73,3 @@ def hadamard() -> np.ndarray:
 
 def pauli_x() -> np.ndarray:
     return _matrix(0.0, 1.0, 1.0, 0.0)
-
-
-def identity() -> np.ndarray:
-    return np.eye(2, dtype=np.complex128)

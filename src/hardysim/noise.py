@@ -21,6 +21,9 @@ from .engine import FLAGGED_OUTCOME
 
 DEFAULT_SHOTS_PER_RUN = 8192
 
+# Floor of every sampled flagged probability: the smallest normal double.
+_P_FLOOR = np.finfo(np.float64).tiny
+
 
 class ProfileError(ValueError):
     """Raised for an unreadable or malformed noise-profile file."""
@@ -161,7 +164,12 @@ def estimate_batch(dists, cfg: ShotConfig | None) -> tuple[np.ndarray, np.ndarra
     run).  Only the flagged cell of each run's multinomial is used, and that
     cell alone is exactly Binomial(shots_per_run, p_flag).  The distributions
     are the engine's, already checked; they are only clipped at 0 and
-    renormalised.
+    renormalised.  Each p_flag is then raised to at least the smallest
+    normal double: numpy's binomial consumes nothing from the stream at
+    p = 0 but does at any p > 0, so without the floor the sign of a
+    roundoff-level ideal zero would shift every later count.  With it, such
+    a cell uses the same draws whatever the sign of its roundoff (numpy's
+    inversion path, one uniform), and still counts 0.
     """
     dists = np.asarray(dists, dtype=np.float64)
     flagged = dists[:, np.arange(4), FLAGGED_OUTCOME]
@@ -169,6 +177,7 @@ def estimate_batch(dists, cfg: ShotConfig | None) -> tuple[np.ndarray, np.ndarra
         eps = np.clip(flagged, 0.0, 1.0)
         return eps, np.zeros_like(eps), eps[:, 3:].copy()
     p_flag = np.clip(flagged, 0.0, None) / np.clip(dists, 0.0, None).sum(axis=-1)
+    p_flag = np.maximum(p_flag, _P_FLOOR)
     counts = np.random.default_rng(cfg.seed).binomial(
         cfg.shots_per_run, p_flag[..., None], size=(*p_flag.shape, cfg.runs)
     )

@@ -2,10 +2,16 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 
+import hardysim
 from hardysim.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from hardysim.hardy import analytic_q
 from hardysim.selftest import run_validation_suites
@@ -499,7 +505,66 @@ class TestReducedCommand:
         assert code == EXIT_IO
 
 
+SUITE_NAMES = [
+    "gate-unitarity",
+    "beam-splitter-anchor",
+    "coupling-decomposition",
+    "hardy-zero-probabilities",
+    "analytic-q-equivalence",
+    "state-classification",
+    "q-maximum-location",
+]
+
+# Runs one command in a fresh interpreter and reports whether numpy.random
+# was imported; prints "numpy-imports-random" when `import numpy` alone does
+# (numpy before 2.0), where the question cannot be asked.
+NO_RANDOM_SCRIPT = """
+import io, sys
+import numpy
+if "numpy.random" in sys.modules:
+    print("numpy-imports-random")
+    raise SystemExit(0)
+from hardysim.cli import main
+code = main(sys.argv[1:], out=io.StringIO())
+print(code, "numpy.random" in sys.modules)
+"""
+
+
 class TestValidateCommand:
+    def test_seven_named_suites_deterministic(self):
+        first, second = run_cli(["validate"]), run_cli(["validate"])
+        assert first == second
+        code, text = first
+        assert code == EXIT_OK
+        names = [line.split(":")[0].split(" ", 1)[1] for line in text.splitlines()[:-1]]
+        assert names == SUITE_NAMES
+        assert text.splitlines()[-1] == "7/7 suites passed"
+
+    def test_suite_angles_evenly_spread(self):
+        import hardysim.selftest as selftest_mod
+
+        angles = np.sort(selftest_mod._spread(200, 0.0, 2 * math.pi))
+        assert 0.0 <= angles[0] and angles[-1] < 2 * math.pi
+        gaps = np.diff(np.concatenate([angles, [angles[0] + 2 * math.pi]]))
+        assert np.max(gaps) < 3.0 * (2 * math.pi) / 200
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["validate"], ["sweep", "surface", "--step", "15", "--noise", "default", "--shots", "0"]],
+    )
+    def test_exact_commands_never_import_numpy_random(self, tmp_path, argv):
+        if argv[0] == "sweep":
+            argv = argv + ["--out", str(tmp_path / "surface.csv")]
+        src = str(Path(hardysim.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-c", NO_RANDOM_SCRIPT, *argv],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        if result.stdout.strip() == "numpy-imports-random":
+            pytest.skip("this numpy imports numpy.random on `import numpy`")
+        assert result.stdout.split() == [str(EXIT_OK), "False"]
+
     def test_fresh_build_passes(self):
         code, text = run_cli(["validate"])
         assert code == EXIT_OK

@@ -1,8 +1,10 @@
-"""Property tests of the batched engine against the dense Kraus-sum reference."""
+"""Engine tests: each public function of `hardysim.engine` against dense
+matrices written out by hand and against the Kraus-sum reference."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,9 +12,14 @@ import kraus_reference as ref
 from hardysim.engine import (
     CX,
     FLAGGED_OUTCOME,
+    check_distributions,
     evolve,
     experiment_distributions,
     experiment_states,
+    ground_state,
+    preparation_steps,
+    readout_distributions,
+    steps_unitary,
 )
 from hardysim import gates
 from hardysim.hardy import analytic_q
@@ -46,7 +53,6 @@ def test_noiseless_engine_meets_closed_forms(theta, phi):
     assert abs(flagged[3] - analytic_q(theta, phi)) <= 1e-12
 
 
-
 # A step is "cx" or (qubit, u3 angles); drawn lists put CNOTs anywhere:
 # leading, trailing, back to back, and around segments that touch one qubit.
 one_qubit_steps = st.tuples(st.integers(0, 1), st.tuples(angles, angles, angles))
@@ -76,3 +82,364 @@ def test_fused_evolve_matches_step_by_step_kraus(steps, p1, p2, entries):
     ]
     got = evolve(rho, engine_steps, NoiseModel.from_rates(p1, p2, 0.0, 0.0))
     assert np.max(np.abs(got - ref.run_steps(rho, reference_steps, p1, p2))) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_lists)
+def test_steps_unitary_matches_dense_product(steps):
+    engine_steps = [CX if s == "cx" else (s[0], gates.u3(*s[1])) for s in steps]
+    dense = np.eye(4, dtype=complex)
+    for s in steps:
+        dense = (ref.CNOT if s == "cx" else ref.embed(ref.u3(*s[1]), s[0])) @ dense
+    assert np.max(np.abs(steps_unitary(engine_steps) - dense)) <= 1e-12
+
+
+# Test-local gate matrices, independent of the gates module.
+I2 = np.eye(2, dtype=complex)
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+Z = np.array([[1, 0], [0, -1]], dtype=complex)
+H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+CNOT_HIGH_CTRL = np.array(
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+)
+QUIET = NoiseModel.none()
+
+
+def random_unitary(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(a)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_amplitudes(rng):
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return amps / np.linalg.norm(amps)
+
+
+def pure(amps):
+    amps = np.asarray(amps, dtype=complex)
+    return np.outer(amps, amps.conj())
+
+
+def random_density(rng):
+    return pure(random_amplitudes(rng))
+
+
+def gate(rho, u, qubit):
+    """`evolve` with one noiseless gate."""
+    return evolve(rho, [(qubit, u)], QUIET)
+
+
+def depolarize_qubit(rho, p, qubit):
+    """`evolve` with the identity on `qubit`: the one-qubit channel alone."""
+    return evolve(rho, [(qubit, I2)], NoiseModel.from_rates(p, 0.0, 0.0, 0.0))
+
+
+def depolarize_both(rho, p):
+    """`evolve` with one CX on CX rho CX: the two-qubit channel on rho alone."""
+    swapped = CNOT_HIGH_CTRL @ rho @ CNOT_HIGH_CTRL
+    return evolve(swapped, [CX], NoiseModel.from_rates(0.0, p, 0.0, 0.0))
+
+
+class TestGroundState:
+    def test_basis_state_for_every_point(self):
+        rho = ground_state((3,))
+        assert rho.shape == (3, 4, 4)
+        for point in rho:
+            np.testing.assert_array_equal(point, pure([1, 0, 0, 0]))
+
+    def test_complex_magnitudes_finite(self):
+        # magnitude computable without overflow across the working range
+        grid = np.linspace(-10, 10, 21)
+        values = grid[:, None] + 1j * grid[None, :]
+        assert np.isfinite(np.abs(values)).all()
+
+
+class TestCheckDistributions:
+    def test_zero_norm_rejected(self):
+        with pytest.raises(ValueError, match="sums differ"):
+            check_distributions(np.zeros(4))
+
+    def test_unnormalized_rejected(self):
+        with pytest.raises(ValueError, match="sums differ"):
+            check_distributions(np.array([1.0, 1.0, 0.0, 0.0]))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            check_distributions(np.array([np.nan, 0.0, 0.0, 1.0]))
+
+    def test_negative_probability_rejected(self):
+        with pytest.raises(ValueError, match="negative probability"):
+            check_distributions(np.array([[0.25] * 4, [1.1, -0.1, 0.0, 0.0]]))
+
+
+class TestReadoutDistributions:
+    def test_nonunitary_gate_caught_by_final_check(self):
+        # a non-unitary gate is not checked per step; the trace it breaks is
+        # caught by the final-distribution check
+        rho = evolve(ground_state(), [(1, H), (1, np.diag([1.0, 2.0]))], QUIET)
+        with pytest.raises(ValueError, match="sums differ"):
+            readout_distributions(rho, QUIET)
+
+    def test_bad_trace_rejected(self):
+        with pytest.raises(ValueError, match="sums differ"):
+            readout_distributions(np.eye(4, dtype=complex) / 2, QUIET)
+
+    def test_basis_distribution(self):
+        np.testing.assert_array_equal(readout_distributions(ground_state(), QUIET), [1, 0, 0, 0])
+
+    def test_bell_distribution(self):
+        rho = pure(np.array([1, 0, 0, 1]) / np.sqrt(2))
+        np.testing.assert_allclose(readout_distributions(rho, QUIET), [0.5, 0, 0, 0.5], atol=1e-15)
+
+    def test_flat_distribution_from_prepared_amplitudes(self):
+        # prepared state at theta=45deg, phi=0: all amplitudes of magnitude 1/2
+        rho = evolve(ground_state(), preparation_steps(math.pi / 4, 0.0), QUIET)
+        np.testing.assert_allclose(readout_distributions(rho, QUIET), [0.25] * 4, atol=1e-12)
+
+    def test_diagonal_equals_distribution(self):
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            amps = random_amplitudes(rng)
+            np.testing.assert_allclose(
+                readout_distributions(pure(amps), QUIET), np.abs(amps) ** 2, atol=1e-12
+            )
+
+
+class TestEvolveGates:
+    """`evolve` with noiseless one-qubit gates and CNOTs."""
+
+    def test_rejects_non_2x2_gate(self):
+        with pytest.raises(ValueError, match=r"must be \(\.\.\., 2, 2\)"):
+            gate(ground_state(), np.eye(3), 0)
+
+    def test_rejects_two_qubit_matrix(self):
+        with pytest.raises(ValueError, match=r"must be \(\.\.\., 2, 2\)"):
+            gate(ground_state(), CNOT_HIGH_CTRL, 1)
+
+    def test_rejects_bad_targets(self):
+        with pytest.raises(ValueError, match="qubit must be 0 or 1"):
+            evolve(ground_state(), [(2, X)], QUIET)
+        with pytest.raises(ValueError):
+            evolve(ground_state(), [(0, CNOT_HIGH_CTRL)], QUIET)
+
+    def test_out_of_range_target_rejected(self):
+        with pytest.raises(ValueError, match="qubit must be 0 or 1"):
+            gate(ground_state(), I2, 2)
+
+    def test_identity_leaves_state(self):
+        rng = np.random.default_rng(0)
+        rho = random_density(rng)
+        for qubit in (0, 1):
+            np.testing.assert_allclose(gate(rho, I2, qubit), rho, atol=1e-15)
+
+    def test_x_on_qubit0_flips_low_bit(self):
+        np.testing.assert_allclose(gate(ground_state(), X, 0), pure([0, 1, 0, 0]), atol=1e-15)
+
+    def test_h_on_qubit1_splits_high_bit(self):
+        out = gate(ground_state(), H, 1)
+        np.testing.assert_allclose(out, pure(np.array([1, 0, 1, 0]) / np.sqrt(2)), atol=1e-15)
+
+    def test_norm_preserved(self):
+        rng = np.random.default_rng(1)
+        for _ in range(10):
+            rho = random_density(rng)
+            out = gate(rho, random_unitary(rng, 2), int(rng.integers(2)))
+            assert abs(np.trace(out) - 1.0) < 1e-12
+
+    def test_disjoint_gates_commute(self):
+        rng = np.random.default_rng(2)
+        for _ in range(25):
+            rho = random_density(rng)
+            g1 = random_unitary(rng, 2)
+            g0 = random_unitary(rng, 2)
+            ab = gate(gate(rho, g1, 1), g0, 0)
+            ba = gate(gate(rho, g0, 0), g1, 1)
+            np.testing.assert_allclose(ab, ba, atol=1e-12)
+
+    def test_matches_dense_oracle(self):
+        # kron ordered high-to-low qubit, on a batch of states and gates
+        rng = np.random.default_rng(3)
+        rho = np.array([random_density(rng) for _ in range(5)])
+        u = np.array([random_unitary(rng, 2) for _ in range(5)])
+        for qubit in (0, 1):
+            got = gate(rho, u, qubit)
+            for k in range(5):
+                full = ref.embed(u[k], qubit)
+                np.testing.assert_allclose(got[k], full @ rho[k] @ full.conj().T, atol=1e-12)
+
+    def test_unitary_channel_matches_kraus_sum(self):
+        rng = np.random.default_rng(9)
+        rho = random_density(rng)
+        u = random_unitary(rng, 2)
+        np.testing.assert_allclose(gate(rho, u, 0), ref.kraus_channel(rho, [u], 0), atol=1e-12)
+
+    def test_x_then_identity_goes_high(self):
+        out = evolve(ground_state(), [(1, X), (0, I2)], QUIET)
+        np.testing.assert_allclose(out, pure([0, 0, 1, 0]), atol=1e-15)
+
+    def test_bell_pair(self):
+        out = evolve(ground_state(), [(1, H), CX], QUIET)
+        np.testing.assert_allclose(out, pure(np.array([1, 0, 0, 1]) / np.sqrt(2)), atol=1e-15)
+
+    def test_cx_is_cnot_with_alice_as_control(self):
+        rng = np.random.default_rng(11)
+        rho = random_density(rng)
+        np.testing.assert_allclose(
+            evolve(rho, [CX], QUIET), CNOT_HIGH_CTRL @ rho @ CNOT_HIGH_CTRL.conj().T, atol=1e-15
+        )
+
+    def test_noiseless_gates_keep_state_pure(self):
+        # the engine's states stay projectors |psi><psi| under noiseless gates
+        rho = evolve(ground_state(), [(1, H)], QUIET)
+        np.testing.assert_allclose(rho, pure(np.array([1, 0, 1, 0]) / np.sqrt(2)), atol=1e-15)
+        np.testing.assert_allclose(rho @ rho, rho, atol=1e-15)
+
+    def test_preparation_matches_closed_form(self):
+        # prepared state at theta=30deg, phi=60deg against its closed form
+        theta, phi = math.radians(30), math.radians(60)
+        amps = np.array(
+            [math.cos(theta), math.sin(theta), math.cos(theta),
+             math.sin(theta) * np.exp(2j * phi)]
+        ) / math.sqrt(2)
+        rho = evolve(ground_state(), preparation_steps(theta, phi), QUIET)
+        np.testing.assert_allclose(rho, pure(amps), atol=1e-12)
+        assert abs(np.trace(rho @ rho) - 1.0) < 1e-12
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+
+    def test_interferometer_circuit_kills_first_outcome(self):
+        # full preparation plus the first setting pair at the q-maximizing
+        # angles: the (+1,+1) outcome amplitude cancels exactly
+        theta = phi = math.radians(51.827)
+        steps = [
+            (1, gates.beam_splitter(math.pi / 4)),
+            (0, gates.beam_splitter(theta)),
+            *gates.coupling_steps(phi),
+            (1, gates.beam_splitter(math.pi / 4)),  # b1 is the identity
+        ]
+        out = evolve(ground_state(), steps, QUIET)
+        assert readout_distributions(out, QUIET)[0] <= 1e-12
+
+
+class TestEvolveChannels:
+    """`evolve` with depolarizing noise: the closed-form channels."""
+
+    def test_empty_circuit_is_identity(self):
+        rng = np.random.default_rng(4)
+        rho = random_density(rng)
+        np.testing.assert_array_equal(evolve(rho, [], NoiseModel.default_profile()), rho)
+
+    def test_full_depolarizing_gives_maximally_mixed(self):
+        rho = ground_state()
+        # p = 1 on one qubit leaves I/2 there and the other qubit untouched
+        np.testing.assert_allclose(
+            depolarize_qubit(rho, 1.0, 1), np.kron(0.5 * I2, pure([1, 0])), atol=1e-15
+        )
+        np.testing.assert_allclose(
+            depolarize_qubit(depolarize_qubit(rho, 1.0, 1), 1.0, 0), np.eye(4) / 4, atol=1e-15
+        )
+        np.testing.assert_allclose(depolarize_both(rho, 1.0), np.eye(4) / 4, atol=1e-15)
+
+    def test_small_p_matches_bruteforce_sum(self):
+        p = 0.01
+        kraus = [
+            np.sqrt(1 - 3 * p / 4) * I2,
+            np.sqrt(p / 4) * X,
+            np.sqrt(p / 4) * Y,
+            np.sqrt(p / 4) * Z,
+        ]
+        rng = np.random.default_rng(12)
+        rho = random_density(rng)
+        for qubit in (0, 1):
+            # brute-force 4-term sum, independent of the engine
+            expect = sum(ref.embed(k, qubit) @ rho @ ref.embed(k, qubit).conj().T for k in kraus)
+            np.testing.assert_allclose(depolarize_qubit(rho, p, qubit), expect, atol=1e-15)
+
+    def test_two_qubit_channel_matches_kraus_sum(self):
+        rng = np.random.default_rng(11)
+        rho = random_density(rng)
+        expect = ref.kraus_channel(rho, ref.depolarizing_kraus(0.3, 2), ref.BOTH)
+        np.testing.assert_allclose(depolarize_both(rho, 0.3), expect, atol=1e-12)
+
+    def test_random_channels_preserve_trace_and_hermiticity(self):
+        rng = np.random.default_rng(10)
+        for _ in range(15):
+            rho = random_density(rng)
+            p = float(rng.random())
+            for out in (depolarize_qubit(rho, p, int(rng.integers(2))), depolarize_both(rho, p)):
+                assert abs(np.trace(out) - 1.0) < 1e-10
+                assert np.max(np.abs(out - out.conj().T)) < 1e-10
+                assert np.min(np.linalg.eigvalsh(out)) > -1e-12
+
+    def test_random_circuits_preserve_norm(self):
+        rng = np.random.default_rng(5)
+        noise = NoiseModel.from_rates(0.05, 0.1, 0.0, 0.0)
+        for _ in range(20):
+            steps = []
+            for _ in range(int(rng.integers(0, 21))):
+                if rng.random() < 0.3:
+                    steps.append(CX)
+                else:
+                    steps.append((int(rng.integers(2)), random_unitary(rng, 2)))
+            out = evolve(random_density(rng), steps, noise)
+            assert abs(np.trace(out) - 1.0) < 1e-10
+            assert np.max(np.abs(out - out.conj().T)) < 1e-10
+
+
+class TestEvolveBatches:
+    def test_two_axis_batch_equals_point_by_point(self):
+        rng = np.random.default_rng(40)
+        rho = np.array([[random_density(rng) for _ in range(3)] for _ in range(2)])
+        u = np.array([[random_unitary(rng, 2) for _ in range(3)] for _ in range(2)])
+        theta = rng.uniform(0, math.pi, (2, 3))
+        steps = [(1, u), (0, gates.u3(theta, 0.3, 0.1)), CX, (0, u), (1, gates.hadamard())]
+        noise = NoiseModel.from_rates(0.03, 0.07, 0.0, 0.0)
+        got = evolve(rho, steps, noise)
+        assert got.shape == (2, 3, 4, 4)
+        for i, j in np.ndindex(2, 3):
+            point = [
+                step if step is CX or step[1].ndim == 2 else (step[0], step[1][i, j])
+                for step in steps
+            ]
+            np.testing.assert_array_equal(got[i, j], evolve(rho[i, j], point, noise))
+
+    def test_gate_batch_broadcasts_over_one_state(self):
+        # one state, a batch of gates: the result takes the gates' batch shape
+        phi = np.linspace(0.0, math.pi, 4).reshape(2, 2)
+        got = evolve(ground_state(), [(1, H), (0, H), *gates.coupling_steps(phi)], QUIET)
+        assert got.shape == (2, 2, 4, 4)
+        for index in np.ndindex(2, 2):
+            steps = [(1, H), (0, H), *gates.coupling_steps(phi[index])]
+            np.testing.assert_array_equal(got[index], evolve(ground_state(), steps, QUIET))
+
+
+class TestStepsUnitary:
+    def test_identity_steps(self):
+        np.testing.assert_array_equal(steps_unitary([(1, I2), (0, I2)]), np.eye(4))
+
+    def test_phase_pair(self):
+        lam = 0.731
+        a = np.diag([1, np.exp(1j * lam)])
+        b = np.diag([1, np.exp(-1j * lam)])
+        # direct 4x4 oracle: diag(1, e^{-il}, e^{il}, e^{il} e^{-il})
+        oracle = np.diag(
+            [1, np.exp(-1j * lam), np.exp(1j * lam), np.exp(1j * lam) * np.exp(-1j * lam)]
+        )
+        np.testing.assert_allclose(steps_unitary([(1, a), (0, b)]), oracle, atol=1e-15)
+
+    def test_matches_dense_oracle_and_evolve(self):
+        rng = np.random.default_rng(6)
+        steps = [
+            (0, random_unitary(rng, 2)),
+            CX,
+            (1, random_unitary(rng, 2)),
+        ]
+        u = steps_unitary(steps)
+        oracle = ref.embed(steps[2][1], 1) @ CNOT_HIGH_CTRL @ ref.embed(steps[0][1], 0)
+        np.testing.assert_allclose(u, oracle, atol=1e-12)
+        rho = random_density(rng)
+        np.testing.assert_allclose(u @ rho @ u.conj().T, evolve(rho, steps, QUIET), atol=1e-12)
+
+    def test_cx_alone_is_the_permutation(self):
+        np.testing.assert_array_equal(steps_unitary([CX]), CNOT_HIGH_CTRL)

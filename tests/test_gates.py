@@ -3,12 +3,11 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardysim import gates
-from hardysim.engine import steps_unitary
+from hardysim.engine import CX, steps_unitary
 
 SQ2 = 1.0 / math.sqrt(2.0)
 BASIS = np.eye(4, dtype=complex)  # BASIS[k] is the basis state |k>
@@ -42,21 +41,14 @@ class TestSingleQubitGates:
             gates.beam_splitter(math.pi / 2), [[0, -1], [1, 0]], atol=1e-15
         )
 
-    def test_phase_shifter_equals_u1(self):
-        rng = np.random.default_rng(42)
-        for phi in rng.uniform(-2 * math.pi, 2 * math.pi, 100):
-            np.testing.assert_array_equal(
-                gates.phase_shifter(phi), gates.u1(phi)
-            )
-
     def test_conjugated_beam_splitter(self):
         # direct 2x2 product oracle, written out by hand
         rng = np.random.default_rng(7)
         for phi in rng.uniform(0, 2 * math.pi, 25):
             got = (
-                gates.phase_shifter(2 * phi)
+                gates.u1(2 * phi)
                 @ gates.beam_splitter(math.pi / 4)
-                @ gates.phase_shifter(-2 * phi)
+                @ gates.u1(-2 * phi)
             )
             oracle = SQ2 * np.array(
                 [[1, -np.exp(-2j * phi)], [np.exp(2j * phi), 1]]
@@ -89,10 +81,9 @@ class TestSingleQubitGates:
                 gates.u3(theta, phi, lam),
                 gates.beam_splitter(theta),
                 gates.coupling(phi),
-                gates.cnot(),
+                steps_unitary([CX]),
                 gates.hadamard(),
                 gates.pauli_x(),
-                gates.identity(),
             ):
                 assert abs(abs(np.linalg.det(g)) - 1.0) < 1e-10
 
@@ -150,21 +141,13 @@ class TestCoupling:
 
 
 class TestTwoLevelGates:
-    def test_cnot_control_set(self):
-        out = gates.cnot(1, 0) @ BASIS[2]
+    def test_cx_control_set(self):
+        out = steps_unitary([CX]) @ BASIS[2]
         np.testing.assert_allclose(out, [0, 0, 0, 1], atol=1e-15)
 
-    def test_cnot_control_clear(self):
-        out = gates.cnot(1, 0) @ BASIS[1]
+    def test_cx_control_clear(self):
+        out = steps_unitary([CX]) @ BASIS[1]
         np.testing.assert_allclose(out, [0, 1, 0, 0], atol=1e-15)
-
-    def test_cnot_low_control(self):
-        out = gates.cnot(0, 1) @ BASIS[1]
-        np.testing.assert_allclose(out, [0, 0, 0, 1], atol=1e-15)
-
-    def test_cnot_equal_control_target_rejected(self):
-        with pytest.raises(ValueError, match="must differ"):
-            gates.cnot(1, 1)
 
     def test_hadamard_squares_to_identity(self):
         np.testing.assert_allclose(

@@ -7,11 +7,11 @@ import pytest
 
 import kraus_reference as ref
 from hardysim.engine import (
+    CX,
     EXPERIMENT_SETTINGS,
     FLAGGED_OUTCOME,
     check_distributions,
-    depolarize_one,
-    depolarize_two,
+    evolve,
     experiment_distributions,
     experiment_steps,
 )
@@ -32,8 +32,15 @@ I2 = np.eye(2, dtype=complex)
 
 
 def depolarize(rho, p, num_targets, qubit=0):
-    """The engine's closed-form channel on one qubit or on both."""
-    return depolarize_one(rho, p, qubit) if num_targets == 1 else depolarize_two(rho, p)
+    """The engine's closed-form channel on one qubit or on both, run through `evolve`.
+
+    One qubit: the identity gate on `qubit` at p1 = p.  Both: CX at p2 = p on
+    CX rho CX, so the permutations cancel and the channel acts on rho.
+    """
+    if num_targets == 1:
+        return evolve(rho, [(qubit, I2)], NoiseModel.from_rates(p, 0.0, 0.0, 0.0))
+    swapped = ref.CNOT @ rho @ ref.CNOT
+    return evolve(swapped, [CX], NoiseModel.from_rates(0.0, p, 0.0, 0.0))
 
 
 def random_rho(rng):
@@ -68,11 +75,11 @@ def ideal(theta, phi, a_index, b_index):
 class TestDepolarizingKraus:
     """The closed-form channels against the Pauli Kraus sums of the reference."""
 
-    def test_zero_probability_is_identity_only(self):
+    def test_zero_probability_leaves_state_exactly(self):
         rho = random_rho(np.random.default_rng(29))
         for qubit in (0, 1):
-            assert depolarize_one(rho, 0.0, qubit) is rho
-        assert depolarize_two(rho, 0.0) is rho
+            np.testing.assert_array_equal(depolarize(rho, 0.0, 1, qubit), rho)
+        np.testing.assert_array_equal(depolarize(rho, 0.0, 2), rho)
 
     @pytest.mark.parametrize("p", [0.0, 0.01, 0.37, 1.0])
     @pytest.mark.parametrize("k", [1, 2])
@@ -89,13 +96,13 @@ class TestDepolarizingKraus:
 
     def test_full_mixing_single_qubit(self):
         rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-        out = depolarize_one(rho, 1.0, 0)
+        out = depolarize(rho, 1.0, 1, qubit=0)
         np.testing.assert_allclose(out, np.diag([0.5, 0.5, 0.0, 0.0]), atol=1e-12)
 
     def test_small_p_diagonal(self):
         p = 0.01
         rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-        out = depolarize_one(rho, p, 1)
+        out = depolarize(rho, p, 1, qubit=1)
         np.testing.assert_allclose(out, np.diag([1 - p / 2, 0, p / 2, 0]), atol=1e-12)
 
     def test_composition_effective_probability(self):
@@ -353,6 +360,28 @@ class TestEpsilonEstimates:
         np.testing.assert_array_equal(eps[0, [0, 3]], [0.0, 0.0])
         np.testing.assert_array_equal(eps[1, [0, 3]], [1.0, 1.0])
         np.testing.assert_array_equal(err, np.zeros((2, 4)))
+
+    def test_roundoff_does_not_move_sampled_counts(self):
+        # ideal zeros come out of the engine as roundoff of either sign;
+        # every flagged probability is floored, so each cell takes its one
+        # draw whatever that roundoff is, and the counts do not move
+        axis = np.radians(np.arange(0.0, 91.0, 5.0))
+        theta, phi = (grid.ravel() for grid in np.meshgrid(axis, axis, indexing="ij"))
+        dists = experiment_distributions(theta, phi, NoiseModel.none())
+        signs = np.random.default_rng(41).choice([-1.0, 1.0], size=dists.shape)
+        cfg = ShotConfig(seed=6)
+        eps, _, per_run = estimate_batch(dists, cfg)
+        for perturbed in (dists + 1e-15 * signs, dists - 1e-15 * signs, np.clip(dists, 0.0, None)):
+            perturbed_eps, _, perturbed_per_run = estimate_batch(perturbed, cfg)
+            np.testing.assert_array_equal(perturbed_eps, eps)
+            np.testing.assert_array_equal(perturbed_per_run, per_run)
+
+    def test_noiseless_sampled_sweep_has_exact_zero_conditions(self):
+        axis = np.arange(0.0, 91.0, 5.0)
+        theta, phi = (grid.ravel() for grid in np.meshgrid(axis, axis, indexing="ij"))
+        table, err, _ = measure_points(theta, phi, NoiseModel.none(), ShotConfig(seed=8))
+        np.testing.assert_array_equal(table.eps[:, :3], 0.0)
+        np.testing.assert_array_equal(err[:, :3], 0.0)
 
     def test_noiseless_sampled_pipeline_near_ideal(self):
         q = analytic_q(*optimal_angles())
