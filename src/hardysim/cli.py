@@ -229,6 +229,19 @@ def _cmd_metrics(args, out) -> int:
     _print_kv(out, "eps4_fluctuation_std", report.eps4_fluctuation_std)
     _print_kv(out, "eps4_fluctuation_range", report.eps4_fluctuation_range)
     _print_kv(out, "zero_condition_max", report.zero_condition_max)
+    # the decisions behind min q: which rows the floor rests on, how far the
+    # ladder got, and how many rungs pass on eps4 alone.  Without a floor
+    # there is no ladder, and its keys print none.
+    for kind in ("PS", "MES", "NMES"):
+        _print_kv(out, f"rows_{kind.lower()}", int(np.count_nonzero(table.kind == kind)))
+    _print_kv(out, "floor_rows", report.floor_rows)
+    ladder = report.ladder
+    _print_kv(out, "ladder_passed", "none" if ladder is None else ladder.passed)
+    _print_kv(out, "ladder_length", "none" if ladder is None else ladder.length)
+    stop_q = None if ladder is None else ladder.stop_q
+    _print_kv(out, "ladder_stop_q", "none" if stop_q is None else stop_q)
+    _print_kv(out, "free_passes", "none" if report.free_passes is None else report.free_passes)
+    _print_kv(out, "exact_input", str(not table.stat_err.any()).lower())
     return EXIT_OK
 
 

@@ -7,14 +7,18 @@ swept axis directly.  The CSV interface is fixed:
     theta_deg,phi_deg,q_theory,eps1,eps2,eps3,eps5,eps4_est,stat_err,class
 
 one row per grid point, decimal points, at least six significant digits.
-write_csv emits unquoted rows with LF endings; read_csv parses every data
-row with numpy's C tokenizer (np.loadtxt) and also accepts CRLF or CR
-endings, double-quoted fields and blank lines.
+write_csv emits unquoted rows with LF endings.  read_csv parses with numpy's
+C tokenizer (np.loadtxt): a file without a double quote or NUL byte, as
+write_csv writes it, in one call over the whole file; any other file, or
+one that call or the row checks reject, line by line, which is also what
+numbers a bad line.  It accepts CRLF or CR endings, double-quoted fields
+and blank lines.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,9 +39,14 @@ CSV_HEADER = "theta_deg,phi_deg,q_theory,eps1,eps2,eps3,eps5,eps4_est,stat_err,c
 _HEADER_FIELDS = CSV_HEADER.split(",")
 _PROBABILITY_FIELDS = ("q_theory", "eps1", "eps2", "eps3", "eps5")
 _ROW_DTYPE = np.dtype([("values", np.float64, (9,)), ("kind", object)])
+# One character longer than the longest class name, so a longer field cut
+# to fit never equals a class name.
+_WHOLE_FILE_DTYPE = np.dtype([("values", np.float64, (9,)), ("kind", "U5")])
+# The exact header, its line end, and a non-blank line after it.
+_WHOLE_FILE_START = re.compile(re.escape(CSV_HEADER.encode()) + rb"[\r\n]+[^\r\n]")
 _CLASS_NAMES = np.array(CLASSES)
 _SENTINEL = "0,0,0,0,0,0,0,0,0,PS"  # a valid row; see _parse
-_BLOCK_LINES = 8192  # read_csv parses this many lines per loadtxt call
+_BLOCK_LINES = 8192  # _read_lines parses this many lines per loadtxt call
 
 # Reference angle (degrees) for the peak measure: the diagonal parameter
 # maximizing q, quoted at the customary 51.827.
@@ -84,21 +93,43 @@ class SweepTable:
 
 
 @dataclass(frozen=True)
+class LadderVerdict:
+    """Outcome of the descending-q ladder (see ladder_verdict).
+
+    The first `passed` of its `length` rungs pass; stop_q is the q of the
+    first failing rung (None when every rung passes) and min_q the q of the
+    last passing one (None when none passes).
+    """
+
+    passed: int
+    length: int
+    stop_q: float | None
+    min_q: float | None
+
+
+@dataclass(frozen=True)
 class PerformanceReport:
     """The three performance measures of one sweep and the decisions behind them.
 
     baseline_source says where the error floor came from: "flag" (given by
     the caller), "rows" (largest eps5 over the MES / PS rows) or "none"
-    (neither; baseline and min q are then None).  peak_offset_deg is
-    |peak - rho|, which is both the shift of the eps5 peak and the half-width
-    delta of the smallest interval [rho - delta, rho + delta] holding it.
-    zero_condition_max is the largest of eps1..eps3 over all rows, the worst
-    residual of the three zero conditions.
+    (neither; baseline, min q, ladder and free_passes are then None).
+    floor_rows counts the rows the floor was taken from (0 unless "rows").
+    ladder is the NMES rows' min-q ladder; free_passes counts the NMES rows
+    whose eps4_est - k_sigma * stat_err alone exceeds the floor, which pass
+    whatever their q.  peak_offset_deg is |peak - rho|, which is both the
+    shift of the eps5 peak and the half-width delta of the smallest interval
+    [rho - delta, rho + delta] holding it.  zero_condition_max is the
+    largest of eps1..eps3 over all rows, the worst residual of the three
+    zero conditions.
     """
 
     baseline: float | None
     baseline_source: str
+    floor_rows: int
     min_distinguishable_q: float | None
+    ladder: LadderVerdict | None
+    free_passes: int | None
     peak_offset_deg: float
     peak_tied: bool
     peak_on_boundary: bool
@@ -189,18 +220,38 @@ def surface_sweep(theta_deg, phi_deg, noise: NoiseModel, cfg: ShotConfig | None)
     return measure_points(np.repeat(thetas, phis.size), np.tile(phis, thetas.size), noise, cfg)[0]
 
 
+def ladder_verdict(q, eps5, stat_err, baseline: float, k_sigma: float) -> LadderVerdict:
+    """The descending-q ladder: points by descending q, ties in their given order.
+
+    A point passes when eps5 - k_sigma * stat_err > baseline; the ladder
+    stops at the first point that does not.  That point is the failing one
+    with the largest q, the earliest of them among ties, so no sort is
+    needed: the passing prefix is every point of larger q plus the points
+    of equal q before it.  q must be finite.
+    """
+    q, eps5, stat_err = (np.asarray(a, dtype=np.float64) for a in (q, eps5, stat_err))
+    failing = ~(eps5 - k_sigma * stat_err > baseline)
+    stop_q = None
+    passing = ~failing
+    if failing.any():
+        stop = int(np.argmax(np.where(failing, q, -np.inf)))  # first index of the largest
+        stop_q = float(q[stop])
+        level = q == q[stop]
+        level[stop:] = False
+        passing = (q > q[stop]) | level
+    rungs = q[passing][::-1]
+    # the last passing rung: the smallest q, the latest among ties
+    min_q = float(rungs[np.argmin(rungs)]) if rungs.size else None
+    return LadderVerdict(int(rungs.size), int(q.size), stop_q, min_q)
+
+
 def min_established_q(q, eps5, stat_err, baseline: float, k_sigma: float) -> float | None:
     """Smallest q in the maximal passing prefix of the descending-q ladder.
 
-    The ladder orders the points by descending q, ties in their given order;
-    a point passes when eps5 - k_sigma * stat_err > baseline.  Returns None
-    when even the largest q fails (non-locality not established).
+    None when even the largest q fails (non-locality not established); see
+    ladder_verdict.
     """
-    q, eps5, stat_err = (np.asarray(a, dtype=np.float64) for a in (q, eps5, stat_err))
-    order = np.argsort(-q, kind="stable")
-    passed = np.logical_and.accumulate(eps5[order] - k_sigma * stat_err[order] > baseline)
-    count = int(np.count_nonzero(passed))
-    return float(q[order[count - 1]]) if count else None
+    return ladder_verdict(q, eps5, stat_err, baseline, k_sigma).min_q
 
 
 def peak_offset(
@@ -250,20 +301,23 @@ def performance_report(
     std, spread = metric_fluctuation(table)
     offset, tied, on_boundary = peak_offset(table, rho_deg)
     nmes = table.kind == "NMES"
-    source = "flag"
+    source, floor_rows = "flag", 0
     if baseline is None:
         floor = table.eps5[~nmes]
-        source = "rows" if floor.size else "none"
+        source, floor_rows = ("rows", floor.size) if floor.size else ("none", 0)
         baseline = float(floor.max()) if floor.size else None
-    min_q = None
+    ladder = free_passes = None
     if baseline is not None:
-        min_q = min_established_q(
-            table.q[nmes], table.eps5[nmes], table.stat_err[nmes], baseline, k_sigma
-        )
+        q, eps5, stat_err = table.q[nmes], table.eps5[nmes], table.stat_err[nmes]
+        ladder = ladder_verdict(q, eps5, stat_err, baseline, k_sigma)
+        free_passes = int(np.count_nonzero(eps5 - q - k_sigma * stat_err > baseline))
     return PerformanceReport(
         baseline=baseline,
         baseline_source=source,
-        min_distinguishable_q=min_q,
+        floor_rows=floor_rows,
+        min_distinguishable_q=None if ladder is None else ladder.min_q,
+        ladder=ladder,
+        free_passes=free_passes,
         peak_offset_deg=offset,
         peak_tied=tied,
         peak_on_boundary=on_boundary,
@@ -349,6 +403,54 @@ def read_csv(path) -> SweepTable:
     [0, 1].  The eps4_est column is redundant (eps5 - q_theory); it is
     checked for consistency and the exact difference is used.  A bad file is
     reported at its earliest bad line.
+
+    A file as write_csv writes it is parsed in one tokenizer call
+    (_read_whole); every other file, and every bad one, goes through the
+    per-line reader (_read_lines), the one source of line numbers and
+    messages.
+    """
+    rows = _read_whole(path)
+    if rows is None:
+        rows = _read_lines(path)
+    data = rows["values"]
+    return SweepTable(
+        theta_deg=data[:, 0],
+        phi_deg=data[:, 1],
+        q=data[:, 2],
+        eps=data[:, 3:7],
+        stat_err=data[:, 8],
+        kind=rows["kind"].astype(_CLASS_NAMES.dtype),
+    )
+
+
+def _read_whole(path) -> np.ndarray | None:
+    """All rows in one np.loadtxt call, or None if the file needs _read_lines.
+
+    Only a file that starts with the exact header and holds a data line, and
+    holds no double quote and no NUL byte, is tried: a quoted field can
+    join two lines into one valid-looking row, and the U5 class field drops
+    trailing NULs.  None also when the call or _check_rows rejects the rows.
+    """
+    try:
+        with open(path, "rb") as handle:
+            raw = handle.read()
+    except OSError:
+        return None
+    if b'"' in raw or b"\0" in raw or not _WHOLE_FILE_START.match(raw):
+        return None
+    del raw
+    try:
+        with open(path, encoding="utf-8") as handle:
+            rows = _loadtxt(handle, _WHOLE_FILE_DTYPE, skiprows=1)
+    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
+        return None
+    return rows if _check_rows(rows["values"], rows["kind"]) is None else None
+
+
+def _read_lines(path) -> np.ndarray:
+    """The rows of a sweep CSV as a _ROW_DTYPE array, parsed block by block.
+
+    Raises SweepCsvError at the earliest bad line.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -373,24 +475,18 @@ def read_csv(path) -> SweepTable:
             failure = SweepCsvError(int(linenos[start + bad]), _fault(block[bad]))
             break
         rows[start:start + len(block)] = parsed
-    data, kinds = rows["values"], rows["kind"]
-    _check_rows(data, kinds, linenos)
+    if (fault := _check_rows(rows["values"], rows["kind"])) is not None:
+        row, message = fault
+        raise SweepCsvError(int(linenos[row]), message)
     if failure is not None:
         raise failure
     if not len(rows):
         raise SweepCsvError(1, "no data rows")
-    return SweepTable(
-        theta_deg=data[:, 0],
-        phi_deg=data[:, 1],
-        q=data[:, 2],
-        eps=data[:, 3:7],
-        stat_err=data[:, 8],
-        kind=kinds.astype(_CLASS_NAMES.dtype),
-    )
+    return rows
 
 
 def _loadtxt(lines, dtype, **kwargs) -> np.ndarray:
-    """numpy's C tokenizer over lines with the sweep CSV's syntax."""
+    """numpy's C tokenizer over lines (a list or an open text file), sweep CSV syntax."""
     return np.loadtxt(
         lines, delimiter=",", dtype=dtype, comments=None, quotechar='"', ndmin=1, **kwargs
     )
@@ -446,8 +542,8 @@ def _fault(line: str) -> str:
     return "quoted field not closed on its line"
 
 
-def _check_rows(data, kinds, linenos) -> None:
-    """Raise SweepCsvError at the earliest parsed row failing a check.
+def _check_rows(data, kinds) -> tuple[int, str] | None:
+    """(row index, message) of the earliest parsed row failing a check, or None.
 
     Within a row the checks apply in order: finite, probabilities in [0, 1],
     known class, eps4_est consistent.
@@ -459,15 +555,14 @@ def _check_rows(data, kinds, linenos) -> None:
     consistent = ~(np.abs(data[:, 7] - (data[:, 6] - data[:, 2])) > 1e-6)
     good = finite.all(axis=1) & in_range.all(axis=1) & known & consistent
     if good.all():
-        return
+        return None
     row = int(np.argmin(good))
-    line = int(linenos[row])
     if not finite[row].all():
-        raise SweepCsvError(line, f"non-finite {_HEADER_FIELDS[int(np.argmin(finite[row]))]}")
+        return row, f"non-finite {_HEADER_FIELDS[int(np.argmin(finite[row]))]}"
     if not in_range[row].all():
         column = int(np.argmin(in_range[row]))
         value = float(probabilities[row, column])
-        raise SweepCsvError(line, f"{_PROBABILITY_FIELDS[column]}={value!r} outside [0, 1]")
+        return row, f"{_PROBABILITY_FIELDS[column]}={value!r} outside [0, 1]"
     if not known[row]:
-        raise SweepCsvError(line, f"unknown class {kinds[row]!r}")
-    raise SweepCsvError(line, "eps4_est is not eps5 - q_theory")
+        return row, f"unknown class {kinds[row]!r}"
+    return row, "eps4_est is not eps5 - q_theory"

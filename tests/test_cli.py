@@ -368,6 +368,28 @@ def write_peaked_csv(path, peak_deg, step=1.0):
     path.write_text("\n".join(lines) + "\n")
 
 
+def write_hardware_scale_csv(path):
+    """Rows at real-device scale: floor 0.0807 from the MES row, a ladder of 7 NMES rows."""
+    rows = [
+        (45, 90, 0.0, 0.0807, 0.0037, "MES"),
+        (0, 0, 0.0, 0.0193, 0.0014, "PS"),
+        (90, 0, 0.0, 0.0209, 0.0015, "PS"),
+        (45, 0, 0.0, 0.0217, 0.0019, "PS"),
+        (90, 45, 0.0, 0.0282, 0.0013, "PS"),
+        (51.827, 51.827, 0.09017, 0.1281, 0.0039, "NMES"),
+        (45, 45, 0.0833, 0.1041, 0.0044, "NMES"),
+        (55, 55, 0.0886, 0.1273, 0.0045, "NMES"),
+        (30, 60, 0.0433, 0.0832, 0.0052, "NMES"),
+        (60, 30, 0.0433, 0.0553, 0.0028, "NMES"),
+        (10, 80, 0.00088, 0.067, 0.0038, "NMES"),
+        (80, 10, 0.00088, 0.0241, 0.0016, "NMES"),
+    ]
+    lines = [CSV_HEADER]
+    for t, p, q, e5, err, kind in rows:
+        lines.append(f"{t},{p},{q},0,0,0,{e5},{e5 - q},{err},{kind}")
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestMetricsCommand:
     def test_peak_at_62_gives_shift(self, tmp_path):
         path = tmp_path / "peak62.csv"
@@ -385,24 +407,7 @@ class TestMetricsCommand:
 
     def test_hardware_scale_min_q(self, tmp_path):
         path = tmp_path / "table.csv"
-        rows = [
-            (45, 90, 0.0, 0.0807, 0.0037, "MES"),
-            (0, 0, 0.0, 0.0193, 0.0014, "PS"),
-            (90, 0, 0.0, 0.0209, 0.0015, "PS"),
-            (45, 0, 0.0, 0.0217, 0.0019, "PS"),
-            (90, 45, 0.0, 0.0282, 0.0013, "PS"),
-            (51.827, 51.827, 0.09017, 0.1281, 0.0039, "NMES"),
-            (45, 45, 0.0833, 0.1041, 0.0044, "NMES"),
-            (55, 55, 0.0886, 0.1273, 0.0045, "NMES"),
-            (30, 60, 0.0433, 0.0832, 0.0052, "NMES"),
-            (60, 30, 0.0433, 0.0553, 0.0028, "NMES"),
-            (10, 80, 0.00088, 0.067, 0.0038, "NMES"),
-            (80, 10, 0.00088, 0.0241, 0.0016, "NMES"),
-        ]
-        lines = [CSV_HEADER]
-        for t, p, q, e5, err, kind in rows:
-            lines.append(f"{t},{p},{q},0,0,0,{e5},{e5 - q},{err},{kind}")
-        path.write_text("\n".join(lines) + "\n")
+        write_hardware_scale_csv(path)
         code, text = run_cli(["metrics", "--in", str(path)])
         assert code == EXIT_OK
         values = kv(text)
@@ -452,7 +457,7 @@ class TestMetricsCommand:
         code, text = run_cli(["metrics", "--in", str(path)])
         assert code == EXIT_OK
         assert kv(text)["zero_condition_max"] == "0.03125"
-        assert text.splitlines()[-1] == "zero_condition_max=0.03125"
+        assert "\nzero_condition_max=0.03125\nrows_ps=" in text  # last of the measures
 
     def test_baseline_source_lines(self, tmp_path):
         path = tmp_path / "peak.csv"
@@ -479,6 +484,68 @@ class TestMetricsCommand:
         values = kv(run_cli(["metrics", "--in", str(path)])[1])
         assert (values["peak_tied"], values["peak_on_boundary"]) == ("true", "true")
         assert abs(float(values["shift_deg"]) - (51.827 - 40.0)) < 1e-9
+
+
+class TestMetricsDecisionLines:
+    """The key=value lines after the measures: the inputs behind min q."""
+
+    def metrics(self, tmp_path, *flags):
+        path = tmp_path / "table.csv"
+        write_hardware_scale_csv(path)
+        code, text = run_cli(["metrics", "--in", str(path), *flags])
+        assert code == EXIT_OK
+        return kv(text)
+
+    def test_row_class_counts(self, tmp_path):
+        values = self.metrics(tmp_path)
+        assert (values["rows_ps"], values["rows_mes"], values["rows_nmes"]) == ("4", "1", "7")
+
+    def test_floor_rows(self, tmp_path):
+        assert self.metrics(tmp_path)["floor_rows"] == "5"
+        assert self.metrics(tmp_path, "--baseline", "0.05")["floor_rows"] == "0"
+
+    def test_ladder_stops_at_first_failing_rung(self, tmp_path):
+        # rungs 0.09017, 0.0886, 0.0833 pass; the first q = 0.0433 row fails
+        values = self.metrics(tmp_path)
+        assert (values["ladder_passed"], values["ladder_length"]) == ("3", "7")
+        assert values["ladder_stop_q"] == "0.0433"
+        assert values["min_distinguishable_q"] == "0.0833"
+
+    def test_ladder_without_failing_rung(self, tmp_path):
+        values = self.metrics(tmp_path, "--baseline", "0")
+        assert (values["ladder_passed"], values["ladder_length"]) == ("7", "7")
+        assert values["ladder_stop_q"] == "none"
+
+    def test_free_passes(self, tmp_path):
+        # eps4_est - 3 stat_err exceeds 0.01 on all NMES rows but q = 0.0833 and
+        # the second q = 0.0433 row; none reaches the 0.0807 row floor
+        assert self.metrics(tmp_path)["free_passes"] == "0"
+        assert self.metrics(tmp_path, "--baseline", "0.01")["free_passes"] == "5"
+
+    def test_exact_input(self, tmp_path):
+        assert self.metrics(tmp_path)["exact_input"] == "false"
+
+    def test_vacuous_min_q_is_visible(self, tmp_path):
+        # an exact 5-degree diagonal: min q rests on one PS row and no
+        # statistical margin
+        path = tmp_path / "exact.csv"
+        assert run_cli(["sweep", "diagonal", "--step", "5", "--noise", "default",
+                        "--shots", "0", "--out", str(path)])[0] == EXIT_OK
+        code, text = run_cli(["metrics", "--in", str(path)])
+        assert code == EXIT_OK
+        values = kv(text)
+        assert (values["exact_input"], values["floor_rows"]) == ("true", "1")
+        assert values["free_passes"] != "0"
+
+    def test_no_floor_prints_none(self, tmp_path):
+        path = tmp_path / "nofloor.csv"
+        assert run_cli(["sweep", "diagonal", "--from", "40", "--to", "60", "--step", "2",
+                        "--noise", "default", "--shots", "0", "--out", str(path)])[0] == EXIT_OK
+        values = kv(run_cli(["metrics", "--in", str(path)])[1])
+        assert values["floor_rows"] == "0"
+        for key in ("ladder_passed", "ladder_length", "ladder_stop_q", "free_passes"):
+            assert values[key] == "none"
+        assert values["rows_nmes"] == "11"
 
 
 class TestReducedCommand:

@@ -21,6 +21,7 @@ from hardysim.sweep import (
     diagonal_points,
     diagonal_sweep,
     grid_degrees,
+    ladder_verdict,
     metric_fluctuation,
     min_established_q,
     peak_offset,
@@ -78,6 +79,17 @@ def set_field(column, value):
 def nine_digits(values):
     """The float each value reads back as after the writer's .9g formatting."""
     return np.array([float(format(v, ".9g")) for v in np.ravel(values).tolist()])
+
+
+def reference_ladder(q, eps5, stat_err, baseline, k_sigma):
+    """(passed, length, stop_q, min_q) of the ladder walked in stable-sorted order."""
+    q, eps5, stat_err = (np.asarray(a, dtype=np.float64) for a in (q, eps5, stat_err))
+    order = np.argsort(-q, kind="stable")
+    passed = np.logical_and.accumulate(eps5[order] - k_sigma * stat_err[order] > baseline)
+    count = int(np.count_nonzero(passed))
+    stop_q = float(q[order[count]]) if count < q.size else None
+    min_q = float(q[order[count - 1]]) if count else None
+    return count, q.size, stop_q, min_q
 
 
 def q_grid(theta_deg, phi_deg):
@@ -272,6 +284,32 @@ class TestMinQ:
         q, eps5 = [0.09, 0.05, 0.05, 0.01], [0.5, 0.5, 0.001, 0.9]
         assert min_established_q(q, eps5, [0.001] * 4, baseline=0.1, k_sigma=3.0) == 0.05
         assert min_established_q([], [], [], baseline=0.1, k_sigma=3.0) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                # few distinct q (signed zeros among them) so ties are common
+                st.one_of(st.sampled_from([0.0, -0.0, 0.01, 0.05, 0.09]),
+                          st.floats(0.0, 1.0)),
+                st.floats(0.0, 1.0),
+                st.floats(0.0, 0.1),
+            ),
+            max_size=40,
+        ),
+        st.floats(0.0, 1.0),
+        st.floats(0.1, 5.0),
+    )
+    @example([], 0.1, 3.0)  # empty ladder
+    @example([(0.09, 0.9, 0.0), (0.05, 0.9, 0.0), (0.05, 0.9, 0.0)], 0.1, 3.0)  # all pass
+    @example([(0.09, 0.0, 0.0), (0.05, 0.9, 0.0), (0.09, 0.9, 0.0)], 0.1, 3.0)  # first fails
+    def test_sort_free_ladder_matches_sorted_walk(self, points, baseline, k_sigma):
+        q, eps5, stat_err = np.array(points, dtype=float).reshape(-1, 3).T
+        verdict = ladder_verdict(q, eps5, stat_err, baseline, k_sigma)
+        reference = reference_ladder(q, eps5, stat_err, baseline, k_sigma)
+        # repr tells -0.0 from 0.0: the same rung, not only an equal q
+        assert repr(dataclasses.astuple(verdict)) == repr(reference)
+        assert repr(min_established_q(q, eps5, stat_err, baseline, k_sigma)) == repr(reference[3])
 
 
 class TestShiftAndInterval:
@@ -525,7 +563,15 @@ class TestCsv:
         "form_feed_stays_in_class": (edit_line(2, set_field(9, "NMES\x0c")),
                                      (3, "unknown class 'NMES\\x0c'")),
         "header_without_newline": (lambda text: CSV_HEADER, (1, "no data rows")),
+        "header_then_blank_lines": (lambda text: CSV_HEADER + "\n\n\r\n\r",
+                                    (1, "no data rows")),
         "empty_file": (lambda text: "", (1, "no data rows")),
+        "quoted_class_fields": (lambda text: re.sub(r",(\w+)\n", r',"\1"\n', text), None),
+        # a U5 field would drop the NUL and read a known class
+        "nul_ends_class": (edit_line(2, set_field(9, "NMES\0")),
+                           (3, "unknown class 'NMES\\x00'")),
+        "long_class": (edit_line(2, set_field(9, "NMESNMES")),
+                       (3, "unknown class 'NMESNMES'")),
     }
 
     @pytest.mark.parametrize("case", PARITY_CASES)
@@ -567,6 +613,33 @@ class TestCsv:
         path.write_text(edit_line(2, set_field(9, '"NMES'))(text))
         with pytest.raises(SweepCsvError, match="line 3: quoted field not closed on its line"):
             read_csv(path)
+
+    def test_quote_cannot_join_two_lines(self, tmp_path):
+        # lines 3 and 4 read as one valid row when tokenized together
+        # ('..."0.5\n",NMES'), which one whole-file call would accept
+        lines = rows_to_csv(table_of(synthetic_row(t, 0.1) for t in (10.0, 20.0, 30.0)))
+        lines = lines.split("\n")
+        lines[2:3] = [",".join(lines[2].split(",")[:8] + ['"0.5']), '",NMES']
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines))
+        with open(path, encoding="utf-8") as handle:
+            assert len(sweep._loadtxt(handle, sweep._WHOLE_FILE_DTYPE, skiprows=1)) == 3
+        with pytest.raises(SweepCsvError,
+                           match=re.escape("line 3: expected 10 fields, got 9")):
+            read_csv(path)
+
+    def test_written_file_is_one_tokenizer_call(self, tmp_path, monkeypatch):
+        table = table_of(synthetic_row(t, 0.1) for t in (0.0, 40.0, 51.827, 60.0))
+        path = tmp_path / "sweep.csv"
+        path.write_text(rows_to_csv(table).replace("\n", "\r\n", 3) + "\n\n")
+
+        def per_line_parse(lines):
+            raise AssertionError("per-line parser used")
+
+        monkeypatch.setattr(sweep, "_parse", per_line_parse)
+        back = read_csv(path)
+        assert back.kind.tolist() == table.kind.tolist()
+        np.testing.assert_array_equal(back.q, nine_digits(table.q))
 
     def test_non_numeric_line_before_out_of_range_line(self, tmp_path):
         table = table_of(synthetic_row(t, 0.1) for t in (10.0, 20.0, 30.0, 40.0))
