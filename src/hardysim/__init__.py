@@ -4,7 +4,6 @@ from .engine import (
     EXPERIMENT_SETTINGS,
     FLAGGED_OUTCOME,
     experiment_distributions,
-    experiment_states,
     experiment_steps,
 )
 from .hardy import (

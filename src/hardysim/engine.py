@@ -8,10 +8,11 @@ shape: (..., 4, 4).
 Noise is symmetric depolarizing after every gate, applied in closed form
 (Nielsen & Chuang, section 8.3.4): rate p1 after a one-qubit gate on qubit
 q, rho -> (1 - p1) rho + p1 (I/2 on q) (x) Tr_q rho, and rate p2 after a
-CNOT, rho -> (1 - p2) rho + p2 I/4.  A terminal per-qubit readout confusion
-acts on the final diagonal.  The noiseless case is the same engine with
-zero rates.  Inputs are validated where they enter (NoiseModel, the CLI);
-the engine checks only its final distributions, never an intermediate step.
+CNOT, rho -> (1 - p2) rho + p2 I/4.  A terminal symmetric readout flip on
+each qubit acts on the final diagonal.  The noiseless case is the same
+engine with zero rates.  Inputs are validated where they enter (NoiseModel,
+the CLI); the engine checks only its final distributions, never an
+intermediate step.
 
 `evolve` applies this model in exactly merged form, by the same section's
 identities: per segment between CNOTs, one product of each qubit's gates
@@ -288,21 +289,21 @@ def _final_states(theta, phi, noise) -> list:
     return [_run(after_alice[a], bob[b], noise) for a, b in EXPERIMENT_SETTINGS]
 
 
-def experiment_states(theta, phi, noise) -> np.ndarray:
-    """Final density matrices, shape (N, 4, 4, 4), of the experiments in EXPERIMENT_SETTINGS."""
-    return np.stack([_from_batch_last(r) for r in _final_states(theta, phi, noise)], axis=-3)
+def _confusion(rate: float) -> np.ndarray:
+    """One qubit's symmetric readout flip: reported bit r given true bit t, [t, r]."""
+    return np.array([[1.0 - rate, rate], [rate, 1.0 - rate]])
 
 
 def _through_readout(probs, noise) -> np.ndarray:
-    """Ideal outcome probabilities (last axis) through the readout confusion, checked."""
-    if not noise.readout_is_trivial:
-        transfer = np.kron(noise.readout[1].T, noise.readout[0].T)
+    """Ideal outcome probabilities (last axis) through the readout flips, checked."""
+    if noise.readout0 or noise.readout1:
+        transfer = np.kron(_confusion(noise.readout1), _confusion(noise.readout0))
         probs = (transfer @ probs[..., None])[..., 0]
     return check_distributions(probs)
 
 
 def readout_distributions(rho, noise) -> np.ndarray:
-    """Outcome probabilities of rho (diagonal, through the readout confusion), checked."""
+    """Outcome probabilities of rho (diagonal, through the readout flips), checked."""
     return _through_readout(np.real(np.diagonal(rho, axis1=-2, axis2=-1)), noise)
 
 

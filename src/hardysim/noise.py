@@ -1,10 +1,10 @@
 """Hardware-emulation layer: noise model, shot sampling, epsilon estimates.
 
 The noise mechanism is symmetric depolarizing after every gate application
-(rate p1 for single-qubit gates, p2 for CNOTs) plus a terminal per-qubit
-readout confusion matrix.  The experiment names error magnitudes only, so the
-mechanism is a modeling choice, kept swappable behind NoiseModel; `engine`
-evolves the density matrices under it.
+(rate p1 for single-qubit gates, p2 for CNOTs) plus a terminal symmetric
+readout flip on each qubit (rates readout0, readout1).  The experiment
+names error magnitudes only, so the mechanism is a modeling choice, kept
+swappable behind NoiseModel; `engine` evolves the density matrices under it.
 
 Randomness enters only at shot sampling: one generator per command, seeded
 by `--seed`, draws all flagged counts in sweep order.
@@ -31,57 +31,32 @@ class ProfileError(ValueError):
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-gate depolarizing rates plus per-qubit readout confusion.
+    """Per-gate depolarizing rates plus symmetric per-qubit readout flips.
 
-    readout[q][t, r] is the probability of reporting bit r given true bit t
-    on qubit q (rows sum to 1).  Qubit 0 is Bob, qubit 1 is Alice.
+    readout0 and readout1 are the probabilities that qubit 0 (Bob) and
+    qubit 1 (Alice) report the wrong bit, whatever the true one.
     """
 
     p1: float
     p2: float
-    readout: tuple[np.ndarray, np.ndarray]
+    readout0: float
+    readout1: float
     name: str = ""
 
     def __post_init__(self):
-        for label, p in (("p1", self.p1), ("p2", self.p2)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{label} must be in [0, 1], got {p}")
-        mats = []
-        for q, mat in enumerate(self.readout):
-            mat = np.asarray(mat, dtype=np.float64)
-            if mat.shape != (2, 2) or np.any(mat < 0):
-                raise ValueError(f"readout matrix for qubit {q} must be 2x2 nonnegative")
-            if np.max(np.abs(mat.sum(axis=1) - 1.0)) > 1e-12:
-                raise ValueError(f"readout matrix rows for qubit {q} must sum to 1")
-            mat = mat.copy()
-            mat.setflags(write=False)
-            mats.append(mat)
-        object.__setattr__(self, "readout", tuple(mats))
-
-    @classmethod
-    def from_rates(
-        cls, p1: float, p2: float, readout0: float, readout1: float, name: str = ""
-    ) -> "NoiseModel":
-        """Build from symmetric per-qubit readout flip probabilities."""
-        def confusion(r: float) -> np.ndarray:
-            if not 0.0 <= r <= 1.0:
-                raise ValueError(f"readout flip rate must be in [0, 1], got {r}")
-            return np.array([[1.0 - r, r], [r, 1.0 - r]])
-
-        return cls(p1, p2, (confusion(readout0), confusion(readout1)), name)
+        for label in ("p1", "p2", "readout0", "readout1"):
+            rate = getattr(self, label)
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"{label} must be in [0, 1], got {rate}")
 
     @classmethod
     def none(cls) -> "NoiseModel":
-        return cls.from_rates(0.0, 0.0, 0.0, 0.0, name="none")
+        return cls(0.0, 0.0, 0.0, 0.0, name="none")
 
     @classmethod
     def default_profile(cls) -> "NoiseModel":
         """Illustrative calibration; not a statement about any real device."""
-        return cls.from_rates(0.001, 0.01, 0.02, 0.02, name="default")
-
-    @property
-    def readout_is_trivial(self) -> bool:
-        return all(np.array_equal(m, np.eye(2)) for m in self.readout)
+        return cls(0.001, 0.01, 0.02, 0.02, name="default")
 
 
 def load_noise_profile(path) -> NoiseModel:
@@ -110,7 +85,7 @@ def load_noise_profile(path) -> NoiseModel:
     if values:
         raise ProfileError(f"{path}: unknown keys {sorted(values)}")
     try:
-        return NoiseModel.from_rates(name=name, **rates)
+        return NoiseModel(name=name, **rates)
     except ValueError as exc:
         raise ProfileError(f"{path}: {exc}") from exc
 

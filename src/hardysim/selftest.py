@@ -1,8 +1,6 @@
 """Named invariant suites behind the `validate` CLI command.
 
-Each suite returns (name, passed, detail).  The coupling suite accepts a
-lambda scale purely as a negative-control hook for tests: any value other
-than 1 breaks the phase-gate binding and must make the suite fail.
+Each suite returns (name, passed, detail).
 
 The zero-condition and closed-form-q suites both read one noiseless engine
 batch over the whole 37 x 37 (theta, phi) grid (2.5-degree steps on
@@ -72,14 +70,11 @@ def _suite_beam_splitter_anchor() -> tuple[str, bool, str]:
     return "beam-splitter-anchor", worst <= EXACT_TOL, f"worst entry diff {worst:.2e}"
 
 
-def _suite_coupling_identity(lambda_scale: float = 1.0) -> tuple[str, bool, str]:
+def _suite_coupling_identity() -> tuple[str, bool, str]:
     phi = _spread(200, 0.0, 2 * math.pi)
-    composed = steps_unitary(gates.coupling_steps(phi * lambda_scale))
+    composed = steps_unitary(gates.coupling_steps(phi))
     worst = float(np.max(np.abs(composed - gates.coupling(phi))))
-    detail = f"worst entry diff {worst:.2e}"
-    if lambda_scale != 1.0:
-        detail += f" (lambda scale {lambda_scale})"
-    return "coupling-decomposition", worst <= EXACT_TOL, detail
+    return "coupling-decomposition", worst <= EXACT_TOL, f"worst entry diff {worst:.2e}"
 
 
 def _ideal_grid(step_deg: float = 2.5):
@@ -138,13 +133,13 @@ def _suite_optimum() -> tuple[str, bool, str]:
     return "q-maximum-location", ok, f"checks {checks}"
 
 
-def run_validation_suites(coupling_lambda_scale: float = 1.0):
+def run_validation_suites():
     """Run all suites; returns a list of (name, passed, detail)."""
     theta, phi, flagged = _ideal_grid()
     return [
         _suite_gate_unitarity(),
         _suite_beam_splitter_anchor(),
-        _suite_coupling_identity(coupling_lambda_scale),
+        _suite_coupling_identity(),
         _suite_zero_probabilities(flagged),
         _suite_q_equivalence(theta, phi, flagged),
         _suite_classification(),

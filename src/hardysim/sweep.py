@@ -245,15 +245,6 @@ def ladder_verdict(q, eps5, stat_err, baseline: float, k_sigma: float) -> Ladder
     return LadderVerdict(int(rungs.size), int(q.size), stop_q, min_q)
 
 
-def min_established_q(q, eps5, stat_err, baseline: float, k_sigma: float) -> float | None:
-    """Smallest q in the maximal passing prefix of the descending-q ladder.
-
-    None when even the largest q fails (non-locality not established); see
-    ladder_verdict.
-    """
-    return ladder_verdict(q, eps5, stat_err, baseline, k_sigma).min_q
-
-
 def peak_offset(
     table: SweepTable, rho_deg: float = REFERENCE_ANGLE_DEG
 ) -> tuple[float, bool, bool]:
@@ -546,22 +537,29 @@ def _check_rows(data, kinds) -> tuple[int, str] | None:
     """(row index, message) of the earliest parsed row failing a check, or None.
 
     Within a row the checks apply in order: finite, probabilities in [0, 1],
-    known class, eps4_est consistent.
+    known class, eps4_est consistent.  All rows are screened one column at a
+    time, on a transposed contiguous copy of the values (a probability in
+    [0, 1] is finite); only the first failing row is diagnosed.
     """
-    finite = np.isfinite(data)
-    probabilities = data[:, 2:7]
-    in_range = (probabilities >= 0.0) & (probabilities <= 1.0)
+    columns = data.T.copy()
     known = np.isin(kinds, _CLASS_NAMES)
-    consistent = ~(np.abs(data[:, 7] - (data[:, 6] - data[:, 2])) > 1e-6)
-    good = finite.all(axis=1) & in_range.all(axis=1) & known & consistent
+    good = known & ~(np.abs(columns[7] - (columns[6] - columns[2])) > 1e-6)
+    for column in (0, 1, 7, 8):
+        good &= np.isfinite(columns[column])
+    for column in range(2, 7):
+        good &= columns[column] >= 0.0
+        good &= columns[column] <= 1.0
     if good.all():
         return None
     row = int(np.argmin(good))
-    if not finite[row].all():
-        return row, f"non-finite {_HEADER_FIELDS[int(np.argmin(finite[row]))]}"
-    if not in_range[row].all():
-        column = int(np.argmin(in_range[row]))
-        value = float(probabilities[row, column])
+    finite = np.isfinite(data[row])
+    if not finite.all():
+        return row, f"non-finite {_HEADER_FIELDS[int(np.argmin(finite))]}"
+    probabilities = data[row, 2:7]
+    in_range = (probabilities >= 0.0) & (probabilities <= 1.0)
+    if not in_range.all():
+        column = int(np.argmin(in_range))
+        value = float(probabilities[column])
         return row, f"{_PROBABILITY_FIELDS[column]}={value!r} outside [0, 1]"
     if not known[row]:
         return row, f"unknown class {kinds[row]!r}"

@@ -168,7 +168,7 @@ def test_c09_noisy_model_properties():
     for which in ("p1", "p2", "readout"):
         values = []
         for factor in (0.0, 0.5, 1.0, 2.0, 4.0):
-            model = NoiseModel.from_rates(
+            model = NoiseModel(
                 base.p1 * (factor if which == "p1" else 1.0),
                 base.p2 * (factor if which == "p2" else 1.0),
                 0.02 * (factor if which == "readout" else 1.0),
@@ -179,7 +179,7 @@ def test_c09_noisy_model_properties():
     # (d) fewer gates means less error whenever the CNOTs are noisy
     for variant in ("ps_00", "ps_01"):
         for p2 in (0.002, 0.01, 0.05):
-            rc = reduced_circuit_compare(variant, NoiseModel.from_rates(0.0, p2, 0.0, 0.0))
+            rc = reduced_circuit_compare(variant, NoiseModel(0.0, p2, 0.0, 0.0))
             assert rc.reduced_eps < rc.full_eps
     report(9, "zero-noise equality, epsilon band, ladder monotonicity, gate-count ordering")
 

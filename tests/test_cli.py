@@ -270,6 +270,25 @@ class TestGoldenOutputs:
         assert run_cli([*argv, "--out", str(out)])[0] == EXIT_OK
         assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
 
+    # Unequal gate and readout rates, so a swapped qubit mapping of any
+    # rate changes the output; stdout saved from the four-matrix noise model.
+    UNEQUAL_PROFILE = "p1=0.003\np2=0.02\nreadout0=0.01\nreadout1=0.04\n"
+    UNEQUAL_OUTPUTS = [
+        (["probe", "40", "70", "--shots", "0"],
+         "theta_deg=40\nphi_deg=70\nclass=NMES\nconcurrence=0.925416578\n"
+         "q_theory=0.0394309454\neps1=0.0393036493\nstat_err1=0\neps2=0.035214536\n"
+         "stat_err2=0\neps3=0.0345695538\nstat_err3=0\neps5=0.0664682471\n"
+         "stat_err5=0\neps5_run_std=0\neps4_est=0.0270373018\nnoise_profile=unequal\n"),
+        (["reduced", "ps_00"],
+         "variant=ps_00\nfull_eps=0.0121529646\nreduced_eps=0.000490409714\n"
+         "full_gate_count=14\nreduced_gate_count=3\n"),
+    ]
+
+    @pytest.mark.parametrize("argv,expected", UNEQUAL_OUTPUTS, ids=["probe", "reduced"])
+    def test_unequal_rates_profile_matches_saved_output(self, tmp_path, argv, expected):
+        profile = tmp_path / "unequal.profile"
+        profile.write_text(self.UNEQUAL_PROFILE)
+        assert run_cli([*argv, "--noise", str(profile)]) == (EXIT_OK, expected)
 
     def test_metrics_matches_golden(self):
         golden = GOLDEN_DIR / "metrics_diagonal_5deg_sampled_default_seed7.txt"
@@ -639,8 +658,12 @@ class TestValidateCommand:
         assert len(suites) >= 6
         assert all(line.startswith("PASS") for line in suites)
 
-    def test_corrupted_lambda_binding_fails_coupling_suite(self):
-        results = {name: ok for name, ok, _ in run_validation_suites(coupling_lambda_scale=1.02)}
+    def test_corrupted_lambda_binding_fails_coupling_suite(self, monkeypatch):
+        from hardysim import gates
+
+        coupling_steps = gates.coupling_steps
+        monkeypatch.setattr(gates, "coupling_steps", lambda lam: coupling_steps(lam * 1.02))
+        results = {name: ok for name, ok, _ in run_validation_suites()}
         assert results["coupling-decomposition"] is False
         assert results["beam-splitter-anchor"] is True
 

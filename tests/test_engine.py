@@ -11,18 +11,19 @@ from hypothesis import strategies as st
 import kraus_reference as ref
 from hardysim.engine import (
     CX,
+    EXPERIMENT_SETTINGS,
     FLAGGED_OUTCOME,
     check_distributions,
     evolve,
     experiment_distributions,
-    experiment_states,
+    experiment_steps,
     ground_state,
     preparation_steps,
     readout_distributions,
     steps_unitary,
 )
 from hardysim import gates
-from hardysim.hardy import analytic_q
+from hardysim.hardy import analytic_q, chi_of
 from hardysim.noise import NoiseModel
 
 angles = st.floats(0.0, math.pi)
@@ -32,9 +33,13 @@ rates = st.floats(0.0, 1.0)
 @settings(max_examples=60, deadline=None)
 @given(angles, angles, rates, rates, rates, rates)
 def test_engine_matches_kraus_reference(theta, phi, p1, p2, readout0, readout1):
-    noise = NoiseModel.from_rates(p1, p2, readout0, readout1)
-    states = experiment_states([theta], [phi], noise)[0]
-    assert np.max(np.abs(states - ref.final_states(theta, phi, p1, p2))) <= 1e-12
+    noise = NoiseModel(p1, p2, readout0, readout1)
+    chi = chi_of(theta, phi)
+    states = [
+        evolve(ground_state(), experiment_steps(a, b, theta, phi, chi), noise)
+        for a, b in EXPERIMENT_SETTINGS
+    ]
+    assert np.max(np.abs(np.array(states) - ref.final_states(theta, phi, p1, p2))) <= 1e-12
     dists = experiment_distributions([theta], [phi], noise)[0]
     expect = ref.distributions(theta, phi, p1, p2, readout0, readout1)
     assert np.max(np.abs(dists - expect)) <= 1e-12
@@ -80,7 +85,7 @@ def test_fused_evolve_matches_step_by_step_kraus(steps, p1, p2, entries):
     reference_steps = [
         (ref.CNOT, ref.BOTH) if s == "cx" else (ref.u3(*s[1]), s[0]) for s in steps
     ]
-    got = evolve(rho, engine_steps, NoiseModel.from_rates(p1, p2, 0.0, 0.0))
+    got = evolve(rho, engine_steps, NoiseModel(p1, p2, 0.0, 0.0))
     assert np.max(np.abs(got - ref.run_steps(rho, reference_steps, p1, p2))) <= 1e-12
 
 
@@ -133,13 +138,13 @@ def gate(rho, u, qubit):
 
 def depolarize_qubit(rho, p, qubit):
     """`evolve` with the identity on `qubit`: the one-qubit channel alone."""
-    return evolve(rho, [(qubit, I2)], NoiseModel.from_rates(p, 0.0, 0.0, 0.0))
+    return evolve(rho, [(qubit, I2)], NoiseModel(p, 0.0, 0.0, 0.0))
 
 
 def depolarize_both(rho, p):
     """`evolve` with one CX on CX rho CX: the two-qubit channel on rho alone."""
     swapped = CNOT_HIGH_CTRL @ rho @ CNOT_HIGH_CTRL
-    return evolve(swapped, [CX], NoiseModel.from_rates(0.0, p, 0.0, 0.0))
+    return evolve(swapped, [CX], NoiseModel(0.0, p, 0.0, 0.0))
 
 
 class TestGroundState:
@@ -374,7 +379,7 @@ class TestEvolveChannels:
 
     def test_random_circuits_preserve_norm(self):
         rng = np.random.default_rng(5)
-        noise = NoiseModel.from_rates(0.05, 0.1, 0.0, 0.0)
+        noise = NoiseModel(0.05, 0.1, 0.0, 0.0)
         for _ in range(20):
             steps = []
             for _ in range(int(rng.integers(0, 21))):
@@ -394,7 +399,7 @@ class TestEvolveBatches:
         u = np.array([[random_unitary(rng, 2) for _ in range(3)] for _ in range(2)])
         theta = rng.uniform(0, math.pi, (2, 3))
         steps = [(1, u), (0, gates.u3(theta, 0.3, 0.1)), CX, (0, u), (1, gates.hadamard())]
-        noise = NoiseModel.from_rates(0.03, 0.07, 0.0, 0.0)
+        noise = NoiseModel(0.03, 0.07, 0.0, 0.0)
         got = evolve(rho, steps, noise)
         assert got.shape == (2, 3, 4, 4)
         for i, j in np.ndindex(2, 3):

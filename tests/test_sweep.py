@@ -23,7 +23,6 @@ from hardysim.sweep import (
     grid_degrees,
     ladder_verdict,
     metric_fluctuation,
-    min_established_q,
     peak_offset,
     performance_report,
     read_csv,
@@ -272,18 +271,18 @@ class TestMinQ:
             (0.00088, 0.067, 0.0038),
             (0.00088, 0.0241, 0.0016),
         ]
-        result = min_established_q(*np.array(entries).T, baseline=0.0807, k_sigma=3.0)
-        assert result == 0.0833
+        verdict = ladder_verdict(*np.array(entries).T, baseline=0.0807, k_sigma=3.0)
+        assert verdict.min_q == 0.0833
 
     def test_prefix_rule_stops_at_first_failure(self):
         entries = [(0.09, 0.5, 0.001), (0.05, 0.001, 0.001), (0.01, 0.9, 0.001)]
-        assert min_established_q(*np.array(entries).T, baseline=0.1, k_sigma=3.0) == 0.09
+        assert ladder_verdict(*np.array(entries).T, baseline=0.1, k_sigma=3.0).min_q == 0.09
 
     def test_ladder_ties_keep_given_order(self):
         # equal q: the first failing entry in the given order ends the ladder
         q, eps5 = [0.09, 0.05, 0.05, 0.01], [0.5, 0.5, 0.001, 0.9]
-        assert min_established_q(q, eps5, [0.001] * 4, baseline=0.1, k_sigma=3.0) == 0.05
-        assert min_established_q([], [], [], baseline=0.1, k_sigma=3.0) is None
+        assert ladder_verdict(q, eps5, [0.001] * 4, baseline=0.1, k_sigma=3.0).min_q == 0.05
+        assert ladder_verdict([], [], [], baseline=0.1, k_sigma=3.0).min_q is None
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -309,7 +308,6 @@ class TestMinQ:
         reference = reference_ladder(q, eps5, stat_err, baseline, k_sigma)
         # repr tells -0.0 from 0.0: the same rung, not only an equal q
         assert repr(dataclasses.astuple(verdict)) == repr(reference)
-        assert repr(min_established_q(q, eps5, stat_err, baseline, k_sigma)) == repr(reference[3])
 
 
 class TestShiftAndInterval:
@@ -424,13 +422,13 @@ class TestReducedCircuit:
 
     @pytest.mark.parametrize("variant", ["ps_00", "ps_01"])
     def test_two_qubit_noise_orders_errors(self, variant):
-        noise = NoiseModel.from_rates(0.0, 0.01, 0.0, 0.0)
+        noise = NoiseModel(0.0, 0.01, 0.0, 0.0)
         rc = reduced_circuit_compare(variant, noise)
         assert rc.reduced_eps < rc.full_eps
 
     @pytest.mark.parametrize("variant", ["ps_00", "ps_01"])
     def test_single_qubit_noise_orders_errors(self, variant):
-        noise = NoiseModel.from_rates(0.005, 0.0, 0.0, 0.0)
+        noise = NoiseModel(0.005, 0.0, 0.0, 0.0)
         rc = reduced_circuit_compare(variant, noise)
         assert rc.reduced_eps < rc.full_eps
 
