@@ -218,7 +218,8 @@ def _cmd_metrics(args, out) -> int:
     _print_kv(out, "baseline_source", report.baseline_source)
     _print_kv(out, "k_sigma", args.k_sigma)
     _print_kv(out, "rho_deg", args.rho)
-    min_q = report.min_distinguishable_q
+    ladder = report.ladder
+    min_q = None if ladder is None else ladder.min_q
     _print_kv(out, "min_distinguishable_q", "not_established" if min_q is None else min_q)
     # delta, the half-width of the smallest [rho - delta, rho + delta] holding
     # the peak, is the shift by definition: both keys print the one offset.
@@ -235,7 +236,6 @@ def _cmd_metrics(args, out) -> int:
     for kind in ("PS", "MES", "NMES"):
         _print_kv(out, f"rows_{kind.lower()}", int(np.count_nonzero(table.kind == kind)))
     _print_kv(out, "floor_rows", report.floor_rows)
-    ladder = report.ladder
     _print_kv(out, "ladder_passed", "none" if ladder is None else ladder.passed)
     _print_kv(out, "ladder_length", "none" if ladder is None else ladder.length)
     stop_q = None if ladder is None else ladder.stop_q

@@ -7,12 +7,12 @@ swept axis directly.  The CSV interface is fixed:
     theta_deg,phi_deg,q_theory,eps1,eps2,eps3,eps5,eps4_est,stat_err,class
 
 one row per grid point, decimal points, at least six significant digits.
-write_csv emits unquoted rows with LF endings.  read_csv parses with numpy's
-C tokenizer (np.loadtxt): a file without a double quote or NUL byte, as
-write_csv writes it, in one call over the whole file; any other file, or
-one that call or the row checks reject, line by line, which is also what
-numbers a bad line.  It accepts CRLF or CR endings, double-quoted fields
-and blank lines.
+write_csv emits unquoted rows with LF endings.  read_csv parses every valid
+file in one call of numpy's C tokenizer (np.loadtxt) over the whole file.
+A file it cannot trust to that call, or one the call or the row checks
+reject, goes to _diagnose, which tokenizes each line on its own and raises
+at the earliest bad line.  It accepts CRLF or CR endings, double-quoted
+fields and blank lines.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -38,15 +39,15 @@ from .noise import NoiseModel, ShotConfig, estimate_batch
 CSV_HEADER = "theta_deg,phi_deg,q_theory,eps1,eps2,eps3,eps5,eps4_est,stat_err,class"
 _HEADER_FIELDS = CSV_HEADER.split(",")
 _PROBABILITY_FIELDS = ("q_theory", "eps1", "eps2", "eps3", "eps5")
-_ROW_DTYPE = np.dtype([("values", np.float64, (9,)), ("kind", object)])
-# One character longer than the longest class name, so a longer field cut
-# to fit never equals a class name.
-_WHOLE_FILE_DTYPE = np.dtype([("values", np.float64, (9,)), ("kind", "U5")])
-# The exact header, its line end, and a non-blank line after it.
-_WHOLE_FILE_START = re.compile(re.escape(CSV_HEADER.encode()) + rb"[\r\n]+[^\r\n]")
+# The class field is one character longer than the longest class name, so
+# a longer field cut to fit never equals a class name.
+_ROW_DTYPE = np.dtype([("values", np.float64, (9,)), ("kind", "U5")])
+# _diagnose keeps each class field whole.
+_LINE_DTYPE = np.dtype([("values", np.float64, (9,)), ("kind", object)])
+# The first line, its line end, and a non-blank line after it.
+_FIRST_LINE = re.compile(rb"([^\r\n]*)[\r\n]+[^\r\n]")
 _CLASS_NAMES = np.array(CLASSES)
 _SENTINEL = "0,0,0,0,0,0,0,0,0,PS"  # a valid row; see _parse
-_BLOCK_LINES = 8192  # _read_lines parses this many lines per loadtxt call
 
 # Reference angle (degrees) for the peak measure: the diagonal parameter
 # maximizing q, quoted at the customary 51.827.
@@ -113,10 +114,11 @@ class PerformanceReport:
 
     baseline_source says where the error floor came from: "flag" (given by
     the caller), "rows" (largest eps5 over the MES / PS rows) or "none"
-    (neither; baseline, min q, ladder and free_passes are then None).
+    (neither; baseline, ladder and free_passes are then None).
     floor_rows counts the rows the floor was taken from (0 unless "rows").
-    ladder is the NMES rows' min-q ladder; free_passes counts the NMES rows
-    whose eps4_est - k_sigma * stat_err alone exceeds the floor, which pass
+    ladder is the NMES rows' min-q ladder; its min_q is the smallest
+    distinguishable q.  free_passes counts the NMES rows whose
+    eps4_est - k_sigma * stat_err alone exceeds the floor, which pass
     whatever their q.  peak_offset_deg is |peak - rho|, which is both the
     shift of the eps5 peak and the half-width delta of the smallest interval
     [rho - delta, rho + delta] holding it.  zero_condition_max is the
@@ -127,7 +129,6 @@ class PerformanceReport:
     baseline: float | None
     baseline_source: str
     floor_rows: int
-    min_distinguishable_q: float | None
     ladder: LadderVerdict | None
     free_passes: int | None
     peak_offset_deg: float
@@ -306,7 +307,6 @@ def performance_report(
         baseline=baseline,
         baseline_source=source,
         floor_rows=floor_rows,
-        min_distinguishable_q=None if ladder is None else ladder.min_q,
         ladder=ladder,
         free_passes=free_passes,
         peak_offset_deg=offset,
@@ -395,14 +395,38 @@ def read_csv(path) -> SweepTable:
     checked for consistency and the exact difference is used.  A bad file is
     reported at its earliest bad line.
 
-    A file as write_csv writes it is parsed in one tokenizer call
-    (_read_whole); every other file, and every bad one, goes through the
-    per-line reader (_read_lines), the one source of line numbers and
-    messages.
+    The rows come from one tokenizer call over the whole file.  A file that
+    call cannot be trusted with, or whose rows it or _check_rows rejects, goes
+    to _diagnose, which raises at the earliest bad line.
     """
-    rows = _read_whole(path)
-    if rows is None:
-        rows = _read_lines(path)
+    try:
+        with open(path, "rb") as handle:
+            raw = handle.read()
+    except OSError:
+        _diagnose(path)
+    # The call needs a data line after the header (it warns on no data).  A
+    # NUL byte is bad in any field, but the U5 class field would drop it.  A
+    # good line holds an even number of quotes (a quoted field opens and
+    # closes, and no number or class holds a quote), so a line with an odd
+    # number is bad, and the call could join it to the next line; a line
+    # left open with an even number holds a quote in another field, which
+    # the call rejects.
+    start = _FIRST_LINE.match(raw)
+    if (
+        start is None
+        or _fields(start[1].decode("utf-8", "replace")) != _HEADER_FIELDS
+        or b"\0" in raw
+        or (b'"' in raw and any(line.count(b'"') % 2 for line in raw.splitlines()))
+    ):
+        _diagnose(path)
+    del raw, start  # free the bytes before the call builds the rows
+    try:
+        with open(path, encoding="utf-8") as handle:
+            rows = _loadtxt(handle, _ROW_DTYPE, skiprows=1)
+    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
+        _diagnose(path)
+    if _check_rows(rows["values"], rows["kind"]) is not None:
+        _diagnose(path)
     data = rows["values"]
     return SweepTable(
         theta_deg=data[:, 0],
@@ -414,66 +438,33 @@ def read_csv(path) -> SweepTable:
     )
 
 
-def _read_whole(path) -> np.ndarray | None:
-    """All rows in one np.loadtxt call, or None if the file needs _read_lines.
+def _diagnose(path) -> NoReturn:
+    """Raise SweepCsvError at the earliest bad line of a file read_csv rejects.
 
-    Only a file that starts with the exact header and holds a data line, and
-    holds no double quote and no NUL byte, is tried: a quoted field can
-    join two lines into one valid-looking row, and the U5 class field drops
-    trailing NULs.  None also when the call or _check_rows rejects the rows.
-    """
-    try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-    except OSError:
-        return None
-    if b'"' in raw or b"\0" in raw or not _WHOLE_FILE_START.match(raw):
-        return None
-    del raw
-    try:
-        with open(path, encoding="utf-8") as handle:
-            rows = _loadtxt(handle, _WHOLE_FILE_DTYPE, skiprows=1)
-    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
-        return None
-    return rows if _check_rows(rows["values"], rows["kind"]) is None else None
-
-
-def _read_lines(path) -> np.ndarray:
-    """The rows of a sweep CSV as a _ROW_DTYPE array, parsed block by block.
-
-    Raises SweepCsvError at the earliest bad line.
+    Each non-empty line is tokenized on its own (_parse), so a quote cannot
+    join two lines and a NUL byte stays in its field.
     """
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.read().split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise SweepCsvError(0, f"cannot read {path}: {exc}") from exc
-    if lines != [""] and (header := _fields(lines[0])) != _HEADER_FIELDS:
-        raise SweepCsvError(1, f"bad header {header!r}")
-    # 1-based line numbers of the non-empty data lines, which alone are parsed
-    lengths = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
-    linenos = np.flatnonzero(lengths[1:]) + 2
-    records = list(filter(None, lines[1:]))
-    rows = np.empty(len(records), _ROW_DTYPE)
-    failure = None
-    for start in range(0, len(records), _BLOCK_LINES):
-        block = records[start:start + _BLOCK_LINES]
-        parsed = _parse(block)
-        if parsed is None:
-            bad = _first_bad(block)
-            rows = rows[:start + bad]
-            rows[start:] = _parse(block[:bad])
-            failure = SweepCsvError(int(linenos[start + bad]), _fault(block[bad]))
-            break
-        rows[start:start + len(block)] = parsed
+    if lines != [""]:
+        if (header := _fields(lines[0])) != _HEADER_FIELDS:
+            raise SweepCsvError(1, f"bad header {header!r}")
+        if lines[0].count('"') % 2:  # a header field left open
+            raise SweepCsvError(1, "quoted field not closed on its line")
+    # the data lines that are parsed, and their 1-based line numbers
+    numbered = [(number, line) for number, line in enumerate(lines[1:], 2) if line]
+    records = [line for _, line in numbered]
+    bad = _first_bad(records)
+    rows = _parse(records[:bad])
     if (fault := _check_rows(rows["values"], rows["kind"])) is not None:
         row, message = fault
-        raise SweepCsvError(int(linenos[row]), message)
-    if failure is not None:
-        raise failure
-    if not len(rows):
-        raise SweepCsvError(1, "no data rows")
-    return rows
+        raise SweepCsvError(numbered[row][0], message)
+    if bad < len(records):
+        raise SweepCsvError(numbered[bad][0], _fault(records[bad]))
+    raise SweepCsvError(1, "no data rows")
 
 
 def _loadtxt(lines, dtype, **kwargs) -> np.ndarray:
@@ -489,7 +480,7 @@ def _fields(line: str) -> list[str]:
 
 
 def _parse(lines: list[str]) -> np.ndarray | None:
-    """Rows of non-empty lines as a _ROW_DTYPE array, or None if any line is bad.
+    """Rows of non-empty lines as a _LINE_DTYPE array, or None if any line is bad.
 
     A line is bad when it does not hold ten fields, when one of its first nine
     fields is not a number, or when a quoted field is still open at its end.
@@ -498,26 +489,26 @@ def _parse(lines: list[str]) -> np.ndarray | None:
     ends fails to parse.
     """
     try:
-        rows = _loadtxt([*lines, _SENTINEL], _ROW_DTYPE)
+        rows = _loadtxt([*lines, _SENTINEL], _LINE_DTYPE)
     except ValueError:
         return None
     return rows[:-1] if len(rows) == len(lines) + 1 else None
 
 
 def _first_bad(lines: list[str]) -> int:
-    """Index of the first bad line of lines that _parse rejects, by bisection.
+    """Index of the first line _parse rejects, by bisection; len(lines) if none.
 
     Whether a line is bad does not depend on the lines around it (a good line
-    closes its quotes), so a half is rejected exactly when it holds a bad line.
+    closes its quotes), so a part is rejected exactly when it holds a bad line.
     """
-    lo, hi = 0, len(lines)  # lines[:lo] are good; lines[lo:hi] hold a bad line
+    lo, hi = 0, len(lines)  # lines[:lo] are good; a bad line, if any, is in lines[lo:hi]
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _parse(lines[lo:mid]) is None:
             hi = mid
         else:
             lo = mid
-    return lo
+    return len(lines) if _parse(lines[lo:hi]) is not None else lo
 
 
 def _fault(line: str) -> str:

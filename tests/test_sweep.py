@@ -91,6 +91,53 @@ def reference_ladder(q, eps5, stat_err, baseline, k_sigma):
     return count, q.size, stop_q, min_q
 
 
+# Cells that make a data line bad, each in its own way, in a number column
+# or in the class column.
+BAD_NUMBERS = ["x", "", "1_0", "1.5", "-0.5", "nan", "inf", "0.5\0", "1,2", '"0.5', '1"',
+               '"0."5"', '"a""b"']
+BAD_CLASSES = ["", "WAT", "NMES ", "NMESNMES", "NMES\0", '"NMES', '"NMES"x']
+
+
+@st.composite
+def csv_texts(draw):
+    """A sweep CSV of valid rows with random quoting, line endings and blank
+    lines, and at most one data cell replaced by a bad one."""
+    thetas = draw(st.lists(st.sampled_from([0.0, 10.0, 45.0, 51.827, 89.0]),
+                           min_size=1, max_size=5))
+    text = rows_to_csv(table_of(synthetic_row(t, 0.1) for t in thetas))
+    cells = [line.split(",") for line in text.splitlines()]
+    if draw(st.booleans()):
+        row = len(thetas) - draw(st.integers(0, len(thetas) - 1))  # the last row first
+        if draw(st.booleans()):
+            cells[row][9] = draw(st.sampled_from(BAD_CLASSES))
+        else:
+            cells[row][draw(st.integers(0, 8))] = draw(st.sampled_from(BAD_NUMBERS))
+    lines = [",".join(f'"{cell}"' if draw(st.booleans()) else cell for cell in row)
+             for row in cells]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(map(str.__add__, lines, ends))
+
+
+def per_line_outcome(path):
+    """(rows, None) when each data line of the file, parsed on its own, passes
+    the row checks, else (None, number of the earliest line that does not)."""
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().split("\n")
+    assert sweep._fields(lines[0]) == sweep._HEADER_FIELDS
+    rows = []
+    for number, line in enumerate(lines[1:], 2):
+        if line:
+            parsed = sweep._parse([line])
+            if parsed is None or sweep._check_rows(parsed["values"], parsed["kind"]):
+                return None, number
+            rows.append(parsed)
+    return np.concatenate(rows), None
+
+
 def q_grid(theta_deg, phi_deg):
     """analytic_q on the outer grid of two degree axes; entry [i, j] is (theta[i], phi[j])."""
     theta = np.radians(np.asarray(theta_deg, dtype=float))
@@ -239,7 +286,7 @@ class TestBaseline:
         report = performance_report(table)
         assert report.baseline_source == "none"
         assert report.baseline is None
-        assert report.min_distinguishable_q is None
+        assert report.ladder is None
         assert performance_report(table, baseline=0.05).baseline_source == "flag"
 
     @pytest.mark.parametrize("baseline", [-1.0, 1.5, math.nan])
@@ -252,12 +299,12 @@ class TestBaseline:
 class TestMinQ:
     def test_zero_noise_floor_allows_smallest_ladder_point(self):
         report = performance_report(floor_sweep(NoiseModel.none(), ShotConfig(seed=6)))
-        assert report.min_distinguishable_q is not None
-        assert report.min_distinguishable_q <= 0.005
+        assert report.ladder.min_q is not None
+        assert report.ladder.min_q <= 0.005
 
     def test_forced_huge_baseline_gives_none(self):
         table = floor_sweep(NoiseModel.none(), ShotConfig(seed=6))
-        assert performance_report(table, baseline=1.0).min_distinguishable_q is None
+        assert performance_report(table, baseline=1.0).ladder.min_q is None
 
     def test_hardware_scale_boundary(self):
         # entries at real-device scale: error floor 0.0807, NMES points above
@@ -389,7 +436,7 @@ class TestPerformanceReport:
             rows.append(synthetic_row(float(t), eps5, stat_err=0.001))
         report = performance_report(table_of(rows))
         assert report.baseline == 0.01 and report.baseline_source == "rows"
-        assert report.min_distinguishable_q is not None
+        assert report.ladder.min_q is not None
         assert report.eps4_fluctuation_range >= report.eps4_fluctuation_std
 
     def test_explicit_baseline_wins(self):
@@ -546,7 +593,10 @@ class TestCsv:
     # csv module.  Each gives the outcome the csv-module reader gave: the
     # same table, or the same exit code, line and message prefix.
     PARITY_CASES = {
+        "as_written": (lambda text: text, None),
         "crlf_endings": (lambda text: text.replace("\n", "\r\n"), None),
+        "mixed_endings_trailing_blank_lines": (
+            lambda text: text.replace("\n", "\r\n", 3) + "\n\n", None),
         "cr_endings": (lambda text: text.replace("\n", "\r"), None),
         "quoted_fields": (lambda text: re.sub(r"[^,\n]+", r'"\g<0>"', text), None),
         "hash_is_no_comment": (edit_line(2, lambda line: "#" + line),
@@ -611,6 +661,10 @@ class TestCsv:
         path.write_text(edit_line(2, set_field(9, '"NMES'))(text))
         with pytest.raises(SweepCsvError, match="line 3: quoted field not closed on its line"):
             read_csv(path)
+        # the header's fields read right, but its last one would swallow line 2
+        path.write_text(edit_line(0, set_field(9, '"class'))(text))
+        with pytest.raises(SweepCsvError, match="line 1: quoted field not closed on its line"):
+            read_csv(path)
 
     def test_quote_cannot_join_two_lines(self, tmp_path):
         # lines 3 and 4 read as one valid row when tokenized together
@@ -621,23 +675,39 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("\n".join(lines))
         with open(path, encoding="utf-8") as handle:
-            assert len(sweep._loadtxt(handle, sweep._WHOLE_FILE_DTYPE, skiprows=1)) == 3
+            assert len(sweep._loadtxt(handle, sweep._ROW_DTYPE, skiprows=1)) == 3
         with pytest.raises(SweepCsvError,
                            match=re.escape("line 3: expected 10 fields, got 9")):
             read_csv(path)
 
-    def test_written_file_is_one_tokenizer_call(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "case", [case for case, (_, expected) in PARITY_CASES.items() if expected is None]
+    )
+    def test_written_file_is_one_tokenizer_call(self, tmp_path, monkeypatch, case):
+        edit = self.PARITY_CASES[case][0]
         table = table_of(synthetic_row(t, 0.1) for t in (0.0, 40.0, 51.827, 60.0))
         path = tmp_path / "sweep.csv"
-        path.write_text(rows_to_csv(table).replace("\n", "\r\n", 3) + "\n\n")
+        path.write_bytes(edit(rows_to_csv(table)).encode("utf-8"))
 
-        def per_line_parse(lines):
-            raise AssertionError("per-line parser used")
+        def diagnose(path):
+            raise AssertionError("diagnoser used")
 
-        monkeypatch.setattr(sweep, "_parse", per_line_parse)
+        monkeypatch.setattr(sweep, "_diagnose", diagnose)
         back = read_csv(path)
         assert back.kind.tolist() == table.kind.tolist()
         np.testing.assert_array_equal(back.q, nine_digits(table.q))
+
+    def test_unclosed_quote_on_unterminated_last_line(self, tmp_path):
+        # one tokenizer call alone would read the class as NMES
+        path = tmp_path / "bad.csv"
+        text = rows_to_csv(table_of(synthetic_row(t, 0.1) for t in (10.0, 20.0, 30.0)))
+        path.write_text(edit_line(3, set_field(9, '"NMES'))(text).rstrip("\n"))
+        with open(path, encoding="utf-8") as handle:
+            rows = sweep._loadtxt(handle, sweep._ROW_DTYPE, skiprows=1)
+        assert rows["kind"].tolist() == ["NMES"] * 3
+        with pytest.raises(SweepCsvError,
+                           match="^line 4: quoted field not closed on its line$"):
+            read_csv(path)
 
     def test_non_numeric_line_before_out_of_range_line(self, tmp_path):
         table = table_of(synthetic_row(t, 0.1) for t in (10.0, 20.0, 30.0, 40.0))
@@ -648,9 +718,9 @@ class TestCsv:
         with pytest.raises(SweepCsvError, match="line 3: non-numeric field"):
             read_csv(path)
 
-    def test_earliest_bad_line_across_blocks(self, tmp_path):
-        # longer than one parse block, so the bad last line sits in a later block
-        rows = sweep._BLOCK_LINES + 100
+    def test_earliest_bad_line_in_a_long_file(self, tmp_path):
+        # many bisection steps to the bad last line
+        rows = 8292
         table = table_of(synthetic_row(t, 0.1) for t in np.linspace(1.0, 89.0, rows))
         lines = rows_to_csv(table).splitlines()
         lines[-1] = "1,2,3"
@@ -664,15 +734,12 @@ class TestCsv:
         with pytest.raises(SweepCsvError, match="line 3: q_theory=1.5 outside"):
             read_csv(path)
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 4, 7])
     @pytest.mark.parametrize("fault,message", [
         (set_field(4, "x"), "non-numeric field (could not convert string to float: 'x')"),
         (lambda line: line + ",1", "expected 10 fields, got 11"),
         (set_field(9, '"NMES'), "quoted field not closed on its line"),
     ])
-    def test_bad_line_found_at_every_position(self, tmp_path, monkeypatch, block, fault,
-                                              message):
-        monkeypatch.setattr(sweep, "_BLOCK_LINES", block)
+    def test_bad_line_found_at_every_position(self, tmp_path, fault, message):
         table = table_of(synthetic_row(t, 0.1) for t in range(10, 90, 10))
         clean = rows_to_csv(table).split("\n")
         clean.insert(4, "")  # data lines 2-4, a blank line 5, data lines 6-10
@@ -686,6 +753,25 @@ class TestCsv:
             with pytest.raises(SweepCsvError) as info:
                 read_csv(path)
             assert str(info.value) == f"line {index + 1}: {message}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_texts())
+    def test_one_call_matches_per_line_parse(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("per_line") / "sweep.csv"
+        path.write_bytes(text.encode("utf-8"))
+        rows, bad_line = per_line_outcome(path)
+        if bad_line is not None:
+            with pytest.raises(SweepCsvError) as info:
+                read_csv(path)
+            assert info.value.line == bad_line
+            return
+        back = read_csv(path)
+        np.testing.assert_array_equal(back.theta_deg, rows["values"][:, 0])
+        np.testing.assert_array_equal(back.phi_deg, rows["values"][:, 1])
+        np.testing.assert_array_equal(back.q, rows["values"][:, 2])
+        np.testing.assert_array_equal(back.eps, rows["values"][:, 3:7])
+        np.testing.assert_array_equal(back.stat_err, rows["values"][:, 8])
+        assert back.kind.tolist() == rows["kind"].tolist()
 
     @settings(max_examples=30, deadline=None)
     @given(
