@@ -734,15 +734,18 @@ class TestCsv:
         with pytest.raises(SweepCsvError, match="line 3: q_theory=1.5 outside"):
             read_csv(path)
 
+    # the bisection in _first_bad takes a different path for each number of
+    # data lines: one (no step), two, an odd count and a power of two
+    @pytest.mark.parametrize("rows", [1, 2, 5, 8])
     @pytest.mark.parametrize("fault,message", [
         (set_field(4, "x"), "non-numeric field (could not convert string to float: 'x')"),
         (lambda line: line + ",1", "expected 10 fields, got 11"),
         (set_field(9, '"NMES'), "quoted field not closed on its line"),
     ])
-    def test_bad_line_found_at_every_position(self, tmp_path, fault, message):
-        table = table_of(synthetic_row(t, 0.1) for t in range(10, 90, 10))
+    def test_bad_line_found_at_every_position(self, tmp_path, rows, fault, message):
+        table = table_of(synthetic_row(t, 0.1) for t in range(10, 10 + 10 * rows, 10))
         clean = rows_to_csv(table).split("\n")
-        clean.insert(4, "")  # data lines 2-4, a blank line 5, data lines 6-10
+        clean.insert(4, "")  # with 8 rows: data lines 2-4, a blank line 5, data lines 6-10
         path = tmp_path / "bad.csv"
         for index, line in enumerate(clean):
             if index == 0 or not line:
