@@ -167,7 +167,7 @@ def _cmd_probe(args, out) -> int:
     _print_kv(out, "eps5", eps[3])
     _print_kv(out, "stat_err5", stat_err[3])
     _print_kv(out, "eps5_run_std", float(np.std(eps5_per_run)))
-    _print_kv(out, "eps4_est", eps[3] - q)
+    _print_kv(out, "eps4_est", float(table.eps4_est[0]))
     _print_kv(out, "noise_profile", noise.name or "unnamed")
     if args.out:
         write_csv(table, args.out)

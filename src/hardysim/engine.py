@@ -76,14 +76,11 @@ def ground_state(shape=()) -> np.ndarray:
 
 
 def _entries(u) -> tuple:
-    """A (..., 2, 2) gate as its entries ((u00, u01), (u10, u11)), each over the batch."""
-    shape = np.shape(u)
-    if shape[-2:] != (2, 2):
-        raise ValueError(f"one-qubit gate must be (..., 2, 2), got shape {shape}")
+    """A (..., 2, 2) gate as views of its entries ((u00, u01), (u10, u11)), each over the batch."""
     u = np.asarray(u)
-    if u.ndim == 2:
-        return ((u[0, 0], u[0, 1]), (u[1, 0], u[1, 1]))
-    return tuple(tuple(np.ascontiguousarray(u[..., i, j]) for j in (0, 1)) for i in (0, 1))
+    if u.shape[-2:] != (2, 2):
+        raise ValueError(f"one-qubit gate must be (..., 2, 2), got shape {u.shape}")
+    return tuple(tuple(u[..., i, j] for j in (0, 1)) for i in (0, 1))
 
 
 def _times(a, b) -> tuple:

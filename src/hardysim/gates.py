@@ -23,8 +23,8 @@ CX = "cx"
 
 def _matrix(a, b, c, d) -> np.ndarray:
     """Stack broadcast entries into [[a, b], [c, d]] along two new last axes."""
-    a, b, c, d = np.broadcast_arrays(*(np.asarray(x, dtype=np.complex128) for x in (a, b, c, d)))
-    return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
+    entries = np.broadcast_arrays(*(np.asarray(x, dtype=np.complex128) for x in (a, b, c, d)))
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
 
 
 def u1(lam) -> np.ndarray:

@@ -60,7 +60,9 @@ class NoiseModel:
 
 
 def load_noise_profile(path) -> NoiseModel:
-    """Read a flat key=value profile: p1, p2, readout0, readout1, optional name."""
+    """Read a flat key=value profile: p1, p2, readout0, readout1, optional name.
+
+    A `#` starts a comment anywhere on a line (so it also ends a name)."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -68,8 +70,8 @@ def load_noise_profile(path) -> NoiseModel:
         raise ProfileError(f"cannot read noise profile {path}: {exc}") from exc
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise ProfileError(f"{path}:{lineno}: expected key=value, got {raw!r}")

@@ -77,10 +77,10 @@ def _suite_coupling_identity() -> tuple[str, bool, str]:
     return "coupling-decomposition", worst <= EXACT_TOL, f"worst entry diff {worst:.2e}"
 
 
-def _ideal_grid(step_deg: float = 2.5):
-    """(theta, phi) in radians over the grid, and their noiseless flagged-outcome
-    probabilities, shape (N, 4) by experiment: one engine batch."""
-    axis = np.radians(np.arange(0.0, 90.0 + 1e-9, step_deg))
+def _ideal_grid():
+    """(theta, phi) in radians over the 2.5-degree grid, and their noiseless
+    flagged-outcome probabilities, shape (N, 4) by experiment: one engine batch."""
+    axis = np.radians(np.arange(0.0, 90.0 + 1e-9, 2.5))
     theta, phi = (grid.ravel() for grid in np.meshgrid(axis, axis, indexing="ij"))
     dists = experiment_distributions(theta, phi, NoiseModel.none())
     return theta, phi, dists[:, range(4), FLAGGED_OUTCOME]

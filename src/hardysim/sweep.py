@@ -10,9 +10,9 @@ one row per grid point, decimal points, at least six significant digits.
 write_csv emits unquoted rows with LF endings.  read_csv parses every valid
 file in one call of numpy's C tokenizer (np.loadtxt) over the whole file.
 A file it cannot trust to that call, or one the call or the row checks
-reject, goes to _diagnose, which tokenizes each line on its own and raises
-at the earliest bad line.  It accepts CRLF or CR endings, double-quoted
-fields and blank lines.
+reject, goes to _diagnose: one bisection over the lines, each tokenized on
+its own and checked, raises at the earliest bad line.  It accepts CRLF or
+CR endings, double-quoted fields and blank lines.
 """
 
 from __future__ import annotations
@@ -394,16 +394,12 @@ def read_csv(path) -> SweepTable:
     [0, 1].  The eps4_est column is redundant (eps5 - q_theory); it is
     checked for consistency and the exact difference is used.  A bad file is
     reported at its earliest bad line.
-
-    The rows come from one tokenizer call over the whole file.  A file that
-    call cannot be trusted with, or whose rows it or _check_rows rejects, goes
-    to _diagnose, which raises at the earliest bad line.
     """
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
-    except OSError:
-        _diagnose(path)
+    except OSError as exc:
+        raise SweepCsvError(0, f"cannot read {path}: {exc}") from exc
     # The call needs a data line after the header (it warns on no data).  A
     # NUL byte is bad in any field, but the U5 class field would drop it.  A
     # good line holds an even number of quotes (a quoted field opens and
@@ -441,8 +437,8 @@ def read_csv(path) -> SweepTable:
 def _diagnose(path) -> NoReturn:
     """Raise SweepCsvError at the earliest bad line of a file read_csv rejects.
 
-    Each non-empty line is tokenized on its own (_parse), so a quote cannot
-    join two lines and a NUL byte stays in its field.
+    Past the header, one search (_first_bad) over one rule (_parse) finds the
+    earliest bad data line, and _fault says why it is bad.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -458,10 +454,6 @@ def _diagnose(path) -> NoReturn:
     numbered = [(number, line) for number, line in enumerate(lines[1:], 2) if line]
     records = [line for _, line in numbered]
     bad = _first_bad(records)
-    rows = _parse(records[:bad])
-    if (fault := _check_rows(rows["values"], rows["kind"])) is not None:
-        row, message = fault
-        raise SweepCsvError(numbered[row][0], message)
     if bad < len(records):
         raise SweepCsvError(numbered[bad][0], _fault(records[bad]))
     raise SweepCsvError(1, "no data rows")
@@ -479,40 +471,47 @@ def _fields(line: str) -> list[str]:
     return _loadtxt([line], object).tolist() if line else []
 
 
-def _parse(lines: list[str]) -> np.ndarray | None:
-    """Rows of non-empty lines as a _LINE_DTYPE array, or None if any line is bad.
+def _parse(lines: list[str]) -> str | None:
+    """None when none of these non-empty lines is bad, else a reason.
 
-    A line is bad when it does not hold ten fields, when one of its first nine
-    fields is not a number, or when a quoted field is still open at its end.
-    The valid sentinel row appended last finds the open quote: it is swallowed
-    into the quoted field, so the row count comes out short, or the row it
-    ends fails to parse.
+    A line is bad when it does not tokenize on its own (reason "") or when its
+    row fails _check_rows (that message, for the first failing row).  It does
+    not tokenize when its fields are not ten, one of its first nine is not a
+    number, or a quoted field is still open at its end: the valid sentinel
+    row appended last is then swallowed into the quoted field, so the row
+    count comes out short, or the row it ends fails to parse.
     """
     try:
         rows = _loadtxt([*lines, _SENTINEL], _LINE_DTYPE)
     except ValueError:
-        return None
-    return rows[:-1] if len(rows) == len(lines) + 1 else None
+        return ""
+    if len(rows) != len(lines) + 1:
+        return ""
+    fault = _check_rows(rows["values"], rows["kind"])
+    return None if fault is None else fault[1]
 
 
 def _first_bad(lines: list[str]) -> int:
-    """Index of the first line _parse rejects, by bisection; len(lines) if none.
+    """Index of the first bad line (see _parse), by bisection; len(lines) if none.
 
     Whether a line is bad does not depend on the lines around it (a good line
-    closes its quotes), so a part is rejected exactly when it holds a bad line.
+    closes its quotes, and the row checks look at one row at a time), so a
+    part is rejected exactly when it holds a bad line.
     """
     lo, hi = 0, len(lines)  # lines[:lo] are good; a bad line, if any, is in lines[lo:hi]
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _parse(lines[lo:mid]) is None:
-            hi = mid
-        else:
             lo = mid
-    return len(lines) if _parse(lines[lo:hi]) is not None else lo
+        else:
+            hi = mid
+    return len(lines) if _parse(lines[lo:hi]) is None else lo
 
 
 def _fault(line: str) -> str:
-    """Why _parse rejects this one line."""
+    """Why _parse rejects this one line: its row's check, or what stops its tokenizing."""
+    if reason := _parse([line]):
+        return reason
     fields = _fields(line)
     if len(fields) != len(_HEADER_FIELDS):
         return f"expected {len(_HEADER_FIELDS)} fields, got {len(fields)}"

@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 import hardysim
 from hardysim.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from hardysim.hardy import analytic_q
+from hardysim.noise import load_noise_profile
 from hardysim.selftest import run_validation_suites
 from hardysim.sweep import CSV_HEADER
 
@@ -148,6 +150,21 @@ class TestExitCodes:
         path.write_text("p1=oops\np2=0\nreadout0=0\nreadout1=0\n")
         code, _ = run_cli(["probe", "1", "2", "--noise", str(path)])
         assert code == EXIT_IO
+
+    def test_readme_profile_example(self, tmp_path):
+        # the README's example profile, inline comments included
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"```\n(# my-device\.profile\n.*?)```", readme, re.S)[1]
+        path = tmp_path / "my-device.profile"
+        path.write_text(example)
+        model = load_noise_profile(path)
+        assert (model.name, model.p1, model.p2, model.readout0, model.readout1) == (
+            "mychip", 0.001, 0.01, 0.02, 0.02)
+        # the same four rates as the default profile
+        code, text = run_cli(["probe", "40", "70", "--noise", str(path), "--shots", "0"])
+        _, default = run_cli(["probe", "40", "70", "--noise", "default", "--shots", "0"])
+        assert code == EXIT_OK
+        assert text == default.replace("noise_profile=default", "noise_profile=mychip")
 
     def test_malformed_csv_is_io_error_with_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

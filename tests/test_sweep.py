@@ -131,10 +131,9 @@ def per_line_outcome(path):
     rows = []
     for number, line in enumerate(lines[1:], 2):
         if line:
-            parsed = sweep._parse([line])
-            if parsed is None or sweep._check_rows(parsed["values"], parsed["kind"]):
+            if sweep._parse([line]) is not None:
                 return None, number
-            rows.append(parsed)
+            rows.append(sweep._loadtxt([line], sweep._LINE_DTYPE))
     return np.concatenate(rows), None
 
 
@@ -734,6 +733,27 @@ class TestCsv:
         with pytest.raises(SweepCsvError, match="line 3: q_theory=1.5 outside"):
             read_csv(path)
 
+    def test_bad_last_line_tokenized_once(self, tmp_path, monkeypatch):
+        # one bisection over the data lines, not a second parse of the good prefix
+        rows = 8192
+        table = table_of(synthetic_row(t, 0.1) for t in np.linspace(1.0, 89.0, rows))
+        lines = rows_to_csv(table).splitlines()
+        lines[-1] = "1,2,3"
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        tokenized = []
+        loadtxt = sweep._loadtxt
+
+        def counting(lines, dtype, **kwargs):
+            if isinstance(lines, list):
+                tokenized.append(len(lines))
+            return loadtxt(lines, dtype, **kwargs)
+
+        monkeypatch.setattr(sweep, "_loadtxt", counting)
+        with pytest.raises(SweepCsvError, match=f"line {rows + 1}: expected 10 fields, got 3"):
+            read_csv(path)
+        assert sum(tokenized) < 1.5 * rows
+
     # the bisection in _first_bad takes a different path for each number of
     # data lines: one (no step), two, an odd count and a power of two
     @pytest.mark.parametrize("rows", [1, 2, 5, 8])
@@ -741,6 +761,7 @@ class TestCsv:
         (set_field(4, "x"), "non-numeric field (could not convert string to float: 'x')"),
         (lambda line: line + ",1", "expected 10 fields, got 11"),
         (set_field(9, '"NMES'), "quoted field not closed on its line"),
+        (set_field(9, "WAT"), "unknown class 'WAT'"),
     ])
     def test_bad_line_found_at_every_position(self, tmp_path, rows, fault, message):
         table = table_of(synthetic_row(t, 0.1) for t in range(10, 10 + 10 * rows, 10))
