@@ -26,15 +26,12 @@ from .selftest import run_validation_suites
 from .sweep import (
     REFERENCE_ANGLE_DEG,
     SweepCsvError,
-    diagonal_points,
-    diagonal_sweep,
-    grid_degrees,
     measure_points,
     performance_report,
     read_csv,
     reduced_circuit_compare,
     substitute_singular,
-    surface_sweep,
+    sweep_angles,
     write_csv,
 )
 
@@ -182,13 +179,8 @@ def _cmd_sweep(args, out) -> int:
         raise UsageError("--step must be positive")
     if args.stop_deg < args.start_deg:
         raise UsageError("--to must be >= --from")
-    if args.mode == "diagonal":
-        points = diagonal_points(args.start_deg, args.stop_deg, args.step)
-        table = diagonal_sweep(points, noise, cfg)
-    else:
-        phis = [float(p) for p in grid_degrees(args.start_deg, args.stop_deg, args.step)]
-        thetas = [substitute_singular(p) for p in phis]
-        table = surface_sweep(thetas, phis, noise, cfg)
+    angles = sweep_angles(args.mode, args.start_deg, args.stop_deg, args.step)
+    table = measure_points(*angles, noise, cfg)[0]
     write_csv(table, args.out)
     print(f"wrote {len(table)} rows to {args.out}", file=out)
     return EXIT_OK

@@ -1,8 +1,9 @@
 """Parameter sweeps, performance measures, and the reduced-gate comparison.
 
-A sweep is one SweepTable, a column per quantity and a row per grid point.
-Rows stay in sweep order (no internal sorting) so plotted curves match the
-swept axis directly.  The CSV interface is fixed:
+Every sweep takes one path, sweep_angles then measure_points (one engine and
+one estimate batch), and is one SweepTable, a column per quantity and a row
+per grid point.  Rows stay in sweep order (no internal sorting) so plotted
+curves match the swept axis directly.  The CSV interface is fixed:
 
     theta_deg,phi_deg,q_theory,eps1,eps2,eps3,eps5,eps4_est,stat_err,class
 
@@ -174,9 +175,24 @@ def substitute_singular(point_deg: float) -> float:
     return point_deg
 
 
-def diagonal_points(start_deg: float, stop_deg: float, step_deg: float) -> list[float]:
-    """theta = phi sweep points with the singular-angle substitution applied."""
-    return [substitute_singular(float(p)) for p in grid_degrees(start_deg, stop_deg, step_deg)]
+def sweep_angles(
+    mode: str, start_deg: float, stop_deg: float, step_deg: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(theta_deg, phi_deg) of a `diagonal` or `surface` sweep over grid_degrees.
+
+    theta's points go through substitute_singular, dropping a substitute not
+    above the theta before it; a surface is row-major, phi unsubstituted.
+    """
+    if mode not in ("diagonal", "surface"):
+        raise ValueError(f"unknown sweep mode {mode!r}")
+    grid = grid_degrees(start_deg, stop_deg, step_deg).tolist()
+    theta = []
+    for point, substitute in zip(grid, map(substitute_singular, grid)):
+        if substitute == point or not theta or substitute > theta[-1]:
+            theta.append(substitute)
+    if mode == "diagonal":
+        return np.array(theta), np.array(theta)
+    return np.repeat(theta, len(grid)), np.tile(grid, len(theta))
 
 
 def measure_points(
@@ -192,6 +208,8 @@ def measure_points(
     """
     theta_deg = np.asarray(theta_deg, dtype=np.float64)
     phi_deg = np.asarray(phi_deg, dtype=np.float64)
+    if not (theta_deg.size and phi_deg.size):
+        raise ValueError("no sweep points")
     theta, phi = np.radians(theta_deg), np.radians(phi_deg)
     dists = experiment_distributions(theta, phi, noise)
     eps, stat_err, eps5_per_run = estimate_batch(dists, cfg)
@@ -199,26 +217,6 @@ def measure_points(
         theta_deg, phi_deg, analytic_q(theta, phi), eps, stat_err[:, 3], classify(theta, phi)
     )
     return table, stat_err, eps5_per_run
-
-
-def diagonal_sweep(points_deg, noise: NoiseModel, cfg: ShotConfig | None) -> SweepTable:
-    """Full noisy pipeline at theta = phi for each point (degrees).
-
-    cfg=None gives the infinite-shot limit (exact distributions, zero errors).
-    """
-    points = np.asarray(points_deg, dtype=np.float64)
-    if not points.size:
-        raise ValueError("no sweep points")
-    return measure_points(points, points, noise, cfg)[0]
-
-
-def surface_sweep(theta_deg, phi_deg, noise: NoiseModel, cfg: ShotConfig | None) -> SweepTable:
-    """Full noisy pipeline on the outer grid, row-major over (theta, phi)."""
-    thetas = np.asarray(theta_deg, dtype=np.float64)
-    phis = np.asarray(phi_deg, dtype=np.float64)
-    if not thetas.size or not phis.size:
-        raise ValueError("empty grid")
-    return measure_points(np.repeat(thetas, phis.size), np.tile(phis, thetas.size), noise, cfg)[0]
 
 
 def ladder_verdict(q, eps5, stat_err, baseline: float, k_sigma: float) -> LadderVerdict:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hardysim
-from hardysim.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from hardysim.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, entry, main
 from hardysim.hardy import analytic_q
 from hardysim.noise import load_noise_profile
 from hardysim.selftest import run_validation_suites
@@ -102,6 +102,15 @@ class TestExitCodes:
         code, _ = run_cli(["sweep", "spiral", "--out", "x.csv"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv,code", [(["validate"], EXIT_OK), (["sweep", "spiral"], EXIT_USAGE)]
+    )
+    def test_console_script_exits_with_code(self, monkeypatch, argv, code):
+        monkeypatch.setattr(sys, "argv", ["hardysim", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            entry()
+        assert exit_info.value.code == code
+
     def test_negative_shots_is_usage_error(self):
         code, _ = run_cli(["probe", "1", "2", "--shots", "-5"])
         assert code == EXIT_USAGE
@@ -184,12 +193,21 @@ class TestExitCodes:
         code, _ = run_cli(["probe", "inf", "2"])
         assert code == EXIT_USAGE
 
-    def test_inverted_range_is_usage_error(self, tmp_path):
-        code, _ = run_cli(
-            ["sweep", "diagonal", "--from", "50", "--to", "10", "--step", "5",
-             "--out", str(tmp_path / "x.csv")]
-        )
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--step", "0"], "--step must be positive"),
+            (["--step", "-1"], "--step must be positive"),
+            (["--from", "50", "--to", "10"], "--to must be >= --from"),
+        ],
+    )
+    def test_inverted_range_is_usage_error(self, tmp_path, capsys, flags, message):
+        path = tmp_path / "x.csv"
+        code, text = run_cli(["sweep", "diagonal", *flags, "--out", str(path)])
         assert code == EXIT_USAGE
+        assert text == ""
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not path.exists()
 
     def test_metrics_on_two_rows_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "tiny.csv"

@@ -18,10 +18,9 @@ from hardysim.sweep import (
     CSV_HEADER,
     SweepCsvError,
     SweepTable,
-    diagonal_points,
-    diagonal_sweep,
     grid_degrees,
     ladder_verdict,
+    measure_points,
     metric_fluctuation,
     peak_offset,
     performance_report,
@@ -29,7 +28,7 @@ from hardysim.sweep import (
     reduced_circuit_compare,
     rows_to_csv,
     substitute_singular,
-    surface_sweep,
+    sweep_angles,
     write_csv,
 )
 
@@ -166,22 +165,50 @@ class TestQSurface:
         q = q_grid(axis, axis)
         assert abs(q.max() - 0.09016994) < 1e-3
 
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError, match="empty grid"):
-            surface_sweep([], [1.0], NoiseModel.none(), None)
 
-
-class TestDiagonalPoints:
+class TestSweepAngles:
     def test_substitution_at_90(self):
-        points = diagonal_points(0.0, 90.0, 5.0)
-        assert len(points) == 19
-        assert points[-1] == 89.99
-        assert points[:3] == [0.0, 5.0, 10.0]
+        theta, phi = sweep_angles("diagonal", 0.0, 90.0, 5.0)
+        assert len(theta) == 19
+        assert theta[-1] == 89.99
+        assert theta[:3].tolist() == [0.0, 5.0, 10.0]
+        assert phi.tolist() == theta.tolist()
 
     def test_refinement_range(self):
-        points = diagonal_points(55.0, 75.0, 1.0)
-        assert len(points) == 21
-        assert points[0] == 55.0 and points[-1] == 75.0
+        theta, _ = sweep_angles("diagonal", 55.0, 75.0, 1.0)
+        assert len(theta) == 21
+        assert theta[0] == 55.0 and theta[-1] == 75.0
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="mode"):
+            sweep_angles("spiral", 0.0, 90.0, 5.0)
+
+    @pytest.mark.parametrize("mode", ["diagonal", "surface"])
+    @pytest.mark.parametrize(
+        "start,stop,step,last_thetas",
+        [
+            # 89.99000000000001 and the substitute of 90 both print as 89.99
+            ("89.9", "90", "0.01", ["89.98", "89.99"]),
+            # the substitute of 90 would come after 89.995
+            ("89.9", "90", "0.005", ["89.985", "89.99", "89.995"]),
+            ("89.98", "90.02", "0.01", ["89.98", "89.99", "90.01", "90.02"]),
+        ],
+    )
+    def test_substitute_never_repeats_or_reverses_theta(
+        self, tmp_path, mode, start, stop, step, last_thetas
+    ):
+        path = tmp_path / "fine.csv"
+        code = main(["sweep", mode, "--from", start, "--to", stop, "--step", step,
+                     "--shots", "0", "--out", str(path)], out=io.StringIO())
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        phis = list(dict.fromkeys(row[1] for row in rows))
+        block = len(phis) if mode == "surface" else 1  # rows per theta
+        thetas = [row[0] for row in rows[::block]]
+        assert [row[0] for row in rows] == [t for t in thetas for _ in range(block)]
+        assert thetas[-len(last_thetas):] == last_thetas
+        assert all(a < b for a, b in zip(map(float, thetas), map(float, thetas[1:])))
+        assert "90" in phis if mode == "surface" else "90" not in phis
 
     def test_substitute_values(self):
         assert substitute_singular(90.0) == 89.99
@@ -207,7 +234,7 @@ class TestDiagonalPoints:
 
 class TestDiagonalSweep:
     def test_exact_zero_noise_rows(self):
-        table = diagonal_sweep(diagonal_points(0, 90, 15), NoiseModel.none(), None)
+        table = measure_points(*sweep_angles("diagonal", 0, 90, 15), NoiseModel.none(), None)[0]
         assert len(table) == 7
         assert np.max(np.abs(table.eps5 - table.q)) <= 1e-10
         assert np.max(np.abs(table.eps4_est)) <= 1e-10
@@ -215,17 +242,18 @@ class TestDiagonalSweep:
 
     def test_sampled_zero_noise_tracks_q(self):
         cfg = ShotConfig(seed=4)
-        table = diagonal_sweep([30.0, 45.0, 51.827], NoiseModel.none(), cfg)
+        points = [30.0, 45.0, 51.827]
+        table = measure_points(points, points, NoiseModel.none(), cfg)[0]
         assert np.all(np.abs(table.eps5 - table.q) <= 5 * np.maximum(table.stat_err, 1e-4))
 
     def test_default_noise_positive_eps4(self):
-        table = diagonal_sweep(
-            diagonal_points(0, 90, 15), NoiseModel.default_profile(), None
-        )
+        angles = sweep_angles("diagonal", 0, 90, 15)
+        table = measure_points(*angles, NoiseModel.default_profile(), None)[0]
         assert np.all(table.eps4_est > 0)
 
     def test_rows_keep_sweep_order(self):
-        table = diagonal_sweep([50.0, 10.0, 70.0], NoiseModel.none(), None)
+        points = [50.0, 10.0, 70.0]
+        table = measure_points(points, points, NoiseModel.none(), None)[0]
         assert table.theta_deg.tolist() == [50.0, 10.0, 70.0]
 
     def test_one_generator_per_sampled_sweep(self, monkeypatch):
@@ -236,28 +264,33 @@ class TestDiagonalSweep:
             return default_rng(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "default_rng", counting)
-        points = diagonal_points(0, 90, 0.25)
-        table = diagonal_sweep(points, NoiseModel.default_profile(), ShotConfig(seed=3))
+        angles = sweep_angles("diagonal", 0, 90, 0.25)
+        table = measure_points(*angles, NoiseModel.default_profile(), ShotConfig(seed=3))[0]
         assert len(table) == 361
         assert built == [(3,)]
 
     def test_empty_points_rejected(self):
-        with pytest.raises(ValueError):
-            diagonal_sweep([], NoiseModel.none(), None)
+        for theta, phi in (([], []), ([], [1.0]), ([1.0], [])):
+            with pytest.raises(ValueError, match="no sweep points"):
+                measure_points(theta, phi, NoiseModel.none(), None)
 
     def test_surface_sweep_row_major(self):
-        table = surface_sweep([0.0, 30.0], [0.0, 60.0], NoiseModel.none(), None)
+        # phi = 90 is a regular point; only theta sits on the singularity
+        angles = sweep_angles("surface", 0.0, 90.0, 45.0)
+        table = measure_points(*angles, NoiseModel.none(), None)[0]
         assert list(zip(table.theta_deg.tolist(), table.phi_deg.tolist())) == [
-            (0.0, 0.0), (0.0, 60.0), (30.0, 0.0), (30.0, 60.0),
+            (0.0, 0.0), (0.0, 45.0), (0.0, 90.0),
+            (45.0, 0.0), (45.0, 45.0), (45.0, 90.0),
+            (89.99, 0.0), (89.99, 45.0), (89.99, 90.0),
         ]
-        assert table.kind.tolist() == ["PS", "PS", "PS", "NMES"]
+        assert table.kind.tolist() == ["PS"] * 4 + ["NMES", "MES", "PS", "NMES", "NMES"]
 
 
 def floor_sweep(noise, cfg):
     """Diagonal 0..90 in 15-degree steps plus the MES / PS points that set the floor."""
     return concat(
-        diagonal_sweep(diagonal_points(0, 90, 15), noise, cfg),
-        surface_sweep([45.0, 90.0], [0.0, 90.0], noise, cfg),
+        measure_points(*sweep_angles("diagonal", 0, 90, 15), noise, cfg)[0],
+        measure_points([45.0, 45.0, 90.0, 90.0], [0.0, 90.0, 0.0, 90.0], noise, cfg)[0],
     )
 
 
@@ -274,14 +307,14 @@ class TestBaseline:
 
     def test_baseline_points_all_product_or_mes(self):
         # q vanishes on every floor (MES / PS) row, so eps5 there is pure error
-        axis = [float(a) for a in np.arange(0.0, 90.0 + 1e-9, 5.0)]
-        table = surface_sweep(axis, axis, NoiseModel.none(), None)
+        table = measure_points(*sweep_angles("surface", 0, 90, 5), NoiseModel.none(), None)[0]
         floor = table.kind != "NMES"
         assert set(table.kind[floor].tolist()) == {"PS", "MES"}
         assert np.all(table.q[floor] <= 1e-12)
 
     def test_no_floor_rows_leave_baseline_unset(self):
-        table = diagonal_sweep(diagonal_points(40, 60, 2), NoiseModel.default_profile(), None)
+        angles = sweep_angles("diagonal", 40, 60, 2)
+        table = measure_points(*angles, NoiseModel.default_profile(), None)[0]
         report = performance_report(table)
         assert report.baseline_source == "none"
         assert report.baseline is None
@@ -371,7 +404,7 @@ class TestShiftAndInterval:
         assert abs(peak_offset(self._rows_with_peak(62.0))[0] - 10.173) < 1e-9
 
     def test_ideal_distribution_sweep_shift_within_step(self):
-        table = diagonal_sweep(diagonal_points(40, 65, 1), NoiseModel.none(), None)
+        table = measure_points(*sweep_angles("diagonal", 40, 65, 1), NoiseModel.none(), None)[0]
         assert peak_offset(table)[0] <= 1.0
 
     def test_too_few_rows(self):
@@ -391,7 +424,7 @@ class TestShiftAndInterval:
         assert abs(report.peak_offset_deg - 11.827) < 1e-9
 
     def test_delta_interval_ideal_sweep_within_step(self):
-        table = diagonal_sweep(diagonal_points(40, 65, 1), NoiseModel.none(), None)
+        table = measure_points(*sweep_angles("diagonal", 40, 65, 1), NoiseModel.none(), None)[0]
         assert performance_report(table).peak_offset_deg <= 1.0
 
     def test_delta_interval_boundary_flagged(self):
@@ -411,14 +444,13 @@ class TestFluctuation:
         assert std == 0.0 and spread == 0.0
 
     def test_exact_zero_noise_rows_flat(self):
-        table = diagonal_sweep(diagonal_points(0, 90, 10), NoiseModel.none(), None)
+        table = measure_points(*sweep_angles("diagonal", 0, 90, 10), NoiseModel.none(), None)[0]
         std, spread = metric_fluctuation(table)
         assert std <= 1e-10 and spread <= 1e-10
 
     def test_sampled_noise_fluctuates(self):
-        table = diagonal_sweep(
-            diagonal_points(0, 90, 15), NoiseModel.default_profile(), ShotConfig(seed=7)
-        )
+        angles = sweep_angles("diagonal", 0, 90, 15)
+        table = measure_points(*angles, NoiseModel.default_profile(), ShotConfig(seed=7))[0]
         std, spread = metric_fluctuation(table)
         assert std > 0.0 and spread >= std
 
@@ -490,7 +522,8 @@ class TestReducedCircuit:
 
 class TestCsv:
     def _rows(self):
-        return diagonal_sweep([0.0, 30.0, 51.827], NoiseModel.default_profile(), ShotConfig(seed=9))
+        points = [0.0, 30.0, 51.827]
+        return measure_points(points, points, NoiseModel.default_profile(), ShotConfig(seed=9))[0]
 
     def test_header_and_line_endings(self):
         text = rows_to_csv(self._rows())
