@@ -8,7 +8,6 @@ radians flag is deliberately omitted to avoid dual-unit bugs.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -40,8 +39,9 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_VALIDATION = 3
 
-# ShotConfig's error messages name its fields; the CLI reports the flags.
-_FLAG_OF_FIELD = {"shots_per_run": "--shots", "runs": "--runs", "seed": "--seed"}
+# ShotConfig's and grid_degrees's messages name their fields; the CLI reports flags.
+_FLAG_OF_FIELD = {"shots_per_run": "--shots", "runs": "--runs", "seed": "--seed",
+                  "start": "--from", "stop": "--to", "step": "--step"}
 
 
 class UsageError(Exception):
@@ -122,13 +122,19 @@ def _resolve_shots(args) -> ShotConfig | None:
             shots_per_run=args.shots or DEFAULT_SHOTS_PER_RUN, runs=args.runs, seed=args.seed
         )
     except ValueError as exc:
-        words = (_FLAG_OF_FIELD.get(word, word) for word in str(exc).split(" "))
-        raise UsageError(" ".join(words)) from exc
+        raise _flag_error(exc) from exc
     return cfg if args.shots else None
 
 
+def _flag_error(exc: ValueError) -> UsageError:
+    """exc's message as a usage error, each field name replaced by its flag."""
+    return UsageError(" ".join(_FLAG_OF_FIELD.get(word, word) for word in str(exc).split(" ")))
+
+
 def _print_kv(out, key, value):
-    if isinstance(value, float):
+    if value is None or isinstance(value, bool):
+        value = str(value).lower()
+    elif isinstance(value, float):
         value = format(value, ".9g")
     print(f"{key}={value}", file=out)
 
@@ -175,11 +181,10 @@ def _cmd_sweep(args, out) -> int:
     _require_finite(start=args.start_deg, stop=args.stop_deg, step=args.step)
     noise = _resolve_noise(args.noise)
     cfg = _resolve_shots(args)
-    if args.step <= 0:
-        raise UsageError("--step must be positive")
-    if args.stop_deg < args.start_deg:
-        raise UsageError("--to must be >= --from")
-    angles = sweep_angles(args.mode, args.start_deg, args.stop_deg, args.step)
+    try:
+        angles = sweep_angles(args.mode, args.start_deg, args.stop_deg, args.step)
+    except ValueError as exc:
+        raise _flag_error(exc) from exc
     table = measure_points(*angles, noise, cfg)[0]
     write_csv(table, args.out)
     print(f"wrote {len(table)} rows to {args.out}", file=out)
@@ -202,44 +207,19 @@ def _cmd_metrics(args, out) -> int:
     except ValueError as exc:  # usable CSV but unusable sweep (too few rows, no coverage)
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_IO
-    if report.baseline_source == "none":
+    if report["baseline_source"] == "none":
         print("note: no MES/PS rows and no --baseline; min q is not established",
               file=sys.stderr)
     print(f"performance measures from {args.in_path} ({len(table)} rows)", file=out)
-    _print_kv(out, "baseline_eps4", "none" if report.baseline is None else report.baseline)
-    _print_kv(out, "baseline_source", report.baseline_source)
-    _print_kv(out, "k_sigma", args.k_sigma)
-    _print_kv(out, "rho_deg", args.rho)
-    ladder = report.ladder
-    min_q = None if ladder is None else ladder.min_q
-    _print_kv(out, "min_distinguishable_q", "not_established" if min_q is None else min_q)
-    # delta, the half-width of the smallest [rho - delta, rho + delta] holding
-    # the peak, is the shift by definition: both keys print the one offset.
-    _print_kv(out, "shift_deg", report.peak_offset_deg)
-    _print_kv(out, "delta_interval_deg", report.peak_offset_deg)
-    _print_kv(out, "peak_tied", str(report.peak_tied).lower())
-    _print_kv(out, "peak_on_boundary", str(report.peak_on_boundary).lower())
-    _print_kv(out, "eps4_fluctuation_std", report.eps4_fluctuation_std)
-    _print_kv(out, "eps4_fluctuation_range", report.eps4_fluctuation_range)
-    _print_kv(out, "zero_condition_max", report.zero_condition_max)
-    # the decisions behind min q: which rows the floor rests on, how far the
-    # ladder got, and how many rungs pass on eps4 alone.  Without a floor
-    # there is no ladder, and its keys print none.
-    for kind in ("PS", "MES", "NMES"):
-        _print_kv(out, f"rows_{kind.lower()}", int(np.count_nonzero(table.kind == kind)))
-    _print_kv(out, "floor_rows", report.floor_rows)
-    _print_kv(out, "ladder_passed", "none" if ladder is None else ladder.passed)
-    _print_kv(out, "ladder_length", "none" if ladder is None else ladder.length)
-    stop_q = None if ladder is None else ladder.stop_q
-    _print_kv(out, "ladder_stop_q", "none" if stop_q is None else stop_q)
-    _print_kv(out, "free_passes", "none" if report.free_passes is None else report.free_passes)
-    _print_kv(out, "exact_input", str(not table.stat_err.any()).lower())
+    for key, value in report.items():
+        if key == "min_distinguishable_q" and value is None:
+            value = "not_established"
+        _print_kv(out, key, value)
     return EXIT_OK
 
 
 def _cmd_reduced(args, out) -> int:
-    comparison = reduced_circuit_compare(args.variant, _resolve_noise(args.noise))
-    for key, value in dataclasses.asdict(comparison).items():
+    for key, value in reduced_circuit_compare(args.variant, _resolve_noise(args.noise)).items():
         _print_kv(out, key, value)
     return EXIT_OK
 

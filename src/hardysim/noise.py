@@ -62,7 +62,8 @@ class NoiseModel:
 def load_noise_profile(path) -> NoiseModel:
     """Read a flat key=value profile: p1, p2, readout0, readout1, optional name.
 
-    A `#` starts a comment anywhere on a line (so it also ends a name)."""
+    A `#` starts a comment anywhere on a line (so it also ends a name).  Each
+    key appears once."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -75,8 +76,10 @@ def load_noise_profile(path) -> NoiseModel:
             continue
         if "=" not in line:
             raise ProfileError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in values:
+            raise ProfileError(f"{path}:{lineno}: repeated key {key!r}")
+        values[key] = value
     name = values.pop("name", path.stem)
     try:
         rates = {key: float(values.pop(key)) for key in ("p1", "p2", "readout0", "readout1")}

@@ -94,74 +94,21 @@ class SweepTable:
         return self.eps5 - self.q
 
 
-@dataclass(frozen=True)
-class LadderVerdict:
-    """Outcome of the descending-q ladder (see ladder_verdict).
-
-    The first `passed` of its `length` rungs pass; stop_q is the q of the
-    first failing rung (None when every rung passes) and min_q the q of the
-    last passing one (None when none passes).
-    """
-
-    passed: int
-    length: int
-    stop_q: float | None
-    min_q: float | None
-
-
-@dataclass(frozen=True)
-class PerformanceReport:
-    """The three performance measures of one sweep and the decisions behind them.
-
-    baseline_source says where the error floor came from: "flag" (given by
-    the caller), "rows" (largest eps5 over the MES / PS rows) or "none"
-    (neither; baseline, ladder and free_passes are then None).
-    floor_rows counts the rows the floor was taken from (0 unless "rows").
-    ladder is the NMES rows' min-q ladder; its min_q is the smallest
-    distinguishable q.  free_passes counts the NMES rows whose
-    eps4_est - k_sigma * stat_err alone exceeds the floor, which pass
-    whatever their q.  peak_offset_deg is |peak - rho|, which is both the
-    shift of the eps5 peak and the half-width delta of the smallest interval
-    [rho - delta, rho + delta] holding it.  zero_condition_max is the
-    largest of eps1..eps3 over all rows, the worst residual of the three
-    zero conditions.
-    """
-
-    baseline: float | None
-    baseline_source: str
-    floor_rows: int
-    ladder: LadderVerdict | None
-    free_passes: int | None
-    peak_offset_deg: float
-    peak_tied: bool
-    peak_on_boundary: bool
-    eps4_fluctuation_std: float
-    eps4_fluctuation_range: float
-    zero_condition_max: float
-
-
-@dataclass(frozen=True)
-class ReducedComparison:
-    """Error of the full pipeline vs the few-gate preparation, same measurement."""
-
-    variant: str
-    full_eps: float
-    reduced_eps: float
-    full_gate_count: int
-    reduced_gate_count: int
-
-
 def grid_degrees(start: float, stop: float, step: float) -> np.ndarray:
     """Inclusive degree grid start, start+step, ..., stop; never beyond stop.
 
     Whole steps that fit (within 1e-9 of a step) come first; when the last
-    of them falls short of stop, stop itself is appended.
+    of them falls short of stop, stop itself is appended.  A grid numpy
+    cannot index (or an infinite one) is rejected before it is built.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     if stop < start:
         raise ValueError("stop must be >= start")
-    count = math.floor((stop - start) / step + 1e-9)
+    span = (stop - start) / step + 1e-9
+    if not span < np.iinfo(np.intp).max:
+        raise ValueError(f"step {step:g} gives too many points ({span:.3g})")
+    count = math.floor(span)
     points = start + step * np.arange(count + 1)
     if points[-1] < stop - 1e-9:
         points = np.append(points, stop)
@@ -219,14 +166,19 @@ def measure_points(
     return table, stat_err, eps5_per_run
 
 
-def ladder_verdict(q, eps5, stat_err, baseline: float, k_sigma: float) -> LadderVerdict:
-    """The descending-q ladder: points by descending q, ties in their given order.
+def ladder_verdict(
+    q, eps5, stat_err, baseline: float, k_sigma: float
+) -> tuple[int, int, float | None, float | None]:
+    """(passed, length, stop_q, min_q) of the descending-q ladder.
 
+    The ladder takes the points by descending q, ties in their given order.
     A point passes when eps5 - k_sigma * stat_err > baseline; the ladder
     stops at the first point that does not.  That point is the failing one
     with the largest q, the earliest of them among ties, so no sort is
     needed: the passing prefix is every point of larger q plus the points
-    of equal q before it.  q must be finite.
+    of equal q before it.  q must be finite.  The first `passed` of the
+    `length` rungs pass; stop_q is the q of the first failing rung and min_q
+    that of the last passing one (None when there is no such rung).
     """
     q, eps5, stat_err = (np.asarray(a, dtype=np.float64) for a in (q, eps5, stat_err))
     failing = ~(eps5 - k_sigma * stat_err > baseline)
@@ -241,7 +193,7 @@ def ladder_verdict(q, eps5, stat_err, baseline: float, k_sigma: float) -> Ladder
     rungs = q[passing][::-1]
     # the last passing rung: the smallest q, the latest among ties
     min_q = float(rungs[np.argmin(rungs)]) if rungs.size else None
-    return LadderVerdict(int(rungs.size), int(q.size), stop_q, min_q)
+    return int(rungs.size), int(q.size), stop_q, min_q
 
 
 def peak_offset(
@@ -277,12 +229,19 @@ def performance_report(
     baseline: float | None = None,
     k_sigma: float = 3.0,
     rho_deg: float = REFERENCE_ANGLE_DEG,
-) -> PerformanceReport:
-    """All three measures from a finished sweep.
+) -> dict:
+    """The three performance measures of a finished sweep and the decisions behind them.
 
-    The baseline defaults to the largest eps5 over the MES / PS rows present
-    in the sweep itself; with no such rows and none given, min q is not
-    established.
+    The keys are the `metrics` output lines, in their order.  baseline_eps4
+    is the error floor and baseline_source says where it came from: "flag"
+    (given), "rows" (the largest eps5 over the floor_rows MES / PS rows) or
+    "none".  min_distinguishable_q and the ladder_* keys are the NMES rows'
+    ladder_verdict; free_passes counts the NMES rows whose
+    eps4_est - k_sigma * stat_err alone exceeds the floor.  Without a floor
+    these five are None.  shift_deg is |peak - rho| (see peak_offset), also
+    delta_interval_deg, the half-width of the smallest [rho - delta,
+    rho + delta] holding the peak.  zero_condition_max is the largest of
+    eps1..eps3, the worst residual of the three zero conditions.
     """
     if k_sigma <= 0:
         raise ValueError("k_sigma must be positive")
@@ -296,24 +255,33 @@ def performance_report(
         floor = table.eps5[~nmes]
         source, floor_rows = ("rows", floor.size) if floor.size else ("none", 0)
         baseline = float(floor.max()) if floor.size else None
-    ladder = free_passes = None
+    passed = length = stop_q = min_q = free_passes = None
     if baseline is not None:
         q, eps5, stat_err = table.q[nmes], table.eps5[nmes], table.stat_err[nmes]
-        ladder = ladder_verdict(q, eps5, stat_err, baseline, k_sigma)
+        passed, length, stop_q, min_q = ladder_verdict(q, eps5, stat_err, baseline, k_sigma)
         free_passes = int(np.count_nonzero(eps5 - q - k_sigma * stat_err > baseline))
-    return PerformanceReport(
-        baseline=baseline,
-        baseline_source=source,
-        floor_rows=floor_rows,
-        ladder=ladder,
-        free_passes=free_passes,
-        peak_offset_deg=offset,
-        peak_tied=tied,
-        peak_on_boundary=on_boundary,
-        eps4_fluctuation_std=std,
-        eps4_fluctuation_range=spread,
-        zero_condition_max=float(table.eps[:, :3].max()),
-    )
+    return {
+        "baseline_eps4": baseline,
+        "baseline_source": source,
+        "k_sigma": k_sigma,
+        "rho_deg": rho_deg,
+        "min_distinguishable_q": min_q,
+        "shift_deg": offset,
+        "delta_interval_deg": offset,
+        "peak_tied": tied,
+        "peak_on_boundary": on_boundary,
+        "eps4_fluctuation_std": std,
+        "eps4_fluctuation_range": spread,
+        "zero_condition_max": float(table.eps[:, :3].max()),
+        **{f"rows_{kind.lower()}": int(np.count_nonzero(table.kind == kind))
+           for kind in ("PS", "MES", "NMES")},
+        "floor_rows": floor_rows,
+        "ladder_passed": passed,
+        "ladder_length": length,
+        "ladder_stop_q": stop_q,
+        "free_passes": free_passes,
+        "exact_input": not table.stat_err.any(),
+    }
 
 
 def _reduced_steps(variant: str) -> tuple[float, float, list]:
@@ -345,26 +313,25 @@ def _reduced_steps(variant: str) -> tuple[float, float, list]:
     return theta, phi, steps
 
 
-def reduced_circuit_compare(variant: str, noise: NoiseModel) -> ReducedComparison:
+def reduced_circuit_compare(variant: str, noise: NoiseModel) -> dict:
     """Exact fourth-experiment error of the full pipeline vs the reduced preparation.
 
     Both circuits target the same product state and the same measurement; the
     flagged outcome (+1, +1) has probability zero ideally, so any excess is
-    circuit error.
+    circuit error.  full_eps is the exact eps5 of the full circuit as
+    measure_points (and so `probe`) gives it; the keys are the `reduced`
+    output lines, in their order.
     """
     theta, phi, reduced = _reduced_steps(variant)
-    full = experiment_steps(2, 2, theta, phi, chi_of(theta, phi))
-    full_eps, reduced_eps = (
-        float(readout_distributions(evolve(ground_state(), steps, noise), noise)[0])
-        for steps in (full, reduced)
-    )
-    return ReducedComparison(
-        variant=variant,
-        full_eps=full_eps,
-        reduced_eps=reduced_eps,
-        full_gate_count=len(full),
-        reduced_gate_count=len(reduced),
-    )
+    full = measure_points([math.degrees(theta)], [math.degrees(phi)], noise, None)[0]
+    reduced_eps = readout_distributions(evolve(ground_state(), reduced, noise), noise)[0]
+    return {
+        "variant": variant,
+        "full_eps": float(full.eps5[0]),
+        "reduced_eps": float(reduced_eps),
+        "full_gate_count": len(experiment_steps(2, 2, theta, phi, chi_of(theta, phi))),
+        "reduced_gate_count": len(reduced),
+    }
 
 
 def rows_to_csv(table: SweepTable) -> str:

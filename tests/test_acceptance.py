@@ -180,7 +180,7 @@ def test_c09_noisy_model_properties():
     for variant in ("ps_00", "ps_01"):
         for p2 in (0.002, 0.01, 0.05):
             rc = reduced_circuit_compare(variant, NoiseModel(0.0, p2, 0.0, 0.0))
-            assert rc.reduced_eps < rc.full_eps
+            assert rc["reduced_eps"] < rc["full_eps"]
     report(9, "zero-noise equality, epsilon band, ladder monotonicity, gate-count ordering")
 
 

@@ -154,9 +154,15 @@ class TestExitCodes:
         code, _ = run_cli(["probe", "1", "2", "--noise", str(tmp_path / "missing.profile")])
         assert code == EXIT_IO
 
-    def test_malformed_noise_file_is_io_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        ["p1=oops\np2=0\nreadout0=0\nreadout1=0\n",
+         "p1=0.5\np2=0.01\nreadout0=0.02\nreadout1=0.02\np1=0.001\n"],
+        ids=["non_numeric", "repeated_key"],
+    )
+    def test_malformed_noise_file_is_io_error(self, tmp_path, text):
         path = tmp_path / "bad.profile"
-        path.write_text("p1=oops\np2=0\nreadout0=0\nreadout1=0\n")
+        path.write_text(text)
         code, _ = run_cli(["probe", "1", "2", "--noise", str(path)])
         assert code == EXIT_IO
 
@@ -199,6 +205,9 @@ class TestExitCodes:
             (["--step", "0"], "--step must be positive"),
             (["--step", "-1"], "--step must be positive"),
             (["--from", "50", "--to", "10"], "--to must be >= --from"),
+            # grids numpy cannot index, rejected before any array is built
+            (["--to", "1e300", "--step", "1"], "--step 1 gives too many points (1e+300)"),
+            (["--to", "1e308", "--step", "1e-308"], "--step 1e-308 gives too many points (inf)"),
         ],
     )
     def test_inverted_range_is_usage_error(self, tmp_path, capsys, flags, message):

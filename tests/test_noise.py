@@ -168,6 +168,14 @@ class TestProfileFile:
         with pytest.raises(ProfileError, match="unknown keys"):
             load_noise_profile(path)
 
+    def test_repeated_key(self, tmp_path):
+        # the last value used to win silently
+        path = tmp_path / "bad.profile"
+        path.write_text("p1=0.5\np2=0\nreadout0=0\nreadout1=0\np1=0.001\n")
+        with pytest.raises(ProfileError) as info:
+            load_noise_profile(path)
+        assert str(info.value) == f"{path}:5: repeated key 'p1'"
+
     def test_unreadable(self, tmp_path):
         with pytest.raises(ProfileError, match="cannot read"):
             load_noise_profile(tmp_path / "missing.profile")

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,6 +231,9 @@ class TestSweepAngles:
             grid_degrees(0, 10, 0)
         with pytest.raises(ValueError):
             grid_degrees(10, 0, 1)
+        for stop, step in ((1e300, 1.0), (1e308, 1e-308)):
+            with pytest.raises(ValueError, match="^step .* too many points"):
+                grid_degrees(0, stop, step)
 
 
 class TestDiagonalSweep:
@@ -298,12 +302,12 @@ class TestBaseline:
     def test_zero_noise_floor_is_zero(self):
         for cfg in (None, ShotConfig(seed=5)):
             report = performance_report(floor_sweep(NoiseModel.none(), cfg))
-            assert report.baseline_source == "rows"
-            assert report.baseline <= 1e-12
+            assert report["baseline_source"] == "rows"
+            assert report["baseline_eps4"] <= 1e-12
 
     def test_default_profile_band(self):
         report = performance_report(floor_sweep(NoiseModel.default_profile(), None))
-        assert 0.0 < report.baseline < 0.1
+        assert 0.0 < report["baseline_eps4"] < 0.1
 
     def test_baseline_points_all_product_or_mes(self):
         # q vanishes on every floor (MES / PS) row, so eps5 there is pure error
@@ -316,10 +320,12 @@ class TestBaseline:
         angles = sweep_angles("diagonal", 40, 60, 2)
         table = measure_points(*angles, NoiseModel.default_profile(), None)[0]
         report = performance_report(table)
-        assert report.baseline_source == "none"
-        assert report.baseline is None
-        assert report.ladder is None
-        assert performance_report(table, baseline=0.05).baseline_source == "flag"
+        assert report["baseline_source"] == "none"
+        assert report["baseline_eps4"] is None
+        ladder_keys = ("min_distinguishable_q", "ladder_passed", "ladder_length",
+                       "ladder_stop_q", "free_passes")
+        assert [report[key] for key in ladder_keys] == [None] * 5
+        assert performance_report(table, baseline=0.05)["baseline_source"] == "flag"
 
     @pytest.mark.parametrize("baseline", [-1.0, 1.5, math.nan])
     def test_out_of_range_baseline_rejected(self, baseline):
@@ -331,12 +337,12 @@ class TestBaseline:
 class TestMinQ:
     def test_zero_noise_floor_allows_smallest_ladder_point(self):
         report = performance_report(floor_sweep(NoiseModel.none(), ShotConfig(seed=6)))
-        assert report.ladder.min_q is not None
-        assert report.ladder.min_q <= 0.005
+        assert report["min_distinguishable_q"] is not None
+        assert report["min_distinguishable_q"] <= 0.005
 
     def test_forced_huge_baseline_gives_none(self):
         table = floor_sweep(NoiseModel.none(), ShotConfig(seed=6))
-        assert performance_report(table, baseline=1.0).ladder.min_q is None
+        assert performance_report(table, baseline=1.0)["min_distinguishable_q"] is None
 
     def test_hardware_scale_boundary(self):
         # entries at real-device scale: error floor 0.0807, NMES points above
@@ -351,17 +357,17 @@ class TestMinQ:
             (0.00088, 0.0241, 0.0016),
         ]
         verdict = ladder_verdict(*np.array(entries).T, baseline=0.0807, k_sigma=3.0)
-        assert verdict.min_q == 0.0833
+        assert verdict[3] == 0.0833
 
     def test_prefix_rule_stops_at_first_failure(self):
         entries = [(0.09, 0.5, 0.001), (0.05, 0.001, 0.001), (0.01, 0.9, 0.001)]
-        assert ladder_verdict(*np.array(entries).T, baseline=0.1, k_sigma=3.0).min_q == 0.09
+        assert ladder_verdict(*np.array(entries).T, baseline=0.1, k_sigma=3.0)[3] == 0.09
 
     def test_ladder_ties_keep_given_order(self):
         # equal q: the first failing entry in the given order ends the ladder
         q, eps5 = [0.09, 0.05, 0.05, 0.01], [0.5, 0.5, 0.001, 0.9]
-        assert ladder_verdict(q, eps5, [0.001] * 4, baseline=0.1, k_sigma=3.0).min_q == 0.05
-        assert ladder_verdict([], [], [], baseline=0.1, k_sigma=3.0).min_q is None
+        assert ladder_verdict(q, eps5, [0.001] * 4, baseline=0.1, k_sigma=3.0)[3] == 0.05
+        assert ladder_verdict([], [], [], baseline=0.1, k_sigma=3.0)[3] is None
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -386,7 +392,7 @@ class TestMinQ:
         verdict = ladder_verdict(q, eps5, stat_err, baseline, k_sigma)
         reference = reference_ladder(q, eps5, stat_err, baseline, k_sigma)
         # repr tells -0.0 from 0.0: the same rung, not only an equal q
-        assert repr(dataclasses.astuple(verdict)) == repr(reference)
+        assert repr(verdict) == repr(reference)
 
 
 class TestShiftAndInterval:
@@ -421,16 +427,16 @@ class TestShiftAndInterval:
 
     def test_delta_interval_constructed_peak(self):
         report = performance_report(self._rows_with_peak(40.0))
-        assert abs(report.peak_offset_deg - 11.827) < 1e-9
+        assert abs(report["shift_deg"] - 11.827) < 1e-9
 
     def test_delta_interval_ideal_sweep_within_step(self):
         table = measure_points(*sweep_angles("diagonal", 40, 65, 1), NoiseModel.none(), None)[0]
-        assert performance_report(table).peak_offset_deg <= 1.0
+        assert performance_report(table)["shift_deg"] <= 1.0
 
     def test_delta_interval_boundary_flagged(self):
         report = performance_report(self._rows_with_peak(90.0, lo=40.0, hi=90.0))
-        assert report.peak_on_boundary and not report.peak_tied
-        assert abs(report.peak_offset_deg - (90.0 - 51.827)) < 1e-9
+        assert report["peak_on_boundary"] and not report["peak_tied"]
+        assert abs(report["shift_deg"] - (90.0 - 51.827)) < 1e-9
 
     def test_delta_interval_requires_coverage(self):
         with pytest.raises(ValueError, match="cover"):
@@ -466,9 +472,9 @@ class TestPerformanceReport:
             eps5 = analytic_q(math.radians(t), math.radians(t)) + 0.01
             rows.append(synthetic_row(float(t), eps5, stat_err=0.001))
         report = performance_report(table_of(rows))
-        assert report.baseline == 0.01 and report.baseline_source == "rows"
-        assert report.ladder.min_q is not None
-        assert report.eps4_fluctuation_range >= report.eps4_fluctuation_std
+        assert report["baseline_eps4"] == 0.01 and report["baseline_source"] == "rows"
+        assert report["min_distinguishable_q"] is not None
+        assert report["eps4_fluctuation_range"] >= report["eps4_fluctuation_std"]
 
     def test_explicit_baseline_wins(self):
         rows = [
@@ -476,7 +482,20 @@ class TestPerformanceReport:
             for t, eps5 in ((40.0, 0.04), (50.0, 0.06), (60.0, 0.05), (51.0, 0.055))
         ]
         report = performance_report(table_of(rows), baseline=0.123)
-        assert report.baseline == 0.123 and report.baseline_source == "flag"
+        assert report["baseline_eps4"] == 0.123 and report["baseline_source"] == "flag"
+
+    def test_keys_are_metrics_lines_in_order(self):
+        name = "metrics_diagonal_5deg_sampled_default_seed7.txt"
+        lines = (Path(__file__).parent / "golden" / name).read_text().splitlines()
+        # a PS row, two NMES rows, and an MES row of the class it is given
+        rows = [synthetic_row(t, eps5, stat_err=0.0)
+                for t, eps5 in ((0.0, 0.01), (45.0, 0.2), (60.0, 0.06))]
+        report = performance_report(table_of([*rows, (90.0, 0.0, 0.01, 0.0, "MES")]))
+        assert list(report) == [line.partition("=")[0] for line in lines]
+        assert (report["rows_ps"], report["rows_mes"], report["rows_nmes"]) == (1, 1, 2)
+        assert report["exact_input"] is True
+        sampled = table_of([*rows, (90.0, 0.0, 0.01, 1e-4, "MES")])
+        assert performance_report(sampled)["exact_input"] is False
 
     @pytest.mark.parametrize("k_sigma", [0.0, -5.0])
     def test_k_sigma_validation(self, k_sigma):
@@ -488,32 +507,43 @@ class TestPerformanceReport:
 class TestReducedCircuit:
     def test_gate_counts(self):
         rc = reduced_circuit_compare("ps_00", NoiseModel.none())
-        assert rc.reduced_gate_count < rc.full_gate_count
-        assert rc.reduced_gate_count == 3
-        assert rc.full_gate_count == 14
+        assert rc["reduced_gate_count"] < rc["full_gate_count"]
+        assert rc["reduced_gate_count"] == 3
+        assert rc["full_gate_count"] == 14
 
     @pytest.mark.parametrize("variant", ["ps_00", "ps_01"])
     def test_zero_noise_both_vanish(self, variant):
         rc = reduced_circuit_compare(variant, NoiseModel.none())
-        assert rc.full_eps <= 1e-12
-        assert rc.reduced_eps <= 1e-12
+        assert rc["full_eps"] <= 1e-12
+        assert rc["reduced_eps"] <= 1e-12
 
     @pytest.mark.parametrize("variant", ["ps_00", "ps_01"])
     def test_two_qubit_noise_orders_errors(self, variant):
         noise = NoiseModel(0.0, 0.01, 0.0, 0.0)
         rc = reduced_circuit_compare(variant, noise)
-        assert rc.reduced_eps < rc.full_eps
+        assert rc["reduced_eps"] < rc["full_eps"]
 
     @pytest.mark.parametrize("variant", ["ps_00", "ps_01"])
     def test_single_qubit_noise_orders_errors(self, variant):
         noise = NoiseModel(0.005, 0.0, 0.0, 0.0)
         rc = reduced_circuit_compare(variant, noise)
-        assert rc.reduced_eps < rc.full_eps
+        assert rc["reduced_eps"] < rc["full_eps"]
 
     @pytest.mark.parametrize("variant", ["ps_00", "ps_01"])
     def test_default_profile_orders_errors(self, variant):
         rc = reduced_circuit_compare(variant, NoiseModel.default_profile())
-        assert rc.reduced_eps < rc.full_eps
+        assert rc["reduced_eps"] < rc["full_eps"]
+
+    @pytest.mark.parametrize(
+        "noise", [NoiseModel.none(), NoiseModel.default_profile()], ids=["none", "default"]
+    )
+    @pytest.mark.parametrize("variant,angles", [("ps_00", (0.0, 0.0)), ("ps_01", (90.0, 0.0))])
+    def test_full_eps_is_probe_exact_eps5(self, variant, angles, noise):
+        # the clipped exact estimate probe takes, never a negative probability
+        full_eps = reduced_circuit_compare(variant, noise)["full_eps"]
+        theta, phi = angles
+        assert full_eps == measure_points([theta], [phi], noise, None)[0].eps5[0]
+        assert full_eps >= 0.0
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
