@@ -28,8 +28,9 @@ out[i] = m[i][0] r[0] + m[i][1] r[1], written into the halves of a new
 state.  A gate acts on its qubit's row axis, then with conjugated entries
 on the matching column axis; gate products multiply the entry lists; CX is
 a fixed permutation of rows and columns; the channels act in closed form,
-in place, on the same view.  The public functions take and return the (..., 4, 4) layout
-and convert once on the way in and once on the way out.
+in place, on the same view.  `evolve` and `steps_unitary` take and return the
+(..., 4, 4) layout, converting once each way; `experiment_distributions`
+builds no final state, only what is measured.
 """
 
 from __future__ import annotations
@@ -270,20 +271,22 @@ def experiment_steps(a_index: int, b_index: int, theta, lam, chi) -> list:
     return preparation_steps(theta, lam) + alice_steps(a_index, lam) + bob_steps(b_index, lam, chi)
 
 
-def _final_states(theta, phi, noise) -> list:
-    """Batch-last final states of the experiments in EXPERIMENT_SETTINGS.
+def _segment(steps, noise) -> tuple:
+    """One qubit's steps, no CNOT among them: (their product, later gates on the left;
+    the rate 1 - (1 - p1)^n of the one channel after them)."""
+    m = _entries(steps[0][1])
+    for step in steps[1:]:
+        m = _times(_entries(step[1]), m)
+    return m, 1.0 - (1.0 - noise.p1) ** len(steps)
 
-    The preparation runs once and branches into Alice's two settings, each
-    of which branches into Bob's two.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    lam = np.asarray(phi, dtype=np.float64)
-    chi = chi_of(theta, lam)
-    ground = _to_batch_last(ground_state(theta.shape))
-    prepared = _run(ground, preparation_steps(theta, lam), noise)
-    after_alice = {a: _run(prepared, alice_steps(a, lam), noise) for a in (1, 2)}
-    bob = {b: bob_steps(b, lam, chi) for b in (1, 2)}
-    return [_run(after_alice[a], bob[b], noise) for a, b in EXPERIMENT_SETTINGS]
+
+def _mixed(pair, p: float) -> list:
+    """Each of (x0, x1) as (1 - p) x + p/2 (x0 + x1): a qubit's channel at rate p on
+    its two diagonal blocks (it adds to no other) or on its two outcomes."""
+    if p == 0.0:
+        return pair
+    mean = (pair[0] + pair[1]) * (0.5 * p)
+    return [x * (1.0 - p) + mean for x in pair]
 
 
 def _confusion(rate: float) -> np.ndarray:
@@ -307,12 +310,30 @@ def readout_distributions(rho, noise) -> np.ndarray:
 def experiment_distributions(theta, phi, noise) -> np.ndarray:
     """Outcome distributions, shape (N, 4, 4): point, experiment, outcome k = 2a + b.
 
-    Read from the diagonals of the batch-last final states.
+    The preparation runs once; each of Alice's settings keeps only her diagonal blocks
+    D[a] = rho[a y, a y'], the measured part.  No CNOT follows Bob, so each of his settings,
+    one product M, reads them in closed form: P(a, b) = |M_b0|^2 D[a]_00 + |M_b1|^2 D[a]_11
+    + 2 Re(M_b0 conj(M_b1) D[a]_01), then his channel mixes P(a, .).
     """
-    diagonals = [
-        np.real(np.diagonal(_flat(r), axis1=0, axis2=1)) for r in _final_states(theta, phi, noise)
-    ]
-    return _through_readout(np.stack(diagonals, axis=-2), noise)
+    theta = np.asarray(theta, dtype=np.float64)
+    lam = np.asarray(phi, dtype=np.float64)
+    chi = chi_of(theta, lam)
+    prepared = _run(_to_batch_last(ground_state()), preparation_steps(theta, lam), noise)
+    blocks = []  # Alice's setting, a, y, y', batch
+    for i in (1, 2):
+        m, p = _segment(alice_steps(i, lam), noise)
+        rows = _act(m, prepared, 0)
+        d = [np.conj(m[a][0]) * rows[a, :, 0] + np.conj(m[a][1]) * rows[a, :, 1] for a in (0, 1)]
+        blocks.append(_mixed(d, p))
+    blocks = np.array(blocks)
+    low, high, cross = blocks[:, :, 0, 0].real, blocks[:, :, 1, 1].real, blocks[:, :, 0, 1]
+    bob = {}  # Bob's setting: b -> P(a, b) as (Alice's setting, a, batch)
+    for j in (1, 2):
+        m, p = _segment(bob_steps(j, lam, chi), noise)
+        terms = [(abs(x) ** 2, abs(y) ** 2, x * np.conj(y)) for x, y in m]  # row b: M_b0, M_b1
+        bob[j] = _mixed([u * low + v * high + 2.0 * (c * cross).real for u, v, c in terms], p)
+    probs = [[bob[j][b][i - 1, a] for a in (0, 1) for b in (0, 1)] for i, j in EXPERIMENT_SETTINGS]
+    return _through_readout(np.moveaxis(np.array(probs), (0, 1), (-2, -1)), noise)
 
 
 def check_distributions(probs) -> np.ndarray:

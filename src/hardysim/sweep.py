@@ -99,7 +99,8 @@ def grid_degrees(start: float, stop: float, step: float) -> np.ndarray:
 
     Whole steps that fit (within 1e-9 of a step) come first; when the last
     of them falls short of stop, stop itself is appended.  A grid numpy
-    cannot index (or an infinite one) is rejected before it is built.
+    cannot index (or an infinite one) is rejected before it is built, and
+    one it cannot allocate when the allocation fails.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -109,7 +110,7 @@ def grid_degrees(start: float, stop: float, step: float) -> np.ndarray:
     if not span < np.iinfo(np.intp).max:
         raise ValueError(f"step {step:g} gives too many points ({span:.3g})")
     count = math.floor(span)
-    points = start + step * np.arange(count + 1)
+    points = _allocate(step, span, lambda: start + step * np.arange(count + 1))
     if points[-1] < stop - 1e-9:
         points = np.append(points, stop)
     return points
@@ -139,7 +140,20 @@ def sweep_angles(
             theta.append(substitute)
     if mode == "diagonal":
         return np.array(theta), np.array(theta)
-    return np.repeat(theta, len(grid)), np.tile(grid, len(theta))
+    return _allocate(
+        step_deg,
+        len(theta) * len(grid),
+        lambda: (np.repeat(theta, len(grid)), np.tile(grid, len(theta))),
+    )
+
+
+def _allocate(step: float, count: float, build):
+    """build() of a grid of `count` points; numpy refusing its size or running out
+    of memory is the usage error of a too fine step."""
+    try:
+        return build()
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"step {step:g} gives too many points ({count:.3g})") from exc
 
 
 def measure_points(

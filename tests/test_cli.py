@@ -208,6 +208,8 @@ class TestExitCodes:
             # grids numpy cannot index, rejected before any array is built
             (["--to", "1e300", "--step", "1"], "--step 1 gives too many points (1e+300)"),
             (["--to", "1e308", "--step", "1e-308"], "--step 1e-308 gives too many points (inf)"),
+            # one numpy can index but refuses to build, before allocating anything
+            (["--to", "2e18", "--step", "1"], "--step 1 gives too many points (2e+18)"),
         ],
     )
     def test_inverted_range_is_usage_error(self, tmp_path, capsys, flags, message):
@@ -216,6 +218,24 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert text == ""
         assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "mode,allocation,count", [("diagonal", "arange", "2"), ("surface", "repeat", "9")]
+    )
+    def test_grid_out_of_memory_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, mode, allocation, count
+    ):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, allocation, out_of_memory)
+        path = tmp_path / "x.csv"
+        code, text = run_cli(["sweep", mode, "--step", "45", "--out", str(path)])
+        assert code == EXIT_USAGE
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err == f"usage error: --step 45 gives too many points ({count})\n"
         assert not path.exists()
 
     def test_metrics_on_two_rows_is_input_error(self, tmp_path, capsys):

@@ -22,7 +22,7 @@ from hardysim.engine import (
     readout_distributions,
     steps_unitary,
 )
-from hardysim import gates
+from hardysim import engine, gates
 from hardysim.hardy import analytic_q, chi_of
 from hardysim.noise import NoiseModel
 
@@ -56,6 +56,38 @@ def test_noiseless_engine_meets_closed_forms(theta, phi):
     flagged = dists[range(4), FLAGGED_OUTCOME]
     assert np.max(flagged[:3]) <= 1e-12
     assert abs(flagged[3] - analytic_q(theta, phi)) <= 1e-12
+
+
+edge_rates = st.one_of(st.sampled_from([0.0, 1.0]), rates)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(angles, angles), min_size=1, max_size=8), *[edge_rates] * 4)
+def test_batch_matches_full_state_path(points, p1, p2, readout0, readout1):
+    """Every row of a batch, each setting, against the full final state of that experiment alone."""
+    noise = NoiseModel(p1, p2, readout0, readout1)
+    theta, phi = np.array(points).T
+    dists = experiment_distributions(theta, phi, noise)
+    for row, (t, f) in zip(dists, points):
+        for dist, (a, b) in zip(row, EXPERIMENT_SETTINGS):
+            steps = experiment_steps(a, b, t, f, chi_of(t, f))
+            full = readout_distributions(evolve(ground_state(), steps, noise), noise)
+            assert np.max(np.abs(dist - full)) <= 1e-12
+
+
+def test_only_preparation_and_alice_act_on_full_states(monkeypatch):
+    """The preparation takes 10 gate actions and Alice one per setting; Bob
+    reads her diagonal blocks in closed form, where four full runs of his
+    settings would take 8 more."""
+    act, calls = engine._act, []
+
+    def counting(*args):
+        calls.append(args)
+        return act(*args)
+
+    monkeypatch.setattr(engine, "_act", counting)
+    experiment_distributions([0.3, 0.9], [0.4, 1.2], NoiseModel.default_profile())
+    assert len(calls) <= 14
 
 
 # A step is "cx" or (qubit, u3 angles); drawn lists put CNOTs anywhere:
