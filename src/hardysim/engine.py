@@ -19,18 +19,26 @@ identities: per segment between CNOTs, one product of each qubit's gates
 and one channel at the composed rate 1 - (1 - p1)^n; for the call, one
 deferred channel at 1 - (1 - p2)^k for its k CNOTs.
 
-Inside the engine rho is stored batch-last, shape (2, 2, 2, 2, *batch):
-Alice row, Bob row, Alice column, Bob column, then the batch axes, so every
-operation is a few ufunc calls over contiguous runs of the batch.  A 2x2
-gate is held as its four entries (arrays over the batch, or scalars for
-fixed gates), and one kernel, `_act`, applies it to one axis:
-out[i] = m[i][0] r[0] + m[i][1] r[1], written into the halves of a new
-state.  A gate acts on its qubit's row axis, then with conjugated entries
-on the matching column axis; gate products multiply the entry lists; CX is
-a fixed permutation of rows and columns; the channels act in closed form,
-in place, on the same view.  `evolve` and `steps_unitary` take and return the
-(..., 4, 4) layout, converting once each way; `experiment_distributions`
-builds no final state, only what is measured.
+Inside the engine a state is held as its 16 entries rho[a b, a' b'] (Alice
+row, Bob row, Alice column, Bob column), entry 8a + 4b + 2a' + b', each an
+array over the batch, so every operation is a few ufunc calls on whole
+entries.  A 2x2 gate is held as its four entries (arrays over the batch, or
+scalars for fixed gates), and one kernel, `_act`, applies it to one axis: on
+each pair of entries that differ only there, out[i] = m[i][0] r0 +
+m[i][1] r1, or out[i] = m[i][i] ri for a gate whose off-diagonal entries are
+zero over the whole batch (a phase gate).  A gate acts on its qubit's row
+axis, then with conjugated entries on the matching column axis; gate
+products multiply the entry lists; CX is a fixed permutation of the entries;
+the channels act in closed form.  A single point runs as a batch of one.
+`evolve` and `steps_unitary` take and return the (..., 4, 4) layout,
+converting once each way.
+
+`experiment_distributions` applies no dense gate to a full state.  Before
+the first CNOT each qubit has its own gates from |0>, so the state there is
+the product rho_A (x) rho_B of two one-qubit states, built entry by entry;
+from that CNOT on, the preparation's one-qubit gates are all phase gates;
+and no CNOT follows the settings, so Alice's and Bob's are read in closed
+form from the prepared entries.
 """
 
 from __future__ import annotations
@@ -52,21 +60,10 @@ FLAGGED_OUTCOME = (0, 1, 2, 0)
 DISTRIBUTION_TOL = 1e-9
 
 _CX_ORDER = [0, 1, 3, 2]  # CNOT as a basis permutation: |10> <-> |11>
-# CX as a permutation of the 16 (row, column) pairs, 4 row + column: of the
-# rows alone (CX U) and of rows and columns (CX rho CX).
+# CX as a permutation of the 16 entries, 4 row + column: of the rows alone
+# (CX U) and of rows and columns (CX rho CX).
 _CX_ROWS = [4 * row + column for row in _CX_ORDER for column in range(4)]
 _CX_BOTH = [4 * row + column for row in _CX_ORDER for column in _CX_ORDER]
-_ALL = slice(None)
-
-
-def _index(axis: int, value: int) -> tuple:
-    """Index of `value` on one of the four leading axes of a batch-last state."""
-    return (_ALL,) * axis + (value,)
-
-
-def _diagonal_block(qubit: int, value: int) -> tuple:
-    """Index of the block where `qubit` has `value` in both the row and the column."""
-    return (_ALL, value, _ALL, value) if qubit == 0 else (value, _ALL, value)
 
 
 def ground_state(shape=()) -> np.ndarray:
@@ -91,21 +88,33 @@ def _times(a, b) -> tuple:
     )
 
 
-def _act(m, r, axis: int) -> np.ndarray:
-    """`m` applied to `axis` of the batch-last r: out[i] = m[i][0] r[0] + m[i][1] r[1]."""
-    low, high = r[_index(axis, 0)], r[_index(axis, 1)]
-    out = np.empty(r.shape, dtype=np.complex128)
-    for i in (0, 1):
-        part = out[_index(axis, i)]
-        np.multiply(m[i][0], low, out=part)
-        part += m[i][1] * high
+def _act(m, r, axis: int, out=None) -> list:
+    """`m` applied to `axis` of the state r: on each pair (r0, r1) of entries that differ
+    only there, out[i] = m[i][0] r0 + m[i][1] r1, or out[i] = m[i][i] ri when both
+    off-diagonal entries of `m` are zero over the whole batch.  The result goes into the
+    list `out` (a new one by default), which may be r itself."""
+    bit = 8 >> axis
+    diagonal = not (m[0][1].any() or m[1][0].any())
+    out = list(r) if out is None else out
+    for k in range(16):
+        if k & bit:
+            continue
+        low, high = r[k], r[k | bit]
+        if diagonal:
+            out[k], out[k | bit] = m[0][0] * low, m[1][1] * high
+        else:
+            out[k] = m[0][0] * low + m[0][1] * high
+            out[k | bit] = m[1][0] * low + m[1][1] * high
     return out
 
 
-def _conjugate(m, r, qubit: int) -> np.ndarray:
+def _conjugate(m, r, qubit: int) -> list:
     """U r U^dag, with U = `m` on `qubit`: rows on axis 1 - qubit, columns on 3 - qubit."""
     conj = tuple(tuple(np.conj(x) for x in row) for row in m)
-    return _act(conj, _act(m, r, 1 - qubit), 3 - qubit)
+    rows = _act(m, r, 1 - qubit)
+    # `rows` is this call's own: its entries are replaced as they are used, so at most
+    # one state besides r is alive, and the blocks numpy frees are reused at once
+    return _act(conj, rows, 3 - qubit, rows)
 
 
 def _batch_of(shapes, steps) -> tuple:
@@ -120,61 +129,44 @@ def _qubit(step) -> int:
     return qubit
 
 
-def _broadcast(r, batch: tuple) -> np.ndarray:
-    """The batch-last r as a read-only view broadcast to `batch`.
-
-    Batch shapes align on the right, as in the (..., 4, 4) layout.
-    """
-    r = r.reshape((2, 2, 2, 2) + (1,) * (len(batch) + 4 - r.ndim) + r.shape[4:])
-    return np.broadcast_to(r, (2, 2, 2, 2) + batch)
-
-
-def _permute(r, pairs) -> np.ndarray:
-    """r with its 16 (row, column) entries reordered by one of the fixed CX permutations."""
-    return np.take(r.reshape((16,) + r.shape[4:]), pairs, axis=0).reshape(r.shape)
-
-
-# The channels update r in place: `_run` applies them only to arrays that a
-# gate or a permutation has just returned, never to its read-only input.
-def _depolarize_qubit(r, p: float, qubit: int) -> np.ndarray:
+def _depolarize_qubit(r, p: float, qubit: int) -> list:
     """(1 - p) r + p (I/2 on `qubit`) (x) (partial trace of r over `qubit`)."""
-    low, high = _diagonal_block(qubit, 0), _diagonal_block(qubit, 1)
-    reduced = (r[low] + r[high]) * (0.5 * p)
-    r *= 1.0 - p
-    r[low] += reduced
-    r[high] += reduced
-    return r
+    both = (8 >> (1 - qubit)) | (8 >> (3 - qubit))  # the qubit's row and column bits
+    out = [x * (1.0 - p) for x in r]
+    for k in range(16):
+        if not k & both:  # k and k | both: the qubit is 0, then 1, in row and column
+            reduced = (r[k] + r[k | both]) * (0.5 * p)
+            out[k] = out[k] + reduced
+            out[k | both] = out[k | both] + reduced
+    return out
 
 
-def _depolarize_both(r, p: float) -> np.ndarray:
+def _depolarize_both(r, p: float) -> list:
     """(1 - p) r + p I/4."""
-    r *= 1.0 - p
-    flat = _flat(r)
-    for k in range(4):
-        flat[k, k] += 0.25 * p
-    return r
+    out = [x * (1.0 - p) for x in r]
+    for k in (0, 5, 10, 15):  # the diagonal
+        out[k] = out[k] + 0.25 * p
+    return out
 
 
-def _flat(r) -> np.ndarray:
-    """A batch-last state as (4, 4, *batch): row index 2a + b, column index 2a + b."""
-    return r.reshape((4, 4) + r.shape[4:])
+def _to_entries(rho, batch: tuple) -> list:
+    """(..., 4, 4) broadcast to `batch` as its 16 entries, views over the batch.
+
+    A single point is a batch of one: numpy's scalar math rounds complex products
+    differently from its array loops, and a point must come out as it does in a batch.
+    """
+    rho = np.broadcast_to(rho, (batch or (1,)) + (4, 4))
+    return [rho[..., k // 4, k % 4] for k in range(16)]
 
 
-def _to_batch_last(rho) -> np.ndarray:
-    """(..., 4, 4) as a (2, 2, 2, 2, ...) view."""
-    rho = np.asarray(rho)
-    view = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
-    return np.moveaxis(view, (-4, -3, -2, -1), (0, 1, 2, 3))
+def _from_entries(r, batch: tuple) -> np.ndarray:
+    """Inverse of `_to_entries`, as a new (*batch, 4, 4) array."""
+    r = np.broadcast_arrays(*r)
+    return np.stack(r, axis=-1).reshape(batch + (4, 4))
 
 
-def _from_batch_last(r) -> np.ndarray:
-    """Inverse of `_to_batch_last`, as a view."""
-    return np.moveaxis(_flat(r), (0, 1), (-2, -1))
-
-
-def _run(r, steps, noise) -> np.ndarray:
-    """`evolve` on a batch-last state; returns a new batch-last state, `r` is not changed."""
-    r = _broadcast(r, _batch_of([r.shape[4:]], steps))
+def _run(r, steps, noise) -> list:
+    """`evolve` on a state held as entries; returns new entries, `r` is not changed."""
     segment = {}  # qubit -> (product of its gates since the last CNOT, count)
     cx_count = 0
     for step in (*steps, None):  # None closes the last segment
@@ -186,7 +178,7 @@ def _run(r, steps, noise) -> np.ndarray:
                     r = _depolarize_qubit(r, p, qubit)
             segment = {}
             if step is CX:
-                r = _permute(r, _CX_BOTH)
+                r = [r[k] for k in _CX_BOTH]
                 cx_count += 1
         else:
             qubit, m = _qubit(step), _entries(step[1])
@@ -198,7 +190,7 @@ def _run(r, steps, noise) -> np.ndarray:
     p = 1.0 - (1.0 - noise.p2) ** cx_count
     if p != 0.0:
         r = _depolarize_both(r, p)
-    return r if r.flags.writeable else r.copy()  # the input itself when no step ran
+    return r
 
 
 def evolve(rho, steps, noise) -> np.ndarray:
@@ -211,18 +203,21 @@ def evolve(rho, steps, noise) -> np.ndarray:
     its own.  The post-CNOT channels commute with every unitary and with the
     one-qubit channel, so all k of them become one at 1 - (1 - p2)^k, last.
     """
-    return _from_batch_last(_run(_to_batch_last(rho), steps, noise))
+    rho = np.asarray(rho)
+    batch = _batch_of([rho.shape[:-2]], steps)
+    return _from_entries(_run(_to_entries(rho, batch), steps, noise), batch)
 
 
 def steps_unitary(steps) -> np.ndarray:
     """Noiseless circuit steps composed into one (..., 4, 4) unitary."""
-    u = _broadcast(_to_batch_last(np.eye(4)), _batch_of([], steps))
+    batch = _batch_of([], steps)
+    u = _to_entries(np.eye(4, dtype=np.complex128), batch)
     for step in steps:
         if step is CX:
-            u = _permute(u, _CX_ROWS)
+            u = [u[k] for k in _CX_ROWS]
         else:
             u = _act(_entries(step[1]), u, 1 - _qubit(step))
-    return _from_batch_last(u if u.flags.writeable else u.copy())
+    return _from_entries(u, batch)
 
 
 def preparation_steps(theta, lam) -> list:
@@ -289,6 +284,45 @@ def _mixed(pair, p: float) -> list:
     return [x * (1.0 - p) + mean for x in pair]
 
 
+def _factor(steps, noise) -> tuple:
+    """One qubit's state after its `steps` from |0>, no CNOT among them, as entries
+    ((rho00, rho01), (rho10, rho11)): (1 - p) U|0><0|U^dag + p I/2, (U, p) from `_segment`."""
+    m, p = _segment(steps, noise)
+    column = m[0][0], m[1][0]  # U|0>
+    low, high = _mixed([(x * np.conj(x)).real for x in column], p)
+    cross = column[0] * np.conj(column[1]) * (1.0 - p)
+    return (low, cross), (np.conj(cross), high)
+
+
+def _product_state(steps, noise) -> list:
+    """The state after `steps` from |00>, no CNOT among them: each qubit evolves alone,
+    so the state is rho_A (x) rho_B, its 16 entries products of `_factor` entries."""
+    alice, bob = (_factor([s for s in steps if _qubit(s) == q], noise) for q in (1, 0))
+    return [alice[a][a2] * bob[b][b2] for a, b, a2, b2 in np.ndindex(2, 2, 2, 2)]
+
+
+def _weights(m) -> list:
+    """Each row k of a one-qubit gate M as (|M_k0|^2, |M_k1|^2, M_k0 conj(M_k1)): the weights
+    of x00, x11 and x01 (conj for x10) in outcome k of M applied to a one-qubit block x."""
+    return [(abs(x) ** 2, abs(y) ** 2, x * np.conj(y)) for x, y in m]
+
+
+def _alice_blocks(r, m, p: float) -> list:
+    """Alice's diagonal blocks D[a] = rho'[a y, a y'] of rho' = her setting `m`, then her
+    channel at rate p, applied to the state r: at y y' = 00, 11 and 01, each over a.
+
+    D[a] = |M_a0|^2 rho[0y, 0y'] + |M_a1|^2 rho[1y, 1y'] + M_a0 conj(M_a1) rho[0y, 1y']
+    + conj(M_a0 conj(M_a1)) rho[1y, 0y']: her channel adds to these blocks alone.
+    """
+    terms = _weights(m)
+    blocks = []
+    for y, y2 in ((0, 0), (1, 1), (0, 1)):
+        x = {(a, a2): r[8 * a + 4 * y + 2 * a2 + y2] for a in (0, 1) for a2 in (0, 1)}
+        d = [u * x[0, 0] + v * x[1, 1] + c * x[0, 1] + np.conj(c) * x[1, 0] for u, v, c in terms]
+        blocks.append(_mixed(d, p))
+    return blocks
+
+
 def _confusion(rate: float) -> np.ndarray:
     """One qubit's symmetric readout flip: reported bit r given true bit t, [t, r]."""
     return np.array([[1.0 - rate, rate], [rate, 1.0 - rate]])
@@ -310,30 +344,34 @@ def readout_distributions(rho, noise) -> np.ndarray:
 def experiment_distributions(theta, phi, noise) -> np.ndarray:
     """Outcome distributions, shape (N, 4, 4): point, experiment, outcome k = 2a + b.
 
-    The preparation runs once; each of Alice's settings keeps only her diagonal blocks
-    D[a] = rho[a y, a y'], the measured part.  No CNOT follows Bob, so each of his settings,
-    one product M, reads them in closed form: P(a, b) = |M_b0|^2 D[a]_00 + |M_b1|^2 D[a]_11
+    The preparation runs once and starts as a product: its steps before the first CNOT
+    touch one qubit each, so the state there is rho_A (x) rho_B (`_product_state`), and
+    `_run` takes the steps from that CNOT on, whose one-qubit gates are all phase gates.
+    No CNOT follows the settings, so each is read in closed form.  Each of Alice's keeps
+    only her diagonal blocks D[a] = rho[a y, a y'], the measured part (`_alice_blocks`).
+    Each of Bob's, one product M, reads them: P(a, b) = |M_b0|^2 D[a]_00 + |M_b1|^2 D[a]_11
     + 2 Re(M_b0 conj(M_b1) D[a]_01), then his channel mixes P(a, .).
     """
     theta = np.asarray(theta, dtype=np.float64)
     lam = np.asarray(phi, dtype=np.float64)
+    batch = np.broadcast_shapes(theta.shape, lam.shape)
+    theta, lam = np.atleast_1d(theta, lam)  # a single point is a batch of one, as in `_to_entries`
     chi = chi_of(theta, lam)
-    prepared = _run(_to_batch_last(ground_state()), preparation_steps(theta, lam), noise)
-    blocks = []  # Alice's setting, a, y, y', batch
-    for i in (1, 2):
-        m, p = _segment(alice_steps(i, lam), noise)
-        rows = _act(m, prepared, 0)
-        d = [np.conj(m[a][0]) * rows[a, :, 0] + np.conj(m[a][1]) * rows[a, :, 1] for a in (0, 1)]
-        blocks.append(_mixed(d, p))
-    blocks = np.array(blocks)
-    low, high, cross = blocks[:, :, 0, 0].real, blocks[:, :, 1, 1].real, blocks[:, :, 0, 1]
+    steps = preparation_steps(theta, lam)
+    first_cx = steps.index(CX)
+    prepared = _run(_product_state(steps[:first_cx], noise), steps[first_cx:], noise)
+    blocks = [_alice_blocks(prepared, *_segment(alice_steps(i, lam), noise)) for i in (1, 2)]
+    # D[a]_00, D[a]_11 and D[a]_01, each as (Alice's setting, a, batch)
+    low, high, cross = (np.array([setting[n] for setting in blocks]) for n in range(3))
+    low, high = low.real, high.real
     bob = {}  # Bob's setting: b -> P(a, b) as (Alice's setting, a, batch)
     for j in (1, 2):
         m, p = _segment(bob_steps(j, lam, chi), noise)
-        terms = [(abs(x) ** 2, abs(y) ** 2, x * np.conj(y)) for x, y in m]  # row b: M_b0, M_b1
+        terms = _weights(m)  # row b: M_b0, M_b1
         bob[j] = _mixed([u * low + v * high + 2.0 * (c * cross).real for u, v, c in terms], p)
     probs = [[bob[j][b][i - 1, a] for a in (0, 1) for b in (0, 1)] for i, j in EXPERIMENT_SETTINGS]
-    return _through_readout(np.moveaxis(np.array(probs), (0, 1), (-2, -1)), noise)
+    probs = np.moveaxis(np.array(probs), (0, 1), (-2, -1)).reshape(batch + (4, 4))
+    return _through_readout(probs, noise)
 
 
 def check_distributions(probs) -> np.ndarray:

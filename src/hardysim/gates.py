@@ -22,9 +22,14 @@ CX = "cx"
 
 
 def _matrix(a, b, c, d) -> np.ndarray:
-    """Stack broadcast entries into [[a, b], [c, d]] along two new last axes."""
-    entries = np.broadcast_arrays(*(np.asarray(x, dtype=np.complex128) for x in (a, b, c, d)))
-    return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
+    """Stack broadcast entries into [[a, b], [c, d]] along two new last axes.
+
+    Each entry is written as one contiguous block, so the entries of a batch of
+    gates, read as views, are contiguous arrays."""
+    blocks = np.empty((4,) + np.broadcast(a, b, c, d).shape, dtype=np.complex128)
+    for k, x in enumerate((a, b, c, d)):
+        blocks[k] = x
+    return blocks.transpose(*range(1, blocks.ndim), 0).reshape(blocks.shape[1:] + (2, 2))
 
 
 def u1(lam) -> np.ndarray:

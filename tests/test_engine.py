@@ -63,6 +63,10 @@ edge_rates = st.one_of(st.sampled_from([0.0, 1.0]), rates)
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(angles, angles), min_size=1, max_size=8), *[edge_rates] * 4)
+@example([(0.0, 0.7), (math.pi / 2, 1.1)], 0.0, 0.0, 0.0, 0.0)
+@example([(0.0, 0.7), (math.pi / 2, 1.1)], 1.0, 1.0, 1.0, 1.0)
+@example([(0.0, math.pi / 2), (math.pi / 2, 0.0), (math.pi / 2, math.pi / 2)], 1.0, 0.0, 0.0, 1.0)
+@example([(math.pi / 2, 0.3), (0.0, 0.0), (0.0, math.pi)], 0.0, 1.0, 1.0, 0.0)
 def test_batch_matches_full_state_path(points, p1, p2, readout0, readout1):
     """Every row of a batch, each setting, against the full final state of that experiment alone."""
     noise = NoiseModel(p1, p2, readout0, readout1)
@@ -75,26 +79,67 @@ def test_batch_matches_full_state_path(points, p1, p2, readout0, readout1):
             assert np.max(np.abs(dist - full)) <= 1e-12
 
 
-def test_only_preparation_and_alice_act_on_full_states(monkeypatch):
-    """The preparation takes 10 gate actions and Alice one per setting; Bob
-    reads her diagonal blocks in closed form, where four full runs of his
-    settings would take 8 more."""
-    act, calls = engine._act, []
+def test_point_and_grid_match_the_flat_batch():
+    """A scalar point gives one (4, 4) distribution set and a (3, 5) grid a (3, 5, 4, 4)
+    array, each the same points' rows of one flat batch (the grid's bit for bit)."""
+    theta = np.linspace(0.0, math.pi / 2, 15)
+    phi = np.linspace(0.2, 3.0, 15)
+    noise = NoiseModel(0.01, 0.05, 0.02, 0.03)
+    flat = experiment_distributions(theta, phi, noise)
+    grid = experiment_distributions(theta.reshape(3, 5), phi.reshape(3, 5), noise)
+    assert grid.shape == (3, 5, 4, 4)
+    np.testing.assert_array_equal(grid.reshape(15, 4, 4), flat)
+    for k in (0, 7, 14):
+        point = experiment_distributions(theta[k], phi[k], noise)
+        assert point.shape == (4, 4)
+        np.testing.assert_allclose(point, flat[k], rtol=0.0, atol=1e-15)
 
-    def counting(*args):
-        calls.append(args)
-        return act(*args)
+
+def test_no_dense_gate_action_on_a_full_state(monkeypatch):
+    """No gate with a non-zero off-diagonal entry acts on a full state: before the first
+    CNOT the state is built as a product, after it the preparation's gates are phases,
+    and Alice's and Bob's settings are read in closed form."""
+    act, dense = engine._act, []
+
+    def counting(m, r, axis, *rest):
+        if np.any(m[0][1]) or np.any(m[1][0]):
+            dense.append(axis)
+        return act(m, r, axis, *rest)
 
     monkeypatch.setattr(engine, "_act", counting)
     experiment_distributions([0.3, 0.9], [0.4, 1.2], NoiseModel.default_profile())
-    assert len(calls) <= 14
+    assert dense == []
 
 
-# A step is "cx" or (qubit, u3 angles); drawn lists put CNOTs anywhere:
-# leading, trailing, back to back, and around segments that touch one qubit.
+# A step is "cx", (qubit, u3 angles) or (qubit, (u1 angle,)); drawn lists put CNOTs
+# anywhere: leading, trailing, back to back, and around segments that touch one qubit.
+# An angle may be a list over one batch axis.
 one_qubit_steps = st.tuples(st.integers(0, 1), st.tuples(angles, angles, angles))
-step_lists = st.lists(st.one_of(st.just("cx"), one_qubit_steps), max_size=14)
+phase_steps = st.tuples(st.integers(0, 1), st.tuples(angles))
+step_lists = st.lists(st.one_of(st.just("cx"), one_qubit_steps, phase_steps), max_size=14)
 mixed_states = st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32)
+# u3(theta, 0, 0) with theta = 0 (diagonal) at some points of a batch and not at others
+PARTLY_DIAGONAL = [(0, ([0.0, 1.1, 0.0], 0.0, 0.0)), "cx", (1, (0.4,)), (0, ([0.7, 0.0, 0.0],))]
+
+
+def engine_steps(steps):
+    """Drawn steps as engine steps: three angles make a u3, one a u1."""
+    gate = {3: gates.u3, 1: gates.u1}
+    return [CX if s == "cx" else (s[0], gate[len(s[1])](*map(np.array, s[1]))) for s in steps]
+
+
+def points_of(steps):
+    """Drawn steps at each point of their batch: every angle list replaced by its value there."""
+    size = max([len(a) for s in steps if s != "cx" for a in s[1] if isinstance(a, list)], default=1)
+    return [
+        [s if s == "cx" else (s[0], tuple(a[k] if isinstance(a, list) else a for a in s[1]))
+         for s in steps]
+        for k in range(size)
+    ]
+
+
+def reference_gate(angles):
+    return ref.u3(*angles) if len(angles) == 3 else ref.u1(*angles)
 
 
 def density_from(entries):
@@ -111,24 +156,31 @@ def density_from(entries):
 @example(
     [(1, (1.0, 2.0, 3.0)), (0, (0.7, 0.1, 0.2)), (1, (2.0, 0.3, 0.4)), "cx"], 0.5, 0.6, [-0.2] * 32
 )
+@example(PARTLY_DIAGONAL, 0.1, 0.2, [0.4] * 32)
 def test_fused_evolve_matches_step_by_step_kraus(steps, p1, p2, entries):
     rho = density_from(entries)
-    engine_steps = [CX if s == "cx" else (s[0], gates.u3(*s[1])) for s in steps]
-    reference_steps = [
-        (ref.CNOT, ref.BOTH) if s == "cx" else (ref.u3(*s[1]), s[0]) for s in steps
-    ]
-    got = evolve(rho, engine_steps, NoiseModel(p1, p2, 0.0, 0.0))
-    assert np.max(np.abs(got - ref.run_steps(rho, reference_steps, p1, p2))) <= 1e-12
+    got = evolve(rho, engine_steps(steps), NoiseModel(p1, p2, 0.0, 0.0)).reshape(-1, 4, 4)
+    points = points_of(steps)
+    assert len(got) == len(points)
+    for point, state in zip(points, got):
+        reference_steps = [
+            (ref.CNOT, ref.BOTH) if s == "cx" else (reference_gate(s[1]), s[0]) for s in point
+        ]
+        assert np.max(np.abs(state - ref.run_steps(rho, reference_steps, p1, p2))) <= 1e-12
 
 
 @settings(max_examples=100, deadline=None)
 @given(step_lists)
+@example(PARTLY_DIAGONAL)
 def test_steps_unitary_matches_dense_product(steps):
-    engine_steps = [CX if s == "cx" else (s[0], gates.u3(*s[1])) for s in steps]
-    dense = np.eye(4, dtype=complex)
-    for s in steps:
-        dense = (ref.CNOT if s == "cx" else ref.embed(ref.u3(*s[1]), s[0])) @ dense
-    assert np.max(np.abs(steps_unitary(engine_steps) - dense)) <= 1e-12
+    got = steps_unitary(engine_steps(steps)).reshape(-1, 4, 4)
+    points = points_of(steps)
+    assert len(got) == len(points)
+    for point, unitary in zip(points, got):
+        dense = np.eye(4, dtype=complex)
+        for s in point:
+            dense = (ref.CNOT if s == "cx" else ref.embed(reference_gate(s[1]), s[0])) @ dense
+        assert np.max(np.abs(unitary - dense)) <= 1e-12
 
 
 # Test-local gate matrices, independent of the gates module.
