@@ -7,9 +7,11 @@ radians flag is deliberately omitted to avoid dual-unit bugs.  Exit codes:
 
 from __future__ import annotations
 
-import argparse
 import math
+import re
 import sys
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,61 +50,6 @@ class UsageError(Exception):
     def __init__(self, message: str, usage: str | None = None):
         super().__init__(message)
         self.usage = usage
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse default exits with 2; contract says 1
-        raise UsageError(message, usage=self.format_usage())
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="hardysim",
-        description="Two-qubit Hardy nonlocality test: simulation, noisy emulation, metrics.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_noise_flag(p):
-        p.add_argument("--noise", default="none", metavar="PROFILE",
-                       help="noise profile file, or 'none' / 'default'")
-
-    def add_shot_flags(p):
-        add_noise_flag(p)
-        p.add_argument("--shots", type=int, default=8192, metavar="N",
-                       help="shots per run; 0 = exact distributions, no sampling")
-        p.add_argument("--runs", type=int, default=10, metavar="R")
-        p.add_argument("--seed", type=int, default=0, metavar="S")
-
-    probe = sub.add_parser("probe", help="single-point epsilons and classification")
-    probe.add_argument("theta_deg", type=float)
-    probe.add_argument("phi_deg", type=float)
-    add_shot_flags(probe)
-    probe.add_argument("--out", metavar="FILE", help="also write a one-row sweep CSV")
-
-    sweep = sub.add_parser("sweep", help="diagonal or surface parameter sweep to CSV")
-    sweep.add_argument("mode", choices=("diagonal", "surface"))
-    sweep.add_argument("--from", dest="start_deg", type=float, default=0.0, metavar="DEG")
-    sweep.add_argument("--to", dest="stop_deg", type=float, default=90.0, metavar="DEG")
-    sweep.add_argument("--step", type=float, default=5.0, metavar="DEG")
-    add_shot_flags(sweep)
-    sweep.add_argument("--out", required=True, metavar="FILE")
-
-    metrics = sub.add_parser("metrics", help="performance measures from a sweep CSV")
-    metrics.add_argument("--in", dest="in_path", required=True, metavar="FILE")
-    metrics.add_argument("--k-sigma", type=float, default=3.0)
-    metrics.add_argument("--baseline", type=float, default=None,
-                         help="error floor; default: largest eps5 on MES/PS rows")
-    metrics.add_argument("--rho", type=float, default=REFERENCE_ANGLE_DEG,
-                         help="reference angle (deg) for shift and interval")
-
-    reduced = sub.add_parser(
-        "reduced", help="exact error of the full circuit vs a few-gate preparation"
-    )
-    reduced.add_argument("variant", choices=("ps_00", "ps_01"))
-    add_noise_flag(reduced)
-
-    sub.add_parser("validate", help="run the built-in invariant suites")
-    return parser
 
 
 def _resolve_noise(spec: str) -> NoiseModel:
@@ -235,20 +182,142 @@ def _cmd_validate(args, out) -> int:
     return EXIT_OK if failed == 0 else EXIT_VALIDATION
 
 
+class _Arg(NamedTuple):
+    """One positional (a bare name) or flag (`--name`) of a command, as argparse takes it."""
+
+    name: str
+    type: Callable[[str], object] | None = None
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+    metavar: str | None = None
+    help: str | None = None
+    dest: str | None = None  # a flag's dest when not derived from its name
+
+
+def _dest(arg: _Arg) -> str:
+    """The namespace attribute of arg, named as argparse names it."""
+    return arg.dest or arg.name.lstrip("-").replace("-", "_")
+
+
+_NOISE = _Arg("--noise", default="none", metavar="PROFILE",
+              help="noise profile file, or 'none' / 'default'")
+_SHOT_FLAGS = (
+    _NOISE,
+    _Arg("--shots", int, 8192, metavar="N",
+         help="shots per run; 0 = exact distributions, no sampling"),
+    _Arg("--runs", int, 10, metavar="R"),
+    _Arg("--seed", int, 0, metavar="S"),
+)
+
+# Each command's handler, help line and arguments, positionals first, in the
+# order help lists them.  Both parsers read this table and nothing else.
+_COMMANDS: dict[str, tuple[Callable, str, tuple[_Arg, ...]]] = {
+    "probe": (_cmd_probe, "single-point epsilons and classification", (
+        _Arg("theta_deg", float),
+        _Arg("phi_deg", float),
+        *_SHOT_FLAGS,
+        _Arg("--out", metavar="FILE", help="also write a one-row sweep CSV"),
+    )),
+    "sweep": (_cmd_sweep, "diagonal or surface parameter sweep to CSV", (
+        _Arg("mode", choices=("diagonal", "surface")),
+        _Arg("--from", float, 0.0, metavar="DEG", dest="start_deg"),
+        _Arg("--to", float, 90.0, metavar="DEG", dest="stop_deg"),
+        _Arg("--step", float, 5.0, metavar="DEG"),
+        *_SHOT_FLAGS,
+        _Arg("--out", required=True, metavar="FILE"),
+    )),
+    "metrics": (_cmd_metrics, "performance measures from a sweep CSV", (
+        _Arg("--in", required=True, metavar="FILE", dest="in_path"),
+        _Arg("--k-sigma", float, 3.0),
+        _Arg("--baseline", float,
+             help="error floor; default: largest eps5 on MES/PS rows"),
+        _Arg("--rho", float, REFERENCE_ANGLE_DEG,
+             help="reference angle (deg) for shift and interval"),
+    )),
+    "reduced": (_cmd_reduced, "exact error of the full circuit vs a few-gate preparation", (
+        _Arg("variant", choices=("ps_00", "ps_01")),
+        _NOISE,
+    )),
+    "validate": (_cmd_validate, "run the built-in invariant suites", ()),
+}
+
+# argparse's own test (Python 3.10, 3.11) for a token starting with "-" that
+# is a value, not a flag: a negative number, while no flag looks like one.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _parse_exact(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a canonical command line, or None for any other line.
+
+    Canonical: a command, then its positionals, then `--flag value` pairs,
+    each flag spelled out in full, every required flag present and every
+    value converting with its type into its choices.  A value starts with
+    "-" only when it is "-" or a negative number.  None leaves the line,
+    help and every usage error included, to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    args = _COMMANDS[argv[0]][2]
+    positionals = [arg for arg in args if not arg.name.startswith("-")]
+    flags = {arg.name: arg for arg in args if arg.name.startswith("-")}
+    tokens = argv[1 + len(positionals):]
+    if len(argv) < 1 + len(positionals) or len(tokens) % 2:
+        return None
+    pairs = list(zip(positionals, argv[1:]))
+    for name, token in zip(tokens[::2], tokens[1::2]):
+        if name not in flags:
+            return None
+        pairs.append((flags[name], token))
+    given = {}
+    for arg, token in pairs:
+        if token.startswith("-") and token != "-" and not _NEGATIVE_NUMBER.match(token):
+            return None
+        try:
+            value = token if arg.type is None else arg.type(token)
+        except (TypeError, ValueError):
+            return None
+        if arg.choices is not None and value not in arg.choices:
+            return None
+        given[_dest(arg)] = value
+    if any(arg.required and _dest(arg) not in given for arg in flags.values()):
+        return None
+    defaults = {_dest(arg): arg.default for arg in flags.values()}
+    return SimpleNamespace(command=argv[0], **{**defaults, **given})
+
+
+def _build_parser():
+    """argparse over the same table: help, usage errors and every other spelling."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse default exits with 2; contract says 1
+            raise UsageError(message, usage=self.format_usage())
+
+    parser = _Parser(
+        prog="hardysim",
+        description="Two-qubit Hardy nonlocality test: simulation, noisy emulation, metrics.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, help_text, args) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        for arg in args:
+            options = dict(type=arg.type, default=arg.default, choices=arg.choices,
+                           metavar=arg.metavar, help=arg.help)
+            if arg.name.startswith("-"):  # argparse refuses both on a positional
+                options.update(required=arg.required, dest=arg.dest)
+            command_parser.add_argument(arg.name, **options)
+    return parser
+
+
 def main(argv=None, out=None) -> int:
     out = sys.stdout if out is None else out
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        if args.command == "probe":
-            return _cmd_probe(args, out)
-        if args.command == "sweep":
-            return _cmd_sweep(args, out)
-        if args.command == "metrics":
-            return _cmd_metrics(args, out)
-        if args.command == "reduced":
-            return _cmd_reduced(args, out)
-        return _cmd_validate(args, out)
+        args = _parse_exact(argv)
+        if args is None:
+            args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command][0](args, out)
     except UsageError as exc:
         if exc.usage:
             print(exc.usage, end="", file=sys.stderr)

@@ -39,6 +39,7 @@ from .noise import NoiseModel, ShotConfig, estimate_batch
 
 CSV_HEADER = "theta_deg,phi_deg,q_theory,eps1,eps2,eps3,eps5,eps4_est,stat_err,class"
 _HEADER_FIELDS = CSV_HEADER.split(",")
+_CSV_ROW = "%.9g," * 9 + "%s\n"  # the nine numeric fields, then the class
 _PROBABILITY_FIELDS = ("q_theory", "eps1", "eps2", "eps3", "eps5")
 # The class field is one character longer than the longest class name, so
 # a longer field cut to fit never equals a class name.
@@ -353,9 +354,9 @@ def rows_to_csv(table: SweepTable) -> str:
     columns = (
         table.theta_deg, table.phi_deg, table.q, *table.eps.T, table.eps4_est, table.stat_err
     )
-    cells = [[format(v, ".9g") for v in column.tolist()] for column in columns]
-    lines = [CSV_HEADER, *map(",".join, zip(*cells, table.kind.tolist()))]
-    return "\n".join(lines) + "\n"
+    # "%.9g" renders a float as format(v, ".9g") does, one format call per row.
+    rows = zip(*(column.tolist() for column in columns), table.kind.tolist())
+    return CSV_HEADER + "\n" + "".join(map(_CSV_ROW.__mod__, rows))
 
 
 def write_csv(table: SweepTable, path) -> None:

@@ -1,9 +1,12 @@
 """CLI behavior: commands, exit codes, determinism, and the validate suites."""
 
+import contextlib
+import importlib.util
 import io
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +14,22 @@ from pathlib import Path
 import numpy as np
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hardysim
-from hardysim.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, entry, main
+from hardysim.cli import (
+    _COMMANDS,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VALIDATION,
+    UsageError,
+    _build_parser,
+    _parse_exact,
+    entry,
+    main,
+)
 from hardysim.hardy import analytic_q
 from hardysim.noise import load_noise_profile
 from hardysim.selftest import run_validation_suites
@@ -769,3 +785,154 @@ class TestValidateCommand:
         code, text = run_cli(["validate"])
         assert code == EXIT_VALIDATION
         assert "FAIL stub-suite" in text
+
+
+# ---------------------------------------------------------------- the two parsers
+
+# Each value below is one argparse takes as a value or rejects; the fast path
+# must agree with argparse or defer to it.  argparse reads "-5\n" and "-\u0665"
+# (an Arabic-Indic 5) as negative numbers.
+ODD_VALUES = ["-", "-5", "-.5", "-5.", "-1e3", "1e3", "nan", "", "spiral", "ps_02", "-0", "x",
+              "-5\n", "-\u0665", "-5 "]
+ODD_TOKENS = [*ODD_VALUES, "--frob", "-h", "--help", "--", "--out", "--noise", "--step", "5"]
+
+
+def argument_values(arg):
+    """Tokens that convert with arg's type into its choices, some starting with "-"."""
+    if arg.choices is not None:
+        return st.sampled_from(arg.choices)
+    if arg.type is int:
+        return st.integers(-(2**70), 2**70).map(str)
+    if arg.type is float:
+        return st.one_of(
+            st.floats(min_value=0.0).map(repr),
+            st.sampled_from(["-5", "-.5", "-0", "-0.25", "nan", "inf", "1e3", "1_0", " 7 "]),
+        )
+    return st.one_of(
+        st.sampled_from(["none", "default", "out.csv", "-", "a=b", "", "-5"]),
+        st.text(max_size=8).filter(lambda text: not text.startswith("-")),
+    )
+
+
+@st.composite
+def canonical_lines(draw):
+    """A command, its positionals, then `--flag value` pairs, required flags included."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    args = _COMMANDS[command][2]
+    line = [command, *(draw(argument_values(a)) for a in args if not a.name.startswith("-"))]
+    flags = [a for a in args if a.name.startswith("-")]
+    chosen = set(draw(st.lists(st.sampled_from(flags), unique=True))) if flags else set()
+    chosen |= {a for a in flags if a.required}
+    for arg in draw(st.permutations(sorted(chosen))):
+        line += [arg.name, draw(argument_values(arg))]
+    return line
+
+
+@st.composite
+def other_lines(draw):
+    """A canonical line with one to three edits argparse reads in its own way, or rejects."""
+    line = draw(canonical_lines())
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["value", "insert", "abbreviate", "join", "repeat",
+                                     "rotate", "drop", "drop_flag"]))
+        index = draw(st.integers(0, max(len(line) - 1, 0)))
+        flag_indices = [i for i, token in enumerate(line) if token.startswith("--")]
+        if edit == "value" and line:
+            line[index] = draw(st.sampled_from(ODD_VALUES))
+        elif edit == "insert":
+            line.insert(index, draw(st.sampled_from(ODD_TOKENS)))
+        elif edit == "drop" and line:
+            del line[index]
+        elif edit == "rotate":  # positionals after flags
+            line[1:] = line[1 + index:] + line[1:1 + index]
+        elif flag_indices:
+            i = draw(st.sampled_from(flag_indices))
+            if edit == "abbreviate":
+                line[i] = line[i][:draw(st.integers(2, max(len(line[i]) - 1, 2)))]
+            elif edit == "join" and i + 1 < len(line):
+                line[i:i + 2] = [f"{line[i]}={line[i + 1]}"]
+            elif edit == "repeat":
+                line += line[i:i + 2]
+            elif edit == "drop_flag":  # a required flag goes missing
+                del line[i:i + 2]
+    return line
+
+
+def argparse_result(argv):
+    """vars() of argparse's namespace for argv, or None where it exits or errs."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return vars(_build_parser().parse_args(argv))
+    except (UsageError, SystemExit):
+        return None
+
+
+def same_values(fast, reference):
+    """Equal namespaces, each value of the same type; NaN equals NaN."""
+    return fast.keys() == reference.keys() and all(
+        type(value) is type(reference[key])
+        and (value == reference[key] or value != value and reference[key] != reference[key])
+        for key, value in fast.items()
+    )
+
+
+class TestParser:
+    @settings(max_examples=200, deadline=None)
+    @given(canonical_lines())
+    def test_canonical_line_parses_as_argparse_does(self, argv):
+        fast = _parse_exact(argv)
+        assert fast is not None
+        reference = argparse_result(argv)
+        assert reference is not None and same_values(vars(fast), reference)
+
+    @settings(max_examples=500, deadline=None)
+    @given(other_lines())
+    @example(["sweep", "surface", "--ste", "5", "--out", "x.csv"])
+    @example(["sweep", "surface", "--from", "-5.", "--out", "x.csv"])
+    @example(["probe", "1", "2", "--seed", "-1e3"])
+    @example(["sweep", "--out", "x.csv", "surface"])
+    @example(["validate", "--"])
+    @example(["sweep", "surface"])
+    def test_fast_path_agrees_with_argparse_or_defers(self, argv):
+        fast = _parse_exact(argv)
+        if fast is not None:
+            reference = argparse_result(argv)
+            assert reference is not None and same_values(vars(fast), reference)
+
+    def test_readme_and_benchmark_lines_take_the_fast_path(self, monkeypatch, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        section = (root / "README.md").read_text().split("\n## CLI\n")[1].split("\n## ")[0]
+        lines = [shlex.split(line)[1:] for line in section.splitlines()
+                 if line.startswith("hardysim ")]
+        assert len(lines) >= 8
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", root / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+        spec.loader.exec_module(workloads)
+        # only the command lines are wanted, not the 100000-row metrics input
+        monkeypatch.setattr(workloads, "generate_metrics_csv", lambda seed, path: path.touch())
+        monkeypatch.setattr(workloads, "expected_metrics", lambda text: {"rows": 0})
+        lines += [workloads.prepare(name, 1, tmp_path).argv for name in workloads.NAMES]
+        for argv in lines:
+            assert _parse_exact(argv) is not None, argv
+
+    def test_canonical_line_never_imports_argparse(self):
+        src = str(Path(hardysim.__file__).resolve().parent.parent)
+        script = ("import io, sys\nfrom hardysim.cli import main\n"
+                  "code = main(['validate'], out=io.StringIO())\n"
+                  "print(code, 'argparse' in sys.modules)\n")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert result.stdout.split() == [str(EXIT_OK), "False"]
+
+    def test_other_spelling_takes_argparse_with_the_same_csv(self, tmp_path):
+        outputs = []
+        for step in (["--step", "5"], ["--ste", "5"], ["--step=5"]):
+            path = tmp_path / f"{len(outputs)}.csv"
+            argv = ["sweep", "surface", *step, "--noise", "default", "--shots", "0",
+                    "--out", str(path)]
+            assert run_cli(argv)[0] == EXIT_OK
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert _parse_exact(["sweep", "surface", "--ste", "5", "--out", "x.csv"]) is None

@@ -568,6 +568,17 @@ class TestCsv:
         assert row[6] == "0.123456789"
         assert row[2] == "0.0901699437"
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.just(-0.0),
+        st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals
+        st.floats(-1e-15, 1e-15),  # roundoff residues around +-1e-16
+        st.integers(-81920 * 360, 81920 * 360).map(lambda k: k / 81920),  # grid angles
+    ))
+    def test_row_format_renders_each_float_as_format_does(self, value):
+        assert "%.9g" % value == format(value, ".9g")
+
     def test_round_trip(self, tmp_path):
         table = self._rows()
         path = tmp_path / "sweep.csv"
