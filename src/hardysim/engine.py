@@ -8,16 +8,18 @@ shape: (..., 4, 4).
 Noise is symmetric depolarizing after every gate, applied in closed form
 (Nielsen & Chuang, section 8.3.4): rate p1 after a one-qubit gate on qubit
 q, rho -> (1 - p1) rho + p1 (I/2 on q) (x) Tr_q rho, and rate p2 after a
-CNOT, rho -> (1 - p2) rho + p2 I/4.  A terminal symmetric readout flip on
-each qubit acts on the final diagonal.  The noiseless case is the same
-engine with zero rates.  Inputs are validated where they enter (NoiseModel,
+CNOT, rho -> (1 - p2) rho + p2 I/4.  A terminal symmetric readout flip at
+rate r on each qubit is the same one-qubit mix at rate 2r on its outcome
+bit (`_mixed`, the engine's one form of a one-qubit channel), over Bob's
+bit and then Alice's.  The noiseless case is the same engine with zero
+rates.  Inputs are validated where they enter (NoiseModel,
 the CLI); the engine checks only its final distributions, never an
 intermediate step.
 
 `evolve` applies this model in exactly merged form, by the same section's
 identities: per segment between CNOTs, one product of each qubit's gates
-and one channel at the composed rate 1 - (1 - p1)^n; for the call, one
-deferred channel at 1 - (1 - p2)^k for its k CNOTs.
+and one channel at the composed rate 1 - (1 - p1)^n, both from `_segment`;
+for the call, one deferred channel at 1 - (1 - p2)^k for its k CNOTs.
 
 Inside the engine a state is held as its 16 entries rho[a b, a' b'] (Alice
 row, Bob row, Alice column, Bob column), entry 8a + 4b + 2a' + b', each an
@@ -43,6 +45,7 @@ form from the prepared entries.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -132,12 +135,12 @@ def _qubit(step) -> int:
 def _depolarize_qubit(r, p: float, qubit: int) -> list:
     """(1 - p) r + p (I/2 on `qubit`) (x) (partial trace of r over `qubit`)."""
     both = (8 >> (1 - qubit)) | (8 >> (3 - qubit))  # the qubit's row and column bits
-    out = [x * (1.0 - p) for x in r]
+    out = list(r)
     for k in range(16):
         if not k & both:  # k and k | both: the qubit is 0, then 1, in row and column
-            reduced = (r[k] + r[k | both]) * (0.5 * p)
-            out[k] = out[k] + reduced
-            out[k | both] = out[k | both] + reduced
+            out[k], out[k | both] = _mixed([r[k], r[k | both]], p)
+        elif k & both != both:  # the qubit's row and column differ: scaled only
+            out[k] = r[k] * (1.0 - p)
     return out
 
 
@@ -166,28 +169,20 @@ def _from_entries(r, batch: tuple) -> np.ndarray:
 
 
 def _run(r, steps, noise) -> list:
-    """`evolve` on a state held as entries; returns new entries, `r` is not changed."""
-    segment = {}  # qubit -> (product of its gates since the last CNOT, count)
-    cx_count = 0
-    for step in (*steps, None):  # None closes the last segment
-        if step is CX or step is None:
-            for qubit, (m, count) in segment.items():
-                r = _conjugate(m, r, qubit)
-                p = 1.0 - (1.0 - noise.p1) ** count
-                if p != 0.0:
-                    r = _depolarize_qubit(r, p, qubit)
-            segment = {}
-            if step is CX:
+    """`evolve` on a state held as entries, each qubit's gates between CNOTs and their
+    channel's rate taken from `_segment`; returns new entries, `r` is not changed."""
+    for is_cx, group in itertools.groupby(steps, lambda step: step is CX):
+        group = list(group)
+        if is_cx:
+            for _ in group:
                 r = [r[k] for k in _CX_BOTH]
-                cx_count += 1
-        else:
-            qubit, m = _qubit(step), _entries(step[1])
-            if qubit in segment:
-                product, count = segment[qubit]
-                segment[qubit] = (_times(m, product), count + 1)
-            else:
-                segment[qubit] = (m, 1)
-    p = 1.0 - (1.0 - noise.p2) ** cx_count
+            continue
+        for qubit in dict.fromkeys(map(_qubit, group)):  # in the order of its first gate
+            m, p = _segment([step for step in group if step[0] == qubit], noise)
+            r = _conjugate(m, r, qubit)
+            if p != 0.0:
+                r = _depolarize_qubit(r, p, qubit)
+    p = 1.0 - (1.0 - noise.p2) ** sum(step is CX for step in steps)
     if p != 0.0:
         r = _depolarize_both(r, p)
     return r
@@ -277,7 +272,8 @@ def _segment(steps, noise) -> tuple:
 
 def _mixed(pair, p: float) -> list:
     """Each of (x0, x1) as (1 - p) x + p/2 (x0 + x1): a qubit's channel at rate p on
-    its two diagonal blocks (it adds to no other) or on its two outcomes."""
+    its two diagonal blocks (it adds to no other) or on its two outcomes.  A readout
+    flip at rate r is this mix at p = 2r, so p reaches 2 for a rate of 1 (a swap)."""
     if p == 0.0:
         return pair
     mean = (pair[0] + pair[1]) * (0.5 * p)
@@ -323,22 +319,20 @@ def _alice_blocks(r, m, p: float) -> list:
     return blocks
 
 
-def _confusion(rate: float) -> np.ndarray:
-    """One qubit's symmetric readout flip: reported bit r given true bit t, [t, r]."""
-    return np.array([[1.0 - rate, rate], [rate, 1.0 - rate]])
-
-
-def _through_readout(probs, noise) -> np.ndarray:
-    """Ideal outcome probabilities (last axis) through the readout flips, checked."""
-    if noise.readout0 or noise.readout1:
-        transfer = np.kron(_confusion(noise.readout1), _confusion(noise.readout0))
-        probs = (transfer @ probs[..., None])[..., 0]
-    return check_distributions(probs)
+def _read_out(probs, noise) -> np.ndarray:
+    """Ideal outcome probabilities (last axis, k = 2a + b) through each qubit's symmetric
+    readout flip, checked.  A flip at rate r is `_mixed` at 2r: readout0 over Bob's bit b,
+    then readout1 over Alice's bit a."""
+    x = [probs[..., k] for k in range(4)]
+    for bit, rate in ((1, noise.readout0), (2, noise.readout1)):
+        for k in (0, 3 - bit):  # the other qubit's bit 0, then 1
+            x[k], x[k | bit] = _mixed([x[k], x[k | bit]], 2.0 * rate)
+    return check_distributions(np.stack(x, axis=-1))
 
 
 def readout_distributions(rho, noise) -> np.ndarray:
     """Outcome probabilities of rho (diagonal, through the readout flips), checked."""
-    return _through_readout(np.real(np.diagonal(rho, axis1=-2, axis2=-1)), noise)
+    return _read_out(np.real(np.diagonal(rho, axis1=-2, axis2=-1)), noise)
 
 
 def experiment_distributions(theta, phi, noise) -> np.ndarray:
@@ -371,7 +365,7 @@ def experiment_distributions(theta, phi, noise) -> np.ndarray:
         bob[j] = _mixed([u * low + v * high + 2.0 * (c * cross).real for u, v, c in terms], p)
     probs = [[bob[j][b][i - 1, a] for a in (0, 1) for b in (0, 1)] for i, j in EXPERIMENT_SETTINGS]
     probs = np.moveaxis(np.array(probs), (0, 1), (-2, -1)).reshape(batch + (4, 4))
-    return _through_readout(probs, noise)
+    return _read_out(probs, noise)
 
 
 def check_distributions(probs) -> np.ndarray:

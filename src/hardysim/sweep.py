@@ -19,6 +19,7 @@ CR endings, double-quoted fields and blank lines.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,6 +51,13 @@ _LINE_DTYPE = np.dtype([("values", np.float64, (9,)), ("kind", object)])
 _FIRST_LINE = re.compile(rb"([^\r\n]*)[\r\n]+[^\r\n]")
 _CLASS_NAMES = np.array(CLASSES)
 _SENTINEL = "0,0,0,0,0,0,0,0,0,PS"  # a valid row; see _parse
+
+# Peak memory of a sweep per grid point, in bytes, rounded down: from a
+# 0.5-degree to a 0.25-degree sampled default-noise surface (32,761 to
+# 130,321 points) the peak RSS grew from 86.0 to 254.5 MB, about 1,770
+# bytes per point.  A grid needing more than the physical memory at this
+# rate is rejected before it is built.
+ENGINE_BYTES_PER_POINT = 1700
 
 # Reference angle (degrees) for the peak measure: the diagonal parameter
 # maximizing q, quoted at the customary 51.827.
@@ -95,13 +103,15 @@ class SweepTable:
         return self.eps5 - self.q
 
 
-def grid_degrees(start: float, stop: float, step: float) -> np.ndarray:
+def grid_degrees(start: float, stop: float, step: float, axes: int = 1) -> np.ndarray:
     """Inclusive degree grid start, start+step, ..., stop; never beyond stop.
 
     Whole steps that fit (within 1e-9 of a step) come first; when the last
     of them falls short of stop, stop itself is appended.  A grid numpy
-    cannot index (or an infinite one) is rejected before it is built, and
-    one it cannot allocate when the allocation fails.
+    cannot index (or an infinite one) is rejected before it is built, as is
+    one whose sweep over `axes` such axes (len ** axes points) would need
+    more than the physical memory at ENGINE_BYTES_PER_POINT; one numpy
+    cannot allocate is rejected when the allocation fails.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -111,10 +121,21 @@ def grid_degrees(start: float, stop: float, step: float) -> np.ndarray:
     if not span < np.iinfo(np.intp).max:
         raise ValueError(f"step {step:g} gives too many points ({span:.3g})")
     count = math.floor(span)
-    points = _allocate(step, span, lambda: start + step * np.arange(count + 1))
-    if points[-1] < stop - 1e-9:
-        points = np.append(points, stop)
-    return points
+    short = start + step * count < stop - 1e-9
+    points = (count + 1 + short) ** axes
+    memory = _physical_memory()
+    if memory is not None and points * ENGINE_BYTES_PER_POINT > memory:
+        raise ValueError(f"step {step:g} gives too many points ({points:.3g})")
+    grid = _allocate(step, span, lambda: start + step * np.arange(count + 1))
+    return np.append(grid, stop) if short else grid
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def substitute_singular(point_deg: float) -> float:
@@ -134,7 +155,7 @@ def sweep_angles(
     """
     if mode not in ("diagonal", "surface"):
         raise ValueError(f"unknown sweep mode {mode!r}")
-    grid = grid_degrees(start_deg, stop_deg, step_deg).tolist()
+    grid = grid_degrees(start_deg, stop_deg, step_deg, 1 if mode == "diagonal" else 2).tolist()
     theta = []
     for point, substitute in zip(grid, map(substitute_singular, grid)):
         if substitute == point or not theta or substitute > theta[-1]:

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hardysim
+from hardysim import sweep
 from hardysim.cli import (
     _COMMANDS,
     EXIT_IO,
@@ -94,6 +95,16 @@ class TestProbe:
         lines = path.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 2
+
+    def test_optimum_exact_noiseless(self):
+        # through the engine's product start and phase gates: eps1..eps3 at roundoff,
+        # eps5 = q_theory in every printed digit
+        code, text = run_cli(["probe", "51.827", "51.827", "--noise", "none", "--shots", "0"])
+        assert code == EXIT_OK
+        values = kv(text)
+        for key in ("eps1", "eps2", "eps3"):
+            assert abs(float(values[key])) <= 1e-12
+        assert values["eps5"] == values["q_theory"]
 
     def test_default_noise_profile_flag(self):
         code, text = run_cli(["probe", "51.827", "51.827", "--noise", "default", "--shots", "0"])
@@ -224,7 +235,7 @@ class TestExitCodes:
             # grids numpy cannot index, rejected before any array is built
             (["--to", "1e300", "--step", "1"], "--step 1 gives too many points (1e+300)"),
             (["--to", "1e308", "--step", "1e-308"], "--step 1e-308 gives too many points (inf)"),
-            # one numpy can index but refuses to build, before allocating anything
+            # one numpy can index but memory cannot hold, before allocating anything
             (["--to", "2e18", "--step", "1"], "--step 1 gives too many points (2e+18)"),
         ],
     )
@@ -252,6 +263,23 @@ class TestExitCodes:
         assert text == ""
         err = capsys.readouterr().err
         assert err == f"usage error: --step 45 gives too many points ({count})\n"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("mode,count", [("diagonal", "91"), ("surface", "8.28e+03")])
+    def test_grid_beyond_physical_memory_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, mode, count
+    ):
+        # 100 kB of memory holds neither sweep; no grid array is built to find out
+        def allocated(*args, **kwargs):
+            raise AssertionError("grid allocated")
+
+        monkeypatch.setattr(sweep, "_physical_memory", lambda: 10**5)
+        monkeypatch.setattr(np, "arange", allocated)
+        path = tmp_path / "x.csv"
+        code, text = run_cli(["sweep", mode, "--step", "1", "--out", str(path)])
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert capsys.readouterr().err == f"usage error: --step 1 gives too many points ({count})\n"
         assert not path.exists()
 
     def test_metrics_on_two_rows_is_input_error(self, tmp_path, capsys):
@@ -436,6 +464,22 @@ class TestSweepCommand:
         assert max(thetas) == max(phis) == 10.0
         assert thetas[-1] == phis[-1] == 10.0
         assert sorted(set(thetas))[-2] == pytest.approx(9.6)
+
+    def test_exact_surface_matches_stored_reference(self, tmp_path):
+        # the full-precision 5-degree surface stored with the benchmark, read only:
+        # every numeric cell within 1e-9 and every class equal
+        reference = Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "surface_exact.csv"
+        path = tmp_path / "surface.csv"
+        assert run_cli(["sweep", "surface", "--from", "0", "--to", "90", "--step", "5",
+                        "--noise", "default", "--shots", "0", "--out", str(path)])[0] == EXIT_OK
+        got, ref = path.read_text().splitlines(), reference.read_text().splitlines()
+        assert got[0] == ref[0] == CSV_HEADER
+        assert len(got) == len(ref) == 1 + 19 * 19
+        for line, (a, b) in enumerate(zip(got[1:], ref[1:]), 2):
+            *numbers, kind = a.split(",")
+            *expected, expected_kind = b.split(",")
+            assert kind == expected_kind, line
+            assert np.max(np.abs(np.array(numbers, float) - np.array(expected, float))) <= 1e-9, line
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["sweep", "diagonal", "--from", "0", "--to", "90", "--step", "15",
@@ -916,6 +960,14 @@ class TestParser:
         lines += [workloads.prepare(name, 1, tmp_path).argv for name in workloads.NAMES]
         for argv in lines:
             assert _parse_exact(argv) is not None, argv
+
+    def test_sweep_help_in_a_fresh_process(self):
+        src = str(Path(hardysim.__file__).resolve().parent.parent)
+        result = subprocess.run([sys.executable, "-m", "hardysim.cli", "sweep", "--help"],
+                                capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src})
+        assert result.returncode == EXIT_OK
+        assert any(line.startswith("usage: hardysim sweep") for line in result.stdout.splitlines())
 
     def test_canonical_line_never_imports_argparse(self):
         src = str(Path(hardysim.__file__).resolve().parent.parent)

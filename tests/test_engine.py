@@ -32,6 +32,12 @@ rates = st.floats(0.0, 1.0)
 
 @settings(max_examples=60, deadline=None)
 @given(angles, angles, rates, rates, rates, rates)
+# readout alone, at half and full flips: on Bob's bit, on Alice's, and on both
+@example(0.7, 1.1, 0.0, 0.0, 0.5, 0.0)
+@example(0.7, 1.1, 0.0, 0.0, 1.0, 0.0)
+@example(0.7, 1.1, 0.0, 0.0, 0.0, 0.5)
+@example(0.7, 1.1, 0.0, 0.0, 0.0, 1.0)
+@example(0.7, 1.1, 0.0, 0.0, 0.5, 1.0)
 def test_engine_matches_kraus_reference(theta, phi, p1, p2, readout0, readout1):
     noise = NoiseModel(p1, p2, readout0, readout1)
     chi = chi_of(theta, phi)
