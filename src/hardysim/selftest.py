@@ -4,7 +4,8 @@ Each suite returns (name, passed, detail).
 
 The zero-condition and closed-form-q suites both read one noiseless engine
 batch over the whole 37 x 37 (theta, phi) grid (2.5-degree steps on
-[0, 90]), evaluated once per run.
+[0, 90]), evaluated once per run: theta as a column and phi as a row, so
+the engine broadcasts them and builds its phi-only gates on 37 angles.
 
 The suites that check identities at arbitrary angles take them from a
 fixed, evenly spread sequence (the golden-ratio additive recurrence), not
@@ -46,17 +47,15 @@ def _spread(count: int, low: float, high: float) -> np.ndarray:
 
 
 def _suite_gate_unitarity() -> tuple[str, bool, str]:
+    """Every gate family at 50 spread angles, checked as two stacks: the 2x2 gates
+    (u1, u3, beam splitter, H, X) and the 4x4 ones (coupling, CX)."""
     theta, phi, lam = _spread(150, -2 * math.pi, 2 * math.pi).reshape(50, 3).T
+    one_qubit = (gates.u1(lam), gates.u3(theta, phi, lam), gates.beam_splitter(theta),
+                 gates.hadamard(), gates.pauli_x())
+    two_qubit = (gates.coupling(phi), steps_unitary([CX]))
     worst = 0.0
-    for gate in (
-        gates.u1(lam),
-        gates.u3(theta, phi, lam),
-        gates.beam_splitter(theta),
-        gates.coupling(phi),
-        gates.hadamard(),
-        gates.pauli_x(),
-        steps_unitary([CX]),
-    ):
+    for family in (one_qubit, two_qubit):
+        gate = np.concatenate([g.reshape(-1, *g.shape[-2:]) for g in family])
         gram = np.conj(np.swapaxes(gate, -1, -2)) @ gate
         defect = np.max(np.abs(gram - np.eye(gate.shape[-1])))
         det = np.max(np.abs(np.abs(np.linalg.det(gate)) - 1.0))
@@ -78,21 +77,22 @@ def _suite_coupling_identity() -> tuple[str, bool, str]:
 
 
 def _ideal_grid():
-    """(theta, phi) in radians over the 2.5-degree grid, and their noiseless
-    flagged-outcome probabilities, shape (N, 4) by experiment: one engine batch."""
+    """theta (37, 1) and phi (1, 37) in radians, the 2.5-degree grid as an outer
+    product, and their noiseless flagged-outcome probabilities, shape (37, 37, 4) by
+    experiment: one engine batch."""
     axis = np.radians(np.arange(0.0, 90.0 + 1e-9, 2.5))
-    theta, phi = (grid.ravel() for grid in np.meshgrid(axis, axis, indexing="ij"))
+    theta, phi = axis[:, None], axis[None, :]
     dists = experiment_distributions(theta, phi, NoiseModel.none())
-    return theta, phi, dists[:, range(4), FLAGGED_OUTCOME]
+    return theta, phi, dists[..., range(4), FLAGGED_OUTCOME]
 
 
 def _suite_zero_probabilities(flagged) -> tuple[str, bool, str]:
-    worst = float(np.max(flagged[:, :3]))
+    worst = float(np.max(flagged[..., :3]))
     return "hardy-zero-probabilities", worst <= EXACT_TOL, f"worst residual {worst:.2e}"
 
 
 def _suite_q_equivalence(theta, phi, flagged) -> tuple[str, bool, str]:
-    worst = float(np.max(np.abs(flagged[:, 3] - analytic_q(theta, phi))))
+    worst = float(np.max(np.abs(flagged[..., 3] - analytic_q(theta, phi))))
     return "analytic-q-equivalence", worst <= VALIDATION_TOL, f"worst |diff| {worst:.2e}"
 
 

@@ -791,19 +791,33 @@ class TestValidateCommand:
         assert results["coupling-decomposition"] is False
         assert results["beam-splitter-anchor"] is True
 
+    @pytest.mark.parametrize("family", ["u1", "coupling"])
+    def test_scaled_gate_family_fails_unitarity_suite(self, monkeypatch, family):
+        """Each of the two stacks is checked: a 2x2 family (u1) or a 4x4 one (coupling)
+        off unitarity by a factor 1 + 1e-9 fails the suite."""
+        import hardysim.selftest as selftest_mod
+        from hardysim import gates
+
+        assert selftest_mod._suite_gate_unitarity()[1] is True
+        build = getattr(gates, family)
+        monkeypatch.setattr(gates, family, lambda angle: build(angle) * (1.0 + 1e-9))
+        name, ok, detail = selftest_mod._suite_gate_unitarity()
+        assert (name, ok) == ("gate-unitarity", False)
+        assert float(detail.split()[-1]) > selftest_mod.VALIDATION_TOL
+
     def test_grid_is_one_engine_batch(self, monkeypatch):
         import hardysim.selftest as selftest_mod
 
         engine_call, batches = selftest_mod.experiment_distributions, []
 
         def counting(theta, phi, noise):
-            batches.append(len(theta))
+            batches.append(np.broadcast_shapes(np.shape(theta), np.shape(phi)))
             return engine_call(theta, phi, noise)
 
         monkeypatch.setattr(selftest_mod, "experiment_distributions", counting)
         results = run_validation_suites()
         assert all(ok for _, ok, _ in results)
-        assert batches == [37 * 37]
+        assert batches == [(37, 37)]
 
     def test_perturbed_flagged_entry_fails_zero_suite(self, monkeypatch):
         import hardysim.selftest as selftest_mod
@@ -812,7 +826,7 @@ class TestValidateCommand:
 
         def perturbed(theta, phi, noise):
             dists = engine_call(theta, phi, noise).copy()
-            dists[700, 1, 1] += 1e-9  # second experiment's flagged outcome |01>
+            dists[18, 34, 1, 1] += 1e-9  # second experiment's flagged outcome |01>
             return dists
 
         monkeypatch.setattr(selftest_mod, "experiment_distributions", perturbed)

@@ -117,6 +117,42 @@ def test_no_dense_gate_action_on_a_full_state(monkeypatch):
     assert dense == []
 
 
+def dense_action(m, r, axis):
+    """The 2x2 gate `m` on `axis` of the 16 entries r, every entry by the full rule
+    out[i] = m[i][0] r0 + m[i][1] r1, whatever the gate."""
+    bit = 8 >> axis
+    out = list(r)
+    for k in range(16):
+        if not k & bit:
+            low, high = r[k], r[k | bit]
+            out[k] = m[0][0] * low + m[0][1] * high
+            out[k | bit] = m[1][0] * low + m[1][1] * high
+    return out
+
+
+@pytest.mark.parametrize("qubit", [0, 1])
+@pytest.mark.parametrize("seed", range(4))
+def test_diagonal_paths_equal_the_dense_action(qubit, seed):
+    """U r U^dag of a diagonal gate, on random entries, equals the dense 2x2 action on
+    the rows and then, conjugated, on the columns, value for value: for u1 (the phase
+    path), for a diagonal gate whose m[0][0] is not 1, and for a batch where it is 1 at
+    some points only (both the diagonal path)."""
+    rng = np.random.default_rng(seed)
+    r = list(rng.normal(size=(16, 9)) + 1j * rng.normal(size=(16, 9)))
+    lam = rng.uniform(-2 * math.pi, 2 * math.pi, 9)
+    partly_one = np.where(np.arange(9) % 2 == 0, 1.0, np.exp(1j * lam))
+    for u in (
+        gates.u1(lam),
+        np.exp(-0.5j * lam)[:, None, None] * gates.u1(lam),
+        gates.u1(lam) * partly_one[:, None, None],
+    ):
+        m = engine._entries(u)
+        conj = tuple(tuple(np.conj(x) for x in row) for row in m)
+        dense = dense_action(conj, dense_action(m, r, 1 - qubit), 3 - qubit)
+        got = engine._conjugate(m, r, qubit)
+        assert all(np.array_equal(x, y) for x, y in zip(got, dense))
+
+
 # A step is "cx", (qubit, u3 angles) or (qubit, (u1 angle,)); drawn lists put CNOTs
 # anywhere: leading, trailing, back to back, and around segments that touch one qubit.
 # An angle may be a list over one batch axis.
