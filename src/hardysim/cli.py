@@ -1,7 +1,9 @@
 """Command-line front end: probe, sweep, metrics, reduced, validate.
 
-Angles are degrees at this boundary only (radians everywhere inside); a
-radians flag is deliberately omitted to avoid dual-unit bugs.  Exit codes:
+Angles are degrees here and throughout `sweep`; its `measure_points`
+converts them to radians for `engine`, `hardy` and `gates` (`probe`
+converts its point for the concurrence).  A radians flag is deliberately
+omitted to avoid dual-unit bugs.  Exit codes:
 0 success, 1 usage error, 2 I/O or input-file error, 3 validation failure.
 """
 
@@ -27,6 +29,7 @@ from .selftest import run_validation_suites
 from .sweep import (
     REFERENCE_ANGLE_DEG,
     SweepCsvError,
+    check_runs,
     measure_points,
     performance_report,
     read_csv,
@@ -104,6 +107,10 @@ def _cmd_probe(args, out) -> int:
         )
     noise = _resolve_noise(args.noise)
     cfg = _resolve_shots(args)
+    try:
+        check_runs(1, cfg)
+    except ValueError as exc:
+        raise _flag_error(exc) from exc
     table, stat_err, eps5_per_run = measure_points([theta], [phi], noise, cfg)
     eps, stat_err, q = table.eps[0].tolist(), stat_err[0].tolist(), float(table.q[0])
     _print_kv(out, "theta_deg", theta)
@@ -130,6 +137,7 @@ def _cmd_sweep(args, out) -> int:
     cfg = _resolve_shots(args)
     try:
         angles = sweep_angles(args.mode, args.start_deg, args.stop_deg, args.step)
+        check_runs(len(angles[0]), cfg)
     except ValueError as exc:
         raise _flag_error(exc) from exc
     table = measure_points(*angles, noise, cfg)[0]
@@ -204,10 +212,10 @@ _NOISE = _Arg("--noise", default="none", metavar="PROFILE",
               help="noise profile file, or 'none' / 'default'")
 _SHOT_FLAGS = (
     _NOISE,
-    _Arg("--shots", int, 8192, metavar="N",
+    _Arg("--shots", int, DEFAULT_SHOTS_PER_RUN, metavar="N",
          help="shots per run; 0 = exact distributions, no sampling"),
-    _Arg("--runs", int, 10, metavar="R"),
-    _Arg("--seed", int, 0, metavar="S"),
+    _Arg("--runs", int, ShotConfig.runs, metavar="R"),
+    _Arg("--seed", int, ShotConfig.seed, metavar="S"),
 )
 
 # Each command's handler, help line and arguments, positionals first, in the

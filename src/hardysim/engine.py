@@ -27,13 +27,12 @@ array over the batch, so every operation is a few ufunc calls on whole
 entries.  A 2x2 gate is held as its four entries (arrays over the batch, or
 scalars for fixed gates), and one kernel, `_act`, applies it to one axis: on
 each pair of entries that differ only there, out[i] = m[i][0] r0 +
-m[i][1] r1, or out[i] = m[i][i] ri for a gate whose off-diagonal entries are
-zero over the whole batch (a diagonal gate), or only out[1] = m[1][1] r1 when
-m[0][0] is also exactly 1 there (a phase gate: half the multiplies, the same
-values).  A gate acts on its qubit's row
-axis, then with conjugated entries on the matching column axis; gate
-products multiply the entry lists; CX is a fixed permutation of the entries;
-the channels act in closed form.  A single point runs as a batch of one.
+m[i][1] r1 (the general rule), or only out[1] = m[1][1] r1 for a gate whose
+off-diagonal entries are zero and whose m[0][0] is exactly 1 over the whole
+batch (the phase rule: a quarter of the multiplies, the same values).  A gate
+acts on its qubit's row axis, then with conjugated entries on the matching
+column axis; gate products multiply the entry lists; CX is a fixed
+permutation of the entries; the channels act in closed form.  A single point runs as a batch of one.
 `evolve` and `steps_unitary` take and return the (..., 4, 4) layout,
 converting once each way.
 
@@ -94,26 +93,23 @@ def _times(a, b) -> tuple:
 
 
 def _act(m, r, axis: int, out=None) -> list:
-    """`m` applied to `axis` of the state r: on each pair (r0, r1) of entries that differ
-    only there, out[i] = m[i][0] r0 + m[i][1] r1, or out[i] = m[i][i] ri when both
-    off-diagonal entries of `m` are zero over the whole batch, and only out[1] = m[1][1] r1
-    when m[0][0] is also exactly 1 there (a phase gate: r0 is kept, as 1 r0 equals it up
-    to the sign of a zero).  Each product has the gate entry on the left, as numpy's
-    fused multiply-add rounds m r and r m differently.  The result goes into the list
-    `out` (a new one by default), which may be r itself."""
+    """`m` applied to `axis` of the state r by one of two rules, on each pair (r0, r1) of
+    entries that differ only there: out[i] = m[i][0] r0 + m[i][1] r1 (general), or only
+    out[1] = m[1][1] r1 when both off-diagonal entries of `m` are zero and m[0][0] is
+    exactly 1 over the whole batch (phase: r0 is kept, as 1 r0 equals it up to the sign
+    of a zero).  Each product has the gate entry on the left, as numpy's fused
+    multiply-add rounds m r and r m differently.  The result goes into the list `out`
+    (a copy of r by default), which may be r itself."""
     bit = 8 >> axis
-    diagonal = not (m[0][1].any() or m[1][0].any())
-    phase = diagonal and bool((m[0][0] == 1.0).all())
+    phase = not (m[0][1].any() or m[1][0].any()) and bool((m[0][0] == 1.0).all())
     out = list(r) if out is None else out
     for k in range(16):
         if k & bit:
             continue
-        low, high = r[k], r[k | bit]
         if phase:
-            out[k], out[k | bit] = low, m[1][1] * high
-        elif diagonal:
-            out[k], out[k | bit] = m[0][0] * low, m[1][1] * high
+            out[k | bit] = m[1][1] * r[k | bit]
         else:
+            low, high = r[k], r[k | bit]
             out[k] = m[0][0] * low + m[0][1] * high
             out[k | bit] = m[1][0] * low + m[1][1] * high
     return out

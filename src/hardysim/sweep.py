@@ -59,6 +59,12 @@ _SENTINEL = "0,0,0,0,0,0,0,0,0,PS"  # a valid row; see _parse
 # rate is rejected before it is built.
 ENGINE_BYTES_PER_POINT = 1700
 
+# Memory of a sampled batch per point and run, in bytes: estimate_batch's
+# int64 counts of the four experiments (32) and float64 per-run frequencies
+# of the fourth (8).  A batch needing more than the physical memory at this
+# rate is rejected before the engine runs.
+SAMPLE_BYTES_PER_RUN = 40
+
 # Reference angle (degrees) for the peak measure: the diagonal parameter
 # maximizing q, quoted at the customary 51.827.
 REFERENCE_ANGLE_DEG = 51.827
@@ -138,6 +144,16 @@ def _physical_memory() -> int | None:
         return None
 
 
+def check_runs(points: int, cfg: ShotConfig | None) -> None:
+    """Reject `cfg`'s runs at `points` points when their draws would need more than the
+    physical memory at SAMPLE_BYTES_PER_RUN; exact (cfg None) draws nothing."""
+    memory = _physical_memory()
+    if cfg is None or memory is None:
+        return
+    if points * cfg.runs * SAMPLE_BYTES_PER_RUN > memory:
+        raise ValueError(f"runs {cfg.runs} gives too many draws ({points * cfg.runs:.3g})")
+
+
 def substitute_singular(point_deg: float) -> float:
     """Replace angles on the tan singularity (90, 270, ...) by 0.01 deg less."""
     if abs(math.remainder(point_deg, 180.0)) > 90.0 - 1e-9:
@@ -181,7 +197,8 @@ def _allocate(step: float, count: float, build):
 def measure_points(
     theta_deg, phi_deg, noise: NoiseModel, cfg: ShotConfig | None
 ) -> tuple[SweepTable, np.ndarray, np.ndarray]:
-    """One engine batch and one estimate batch for paired angle arrays (degrees).
+    """One engine batch and one estimate batch for paired angle arrays (degrees,
+    converted here to the radians of `engine` and `hardy`).
 
     Returns (table, stat_err, eps5_per_run): the table, then the statistical
     errors of all four columns of table.eps and the fourth experiment's
@@ -295,7 +312,7 @@ def performance_report(
     if baseline is not None:
         q, eps5, stat_err = table.q[nmes], table.eps5[nmes], table.stat_err[nmes]
         passed, length, stop_q, min_q = ladder_verdict(q, eps5, stat_err, baseline, k_sigma)
-        free_passes = int(np.count_nonzero(eps5 - q - k_sigma * stat_err > baseline))
+        free_passes = int(np.count_nonzero(table.eps4_est[nmes] - k_sigma * stat_err > baseline))
     return {
         "baseline_eps4": baseline,
         "baseline_source": source,

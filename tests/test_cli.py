@@ -282,6 +282,30 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"usage error: --step 1 gives too many points ({count})\n"
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "argv,draws",
+        [
+            (["probe", "40", "40", "--noise", "default", "--runs", "100000"], "1e+05"),
+            (["sweep", "diagonal", "--step", "5", "--runs", "10000"], "1.9e+05"),
+        ],
+    )
+    def test_runs_beyond_physical_memory_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, argv, draws
+    ):
+        # 1 MB holds the grid but not the runs' counts; neither the engine nor a draw runs
+        def ran(*args, **kwargs):
+            raise AssertionError("engine ran")
+
+        monkeypatch.setattr(sweep, "_physical_memory", lambda: 10**6)
+        monkeypatch.setattr(sweep, "experiment_distributions", ran)
+        path = tmp_path / "x.csv"
+        code, text = run_cli([*argv, "--out", str(path)])
+        assert code == EXIT_USAGE
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err == f"usage error: --runs {argv[-1]} gives too many draws ({draws})\n"
+        assert not path.exists()
+
     def test_metrics_on_two_rows_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "tiny.csv"
         path.write_text(

@@ -132,11 +132,11 @@ def dense_action(m, r, axis):
 
 @pytest.mark.parametrize("qubit", [0, 1])
 @pytest.mark.parametrize("seed", range(4))
-def test_diagonal_paths_equal_the_dense_action(qubit, seed):
+def test_phase_and_general_rules_equal_the_dense_action(qubit, seed):
     """U r U^dag of a diagonal gate, on random entries, equals the dense 2x2 action on
     the rows and then, conjugated, on the columns, value for value: for u1 (the phase
-    path), for a diagonal gate whose m[0][0] is not 1, and for a batch where it is 1 at
-    some points only (both the diagonal path)."""
+    rule), for a diagonal gate whose m[0][0] is not 1, and for a batch where it is 1 at
+    some points only (both the general rule: a phase rule taken for either fails)."""
     rng = np.random.default_rng(seed)
     r = list(rng.normal(size=(16, 9)) + 1j * rng.normal(size=(16, 9)))
     lam = rng.uniform(-2 * math.pi, 2 * math.pi, 9)
