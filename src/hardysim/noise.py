@@ -6,12 +6,16 @@ readout flip on each qubit (rates readout0, readout1).  The experiment
 names error magnitudes only, so the mechanism is a modeling choice, kept
 swappable behind NoiseModel; `engine` evolves the density matrices under it.
 
-Randomness enters only at shot sampling: one generator per command, seeded
-by `--seed`, draws all flagged counts in sweep order.
+Randomness enters only at shot sampling, which uses no numpy.random: each
+flagged count is an exact binomial draw (inversion or Hormann's BTRD) from
+uniforms that SplitMix64 hashes out of `--seed` and the draw's own counter,
+so a point's counts depend only on the seed, its index and its own
+distribution, and the same seed gives the same bytes on any numpy >= 1.24.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,9 +24,6 @@ import numpy as np
 from .engine import FLAGGED_OUTCOME
 
 DEFAULT_SHOTS_PER_RUN = 8192
-
-# Floor of every sampled flagged probability: the smallest normal double.
-_P_FLOOR = np.finfo(np.float64).tiny
 
 
 class ProfileError(ValueError):
@@ -139,17 +140,14 @@ def estimate_batch(dists, cfg: ShotConfig | None) -> tuple[np.ndarray, np.ndarra
     estimate is eps5 - q_theory.
 
     With cfg=None the infinite-shot limit is returned: the exact flagged
-    entries, zero errors and one "run".  Otherwise one generator, seeded by
-    cfg.seed, draws all flagged counts in sweep order (point, experiment,
-    run).  Only the flagged cell of each run's multinomial is used, and that
-    cell alone is exactly Binomial(shots_per_run, p_flag).  The distributions
-    are the engine's, already checked; they are only clipped at 0 and
-    renormalised.  Each p_flag is then raised to at least the smallest
-    normal double: numpy's binomial consumes nothing from the stream at
-    p = 0 but does at any p > 0, so without the floor the sign of a
-    roundoff-level ideal zero would shift every later count.  With it, such
-    a cell uses the same draws whatever the sign of its roundoff (numpy's
-    inversion path, one uniform), and still counts 0.
+    entries, zero errors and one "run".  Otherwise only the flagged cell of
+    each experiment is counted, and that cell alone is exactly binomial.
+    Experiments 1-3 are each one draw of Binomial(shots_per_run * runs,
+    p_flag), the pooled count; experiment 4 is `runs` draws of
+    Binomial(shots_per_run, p_flag), and eps5 is their mean.  Each point's
+    counts depend only on cfg, its index and its own p_flag (see
+    `_sample_counts`).  The distributions are the engine's, already checked;
+    they are only clipped at 0 and renormalised.
     """
     dists = np.asarray(dists, dtype=np.float64)
     flagged = dists[:, np.arange(4), FLAGGED_OUTCOME]
@@ -157,10 +155,223 @@ def estimate_batch(dists, cfg: ShotConfig | None) -> tuple[np.ndarray, np.ndarra
         eps = np.clip(flagged, 0.0, 1.0)
         return eps, np.zeros_like(eps), eps[:, 3:].copy()
     p_flag = np.clip(flagged, 0.0, None) / np.clip(dists, 0.0, None).sum(axis=-1)
-    p_flag = np.maximum(p_flag, _P_FLOOR)
-    counts = np.random.default_rng(cfg.seed).binomial(
-        cfg.shots_per_run, p_flag[..., None], size=(*p_flag.shape, cfg.runs)
-    )
-    eps = counts.sum(axis=-1) / (cfg.shots_per_run * cfg.runs)
-    eps5_per_run = counts[:, 3] / cfg.shots_per_run
+    counts = _sample_counts(p_flag, cfg)
+    total = cfg.shots_per_run * cfg.runs
+    eps = np.empty_like(p_flag)
+    eps[:, :3] = counts[:, :3] / total
+    eps[:, 3] = counts[:, 3:].sum(axis=-1) / total
+    eps5_per_run = counts[:, 3:] / cfg.shots_per_run
     return eps, statistical_error(eps, cfg.runs, cfg.shots_per_run), eps5_per_run
+
+
+# Shot sampling without numpy.random.  Uniform k of a command is
+# splitmix64_mix(seed + k * _GAMMA) >> 11 times 2**-53 (SplitMix64, Steele,
+# Lea & Flood, OOPSLA 2014, used as a counter hash).  Draw d of a command
+# (point i, slot s: d = i * (3 + runs) + s) reads its uniforms at counters
+# (d << 17) | (attempt << 1) | which (distinct while d < 2**47, far more
+# draws than memory holds), so each count depends only on the seed, d and its
+# own (n, p), whatever the blocks.  Every uint64 constant and shift
+# is an np.uint64, so no promotion rule changes a bit between numpy releases.
+_GAMMA = 0x9E3779B97F4A7C15
+_ATTEMPT_BITS = 16
+_DRAW_STRIDE = np.uint64((_GAMMA << (_ATTEMPT_BITS + 1)) % 2**64)
+_BLOCK_DRAWS = 2**14  # draws per block; a count does not depend on it
+_INVERSION_MEAN = 10.0  # n p below this: inversion; from it on: BTRD
+# Stirling-series corrections fc(k) = ln k! - (k + 1/2) ln(k + 1) + k + 1 - ln(2 pi) / 2
+# for k < 10; BTRD takes the series from k = 10 on.
+_FC_TABLE = np.array(
+    [math.lgamma(k + 1) - (k + 0.5) * math.log(k + 1) + k + 1 - 0.5 * math.log(2 * math.pi)
+     for k in range(10)]
+)
+
+
+def splitmix64_mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function of a uint64 array, computed in place."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _uniforms(seed: int, draws: np.ndarray, attempt: int, which: int) -> np.ndarray:
+    """Uniforms in [0, 1) of `draws` (uint64 draw indices) for one attempt and slot."""
+    if attempt >> _ATTEMPT_BITS:
+        raise RuntimeError(f"binomial sampler rejected a draw {attempt} times")
+    offset = np.uint64((seed + ((attempt << 1) | which) * _GAMMA) % 2**64)
+    z = draws * _DRAW_STRIDE
+    z += offset
+    return (splitmix64_mix(z) >> np.uint64(11)) * 2.0**-53
+
+
+def _sample_counts(p_flag: np.ndarray, cfg: ShotConfig, block: int = _BLOCK_DRAWS) -> np.ndarray:
+    """Flagged counts, int64 of shape (N, 3 + runs): per point the pooled counts of
+    experiments 1-3, then the per-run counts of experiment 4.
+
+    Attempts go in passes: pass a makes attempt a of every draw still
+    pending, in blocks of `block` draws, and leaves the draws it rejects to
+    the next pass.  A count does not depend on the blocks or the passes.
+    """
+    shots, runs = cfg.shots_per_run, cfg.runs
+    slots = 3 + runs
+    n = np.array([shots * runs] * 3 + [shots], dtype=np.int64)
+    counts = np.empty(len(p_flag) * slots, dtype=np.int64)
+    p_flag = p_flag.ravel()  # one copy, where p_flag is not C-ordered
+    blocks = (np.arange(lo, min(lo + block, counts.size)) for lo in range(0, counts.size, block))
+    attempt = 0
+    while True:
+        rejected = [np.zeros(0, dtype=np.intp)]
+        for draws in blocks:
+            x, again = _binomial(cfg.seed, draws, slots, n, p_flag, attempt)
+            counts[draws] = x
+            rejected.append(draws.take(again))
+        pending = np.concatenate(rejected)
+        if not pending.size:
+            return counts.reshape(-1, slots)
+        attempt += 1
+        blocks = (pending[lo : lo + block] for lo in range(0, pending.size, block))
+
+
+def _binomial(seed: int, draws, slots: int, n, p_flag, attempt: int):
+    """Attempt `attempt` of each of `draws`, Binomial(n[e], p_flag[4 i + e]) for
+    draw d = i * slots + s, experiment e = min(s, 3): (int64 counts, the positions of
+    the draws it rejects).
+
+    Consecutive draws of one (point, experiment) share its setup, so
+    experiment 4's runs set it up once.  p > 0.5 draws n - Binomial(n, 1 - p),
+    in int64, so p = 1 gives exactly n; p = 0 gives 0 and draws nothing.
+    n p < 10 takes sequential inversion, the rest Hormann's BTRD.
+    """
+    point, slot = np.divmod(draws, slots)
+    np.minimum(slot, 3, out=slot)
+    ids = point * 4 + slot
+    first = np.empty(draws.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    unit = np.cumsum(first) - 1
+    first = np.flatnonzero(first)
+    n = n.take(slot.take(first))
+    p = p_flag.take(ids.take(first))
+    flip = p > 0.5
+    p = np.where(flip, 1.0 - p, p)
+    nf = n.astype(np.float64)
+    mean = nf * p
+    counters = draws.astype(np.uint64)
+    x = np.zeros(draws.size)
+    again = [np.zeros(0, dtype=np.intp)]
+    for method, mine in ((_inversion, (p > 0.0) & (mean < _INVERSION_MEAN)),
+                         (_btrd, mean >= _INVERSION_MEAN)):
+        chosen = np.flatnonzero(mine.take(unit))
+        if chosen.size:
+            units = np.flatnonzero(mine)
+            local = (np.cumsum(mine) - 1).take(unit.take(chosen))
+            x[chosen], rejected = method(seed, counters.take(chosen), local, attempt,
+                                         nf.take(units), p.take(units))
+            again.append(chosen.take(rejected))
+    x = x.astype(np.int64)
+    flipped = np.flatnonzero(flip.take(unit))
+    x[flipped] = n.take(unit.take(flipped)) - x.take(flipped)
+    return x, np.concatenate(again)
+
+
+def _inversion(seed: int, draws, unit, attempt: int, n, p):
+    """Sequential inversion from 0, one uniform: (counts, rejected positions).
+    A search past n p + 10 sqrt(n p q + 1) (or n), reachable only by roundoff
+    in the running sum, rejects the draw."""
+    q = 1.0 - p
+    u = _uniforms(seed, draws, attempt, 0)
+    pmf = np.exp(n * np.log1p(-p)).take(unit)  # q ** n
+    out = np.zeros(draws.size)
+    live = np.flatnonzero(u > pmf)
+    u, pmf, unit = u.take(live), pmf.take(live), unit.take(live)
+    n, ratio, bound = (a.take(unit) for a in (
+        n, p / q, np.minimum(n, n * p + 10.0 * np.sqrt(n * p * q + 1.0))))
+    rejected = [np.zeros(0, dtype=np.intp)]
+    k = 0
+    while live.size:
+        k += 1
+        over = k > bound
+        u -= pmf
+        pmf *= (n - (k - 1)) / k * ratio
+        stop = u <= pmf
+        out[live[stop & ~over]] = k
+        rejected.append(live[over])
+        keep = np.flatnonzero(~(stop | over))
+        live, u, pmf, n, ratio, bound = (a.take(keep) for a in (live, u, pmf, n, ratio, bound))
+    return out, np.concatenate(rejected)
+
+
+def _fc(k):
+    """Hormann's Stirling correction fc(k), k >= 0 (floats holding integers)."""
+    x = k + 1.0
+    x2 = x * x
+    series = (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / 1260.0 / x2) / x2) / x
+    return np.where(k < 10, _FC_TABLE.take(np.minimum(k, 9).astype(np.intp)), series)
+
+
+def _btrd(seed: int, draws, unit, attempt: int, n, p):
+    """Hormann's BTRD for n p >= 10, p <= 0.5 (J. Stat. Comput. Simul. 46,
+    1993): (counts, rejected positions).  Step 1, the fast path, runs on every
+    draw and the later steps over only the draws it leaves.  The constants are
+    set up once per (n, p)."""
+    q = 1.0 - p
+    npq = n * p * q
+    sqrt_npq = np.sqrt(npq)
+    b = 1.15 + 2.53 * sqrt_npq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    v_r = 0.92 - 4.2 / b
+    alpha = (2.83 + 5.1 / b) * sqrt_npq
+    m = np.floor((n + 1.0) * p)
+    r = p / q
+    nm = n - m + 1.0
+    h = (m + 0.5) * np.log((m + 1.0) / (r * nm)) + _fc(m) + _fc(n - m)
+
+    v = _uniforms(seed, draws, attempt, 0)
+    vr = v_r.take(unit)
+    # Step 1 on every draw: its value for a draw off the fast path (possibly
+    # inf, from 0.5 - |u| = 0) is replaced below.
+    u = v / vr - 0.43
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.floor((2.0 * a.take(unit) / (0.5 - np.abs(u)) + b.take(unit)) * u + c.take(unit))
+    slow = np.flatnonzero(v > 0.86 * vr)
+    v, vr, unit = v.take(slow), vr.take(slow), unit.take(slow)
+    # Step 2: a second uniform.
+    w = _uniforms(seed, draws.take(slow), attempt, 1)
+    tail = v >= vr
+    u = v / vr - 0.93
+    u = np.where(tail, w - 0.5, np.copysign(0.5, u) - u)
+    v = np.where(tail, v, w * vr)
+    # Step 3.0: the candidate k; us = 0 (w = 0 in the tail) gives k = -inf.
+    us = 0.5 - np.abs(u)
+    a, b, m = a.take(unit), b.take(unit), m.take(unit)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.floor((2.0 * a / us + b) * u + c.take(unit))
+        v = v * alpha.take(unit) / (a / (us * us) + b)
+    km = np.abs(k - m)
+    accept = (k >= 0.0) & (k <= n.take(unit))
+    # Step 3.2, far from the mode: the squeeze (v = 0 is accepted).
+    far = np.flatnonzero(accept & (km > 15.0))
+    km_f, npq_f = km.take(far), npq.take(unit.take(far))
+    with np.errstate(divide="ignore"):
+        log_v = np.log(v)
+    log_f = log_v.take(far)
+    rho = (km_f / npq_f) * (((km_f / 3.0 + 0.625) * km_f + 1.0 / 6.0) / npq_f + 0.5)
+    t = -km_f * km_f / (2.0 * npq_f)
+    accept[far] = log_f < t - rho
+    # Step 3.3 for the rest, near the mode or not decided by the squeeze:
+    # log f(k) / f(m) in Stirling form.  (Near the mode, |k - m| <= 15, BTRD
+    # takes the same ratio by its recursion, which here would take up to 15
+    # passes.)
+    exact = np.concatenate([np.flatnonzero(accept & (km <= 15.0)),
+                            far.take(np.flatnonzero((log_f >= t - rho) & (log_f <= t + rho)))])
+    k_e, unit = k.take(exact), unit.take(exact)
+    n_e = n.take(unit)
+    nk = n_e - k_e + 1.0
+    accept[exact] = log_v.take(exact) <= (
+        h.take(unit) + (n_e + 1.0) * np.log(nm.take(unit) / nk)
+        + (k_e + 0.5) * np.log(nk * r.take(unit) / (k_e + 1.0)) - _fc(k_e) - _fc(n_e - k_e)
+    )
+    out[slow] = k
+    return out, slow.take(np.flatnonzero(~accept))

@@ -60,10 +60,12 @@ _SENTINEL = "0,0,0,0,0,0,0,0,0,PS"  # a valid row; see _parse
 ENGINE_BYTES_PER_POINT = 1700
 
 # Memory of a sampled batch per point and run, in bytes: estimate_batch's
-# int64 counts of the four experiments (32) and float64 per-run frequencies
-# of the fourth (8).  A batch needing more than the physical memory at this
-# rate is rejected before the engine runs.
-SAMPLE_BYTES_PER_RUN = 40
+# int64 counts of experiment 4's runs (8) and their float64 frequencies (8);
+# experiments 1-3 are drawn pooled, once per point.  tracemalloc's peak of
+# estimate_batch grows by 16.0 bytes per point and run from 100 to 400 runs
+# of a 1-degree surface.  A batch needing more than the physical memory at
+# this rate is rejected before the engine runs.
+SAMPLE_BYTES_PER_RUN = 16
 
 # Reference angle (degrees) for the peak measure: the diagonal parameter
 # maximizing q, quoted at the customary 51.827.
@@ -202,9 +204,9 @@ def measure_points(
 
     Returns (table, stat_err, eps5_per_run): the table, then the statistical
     errors of all four columns of table.eps and the fourth experiment's
-    per-run frequencies, as estimate_batch gives them.  One generator per
-    call (so one per command), seeded by cfg.seed (`--seed`), draws all
-    flagged counts in sweep order.
+    per-run frequencies, as estimate_batch gives them.  Point i's counts
+    depend only on cfg (`--shots`, `--runs`, `--seed`), i and its own
+    distributions, not on the other points or on how the draws are batched.
     """
     theta_deg = np.asarray(theta_deg, dtype=np.float64)
     phi_deg = np.asarray(phi_deg, dtype=np.float64)

@@ -379,11 +379,13 @@ class TestGoldenOutputs:
     """Output bytes must match files saved from earlier implementations.
 
     The exact CSV was saved from the per-gate Kraus implementation, the
-    sampled one from the binomial sampler after every epsilon was checked
-    within 6 sigma of the exact values.  The metrics lines were saved from
-    the per-row implementation, before the columnar table, with the
-    zero_condition_max line appended when it was added; their input is the
-    sampled CSV of the earlier per-run multinomial sampler.
+    sampled one from the counter-based sampler (SplitMix64 uniforms,
+    inversion and BTRD, experiments 1-3 drawn pooled) after every epsilon
+    was checked within 6 sigma of the `--shots 0` values (the worst cell
+    lies at 3.25 sigma).  The metrics lines were saved from the per-row
+    implementation, before the columnar table, with the zero_condition_max
+    line appended when it was added; their input is the sampled CSV of the
+    earlier per-run multinomial sampler.
     """
 
     @pytest.mark.parametrize(
@@ -750,8 +752,9 @@ SUITE_NAMES = [
 ]
 
 # Runs one command in a fresh interpreter and reports whether numpy.random
-# was imported; prints "numpy-imports-random" when `import numpy` alone does
-# (numpy before 2.0), where the question cannot be asked.
+# and secrets (which numpy.random imports, and with it OpenSSL) were
+# imported; prints "numpy-imports-random" when `import numpy` alone imports
+# numpy.random (numpy before 2.0), where the question cannot be asked.
 NO_RANDOM_SCRIPT = """
 import io, sys
 import numpy
@@ -760,8 +763,9 @@ if "numpy.random" in sys.modules:
     raise SystemExit(0)
 from hardysim.cli import main
 code = main(sys.argv[1:], out=io.StringIO())
-print(code, "numpy.random" in sys.modules)
+print(code, "numpy.random" in sys.modules, "secrets" in sys.modules)
 """
+
 
 
 class TestValidateCommand:
@@ -784,11 +788,18 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize(
         "argv",
-        [["validate"], ["sweep", "surface", "--step", "15", "--noise", "default", "--shots", "0"]],
+        [
+            ["validate"],
+            ["sweep", "surface", "--step", "15", "--noise", "default", "--shots", "0"],
+            # sampled: the shot sampler hashes its own uniforms in plain numpy
+            ["sweep", "diagonal", "--step", "5", "--noise", "default", "--seed", "3"],
+            ["probe", "40", "40", "--noise", "default", "--seed", "3"],
+        ],
+        ids=["validate", "exact-sweep", "sampled-sweep", "sampled-probe"],
     )
-    def test_exact_commands_never_import_numpy_random(self, tmp_path, argv):
-        if argv[0] == "sweep":
-            argv = argv + ["--out", str(tmp_path / "surface.csv")]
+    def test_commands_import_neither_numpy_random_nor_secrets(self, tmp_path, argv):
+        if argv[0] != "validate":
+            argv = argv + ["--out", str(tmp_path / "out.csv")]
         src = str(Path(hardysim.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
         result = subprocess.run(
@@ -797,7 +808,7 @@ class TestValidateCommand:
         )
         if result.stdout.strip() == "numpy-imports-random":
             pytest.skip("this numpy imports numpy.random on `import numpy`")
-        assert result.stdout.split() == [str(EXIT_OK), "False"]
+        assert result.stdout.split() == [str(EXIT_OK), "False", "False"]
 
     def test_fresh_build_passes(self):
         code, text = run_cli(["validate"])

@@ -17,11 +17,15 @@ from hardysim.engine import (
 )
 from hardysim.hardy import analytic_q, chi_of, optimal_angles
 from hardysim.noise import (
+    _BLOCK_DRAWS,
     NoiseModel,
     ProfileError,
     ShotConfig,
+    _sample_counts,
+    _uniforms,
     estimate_batch,
     load_noise_profile,
+    splitmix64_mix,
     statistical_error,
 )
 from hardysim.sweep import SweepTable, measure_points
@@ -313,6 +317,129 @@ class TestSampling:
         np.testing.assert_array_equal(per_run, [[1.0]])
 
 
+MASK64 = 2**64 - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64_reference(key, counter):
+    """SplitMix64's output number `counter` (from 1) for state `key`, in Python ints."""
+    z = (key + counter * GAMMA) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def binomial_pmf(n, p):
+    """Binomial(n, p) probabilities of 0..n, from math.lgamma."""
+    return np.array([
+        math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                 + k * math.log(p) + (n - k) * math.log1p(-p))
+        for k in range(n + 1)
+    ])
+
+
+def chi_square(counts, pmf):
+    """(Pearson statistic, degrees of freedom) of counts against pmf, with
+    neighbouring outcomes merged until each bin expects at least 5."""
+    observed = np.bincount(counts, minlength=pmf.size).astype(np.float64)
+    expected = pmf * counts.size
+    bins, o, e = [], 0.0, 0.0
+    for obs, exp in zip(observed, expected):
+        o, e = o + obs, e + exp
+        if e >= 5.0:
+            bins.append((o, e))
+            o, e = 0.0, 0.0
+    last_o, last_e = bins.pop()
+    bins.append((last_o + o, last_e + e))
+    return sum((o - e) ** 2 / e for o, e in bins), len(bins) - 1
+
+
+def chi_square_limit(dof, z=3.719):
+    """Wilson-Hilferty upper quantile of chi-square(dof); z = 3.719 leaves 1e-4 above."""
+    return dof * (1.0 - 2.0 / (9.0 * dof) + z * math.sqrt(2.0 / (9.0 * dof))) ** 3
+
+
+def sampled(p, points, shots, runs=1, seed=0, block=_BLOCK_DRAWS):
+    """_sample_counts of `points` points whose four experiments all flag with p."""
+    return _sample_counts(np.full((points, 4), p), ShotConfig(shots, runs, seed), block)
+
+
+class TestShotSampler:
+    def test_splitmix64_matches_python_ints(self):
+        assert splitmix64_reference(0, 1) == 0xE220A8397B1DCDAF
+        keys = [0, 1, 7, 2**63 + 5, MASK64]
+        pairs = [(key, counter) for key in keys for counter in (0, 1, 2, 3, 2**40 + 3, 2**63)]
+        z = np.array([(key + counter * GAMMA) & MASK64 for key, counter in pairs], dtype=np.uint64)
+        mixed = splitmix64_mix(z)
+        assert mixed.dtype == np.uint64
+        assert [int(v) for v in mixed] == [splitmix64_reference(*pair) for pair in pairs]
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+    def test_uniforms_read_their_counters(self, seed):
+        # draw d, attempt a, uniform w reads counter (d << 17) | (a << 1) | w
+        draws = [0, 1, 12, 2**40 + 1]
+        for attempt, which in ((0, 0), (0, 1), (3, 1), (2**16 - 1, 0)):
+            got = _uniforms(seed, np.array(draws, dtype=np.uint64), attempt, which)
+            expected = [
+                (splitmix64_reference(seed, (d << 17) | (attempt << 1) | which) >> 11) * 2.0**-53
+                for d in draws
+            ]
+            assert got.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "n,p,points",
+        [
+            (20, 0.3, 5000),       # inversion, n p = 6
+            (40, 0.24, 5000),      # inversion, just below n p = 10
+            (40, 0.26, 5000),      # BTRD, just above
+            (30, 0.5, 5000),       # BTRD at the largest unflipped p
+            (8192, 0.09, 5000),    # BTRD, mostly far from the mode
+            (81920, 0.02, 25000),  # BTRD, a pooled count of the default profile
+            (60, 0.8, 5000),       # flipped: n - BTRD(60, 0.2)
+            (20, 0.9, 5000),       # flipped: n - inversion(20, 0.1)
+        ],
+    )
+    def test_counts_follow_the_binomial_pmf(self, n, p, points):
+        # with one run every slot draws Binomial(shots, p): 4 draws per point
+        counts = sampled(p, points, n, seed=11).ravel()
+        statistic, dof = chi_square(counts, binomial_pmf(n, p))
+        assert statistic <= chi_square_limit(dof)
+
+    def test_single_shots_are_bernoulli(self):
+        bits = sampled(0.3, 20000, 1, seed=3).ravel()
+        assert set(np.unique(bits)) == {0, 1}
+        assert abs(bits.mean() - 0.3) <= 5 * math.sqrt(0.3 * 0.7 / bits.size)
+
+    def test_largest_pooled_total_draws_without_warnings(self):
+        # pytest turns warnings into errors: no overflow, cast or divide warning
+        n = 2**63 - 1
+        counts = _sample_counts(np.array([[0.0, 1.0, 1e-18, 0.5]]), ShotConfig(n, 1, seed=4))
+        assert counts.dtype == np.int64
+        assert counts[0, :2].tolist() == [0, n]
+        assert 0 <= counts[0, 2] <= 60
+        assert abs(counts[0, 3] / n - 0.5) <= 1e-8
+
+    def test_counts_do_not_depend_on_the_block_size(self):
+        rng = np.random.default_rng(12)
+        p_flag = rng.choice([0.0, 1.0, 1e-17, 2e-4, 0.003, 0.02, 0.09, 0.5, 0.7, 0.999],
+                            size=(40, 4))
+        cfg = ShotConfig(8192, 3, seed=9)
+        default = _sample_counts(p_flag, cfg)
+        for block in (1, 7):
+            np.testing.assert_array_equal(_sample_counts(p_flag, cfg, block), default)
+
+    def test_other_points_keep_their_counts(self):
+        rng = np.random.default_rng(13)
+        p_flag = rng.uniform(0.0, 0.2, size=(30, 4))
+        cfg = ShotConfig(8192, 10, seed=6)
+        before = _sample_counts(p_flag, cfg)
+        p_flag[7] = [0.5, 0.0, 1e-3, 0.95]
+        after = _sample_counts(p_flag, cfg)
+        others = np.arange(30) != 7
+        np.testing.assert_array_equal(after[others], before[others])
+        assert not np.array_equal(after[7], before[7])
+
+
 class TestStatisticalError:
     def test_boundary_values(self):
         assert statistical_error(0.0, 10) == 0.0
@@ -365,9 +492,9 @@ class TestEpsilonEstimates:
         np.testing.assert_array_equal(err, np.zeros((2, 4)))
 
     def test_roundoff_does_not_move_sampled_counts(self):
-        # ideal zeros come out of the engine as roundoff of either sign;
-        # every flagged probability is floored, so each cell takes its one
-        # draw whatever that roundoff is, and the counts do not move
+        # ideal zeros come out of the engine as roundoff of either sign; a
+        # count depends only on its own probability, and one of about 1e-16
+        # still counts 0, so no count moves
         axis = np.radians(np.arange(0.0, 91.0, 5.0))
         theta, phi = (grid.ravel() for grid in np.meshgrid(axis, axis, indexing="ij"))
         dists = experiment_distributions(theta, phi, NoiseModel.none())

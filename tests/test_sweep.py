@@ -260,19 +260,6 @@ class TestDiagonalSweep:
         table = measure_points(points, points, NoiseModel.none(), None)[0]
         assert table.theta_deg.tolist() == [50.0, 10.0, 70.0]
 
-    def test_one_generator_per_sampled_sweep(self, monkeypatch):
-        default_rng, built = np.random.default_rng, []
-
-        def counting(*args, **kwargs):
-            built.append(args)
-            return default_rng(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "default_rng", counting)
-        angles = sweep_angles("diagonal", 0, 90, 0.25)
-        table = measure_points(*angles, NoiseModel.default_profile(), ShotConfig(seed=3))[0]
-        assert len(table) == 361
-        assert built == [(3,)]
-
     def test_empty_points_rejected(self):
         for theta, phi in (([], []), ([], [1.0]), ([1.0], [])):
             with pytest.raises(ValueError, match="no sweep points"):
