@@ -27,6 +27,7 @@ from .noise import (
 )
 from .selftest import run_validation_suites
 from .sweep import (
+    DEFAULT_K_SIGMA,
     REFERENCE_ANGLE_DEG,
     SweepCsvError,
     check_runs,
@@ -237,7 +238,7 @@ _COMMANDS: dict[str, tuple[Callable, str, tuple[_Arg, ...]]] = {
     )),
     "metrics": (_cmd_metrics, "performance measures from a sweep CSV", (
         _Arg("--in", required=True, metavar="FILE", dest="in_path"),
-        _Arg("--k-sigma", float, 3.0),
+        _Arg("--k-sigma", float, DEFAULT_K_SIGMA),
         _Arg("--baseline", float,
              help="error floor; default: largest eps5 on MES/PS rows"),
         _Arg("--rho", float, REFERENCE_ANGLE_DEG,

@@ -238,21 +238,14 @@ def _binomial(seed: int, draws, slots: int, n, p_flag, attempt: int):
     draw d = i * slots + s, experiment e = min(s, 3): (int64 counts, the positions of
     the draws it rejects).
 
-    Consecutive draws of one (point, experiment) share its setup, so
-    experiment 4's runs set it up once.  p > 0.5 draws n - Binomial(n, 1 - p),
+    Each draw carries its own (n, p).  p > 0.5 draws n - Binomial(n, 1 - p),
     in int64, so p = 1 gives exactly n; p = 0 gives 0 and draws nothing.
     n p < 10 takes sequential inversion, the rest Hormann's BTRD.
     """
     point, slot = np.divmod(draws, slots)
     np.minimum(slot, 3, out=slot)
-    ids = point * 4 + slot
-    first = np.empty(draws.size, dtype=bool)
-    first[0] = True
-    np.not_equal(ids[1:], ids[:-1], out=first[1:])
-    unit = np.cumsum(first) - 1
-    first = np.flatnonzero(first)
-    n = n.take(slot.take(first))
-    p = p_flag.take(ids.take(first))
+    n = n.take(slot)
+    p = p_flag.take(point * 4 + slot)
     flip = p > 0.5
     p = np.where(flip, 1.0 - p, p)
     nf = n.astype(np.float64)
@@ -262,31 +255,28 @@ def _binomial(seed: int, draws, slots: int, n, p_flag, attempt: int):
     again = [np.zeros(0, dtype=np.intp)]
     for method, mine in ((_inversion, (p > 0.0) & (mean < _INVERSION_MEAN)),
                          (_btrd, mean >= _INVERSION_MEAN)):
-        chosen = np.flatnonzero(mine.take(unit))
+        chosen = np.flatnonzero(mine)
         if chosen.size:
-            units = np.flatnonzero(mine)
-            local = (np.cumsum(mine) - 1).take(unit.take(chosen))
-            x[chosen], rejected = method(seed, counters.take(chosen), local, attempt,
-                                         nf.take(units), p.take(units))
+            x[chosen], rejected = method(seed, counters.take(chosen), attempt,
+                                         nf.take(chosen), p.take(chosen))
             again.append(chosen.take(rejected))
     x = x.astype(np.int64)
-    flipped = np.flatnonzero(flip.take(unit))
-    x[flipped] = n.take(unit.take(flipped)) - x.take(flipped)
+    flipped = np.flatnonzero(flip)
+    x[flipped] = n.take(flipped) - x.take(flipped)
     return x, np.concatenate(again)
 
 
-def _inversion(seed: int, draws, unit, attempt: int, n, p):
+def _inversion(seed: int, draws, attempt: int, n, p):
     """Sequential inversion from 0, one uniform: (counts, rejected positions).
     A search past n p + 10 sqrt(n p q + 1) (or n), reachable only by roundoff
     in the running sum, rejects the draw."""
-    q = 1.0 - p
     u = _uniforms(seed, draws, attempt, 0)
-    pmf = np.exp(n * np.log1p(-p)).take(unit)  # q ** n
+    pmf = np.exp(n * np.log1p(-p))  # q ** n
     out = np.zeros(draws.size)
     live = np.flatnonzero(u > pmf)
-    u, pmf, unit = u.take(live), pmf.take(live), unit.take(live)
-    n, ratio, bound = (a.take(unit) for a in (
-        n, p / q, np.minimum(n, n * p + 10.0 * np.sqrt(n * p * q + 1.0))))
+    u, pmf, n, p = (a.take(live) for a in (u, pmf, n, p))
+    q = 1.0 - p
+    ratio, bound = p / q, np.minimum(n, n * p + 10.0 * np.sqrt(n * p * q + 1.0))
     rejected = [np.zeros(0, dtype=np.intp)]
     k = 0
     while live.size:
@@ -306,54 +296,50 @@ def _fc(k):
     """Hormann's Stirling correction fc(k), k >= 0 (floats holding integers)."""
     x = k + 1.0
     x2 = x * x
-    series = (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / 1260.0 / x2) / x2) / x
-    return np.where(k < 10, _FC_TABLE.take(np.minimum(k, 9).astype(np.intp)), series)
+    fc = (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / 1260.0 / x2) / x2) / x
+    small = np.flatnonzero(k < 10)
+    fc[small] = _FC_TABLE.take(k.take(small).astype(np.intp))
+    return fc
 
 
-def _btrd(seed: int, draws, unit, attempt: int, n, p):
+def _btrd(seed: int, draws, attempt: int, n, p):
     """Hormann's BTRD for n p >= 10, p <= 0.5 (J. Stat. Comput. Simul. 46,
     1993): (counts, rejected positions).  Step 1, the fast path, runs on every
-    draw and the later steps over only the draws it leaves.  The constants are
-    set up once per (n, p)."""
-    q = 1.0 - p
-    npq = n * p * q
+    draw; the later steps, and their constants, only on the draws it leaves."""
+    npq = n * p * (1.0 - p)
     sqrt_npq = np.sqrt(npq)
     b = 1.15 + 2.53 * sqrt_npq
     a = -0.0873 + 0.0248 * b + 0.01 * p
     c = n * p + 0.5
     v_r = 0.92 - 4.2 / b
-    alpha = (2.83 + 5.1 / b) * sqrt_npq
-    m = np.floor((n + 1.0) * p)
-    r = p / q
-    nm = n - m + 1.0
-    h = (m + 0.5) * np.log((m + 1.0) / (r * nm)) + _fc(m) + _fc(n - m)
 
     v = _uniforms(seed, draws, attempt, 0)
-    vr = v_r.take(unit)
     # Step 1 on every draw: its value for a draw off the fast path (possibly
     # inf, from 0.5 - |u| = 0) is replaced below.
-    u = v / vr - 0.43
+    u = v / v_r - 0.43
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.floor((2.0 * a.take(unit) / (0.5 - np.abs(u)) + b.take(unit)) * u + c.take(unit))
-    slow = np.flatnonzero(v > 0.86 * vr)
-    v, vr, unit = v.take(slow), vr.take(slow), unit.take(slow)
+        out = np.floor((2.0 * a / (0.5 - np.abs(u)) + b) * u + c)
+    slow = np.flatnonzero(v > 0.86 * v_r)
+    v, n, p, npq, sqrt_npq, a, b, c, v_r = (
+        x.take(slow) for x in (v, n, p, npq, sqrt_npq, a, b, c, v_r))
+    alpha = (2.83 + 5.1 / b) * sqrt_npq
+    m = np.floor((n + 1.0) * p)
     # Step 2: a second uniform.
     w = _uniforms(seed, draws.take(slow), attempt, 1)
-    tail = v >= vr
-    u = v / vr - 0.93
+    tail = v >= v_r
+    u = v / v_r - 0.93
     u = np.where(tail, w - 0.5, np.copysign(0.5, u) - u)
-    v = np.where(tail, v, w * vr)
+    v = np.where(tail, v, w * v_r)
     # Step 3.0: the candidate k; us = 0 (w = 0 in the tail) gives k = -inf.
     us = 0.5 - np.abs(u)
-    a, b, m = a.take(unit), b.take(unit), m.take(unit)
     with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.floor((2.0 * a / us + b) * u + c.take(unit))
-        v = v * alpha.take(unit) / (a / (us * us) + b)
+        k = np.floor((2.0 * a / us + b) * u + c)
+        v = v * alpha / (a / (us * us) + b)
     km = np.abs(k - m)
-    accept = (k >= 0.0) & (k <= n.take(unit))
+    accept = (k >= 0.0) & (k <= n)
     # Step 3.2, far from the mode: the squeeze (v = 0 is accepted).
     far = np.flatnonzero(accept & (km > 15.0))
-    km_f, npq_f = km.take(far), npq.take(unit.take(far))
+    km_f, npq_f = km.take(far), npq.take(far)
     with np.errstate(divide="ignore"):
         log_v = np.log(v)
     log_f = log_v.take(far)
@@ -366,12 +352,14 @@ def _btrd(seed: int, draws, unit, attempt: int, n, p):
     # passes.)
     exact = np.concatenate([np.flatnonzero(accept & (km <= 15.0)),
                             far.take(np.flatnonzero((log_f >= t - rho) & (log_f <= t + rho)))])
-    k_e, unit = k.take(exact), unit.take(exact)
-    n_e = n.take(unit)
-    nk = n_e - k_e + 1.0
+    k_e, n, m, p = (x.take(exact) for x in (k, n, m, p))
+    r = p / (1.0 - p)
+    nm = n - m + 1.0
+    h = (m + 0.5) * np.log((m + 1.0) / (r * nm)) + _fc(m) + _fc(n - m)
+    nk = n - k_e + 1.0
     accept[exact] = log_v.take(exact) <= (
-        h.take(unit) + (n_e + 1.0) * np.log(nm.take(unit) / nk)
-        + (k_e + 0.5) * np.log(nk * r.take(unit) / (k_e + 1.0)) - _fc(k_e) - _fc(n_e - k_e)
+        h + (n + 1.0) * np.log(nm / nk)
+        + (k_e + 0.5) * np.log(nk * r / (k_e + 1.0)) - _fc(k_e) - _fc(n - k_e)
     )
     out[slow] = k
     return out, slow.take(np.flatnonzero(~accept))

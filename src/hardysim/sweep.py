@@ -67,6 +67,10 @@ ENGINE_BYTES_PER_POINT = 1700
 # this rate is rejected before the engine runs.
 SAMPLE_BYTES_PER_RUN = 16
 
+# How many statistical errors a measured epsilon must clear above the error
+# floor to pass (`metrics --k-sigma`).
+DEFAULT_K_SIGMA = 3.0
+
 # Reference angle (degrees) for the peak measure: the diagonal parameter
 # maximizing q, quoted at the customary 51.827.
 REFERENCE_ANGLE_DEG = 51.827
@@ -282,7 +286,7 @@ def metric_fluctuation(table: SweepTable) -> tuple[float, float]:
 def performance_report(
     table: SweepTable,
     baseline: float | None = None,
-    k_sigma: float = 3.0,
+    k_sigma: float = DEFAULT_K_SIGMA,
     rho_deg: float = REFERENCE_ANGLE_DEG,
 ) -> dict:
     """The three performance measures of a finished sweep and the decisions behind them.

@@ -1,5 +1,6 @@
 """Noise-layer tests: channels, hardware circuit, sampling, epsilon estimates."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -364,6 +365,14 @@ def sampled(p, points, shots, runs=1, seed=0, block=_BLOCK_DRAWS):
     return _sample_counts(np.full((points, 4), p), ShotConfig(shots, runs, seed), block)
 
 
+def every_branch():
+    """40 points whose flagged probabilities reach every branch of the sampler."""
+    rng = np.random.default_rng(12)
+    p_flag = rng.choice([0.0, 1.0, 1e-17, 2e-4, 0.003, 0.02, 0.09, 0.5, 0.7, 0.999],
+                        size=(40, 4))
+    return p_flag, ShotConfig(8192, 3, seed=9)
+
+
 class TestShotSampler:
     def test_splitmix64_matches_python_ints(self):
         assert splitmix64_reference(0, 1) == 0xE220A8397B1DCDAF
@@ -420,13 +429,17 @@ class TestShotSampler:
         assert abs(counts[0, 3] / n - 0.5) <= 1e-8
 
     def test_counts_do_not_depend_on_the_block_size(self):
-        rng = np.random.default_rng(12)
-        p_flag = rng.choice([0.0, 1.0, 1e-17, 2e-4, 0.003, 0.02, 0.09, 0.5, 0.7, 0.999],
-                            size=(40, 4))
-        cfg = ShotConfig(8192, 3, seed=9)
+        p_flag, cfg = every_branch()
         default = _sample_counts(p_flag, cfg)
         for block in (1, 7):
             np.testing.assert_array_equal(_sample_counts(p_flag, cfg, block), default)
+
+    def test_counts_are_pinned_on_every_branch(self):
+        # 62 inversion and 163 BTRD draws over attempts 0-2, p = 0, p = 1 and
+        # flips at 0.7 and 0.999: a changed bit on any branch changes the digest
+        counts = _sample_counts(*every_branch())
+        digest = hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest()
+        assert digest == "03d8de91307ca403a48231a9750496667bbb87da0fd3e4da2dfd598549fe5fd3"
 
     def test_other_points_keep_their_counts(self):
         rng = np.random.default_rng(13)
