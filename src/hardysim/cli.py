@@ -1,9 +1,9 @@
 """Command-line front end: probe, sweep, metrics, reduced, validate.
 
 Angles are degrees here and throughout `sweep`; its `measure_points`
-converts them to radians for `engine`, `hardy` and `gates` (`probe`
-converts its point for the concurrence).  A radians flag is deliberately
-omitted to avoid dual-unit bugs.  Exit codes:
+reduces them exactly modulo 360 and converts them to radians for `engine`,
+`hardy` and `gates` (`probe` does the same for the concurrence).  A radians
+flag is deliberately omitted to avoid dual-unit bugs.  Exit codes:
 0 success, 1 usage error, 2 I/O or input-file error, 3 validation failure.
 """
 
@@ -109,7 +109,7 @@ def _cmd_probe(args, out) -> int:
     noise = _resolve_noise(args.noise)
     cfg = _resolve_shots(args)
     try:
-        check_runs(1, cfg)
+        check_runs(cfg)
     except ValueError as exc:
         raise _flag_error(exc) from exc
     table, stat_err, eps5_per_run = measure_points([theta], [phi], noise, cfg)
@@ -117,7 +117,7 @@ def _cmd_probe(args, out) -> int:
     _print_kv(out, "theta_deg", theta)
     _print_kv(out, "phi_deg", phi)
     _print_kv(out, "class", table.kind[0])
-    _print_kv(out, "concurrence", float(concurrence(math.radians(theta), math.radians(phi))))
+    _print_kv(out, "concurrence", float(concurrence(*np.radians(np.fmod([theta, phi], 360.0)))))
     _print_kv(out, "q_theory", q)
     for i in range(3):
         _print_kv(out, f"eps{i + 1}", eps[i])
@@ -136,9 +136,10 @@ def _cmd_sweep(args, out) -> int:
     _require_finite(start=args.start_deg, stop=args.stop_deg, step=args.step)
     noise = _resolve_noise(args.noise)
     cfg = _resolve_shots(args)
+    if cfg:  # only pooled counts are read: R Binomial(S, p) counts sum to one Binomial(S R, p)
+        cfg = ShotConfig(cfg.shots_per_run * cfg.runs, 1, cfg.seed)
     try:
         angles = sweep_angles(args.mode, args.start_deg, args.stop_deg, args.step)
-        check_runs(len(angles[0]), cfg)
     except ValueError as exc:
         raise _flag_error(exc) from exc
     table = measure_points(*angles, noise, cfg)[0]

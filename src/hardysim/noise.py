@@ -142,12 +142,13 @@ def estimate_batch(dists, cfg: ShotConfig | None) -> tuple[np.ndarray, np.ndarra
     With cfg=None the infinite-shot limit is returned: the exact flagged
     entries, zero errors and one "run".  Otherwise only the flagged cell of
     each experiment is counted, and that cell alone is exactly binomial.
-    Experiments 1-3 are each one draw of Binomial(shots_per_run * runs,
-    p_flag), the pooled count; experiment 4 is `runs` draws of
-    Binomial(shots_per_run, p_flag), and eps5 is their mean.  Each point's
-    counts depend only on cfg, its index and its own p_flag (see
-    `_sample_counts`).  The distributions are the engine's, already checked;
-    they are only clipped at 0 and renormalised.
+    The draws are laid out here alone: point i draws (3 + runs) i + s, where
+    slots 0-2 pool experiments 1-3, Binomial(shots_per_run * runs, p_flag),
+    and slots 3 on are experiment 4's runs, Binomial(shots_per_run, p_flag),
+    whose mean is eps5 (a sweep, at runs = 1, draws 4 i + e).  Each point's
+    counts depend only on cfg, its index and its own p_flag.  The
+    distributions are the engine's, already checked; they are only clipped
+    at 0 and renormalised.
     """
     dists = np.asarray(dists, dtype=np.float64)
     flagged = dists[:, np.arange(4), FLAGGED_OUTCOME]
@@ -155,8 +156,11 @@ def estimate_batch(dists, cfg: ShotConfig | None) -> tuple[np.ndarray, np.ndarra
         eps = np.clip(flagged, 0.0, 1.0)
         return eps, np.zeros_like(eps), eps[:, 3:].copy()
     p_flag = np.clip(flagged, 0.0, None) / np.clip(dists, 0.0, None).sum(axis=-1)
-    counts = _sample_counts(p_flag, cfg)
     total = cfg.shots_per_run * cfg.runs
+    p = np.repeat(p_flag, [1, 1, 1, cfg.runs], axis=1)
+    n = np.full(p.shape, cfg.shots_per_run, dtype=np.int64)
+    n[:, :3] = total
+    counts = _sample_counts(cfg.seed, n.ravel(), p.ravel()).reshape(p.shape)
     eps = np.empty_like(p_flag)
     eps[:, :3] = counts[:, :3] / total
     eps[:, 3] = counts[:, 3:].sum(axis=-1) / total
@@ -167,7 +171,7 @@ def estimate_batch(dists, cfg: ShotConfig | None) -> tuple[np.ndarray, np.ndarra
 # Shot sampling without numpy.random.  Uniform k of a command is
 # splitmix64_mix(seed + k * _GAMMA) >> 11 times 2**-53 (SplitMix64, Steele,
 # Lea & Flood, OOPSLA 2014, used as a counter hash).  Draw d of a command
-# (point i, slot s: d = i * (3 + runs) + s) reads its uniforms at counters
+# (laid out by estimate_batch) reads its uniforms at counters
 # (d << 17) | (attempt << 1) | which (distinct while d < 2**47, far more
 # draws than memory holds), so each count depends only on the seed, d and its
 # own (n, p), whatever the blocks.  Every uint64 constant and shift
@@ -205,47 +209,38 @@ def _uniforms(seed: int, draws: np.ndarray, attempt: int, which: int) -> np.ndar
     return (splitmix64_mix(z) >> np.uint64(11)) * 2.0**-53
 
 
-def _sample_counts(p_flag: np.ndarray, cfg: ShotConfig, block: int = _BLOCK_DRAWS) -> np.ndarray:
-    """Flagged counts, int64 of shape (N, 3 + runs): per point the pooled counts of
-    experiments 1-3, then the per-run counts of experiment 4.
+def _sample_counts(seed: int, n: np.ndarray, p: np.ndarray, block: int = _BLOCK_DRAWS):
+    """Int64 counts of the flat int64 `n` and float64 `p`: count d is
+    Binomial(n[d], p[d]), drawn at counter d.
 
     Attempts go in passes: pass a makes attempt a of every draw still
     pending, in blocks of `block` draws, and leaves the draws it rejects to
     the next pass.  A count does not depend on the blocks or the passes.
     """
-    shots, runs = cfg.shots_per_run, cfg.runs
-    slots = 3 + runs
-    n = np.array([shots * runs] * 3 + [shots], dtype=np.int64)
-    counts = np.empty(len(p_flag) * slots, dtype=np.int64)
-    p_flag = p_flag.ravel()  # one copy, where p_flag is not C-ordered
-    blocks = (np.arange(lo, min(lo + block, counts.size)) for lo in range(0, counts.size, block))
+    counts = np.empty(p.size, dtype=np.int64)
+    blocks = (np.arange(lo, min(lo + block, p.size)) for lo in range(0, p.size, block))
     attempt = 0
     while True:
         rejected = [np.zeros(0, dtype=np.intp)]
         for draws in blocks:
-            x, again = _binomial(cfg.seed, draws, slots, n, p_flag, attempt)
+            x, again = _binomial(seed, draws, n.take(draws), p.take(draws), attempt)
             counts[draws] = x
             rejected.append(draws.take(again))
         pending = np.concatenate(rejected)
         if not pending.size:
-            return counts.reshape(-1, slots)
+            return counts
         attempt += 1
         blocks = (pending[lo : lo + block] for lo in range(0, pending.size, block))
 
 
-def _binomial(seed: int, draws, slots: int, n, p_flag, attempt: int):
-    """Attempt `attempt` of each of `draws`, Binomial(n[e], p_flag[4 i + e]) for
-    draw d = i * slots + s, experiment e = min(s, 3): (int64 counts, the positions of
-    the draws it rejects).
+def _binomial(seed: int, draws, n, p, attempt: int):
+    """Attempt `attempt` of each of `draws`, Binomial(n, p) with each draw's own
+    n and p: (int64 counts, the positions of the draws it rejects).
 
-    Each draw carries its own (n, p).  p > 0.5 draws n - Binomial(n, 1 - p),
-    in int64, so p = 1 gives exactly n; p = 0 gives 0 and draws nothing.
-    n p < 10 takes sequential inversion, the rest Hormann's BTRD.
+    p > 0.5 draws n - Binomial(n, 1 - p), in int64, so p = 1 gives exactly
+    n; p = 0 gives 0 and draws nothing.  n p < 10 takes sequential
+    inversion, the rest Hormann's BTRD.
     """
-    point, slot = np.divmod(draws, slots)
-    np.minimum(slot, 3, out=slot)
-    n = n.take(slot)
-    p = p_flag.take(point * 4 + slot)
     flip = p > 0.5
     p = np.where(flip, 1.0 - p, p)
     nf = n.astype(np.float64)

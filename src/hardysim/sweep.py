@@ -59,13 +59,14 @@ _SENTINEL = "0,0,0,0,0,0,0,0,0,PS"  # a valid row; see _parse
 # rate is rejected before it is built.
 ENGINE_BYTES_PER_POINT = 1700
 
-# Memory of a sampled batch per point and run, in bytes: estimate_batch's
-# int64 counts of experiment 4's runs (8) and their float64 frequencies (8);
-# experiments 1-3 are drawn pooled, once per point.  tracemalloc's peak of
-# estimate_batch grows by 16.0 bytes per point and run from 100 to 400 runs
-# of a 1-degree surface.  A batch needing more than the physical memory at
-# this rate is rejected before the engine runs.
-SAMPLE_BYTES_PER_RUN = 16
+# Memory of probe's draws per run, in bytes: estimate_batch's per-draw int64
+# n and float64 p, the int64 counts and experiment 4's float64 frequencies.
+# tracemalloc's peak of estimate_batch at one point grows by 32.0 bytes per
+# run from 10**6 to 4 * 10**6 runs.  A sweep draws 4 pooled counts per point
+# whatever the runs (see cli._cmd_sweep), so only probe is checked: runs
+# needing more than the physical memory at this rate are rejected before the
+# engine runs.
+SAMPLE_BYTES_PER_RUN = 32
 
 # How many statistical errors a measured epsilon must clear above the error
 # floor to pass (`metrics --k-sigma`).
@@ -150,14 +151,14 @@ def _physical_memory() -> int | None:
         return None
 
 
-def check_runs(points: int, cfg: ShotConfig | None) -> None:
-    """Reject `cfg`'s runs at `points` points when their draws would need more than the
+def check_runs(cfg: ShotConfig | None) -> None:
+    """Reject `cfg`'s runs when their draws at one point would need more than the
     physical memory at SAMPLE_BYTES_PER_RUN; exact (cfg None) draws nothing."""
     memory = _physical_memory()
     if cfg is None or memory is None:
         return
-    if points * cfg.runs * SAMPLE_BYTES_PER_RUN > memory:
-        raise ValueError(f"runs {cfg.runs} gives too many draws ({points * cfg.runs:.3g})")
+    if cfg.runs * SAMPLE_BYTES_PER_RUN > memory:
+        raise ValueError(f"runs {cfg.runs} gives too many draws ({cfg.runs:.3g})")
 
 
 def substitute_singular(point_deg: float) -> float:
@@ -204,7 +205,8 @@ def measure_points(
     theta_deg, phi_deg, noise: NoiseModel, cfg: ShotConfig | None
 ) -> tuple[SweepTable, np.ndarray, np.ndarray]:
     """One engine batch and one estimate batch for paired angle arrays (degrees,
-    converted here to the radians of `engine` and `hardy`).
+    reduced exactly modulo 360 and converted here to the radians of `engine`
+    and `hardy`).
 
     Returns (table, stat_err, eps5_per_run): the table, then the statistical
     errors of all four columns of table.eps and the fourth experiment's
@@ -216,7 +218,7 @@ def measure_points(
     phi_deg = np.asarray(phi_deg, dtype=np.float64)
     if not (theta_deg.size and phi_deg.size):
         raise ValueError("no sweep points")
-    theta, phi = np.radians(theta_deg), np.radians(phi_deg)
+    theta, phi = np.radians(np.fmod(theta_deg, 360.0)), np.radians(np.fmod(phi_deg, 360.0))
     dists = experiment_distributions(theta, phi, noise)
     eps, stat_err, eps5_per_run = estimate_batch(dists, cfg)
     table = SweepTable(

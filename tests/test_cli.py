@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hardysim
-from hardysim import sweep
+from hardysim import noise, sweep
 from hardysim.cli import (
     _COMMANDS,
     EXIT_IO,
@@ -105,6 +105,14 @@ class TestProbe:
         for key in ("eps1", "eps2", "eps3"):
             assert abs(float(values[key])) <= 1e-12
         assert values["eps5"] == values["q_theory"]
+
+    def test_huge_angle_is_reduced_exactly(self):
+        # 1e308 is 296 modulo 360 exactly; np.radians(1e308) would lose the angle
+        huge = run_cli(["probe", "1e308", "1"])
+        reduced = run_cli(["probe", "296", "1"])
+        assert huge[0] == reduced[0] == EXIT_OK
+        assert huge[1].replace("theta_deg=1e+308\n", "theta_deg=296\n", 1) == reduced[1]
+        assert kv(reduced[1])["q_theory"] == "4.72813106e-05"
 
     def test_default_noise_profile_flag(self):
         code, text = run_cli(["probe", "51.827", "51.827", "--noise", "default", "--shots", "0"])
@@ -282,29 +290,32 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"usage error: --step 1 gives too many points ({count})\n"
         assert not path.exists()
 
-    @pytest.mark.parametrize(
-        "argv,draws",
-        [
-            (["probe", "40", "40", "--noise", "default", "--runs", "100000"], "1e+05"),
-            (["sweep", "diagonal", "--step", "5", "--runs", "10000"], "1.9e+05"),
-        ],
-    )
-    def test_runs_beyond_physical_memory_is_usage_error(
-        self, tmp_path, capsys, monkeypatch, argv, draws
-    ):
-        # 1 MB holds the grid but not the runs' counts; neither the engine nor a draw runs
+    def test_runs_beyond_physical_memory_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # 1 MB holds the point but not the runs' counts; neither the engine nor a draw runs
         def ran(*args, **kwargs):
             raise AssertionError("engine ran")
 
         monkeypatch.setattr(sweep, "_physical_memory", lambda: 10**6)
         monkeypatch.setattr(sweep, "experiment_distributions", ran)
         path = tmp_path / "x.csv"
+        argv = ["probe", "40", "40", "--noise", "default", "--runs", "100000"]
         code, text = run_cli([*argv, "--out", str(path)])
         assert code == EXIT_USAGE
         assert text == ""
         err = capsys.readouterr().err
-        assert err == f"usage error: --runs {argv[-1]} gives too many draws ({draws})\n"
+        assert err == "usage error: --runs 100000 gives too many draws (1e+05)\n"
         assert not path.exists()
+
+    def test_sweep_runs_need_no_memory_per_run(self, tmp_path, monkeypatch):
+        # a sweep draws 4 pooled counts per point whatever --runs is, so the
+        # 1 MB that refuses probe's 100000 runs holds 19 points at 10000
+        monkeypatch.setattr(sweep, "_physical_memory", lambda: 10**6)
+        path = tmp_path / "x.csv"
+        code, text = run_cli(["sweep", "diagonal", "--step", "5", "--runs", "10000",
+                              "--out", str(path)])
+        assert code == EXIT_OK
+        assert text == f"wrote 19 rows to {path}\n"
+        assert len(path.read_text().splitlines()) == 1 + 19
 
     def test_metrics_on_two_rows_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "tiny.csv"
@@ -380,9 +391,10 @@ class TestGoldenOutputs:
 
     The exact CSV was saved from the per-gate Kraus implementation, the
     sampled one from the counter-based sampler (SplitMix64 uniforms,
-    inversion and BTRD, experiments 1-3 drawn pooled) after every epsilon
-    was checked within 6 sigma of the `--shots 0` values (the worst cell
-    lies at 3.25 sigma).  The metrics lines were saved from the per-row
+    inversion and BTRD, each experiment one pooled draw per point), whose
+    every epsilon lies within 6 sigma of the `--shots 0` values (the worst
+    cell at 3.36 sigma; test_sampled_golden_is_within_6_sigma_of_exact
+    checks it).  The metrics lines were saved from the per-row
     implementation, before the columnar table, with the zero_condition_max
     line appended when it was added; their input is the sampled CSV of the
     earlier per-run multinomial sampler.
@@ -403,6 +415,20 @@ class TestGoldenOutputs:
         out = tmp_path / name
         assert run_cli([*argv, "--out", str(out)])[0] == EXIT_OK
         assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+    def test_sampled_golden_is_within_6_sigma_of_exact(self, tmp_path):
+        # checks every regeneration of the sampled golden against the exact
+        # sweep it samples: sigma = sqrt(p (1 - p) / (shots * runs))
+        exact = tmp_path / "exact.csv"
+        argv = ["sweep", "diagonal", "--from", "0", "--to", "90", "--step", "5",
+                "--noise", "default", "--shots", "0", "--out", str(exact)]
+        assert run_cli(argv)[0] == EXIT_OK
+        expected = sweep.read_csv(exact)
+        golden = sweep.read_csv(GOLDEN_DIR / "diagonal_5deg_sampled_default_seed7_binomial.csv")
+        np.testing.assert_array_equal(golden.theta_deg, expected.theta_deg)
+        p = expected.eps
+        sigma = np.sqrt(p * (1.0 - p) / (8192 * 10))
+        assert np.all(np.abs(golden.eps - p) <= 6.0 * sigma)
 
     # Unequal gate and readout rates, so a swapped qubit mapping of any
     # rate changes the output; stdout saved from the four-matrix noise model.
@@ -514,6 +540,33 @@ class TestSweepCommand:
         assert run_cli(args + [str(a)])[0] == EXIT_OK
         assert run_cli(args + [str(b)])[0] == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    def test_sampled_sweep_depends_on_shots_times_runs(self, tmp_path):
+        # a sweep draws each pooled count once, so only the product of --shots
+        # and --runs reaches its bytes
+        base = ["sweep", "diagonal", "--step", "5", "--noise", "default", "--seed", "3"]
+        outputs = []
+        for shots, runs in (("8192", "10"), ("81920", "1"), ("4096", "20")):
+            path = tmp_path / f"{shots}x{runs}.csv"
+            argv = [*base, "--shots", shots, "--runs", runs, "--out", str(path)]
+            assert run_cli(argv)[0] == EXIT_OK
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_sweep_draws_four_counts_per_point(self, tmp_path, monkeypatch):
+        sizes = []
+
+        def counted(seed, n, p, *rest):
+            sizes.append(p.size)
+            np.testing.assert_array_equal(n, 8192 * 10)
+            return sample_counts(seed, n, p, *rest)
+
+        sample_counts = noise._sample_counts
+        monkeypatch.setattr(noise, "_sample_counts", counted)
+        path = tmp_path / "x.csv"
+        argv = ["sweep", "diagonal", "--step", "5", "--noise", "default", "--out", str(path)]
+        assert run_cli(argv)[0] == EXIT_OK
+        assert sizes == [4 * 19]
 
     def test_seed_changes_sampled_output(self, tmp_path):
         base = ["sweep", "diagonal", "--from", "40", "--to", "60", "--step", "10",

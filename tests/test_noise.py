@@ -360,17 +360,26 @@ def chi_square_limit(dof, z=3.719):
     return dof * (1.0 - 2.0 / (9.0 * dof) + z * math.sqrt(2.0 / (9.0 * dof))) ** 3
 
 
-def sampled(p, points, shots, runs=1, seed=0, block=_BLOCK_DRAWS):
-    """_sample_counts of `points` points whose four experiments all flag with p."""
-    return _sample_counts(np.full((points, 4), p), ShotConfig(shots, runs, seed), block)
+def sampled(p, points, n, seed=0, block=_BLOCK_DRAWS):
+    """A sweep's draws at `points` points whose four experiments all flag with p:
+    4 x points counts of Binomial(n, p)."""
+    return _sample_counts(seed, np.full(4 * points, n), np.full(4 * points, p), block)
+
+
+def per_run_layout(p_flag, shots, runs):
+    """(n, p) of estimate_batch's draws for p_flag of shape (N, 4): per point
+    experiments 1-3 pooled, then experiment 4 once per run."""
+    n = np.tile(np.array([shots * runs] * 3 + [shots] * runs, dtype=np.int64), len(p_flag))
+    return n, p_flag[:, [0, 1, 2] + [3] * runs].ravel()
 
 
 def every_branch():
-    """40 points whose flagged probabilities reach every branch of the sampler."""
+    """(seed, n, p) of 40 points at 3 runs whose flagged probabilities reach
+    every branch of the sampler."""
     rng = np.random.default_rng(12)
     p_flag = rng.choice([0.0, 1.0, 1e-17, 2e-4, 0.003, 0.02, 0.09, 0.5, 0.7, 0.999],
                         size=(40, 4))
-    return p_flag, ShotConfig(8192, 3, seed=9)
+    return (9, *per_run_layout(p_flag, 8192, 3))
 
 
 class TestShotSampler:
@@ -409,30 +418,29 @@ class TestShotSampler:
         ],
     )
     def test_counts_follow_the_binomial_pmf(self, n, p, points):
-        # with one run every slot draws Binomial(shots, p): 4 draws per point
-        counts = sampled(p, points, n, seed=11).ravel()
+        counts = sampled(p, points, n, seed=11)
         statistic, dof = chi_square(counts, binomial_pmf(n, p))
         assert statistic <= chi_square_limit(dof)
 
     def test_single_shots_are_bernoulli(self):
-        bits = sampled(0.3, 20000, 1, seed=3).ravel()
+        bits = sampled(0.3, 20000, 1, seed=3)
         assert set(np.unique(bits)) == {0, 1}
         assert abs(bits.mean() - 0.3) <= 5 * math.sqrt(0.3 * 0.7 / bits.size)
 
     def test_largest_pooled_total_draws_without_warnings(self):
         # pytest turns warnings into errors: no overflow, cast or divide warning
         n = 2**63 - 1
-        counts = _sample_counts(np.array([[0.0, 1.0, 1e-18, 0.5]]), ShotConfig(n, 1, seed=4))
+        counts = _sample_counts(4, np.full(4, n), np.array([0.0, 1.0, 1e-18, 0.5]))
         assert counts.dtype == np.int64
-        assert counts[0, :2].tolist() == [0, n]
-        assert 0 <= counts[0, 2] <= 60
-        assert abs(counts[0, 3] / n - 0.5) <= 1e-8
+        assert counts[:2].tolist() == [0, n]
+        assert 0 <= counts[2] <= 60
+        assert abs(counts[3] / n - 0.5) <= 1e-8
 
     def test_counts_do_not_depend_on_the_block_size(self):
-        p_flag, cfg = every_branch()
-        default = _sample_counts(p_flag, cfg)
+        draws = every_branch()
+        default = _sample_counts(*draws)
         for block in (1, 7):
-            np.testing.assert_array_equal(_sample_counts(p_flag, cfg, block), default)
+            np.testing.assert_array_equal(_sample_counts(*draws, block), default)
 
     def test_counts_are_pinned_on_every_branch(self):
         # 62 inversion and 163 BTRD draws over attempts 0-2, p = 0, p = 1 and
@@ -441,13 +449,24 @@ class TestShotSampler:
         digest = hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest()
         assert digest == "03d8de91307ca403a48231a9750496667bbb87da0fd3e4da2dfd598549fe5fd3"
 
+    def test_estimate_batch_lays_out_per_run_draws(self):
+        # probe's counts: per point the pooled experiments 1-3, then
+        # experiment 4 once per run, at consecutive counters
+        p_flag = np.random.default_rng(14).integers(0, 205, size=(5, 4)) / 1024  # 1 - p exact
+        dists = np.zeros((5, 4, 4))
+        dists[:, range(4), FLAGGED_OUTCOME] = p_flag
+        dists[:, range(4), (np.array(FLAGGED_OUTCOME) + 1) % 4] = 1.0 - p_flag
+        eps, _, per_run = estimate_batch(dists, ShotConfig(1000, 6, seed=2))
+        counts = _sample_counts(2, *per_run_layout(p_flag, 1000, 6)).reshape(5, 9)
+        np.testing.assert_array_equal(eps[:, :3], counts[:, :3] / 6000)
+        np.testing.assert_array_equal(per_run, counts[:, 3:] / 1000)
+
     def test_other_points_keep_their_counts(self):
         rng = np.random.default_rng(13)
         p_flag = rng.uniform(0.0, 0.2, size=(30, 4))
-        cfg = ShotConfig(8192, 10, seed=6)
-        before = _sample_counts(p_flag, cfg)
+        before = _sample_counts(6, *per_run_layout(p_flag, 8192, 10)).reshape(30, 13)
         p_flag[7] = [0.5, 0.0, 1e-3, 0.95]
-        after = _sample_counts(p_flag, cfg)
+        after = _sample_counts(6, *per_run_layout(p_flag, 8192, 10)).reshape(30, 13)
         others = np.arange(30) != 7
         np.testing.assert_array_equal(after[others], before[others])
         assert not np.array_equal(after[7], before[7])
