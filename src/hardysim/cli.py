@@ -45,7 +45,7 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_VALIDATION = 3
 
-# ShotConfig's and grid_degrees's messages name their fields; the CLI reports flags.
+# ShotConfig's and sweep_angles's messages name their fields; the CLI reports flags.
 _FLAG_OF_FIELD = {"shots_per_run": "--shots", "runs": "--runs", "seed": "--seed",
                   "start": "--from", "stop": "--to", "step": "--step"}
 
@@ -99,7 +99,7 @@ def _require_finite(**angles) -> None:
 def _cmd_probe(args, out) -> int:
     _require_finite(theta_deg=args.theta_deg, phi_deg=args.phi_deg)
     # Only theta hits the tan singularity; phi = 90 is a regular point.
-    theta = substitute_singular(args.theta_deg)
+    theta = float(substitute_singular(args.theta_deg))
     phi = args.phi_deg
     if theta != args.theta_deg:
         print(

@@ -209,14 +209,15 @@ def _uniforms(seed: int, draws: np.ndarray, attempt: int, which: int) -> np.ndar
     return (splitmix64_mix(z) >> np.uint64(11)) * 2.0**-53
 
 
-def _sample_counts(seed: int, n: np.ndarray, p: np.ndarray, block: int = _BLOCK_DRAWS):
+def _sample_counts(seed: int, n: np.ndarray, p: np.ndarray):
     """Int64 counts of the flat int64 `n` and float64 `p`: count d is
     Binomial(n[d], p[d]), drawn at counter d.
 
     Attempts go in passes: pass a makes attempt a of every draw still
-    pending, in blocks of `block` draws, and leaves the draws it rejects to
-    the next pass.  A count does not depend on the blocks or the passes.
+    pending, in blocks of _BLOCK_DRAWS draws, and leaves the draws it rejects
+    to the next pass.  A count does not depend on the blocks or the passes.
     """
+    block = _BLOCK_DRAWS
     counts = np.empty(p.size, dtype=np.int64)
     blocks = (np.arange(lo, min(lo + block, p.size)) for lo in range(0, p.size, block))
     attempt = 0

@@ -2,8 +2,11 @@
 
 Every sweep takes one path, sweep_angles then measure_points (one engine and
 one estimate batch), and is one SweepTable, a column per quantity and a row
-per grid point.  Rows stay in sweep order (no internal sorting) so plotted
-curves match the swept axis directly.  The CSV interface is fixed:
+per grid point.  sweep_angles is the one grid builder: it checks the range
+and the size and moves theta off the tan singularity by one array rule,
+substitute_singular, that probe applies to its one angle too.  Rows stay in
+sweep order (no internal sorting) so plotted curves match the swept axis
+directly.  The CSV interface is fixed:
 
     theta_deg,phi_deg,q_theory,eps1,eps2,eps3,eps5,eps4_est,stat_err,class
 
@@ -116,33 +119,6 @@ class SweepTable:
         return self.eps5 - self.q
 
 
-def grid_degrees(start: float, stop: float, step: float, axes: int = 1) -> np.ndarray:
-    """Inclusive degree grid start, start+step, ..., stop; never beyond stop.
-
-    Whole steps that fit (within 1e-9 of a step) come first; when the last
-    of them falls short of stop, stop itself is appended.  A grid numpy
-    cannot index (or an infinite one) is rejected before it is built, as is
-    one whose sweep over `axes` such axes (len ** axes points) would need
-    more than the physical memory at ENGINE_BYTES_PER_POINT; one numpy
-    cannot allocate is rejected when the allocation fails.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if stop < start:
-        raise ValueError("stop must be >= start")
-    span = (stop - start) / step + 1e-9
-    if not span < np.iinfo(np.intp).max:
-        raise ValueError(f"step {step:g} gives too many points ({span:.3g})")
-    count = math.floor(span)
-    short = start + step * count < stop - 1e-9
-    points = (count + 1 + short) ** axes
-    memory = _physical_memory()
-    if memory is not None and points * ENGINE_BYTES_PER_POINT > memory:
-        raise ValueError(f"step {step:g} gives too many points ({points:.3g})")
-    grid = _allocate(step, span, lambda: start + step * np.arange(count + 1))
-    return np.append(grid, stop) if short else grid
-
-
 def _physical_memory() -> int | None:
     """Bytes of physical memory, or None where the system does not report it."""
     try:
@@ -161,44 +137,64 @@ def check_runs(cfg: ShotConfig | None) -> None:
         raise ValueError(f"runs {cfg.runs} gives too many draws ({cfg.runs:.3g})")
 
 
-def substitute_singular(point_deg: float) -> float:
-    """Replace angles on the tan singularity (90, 270, ...) by 0.01 deg less."""
-    if abs(math.remainder(point_deg, 180.0)) > 90.0 - 1e-9:
-        return point_deg - 0.01
-    return point_deg
+def substitute_singular(theta_deg) -> np.ndarray:
+    """theta_deg (degrees, an array or a number) with each angle on the tan
+    singularity (within 1e-9 of 90, 270, ...) moved 0.01 down.
+
+    The test is exact: IEEE's remainder r modulo 180 is fmod's f, less 180
+    with f's sign where |f| > 90, and an angle is singular when |r| > 90 - 1e-9.
+    """
+    theta_deg = np.asarray(theta_deg, dtype=np.float64)
+    f = np.fmod(theta_deg, 180.0)
+    r = np.where(np.abs(f) > 90.0, f - np.copysign(180.0, f), f)
+    return np.where(np.abs(r) > 90.0 - 1e-9, theta_deg - 0.01, theta_deg)
 
 
 def sweep_angles(
     mode: str, start_deg: float, stop_deg: float, step_deg: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(theta_deg, phi_deg) of a `diagonal` or `surface` sweep over grid_degrees.
+    """(theta_deg, phi_deg) of a `diagonal` or `surface` sweep of the inclusive
+    grid start_deg, start_deg + step_deg, ..., stop_deg, never beyond stop_deg.
 
-    theta's points go through substitute_singular, dropping a substitute not
-    above the theta before it; a surface is row-major, phi unsubstituted.
+    Whole steps that fit (within 1e-9 of a step) come first; when the last of
+    them falls short of stop_deg, stop_deg itself is appended.  theta is the
+    grid through substitute_singular, less each substitute not above the
+    theta before it; a diagonal pairs theta with itself, a surface is
+    row-major over theta x grid, phi unsubstituted.  A grid numpy cannot
+    index (or an infinite one) is rejected before it is built, as is one whose
+    points (the grid's length, squared for a surface) would need more than
+    the physical memory at ENGINE_BYTES_PER_POINT; one numpy cannot allocate
+    is rejected when the allocation fails.
     """
     if mode not in ("diagonal", "surface"):
         raise ValueError(f"unknown sweep mode {mode!r}")
-    grid = grid_degrees(start_deg, stop_deg, step_deg, 1 if mode == "diagonal" else 2).tolist()
-    theta = []
-    for point, substitute in zip(grid, map(substitute_singular, grid)):
-        if substitute == point or not theta or substitute > theta[-1]:
-            theta.append(substitute)
-    if mode == "diagonal":
-        return np.array(theta), np.array(theta)
-    return _allocate(
-        step_deg,
-        len(theta) * len(grid),
-        lambda: (np.repeat(theta, len(grid)), np.tile(grid, len(theta))),
-    )
-
-
-def _allocate(step: float, count: float, build):
-    """build() of a grid of `count` points; numpy refusing its size or running out
-    of memory is the usage error of a too fine step."""
+    if step_deg <= 0:
+        raise ValueError("step must be positive")
+    if stop_deg < start_deg:
+        raise ValueError("stop must be >= start")
+    span = (stop_deg - start_deg) / step_deg + 1e-9
+    if not span < np.iinfo(np.intp).max:
+        raise ValueError(f"step {step_deg:g} gives too many points ({span:.3g})")
+    count = math.floor(span)
+    short = start_deg + step_deg * count < stop_deg - 1e-9
+    points = (count + 1 + short) ** (1 if mode == "diagonal" else 2)
+    memory = _physical_memory()
+    if memory is not None and points * ENGINE_BYTES_PER_POINT > memory:
+        raise ValueError(f"step {step_deg:g} gives too many points ({points:.3g})")
+    size = span  # what the failing allocation would have held, for the message
     try:
-        return build()
+        grid = start_deg + step_deg * np.arange(count + 1, dtype=np.float64)
+        if short:
+            grid = np.append(grid, stop_deg)
+        theta = substitute_singular(grid)
+        earlier = np.maximum.accumulate(np.append(-np.inf, theta[:-1]))
+        theta = theta[(theta == grid) | (theta > earlier)]
+        if mode == "diagonal":
+            return theta, theta
+        size = theta.size * grid.size
+        return np.repeat(theta, grid.size), np.tile(grid, theta.size)
     except (MemoryError, ValueError) as exc:
-        raise ValueError(f"step {step:g} gives too many points ({count:.3g})") from exc
+        raise ValueError(f"step {step_deg:g} gives too many points ({size:.3g})") from exc
 
 
 def measure_points(

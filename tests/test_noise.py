@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import kraus_reference as ref
+from hardysim import noise
 from hardysim.engine import (
     CX,
     EXPERIMENT_SETTINGS,
@@ -18,7 +19,6 @@ from hardysim.engine import (
 )
 from hardysim.hardy import analytic_q, chi_of, optimal_angles
 from hardysim.noise import (
-    _BLOCK_DRAWS,
     NoiseModel,
     ProfileError,
     ShotConfig,
@@ -360,10 +360,10 @@ def chi_square_limit(dof, z=3.719):
     return dof * (1.0 - 2.0 / (9.0 * dof) + z * math.sqrt(2.0 / (9.0 * dof))) ** 3
 
 
-def sampled(p, points, n, seed=0, block=_BLOCK_DRAWS):
+def sampled(p, points, n, seed=0):
     """A sweep's draws at `points` points whose four experiments all flag with p:
     4 x points counts of Binomial(n, p)."""
-    return _sample_counts(seed, np.full(4 * points, n), np.full(4 * points, p), block)
+    return _sample_counts(seed, np.full(4 * points, n), np.full(4 * points, p))
 
 
 def per_run_layout(p_flag, shots, runs):
@@ -436,11 +436,12 @@ class TestShotSampler:
         assert 0 <= counts[2] <= 60
         assert abs(counts[3] / n - 0.5) <= 1e-8
 
-    def test_counts_do_not_depend_on_the_block_size(self):
+    def test_counts_do_not_depend_on_the_block_size(self, monkeypatch):
         draws = every_branch()
         default = _sample_counts(*draws)
-        for block in (1, 7):
-            np.testing.assert_array_equal(_sample_counts(*draws, block), default)
+        for block in (1, 7, 2**14):
+            monkeypatch.setattr(noise, "_BLOCK_DRAWS", block)
+            np.testing.assert_array_equal(_sample_counts(*draws), default)
 
     def test_counts_are_pinned_on_every_branch(self):
         # 62 inversion and 163 BTRD draws over attempts 0-2, p = 0, p = 1 and

@@ -19,7 +19,6 @@ from hardysim.sweep import (
     CSV_HEADER,
     SweepCsvError,
     SweepTable,
-    grid_degrees,
     ladder_verdict,
     measure_points,
     metric_fluctuation,
@@ -217,23 +216,97 @@ class TestSweepAngles:
         assert substitute_singular(45.0) == 45.0
 
     def test_grid_never_passes_stop(self):
-        assert grid_degrees(0, 1, 0.6).tolist() == [0.0, 0.6, 1.0]
+        assert grid_of(0, 1, 0.6).tolist() == [0.0, 0.6, 1.0]
         for start, stop, step in [(0, 90, 0.7), (0, 90, 5), (0, 0.3, 0.1), (10, 11, 0.35)]:
-            points = grid_degrees(start, stop, step)
+            points = grid_of(start, stop, step)
             assert points[0] == start
             assert points[-1] == pytest.approx(stop, abs=1e-12)
             assert np.all(np.diff(points) > 0) and np.all(np.diff(points) <= step + 1e-12)
-        assert len(grid_degrees(0, 90, 5)) == 19
-        assert len(grid_degrees(0, 90, 0.25)) == 361
+        assert len(grid_of(0, 90, 5)) == 19
+        assert len(grid_of(0, 90, 0.25)) == 361
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            grid_degrees(0, 10, 0)
-        with pytest.raises(ValueError):
-            grid_degrees(10, 0, 1)
-        for stop, step in ((1e300, 1.0), (1e308, 1e-308)):
-            with pytest.raises(ValueError, match="^step .* too many points"):
-                grid_degrees(0, stop, step)
+        for mode in ("diagonal", "surface"):
+            with pytest.raises(ValueError, match="^step must be positive$"):
+                sweep_angles(mode, 0, 10, 0)
+            with pytest.raises(ValueError, match="^stop must be >= start$"):
+                sweep_angles(mode, 10, 0, 1)
+            for stop, step in ((1e300, 1.0), (1e308, 1e-308)):
+                with pytest.raises(ValueError, match="^step .* too many points"):
+                    sweep_angles(mode, 0, stop, step)
+
+
+def grid_of(start, stop, step):
+    """The unsubstituted grid of sweep_angles: phi along a surface's first theta row."""
+    theta, phi = sweep_angles("surface", start, stop, step)
+    return phi[theta == theta[0]]
+
+
+def scalar_substitute(point_deg):
+    """The scalar rule substitute_singular replaced, kept as its oracle."""
+    if abs(math.remainder(point_deg, 180.0)) > 90.0 - 1e-9:
+        return point_deg - 0.01
+    return point_deg
+
+
+def looped_sweep_angles(mode, start, stop, step):
+    """sweep_angles as the per-point loop it replaced, kept as its oracle."""
+    count = math.floor((stop - start) / step + 1e-9)
+    grid = (start + step * np.arange(count + 1)).tolist()
+    if start + step * count < stop - 1e-9:
+        grid.append(stop)
+    theta = []
+    for point, substitute in zip(grid, map(scalar_substitute, grid)):
+        if substitute == point or not theta or substitute > theta[-1]:
+            theta.append(substitute)
+    if mode == "diagonal":
+        return np.array(theta), np.array(theta)
+    return np.repeat(theta, len(grid)), np.tile(grid, len(theta))
+
+
+def assert_same_bits(got, expected):
+    assert got.dtype == expected.dtype == np.float64
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()  # -0.0 is not 0.0 here
+
+
+class TestSingularRuleOracle:
+    """The array rule against the scalar rule and the loop it replaced: bit for bit."""
+
+    def test_values_match_the_scalar_rule(self):
+        odd = 90.0 * np.arange(-39, 40, 2)  # the odd multiples of 90 in [-3600, 3600]
+        edge = np.array([90.0 - 1e-9, -(90.0 - 1e-9)])
+        values = np.concatenate([
+            odd, np.nextafter(odd, -np.inf), np.nextafter(odd, np.inf), odd - 1e-9, odd + 1e-9,
+            edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf),
+            [1e308, -1e308, 0.0, -0.0, 5e-324],
+            np.random.default_rng(28).uniform(-1e4, 1e4, 200_000),
+        ])
+        expected = np.array([scalar_substitute(value) for value in values.tolist()])
+        assert_same_bits(substitute_singular(values), expected)
+        assert 0 < np.count_nonzero(expected != values) < values.size  # both branches
+        for value in values[:250].tolist():
+            assert float(substitute_singular(value)) == scalar_substitute(value)
+
+    @pytest.mark.parametrize("mode", ["diagonal", "surface"])
+    @pytest.mark.parametrize(
+        "start,stop,step",
+        [
+            (0.0, 90.0, 0.25),
+            (-720.0, 720.0, 37.0),
+            (85.0, 275.0, 2.5),
+            (89.995, 90.0, 0.005),  # the substitute of 90 is dropped
+            (89.99, 90.0, 0.01),  # the substitute of 90 equals the theta before it
+            # dropped substitutes, then substitutes above the dropped ones
+            (89.99999999, 90.00000001, 1e-10),
+            (89.9999999995, 90.0000000005, 1e-10),  # every point substituted
+            (1e17, 1e17 + 100, 1.0),  # a grid that repeats points
+        ],
+    )
+    def test_grids_match_the_per_point_loop(self, mode, start, stop, step):
+        got = sweep_angles(mode, start, stop, step)
+        for array, expected in zip(got, looped_sweep_angles(mode, start, stop, step)):
+            assert_same_bits(array, expected)
 
 
 class TestDiagonalSweep:
