@@ -142,8 +142,12 @@ def _cmd_sweep(args, out) -> int:
         angles = sweep_angles(args.mode, args.start_deg, args.stop_deg, args.step)
     except ValueError as exc:
         raise _flag_error(exc) from exc
-    table = measure_points(*angles, noise, cfg)[0]
-    write_csv(table, args.out)
+    try:  # write_csv renders the whole CSV before it opens the file
+        table = measure_points(*angles, noise, cfg)[0]
+        write_csv(table, args.out)
+    except MemoryError as exc:
+        points = np.broadcast(*angles).size
+        raise UsageError(f"--step {args.step:g} gives too many points ({points:.3g})") from exc
     print(f"wrote {len(table)} rows to {args.out}", file=out)
     return EXIT_OK
 

@@ -340,7 +340,7 @@ def readout_distributions(rho, noise) -> np.ndarray:
 
 
 def experiment_distributions(theta, phi, noise) -> np.ndarray:
-    """Outcome distributions, shape (N, 4, 4): point, experiment, outcome k = 2a + b.
+    """Outcome distributions, shape (*batch, 4, 4): point, experiment, outcome k = 2a + b.
 
     The preparation runs once and starts as a product: its steps before the first CNOT
     touch one qubit each, so the state there is rho_A (x) rho_B (`_product_state`), and

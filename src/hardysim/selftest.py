@@ -79,7 +79,8 @@ def _suite_coupling_identity() -> tuple[str, bool, str]:
 def _ideal_grid():
     """theta (37, 1) and phi (1, 37) in radians, the 2.5-degree grid as an outer
     product, and their noiseless flagged-outcome probabilities, shape (37, 37, 4) by
-    experiment: one engine batch."""
+    experiment: one engine batch.  These are the engine's raw entries, not measure_points'
+    eps, whose clip at 0 would hide a negative flagged q where q is exactly 0."""
     axis = np.radians(np.arange(0.0, 90.0 + 1e-9, 2.5))
     theta, phi = axis[:, None], axis[None, :]
     dists = experiment_distributions(theta, phi, NoiseModel.none())

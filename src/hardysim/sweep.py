@@ -2,11 +2,13 @@
 
 Every sweep takes one path, sweep_angles then measure_points (one engine and
 one estimate batch), and is one SweepTable, a column per quantity and a row
-per grid point.  sweep_angles is the one grid builder: it checks the range
-and the size and moves theta off the tan singularity by one array rule,
-substitute_singular, that probe applies to its one angle too.  Rows stay in
-sweep order (no internal sorting) so plotted curves match the swept axis
-directly.  The CSV interface is fixed:
+per grid point.  A surface reaches the engine as a theta column times a phi
+row, so each gate is built once per angle it depends on; measure_points
+flattens the result once.  sweep_angles is the one grid builder: it checks
+the range and the size and moves theta off the tan singularity by one array
+rule, substitute_singular, that probe applies to its one angle too.  Rows
+stay in sweep order (no internal sorting) so plotted curves match the swept
+axis directly.  The CSV interface is fixed:
 
     theta_deg,phi_deg,q_theory,eps1,eps2,eps3,eps5,eps4_est,stat_err,class
 
@@ -56,10 +58,10 @@ _CLASS_NAMES = np.array(CLASSES)
 _SENTINEL = "0,0,0,0,0,0,0,0,0,PS"  # a valid row; see _parse
 
 # Peak memory of a sweep per grid point, in bytes, rounded down: from a
-# 0.5-degree to a 0.25-degree sampled default-noise surface (32,761 to
-# 130,321 points) the peak RSS grew from 86.0 to 254.5 MB, about 1,770
-# bytes per point.  A grid needing more than the physical memory at this
-# rate is rejected before it is built.
+# 0.002-degree to a 0.0005-degree sampled default-noise diagonal (45,000 to
+# 180,000 points) the peak RSS grew from 105.2 to 329.7 MiB, about 1,745
+# bytes per point (a surface needs about 1,400).  A grid needing more than
+# the physical memory at this rate is rejected before it is built.
 ENGINE_BYTES_PER_POINT = 1700
 
 # Memory of probe's draws per run, in bytes: estimate_batch's per-draw int64
@@ -159,8 +161,8 @@ def sweep_angles(
     Whole steps that fit (within 1e-9 of a step) come first; when the last of
     them falls short of stop_deg, stop_deg itself is appended.  theta is the
     grid through substitute_singular, less each substitute not above the
-    theta before it; a diagonal pairs theta with itself, a surface is
-    row-major over theta x grid, phi unsubstituted.  A grid numpy cannot
+    theta before it.  A diagonal pairs theta with itself; a surface is theta as
+    a column (T, 1) and the grid as a phi row (1, P).  A grid numpy cannot
     index (or an infinite one) is rejected before it is built, as is one whose
     points (the grid's length, squared for a surface) would need more than
     the physical memory at ENGINE_BYTES_PER_POINT; one numpy cannot allocate
@@ -181,7 +183,6 @@ def sweep_angles(
     memory = _physical_memory()
     if memory is not None and points * ENGINE_BYTES_PER_POINT > memory:
         raise ValueError(f"step {step_deg:g} gives too many points ({points:.3g})")
-    size = span  # what the failing allocation would have held, for the message
     try:
         grid = start_deg + step_deg * np.arange(count + 1, dtype=np.float64)
         if short:
@@ -189,20 +190,18 @@ def sweep_angles(
         theta = substitute_singular(grid)
         earlier = np.maximum.accumulate(np.append(-np.inf, theta[:-1]))
         theta = theta[(theta == grid) | (theta > earlier)]
-        if mode == "diagonal":
-            return theta, theta
-        size = theta.size * grid.size
-        return np.repeat(theta, grid.size), np.tile(grid, theta.size)
     except (MemoryError, ValueError) as exc:
-        raise ValueError(f"step {step_deg:g} gives too many points ({size:.3g})") from exc
+        raise ValueError(f"step {step_deg:g} gives too many points ({span:.3g})") from exc
+    return (theta, theta) if mode == "diagonal" else (theta[:, None], grid[None, :])
 
 
 def measure_points(
     theta_deg, phi_deg, noise: NoiseModel, cfg: ShotConfig | None
 ) -> tuple[SweepTable, np.ndarray, np.ndarray]:
-    """One engine batch and one estimate batch for paired angle arrays (degrees,
-    reduced exactly modulo 360 and converted here to the radians of `engine`
-    and `hardy`).
+    """One engine batch and one estimate batch for angle arrays that broadcast
+    (degrees, reduced exactly modulo 360 and converted here to the radians of
+    `engine` and `hardy`).  The engine runs on the arrays as given; row i of the
+    table is point i of the broadcast shape in row-major (theta-major) order.
 
     Returns (table, stat_err, eps5_per_run): the table, then the statistical
     errors of all four columns of table.eps and the fourth experiment's
@@ -210,16 +209,16 @@ def measure_points(
     depend only on cfg (`--shots`, `--runs`, `--seed`), i and its own
     distributions, not on the other points or on how the draws are batched.
     """
-    theta_deg = np.asarray(theta_deg, dtype=np.float64)
-    phi_deg = np.asarray(phi_deg, dtype=np.float64)
-    if not (theta_deg.size and phi_deg.size):
+    theta_deg, phi_deg = (np.asarray(a, dtype=np.float64) for a in (theta_deg, phi_deg))
+    shape = np.broadcast_shapes(theta_deg.shape, phi_deg.shape)
+    if 0 in shape:
         raise ValueError("no sweep points")
     theta, phi = np.radians(np.fmod(theta_deg, 360.0)), np.radians(np.fmod(phi_deg, 360.0))
-    dists = experiment_distributions(theta, phi, noise)
+    dists = experiment_distributions(theta, phi, noise).reshape(-1, 4, 4)
     eps, stat_err, eps5_per_run = estimate_batch(dists, cfg)
-    table = SweepTable(
-        theta_deg, phi_deg, analytic_q(theta, phi), eps, stat_err[:, 3], classify(theta, phi)
-    )
+    columns = theta_deg, phi_deg, analytic_q(theta, phi), classify(theta, phi)
+    theta_deg, phi_deg, q, kind = (np.broadcast_to(x, shape).ravel() for x in columns)
+    table = SweepTable(theta_deg, phi_deg, q, eps, stat_err[:, 3], kind)
     return table, stat_err, eps5_per_run
 
 

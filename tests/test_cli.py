@@ -256,7 +256,12 @@ class TestExitCodes:
         assert not path.exists()
 
     @pytest.mark.parametrize(
-        "mode,allocation,count", [("diagonal", "arange", "2"), ("surface", "repeat", "9")]
+        "mode,allocation,count",
+        [
+            ("diagonal", "numpy.arange", "2"),  # the grid
+            ("surface", "hardysim.sweep.experiment_distributions", "9"),  # the engine
+            ("diagonal", "hardysim.sweep.rows_to_csv", "3"),  # the render, before any file
+        ],
     )
     def test_grid_out_of_memory_is_usage_error(
         self, tmp_path, capsys, monkeypatch, mode, allocation, count
@@ -264,7 +269,7 @@ class TestExitCodes:
         def out_of_memory(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(np, allocation, out_of_memory)
+        monkeypatch.setattr(allocation, out_of_memory)
         path = tmp_path / "x.csv"
         code, text = run_cli(["sweep", mode, "--step", "45", "--out", str(path)])
         assert code == EXIT_USAGE
@@ -461,6 +466,28 @@ class TestGoldenOutputs:
 
 
 class TestSweepCommand:
+    @pytest.mark.parametrize(
+        "flags,shapes",
+        [
+            (["--step", "7.5"], ((13, 1), (1, 13))),
+            # the substitute of 90 is dropped: one theta, two phi
+            (["--from", "89.995", "--to", "90", "--step", "0.005"], ((1, 1), (1, 2))),
+        ],
+    )
+    def test_surface_is_one_engine_call_on_a_column_and_a_row(
+        self, tmp_path, monkeypatch, flags, shapes
+    ):
+        engine_call, calls = sweep.experiment_distributions, []
+
+        def recording(theta, phi, noise):
+            calls.append((np.shape(theta), np.shape(phi)))
+            return engine_call(theta, phi, noise)
+
+        monkeypatch.setattr(sweep, "experiment_distributions", recording)
+        code, _ = run_cli(["sweep", "surface", *flags, "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_OK
+        assert calls == [shapes]
+
     def test_diagonal_19_rows(self, tmp_path):
         path = tmp_path / "diag.csv"
         code, _ = run_cli(
@@ -921,6 +948,24 @@ class TestValidateCommand:
         results = {name: ok for name, ok, _ in run_validation_suites()}
         assert results["hardy-zero-probabilities"] is False
         assert results["analytic-q-equivalence"] is True
+
+    def test_negative_flagged_q_fails_q_suite(self, monkeypatch):
+        # The grid suites read the engine's raw flagged entries, not measure_points'
+        # eps, which are clipped at 0: a flagged q below an exact q = 0 (phi = 0)
+        # would read as 0 there and pass.
+        import hardysim.selftest as selftest_mod
+
+        engine_call = selftest_mod.experiment_distributions
+
+        def perturbed(theta, phi, noise):
+            dists = engine_call(theta, phi, noise).copy()
+            dists[18, 0, 3, 0] -= 5e-10  # fourth experiment's flagged outcome |00>
+            return dists
+
+        monkeypatch.setattr(selftest_mod, "experiment_distributions", perturbed)
+        results = {name: ok for name, ok, _ in run_validation_suites()}
+        assert results["analytic-q-equivalence"] is False
+        assert results["hardy-zero-probabilities"] is True
 
     def test_validation_exit_code_path(self, monkeypatch):
         import hardysim.cli as cli_mod

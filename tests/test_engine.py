@@ -86,8 +86,10 @@ def test_batch_matches_full_state_path(points, p1, p2, readout0, readout1):
 
 
 def test_point_and_grid_match_the_flat_batch():
-    """A scalar point gives one (4, 4) distribution set and a (3, 5) grid a (3, 5, 4, 4)
-    array, each the same points' rows of one flat batch (the grid's bit for bit)."""
+    """A scalar point gives one (4, 4) distribution set, a (3, 5) grid a (3, 5, 4, 4)
+    array and a theta column times a phi row (a surface's layout) a (15, 15, 4, 4) one,
+    each the same points' rows of one flat batch (the grid's and the surface's bit for
+    bit, the surface's against theta repeated and phi tiled)."""
     theta = np.linspace(0.0, math.pi / 2, 15)
     phi = np.linspace(0.2, 3.0, 15)
     noise = NoiseModel(0.01, 0.05, 0.02, 0.03)
@@ -95,6 +97,10 @@ def test_point_and_grid_match_the_flat_batch():
     grid = experiment_distributions(theta.reshape(3, 5), phi.reshape(3, 5), noise)
     assert grid.shape == (3, 5, 4, 4)
     np.testing.assert_array_equal(grid.reshape(15, 4, 4), flat)
+    surface = experiment_distributions(theta[:, None], phi[None, :], noise)
+    assert surface.shape == (15, 15, 4, 4)
+    pairs = experiment_distributions(np.repeat(theta, 15), np.tile(phi, 15), noise)
+    np.testing.assert_array_equal(surface.reshape(225, 4, 4), pairs)
     for k in (0, 7, 14):
         point = experiment_distributions(theta[k], phi[k], noise)
         assert point.shape == (4, 4)

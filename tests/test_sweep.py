@@ -236,9 +236,14 @@ class TestSweepAngles:
                     sweep_angles(mode, 0, stop, step)
 
 
+def flat_angles(mode, start, stop, step):
+    """sweep_angles broadcast to one (theta, phi) pair per point, theta-major."""
+    return tuple(a.ravel() for a in np.broadcast_arrays(*sweep_angles(mode, start, stop, step)))
+
+
 def grid_of(start, stop, step):
     """The unsubstituted grid of sweep_angles: phi along a surface's first theta row."""
-    theta, phi = sweep_angles("surface", start, stop, step)
+    theta, phi = flat_angles("surface", start, stop, step)
     return phi[theta == theta[0]]
 
 
@@ -304,7 +309,7 @@ class TestSingularRuleOracle:
         ],
     )
     def test_grids_match_the_per_point_loop(self, mode, start, stop, step):
-        got = sweep_angles(mode, start, stop, step)
+        got = flat_angles(mode, start, stop, step)
         for array, expected in zip(got, looped_sweep_angles(mode, start, stop, step)):
             assert_same_bits(array, expected)
 
@@ -334,7 +339,7 @@ class TestDiagonalSweep:
         assert table.theta_deg.tolist() == [50.0, 10.0, 70.0]
 
     def test_empty_points_rejected(self):
-        for theta, phi in (([], []), ([], [1.0]), ([1.0], [])):
+        for theta, phi in (([], []), ([], [1.0]), ([1.0], []), (np.ones((3, 1)), np.ones((1, 0)))):
             with pytest.raises(ValueError, match="no sweep points"):
                 measure_points(theta, phi, NoiseModel.none(), None)
 
@@ -348,6 +353,24 @@ class TestDiagonalSweep:
             (89.99, 0.0), (89.99, 45.0), (89.99, 90.0),
         ]
         assert table.kind.tolist() == ["PS"] * 4 + ["NMES", "MES", "PS", "NMES", "NMES"]
+
+
+@pytest.mark.parametrize("cfg", [None, ShotConfig(shots_per_run=1000, runs=3, seed=11)])
+def test_column_times_row_matches_the_flat_pairs(cfg):
+    """A surface's theta column and phi row give, bit for bit, the table, stat_err and
+    eps5_per_run of the same points as flat pairs, theta repeated and phi tiled."""
+    theta, phi = sweep_angles("surface", -90.0, 90.0, 7.5)  # theta -90 and 90 substituted
+    assert theta.shape == (25, 1) and phi.shape == (1, 25)
+    assert (theta[[0, -1], 0].tolist(), phi[0, [0, -1]].tolist()) == ([-90.01, 89.99], [-90, 90])
+    noise = NoiseModel.default_profile()
+    got = measure_points(theta, phi, noise, cfg)
+    pairs = np.repeat(theta.ravel(), phi.size), np.tile(phi.ravel(), theta.size)
+    expected = measure_points(*pairs, noise, cfg)
+    for field in ("theta_deg", "phi_deg", "q", "eps", "stat_err", "kind"):
+        np.testing.assert_array_equal(getattr(got[0], field), getattr(expected[0], field))
+    for array, expected_array in zip(got[1:], expected[1:]):
+        np.testing.assert_array_equal(array, expected_array)
+    assert got[2].shape == (25 * 25, 1 if cfg is None else 3)
 
 
 def floor_sweep(noise, cfg):
