@@ -2,8 +2,7 @@
 
 Basis convention (fixed, tests pin it): basis index k = 2a + b encodes
 |a b>, with Alice (qubit 1, CNOT control) as the high bit and Bob (qubit 0,
-CNOT target) as the low bit.  Density matrices carry any leading batch
-shape: (..., 4, 4).
+CNOT target) as the low bit.
 
 Noise is symmetric depolarizing after every gate, applied in closed form
 (Nielsen & Chuang, section 8.3.4): rate p1 after a one-qubit gate on qubit
@@ -16,32 +15,24 @@ rates.  Inputs are validated where they enter (NoiseModel,
 the CLI); the engine checks only its final distributions, never an
 intermediate step.
 
-`evolve` applies this model in exactly merged form, by the same section's
-identities: per segment between CNOTs, one product of each qubit's gates
-and one channel at the composed rate 1 - (1 - p1)^n, both from `_segment`;
-for the call, one deferred channel at 1 - (1 - p2)^k for its k CNOTs.
-
 Inside the engine a state is held as its 16 entries rho[a b, a' b'] (Alice
 row, Bob row, Alice column, Bob column), entry 8a + 4b + 2a' + b', each an
 array over the batch, so every operation is a few ufunc calls on whole
 entries.  A 2x2 gate is held as its four entries (arrays over the batch, or
-scalars for fixed gates), and one kernel, `_act`, applies it to one axis: on
-each pair of entries that differ only there, out[i] = m[i][0] r0 +
-m[i][1] r1 (the general rule), or only out[1] = m[1][1] r1 for a gate whose
-off-diagonal entries are zero and whose m[0][0] is exactly 1 over the whole
-batch (the phase rule: a quarter of the multiplies, the same values).  A gate
-acts on its qubit's row axis, then with conjugated entries on the matching
-column axis; gate products multiply the entry lists; CX is a fixed
-permutation of the entries; the channels act in closed form.  A single point runs as a batch of one.
-`evolve` and `steps_unitary` take and return the (..., 4, 4) layout,
-converting once each way.
+scalars for fixed gates).  A single point runs as a batch of one.
 
-`experiment_distributions` applies no dense gate to a full state.  Before
-the first CNOT each qubit has its own gates from |0>, so the state there is
-the product rho_A (x) rho_B of two one-qubit states, built entry by entry;
-from that CNOT on, the preparation's one-qubit gates are all phase gates;
-and no CNOT follows the settings, so Alice's and Bob's are read in closed
-form from the prepared entries.
+Every state is reached one way, and no dense gate acts on a full state.
+Before a circuit's first CNOT each qubit has its own gates from |0>, so the
+state there is the product rho_A (x) rho_B of two one-qubit states, built
+entry by entry (`_product_state`).  `_run` takes the steps from that CNOT
+on, in exactly merged form; for the preparation (`prepared_state`) their
+one-qubit gates are all phase gates.  `_act`, the one kernel that applies a
+gate to a full state, has one rule, for diag(1, e^{i lam}), and refuses any
+other gate.  No CNOT follows the settings, so `experiment_distributions`
+reads Alice's and Bob's in closed form from the prepared entries, and
+`cnot_free_distributions` reads out a circuit with no CNOT from its
+product state.  `steps_unitary` composes phase gates and CNOTs into one
+(..., 4, 4) unitary.
 """
 
 from __future__ import annotations
@@ -70,13 +61,6 @@ _CX_ROWS = [4 * row + column for row in _CX_ORDER for column in range(4)]
 _CX_BOTH = [4 * row + column for row in _CX_ORDER for column in _CX_ORDER]
 
 
-def ground_state(shape=()) -> np.ndarray:
-    """|00><00| for every point of a batch of the given shape."""
-    rho = np.zeros(tuple(shape) + (4, 4), dtype=np.complex128)
-    rho[..., 0, 0] = 1.0
-    return rho
-
-
 def _entries(u) -> tuple:
     """A (..., 2, 2) gate as views of its entries ((u00, u01), (u10, u11)), each over the batch."""
     u = np.asarray(u)
@@ -93,25 +77,19 @@ def _times(a, b) -> tuple:
 
 
 def _act(m, r, axis: int, out=None) -> list:
-    """`m` applied to `axis` of the state r by one of two rules, on each pair (r0, r1) of
-    entries that differ only there: out[i] = m[i][0] r0 + m[i][1] r1 (general), or only
-    out[1] = m[1][1] r1 when both off-diagonal entries of `m` are zero and m[0][0] is
-    exactly 1 over the whole batch (phase: r0 is kept, as 1 r0 equals it up to the sign
-    of a zero).  Each product has the gate entry on the left, as numpy's fused
-    multiply-add rounds m r and r m differently.  The result goes into the list `out`
-    (a copy of r by default), which may be r itself."""
+    """The phase gate `m` applied to `axis` of the state r: on each pair (r0, r1) of
+    entries that differ only there, r0 is kept and r1 becomes m[1][1] r1, with the gate
+    entry on the left, as numpy's fused multiply-add rounds m r and r m differently.
+    Any other gate, one with a non-zero off-diagonal entry or an m[0][0] that is not
+    exactly 1 at some point of the batch, raises ValueError.  The result goes into the
+    list `out` (a copy of r by default), which may be r itself."""
+    if m[0][1].any() or m[1][0].any() or not (m[0][0] == 1.0).all():
+        raise ValueError("only a phase gate diag(1, e^{i lam}) acts on a full state")
     bit = 8 >> axis
-    phase = not (m[0][1].any() or m[1][0].any()) and bool((m[0][0] == 1.0).all())
     out = list(r) if out is None else out
     for k in range(16):
         if k & bit:
-            continue
-        if phase:
-            out[k | bit] = m[1][1] * r[k | bit]
-        else:
-            low, high = r[k], r[k | bit]
-            out[k] = m[0][0] * low + m[0][1] * high
-            out[k | bit] = m[1][0] * low + m[1][1] * high
+            out[k] = m[1][1] * r[k]
     return out
 
 
@@ -124,9 +102,9 @@ def _conjugate(m, r, qubit: int) -> list:
     return _act(conj, rows, 3 - qubit, rows)
 
 
-def _batch_of(shapes, steps) -> tuple:
-    """Broadcast batch shape of the given shapes and every gate among `steps`."""
-    return np.broadcast_shapes(*shapes, *(np.shape(s[1])[:-2] for s in steps if s is not CX))
+def _batch_of(steps) -> tuple:
+    """Broadcast batch shape of every gate among `steps`."""
+    return np.broadcast_shapes(*(np.shape(s[1])[:-2] for s in steps if s is not CX))
 
 
 def _qubit(step) -> int:
@@ -173,8 +151,16 @@ def _from_entries(r, batch: tuple) -> np.ndarray:
 
 
 def _run(r, steps, noise) -> list:
-    """`evolve` on a state held as entries, each qubit's gates between CNOTs and their
-    channel's rate taken from `_segment`; returns new entries, `r` is not changed."""
+    """Circuit steps, phase gates and CNOTs, each followed by its depolarizing channel,
+    on a state held as entries; returns new entries, `r` is not changed.
+
+    Applied in exactly merged form.  Between CNOTs, each qubit's gates are multiplied
+    into one 2x2 gate (`_segment`), applied once, then followed by one depolarizing
+    channel at the composed rate 1 - (1 - p1)^n: the channel commutes with gates on the
+    other qubit and is covariant under gates on its own.  The post-CNOT channels commute
+    with every unitary and with the one-qubit channel, so all k of them become one at
+    1 - (1 - p2)^k, last.
+    """
     for is_cx, group in itertools.groupby(steps, lambda step: step is CX):
         group = list(group)
         if is_cx:
@@ -192,24 +178,10 @@ def _run(r, steps, noise) -> list:
     return r
 
 
-def evolve(rho, steps, noise) -> np.ndarray:
-    """Run circuit steps on rho, each followed by its depolarizing channel.
-
-    Applied in exactly merged form.  Between CNOTs, each qubit's gates are
-    multiplied into one 2x2 matrix, applied once, then followed by one
-    depolarizing channel at the composed rate 1 - (1 - p1)^n: the channel
-    commutes with gates on the other qubit and is covariant under gates on
-    its own.  The post-CNOT channels commute with every unitary and with the
-    one-qubit channel, so all k of them become one at 1 - (1 - p2)^k, last.
-    """
-    rho = np.asarray(rho)
-    batch = _batch_of([rho.shape[:-2]], steps)
-    return _from_entries(_run(_to_entries(rho, batch), steps, noise), batch)
-
-
 def steps_unitary(steps) -> np.ndarray:
-    """Noiseless circuit steps composed into one (..., 4, 4) unitary."""
-    batch = _batch_of([], steps)
+    """Noiseless circuit steps, phase gates and CNOTs, composed into one (..., 4, 4)
+    unitary."""
+    batch = _batch_of(steps)
     u = _to_entries(np.eye(4, dtype=np.complex128), batch)
     for step in steps:
         if step is CX:
@@ -287,6 +259,8 @@ def _mixed(pair, p: float) -> list:
 def _factor(steps, noise) -> tuple:
     """One qubit's state after its `steps` from |0>, no CNOT among them, as entries
     ((rho00, rho01), (rho10, rho11)): (1 - p) U|0><0|U^dag + p I/2, (U, p) from `_segment`."""
+    if not steps:  # the qubit stays |0>
+        return (1.0, 0.0), (0.0, 0.0)
     m, p = _segment(steps, noise)
     column = m[0][0], m[1][0]  # U|0>
     low, high = _mixed([(x * np.conj(x)).real for x in column], p)
@@ -334,19 +308,28 @@ def _read_out(probs, noise) -> np.ndarray:
     return check_distributions(np.stack(x, axis=-1))
 
 
-def readout_distributions(rho, noise) -> np.ndarray:
-    """Outcome probabilities of rho (diagonal, through the readout flips), checked."""
-    return _read_out(np.real(np.diagonal(rho, axis1=-2, axis2=-1)), noise)
+def cnot_free_distributions(steps, noise) -> np.ndarray:
+    """Outcome distribution (last axis, k = 2a + b) of one-qubit `steps` from |00>, no
+    CNOT among them, checked: the diagonal of their product state, read out."""
+    r = _product_state(steps, noise)
+    return _read_out(np.stack([r[k].real for k in (0, 5, 10, 15)], axis=-1), noise)
+
+
+def prepared_state(theta, lam, noise) -> list:
+    """The state after `preparation_steps(theta, lam)` from |00>, as its 16 entries over
+    the batch (theta and lam arrays of at least one dimension): a product up to the
+    first CNOT, then `_run` on the rest, whose one-qubit gates are all phase gates."""
+    steps = preparation_steps(theta, lam)
+    first_cx = steps.index(CX)
+    return _run(_product_state(steps[:first_cx], noise), steps[first_cx:], noise)
 
 
 def experiment_distributions(theta, phi, noise) -> np.ndarray:
     """Outcome distributions, shape (*batch, 4, 4): point, experiment, outcome k = 2a + b.
 
-    The preparation runs once and starts as a product: its steps before the first CNOT
-    touch one qubit each, so the state there is rho_A (x) rho_B (`_product_state`), and
-    `_run` takes the steps from that CNOT on, whose one-qubit gates are all phase gates.
-    No CNOT follows the settings, so each is read in closed form.  Each of Alice's keeps
-    only her diagonal blocks D[a] = rho[a y, a y'], the measured part (`_alice_blocks`).
+    The preparation runs once (`prepared_state`).  No CNOT follows the settings, so each
+    is read in closed form.  Each of Alice's keeps only her diagonal blocks
+    D[a] = rho[a y, a y'], the measured part (`_alice_blocks`).
     Each of Bob's, one product M, reads them: P(a, b) = |M_b0|^2 D[a]_00 + |M_b1|^2 D[a]_11
     + 2 Re(M_b0 conj(M_b1) D[a]_01), then his channel mixes P(a, .).
     """
@@ -355,9 +338,7 @@ def experiment_distributions(theta, phi, noise) -> np.ndarray:
     batch = np.broadcast_shapes(theta.shape, lam.shape)
     theta, lam = np.atleast_1d(theta, lam)  # a single point is a batch of one, as in `_to_entries`
     chi = chi_of(theta, lam)
-    steps = preparation_steps(theta, lam)
-    first_cx = steps.index(CX)
-    prepared = _run(_product_state(steps[:first_cx], noise), steps[first_cx:], noise)
+    prepared = prepared_state(theta, lam, noise)
     blocks = [_alice_blocks(prepared, *_segment(alice_steps(i, lam), noise)) for i in (1, 2)]
     # D[a]_00, D[a]_11 and D[a]_01, each as (Alice's setting, a, batch)
     low, high, cross = (np.array([setting[n] for setting in blocks]) for n in range(3))

@@ -20,15 +20,7 @@ import math
 import numpy as np
 
 from . import gates
-from .engine import (
-    CX,
-    FLAGGED_OUTCOME,
-    evolve,
-    experiment_distributions,
-    ground_state,
-    preparation_steps,
-    steps_unitary,
-)
+from .engine import CX, FLAGGED_OUTCOME, experiment_distributions, prepared_state, steps_unitary
 from .hardy import analytic_q, classify, concurrence, optimal_angles, q_max
 from .noise import NoiseModel
 
@@ -110,9 +102,10 @@ def _suite_classification() -> tuple[str, bool, str]:
     kinds = classify(theta, phi)
     c = concurrence(theta, phi)
     # Independent check from the prepared states: for a pure rho,
-    # concurrence^2 = 4 det(Tr_Bob rho).
-    rho = evolve(ground_state(theta.shape), preparation_steps(theta, phi), NoiseModel.none())
-    det = np.linalg.det(rho[:, 0::2, 0::2] + rho[:, 1::2, 1::2]).real
+    # concurrence^2 = 4 det(Tr_Bob rho), (Tr_Bob rho)[a, a'] the sum over b of entry
+    # 8a + 4b + 2a' + b.
+    r = prepared_state(theta, phi, NoiseModel.none())
+    det = ((r[0] + r[5]) * (r[10] + r[15]) - (r[2] + r[7]) * (r[8] + r[13])).real
     failures = [
         (*angles, str(kind), expected)
         for (angles, expected), kind, defect in zip(cases, kinds, np.abs(c**2 - 4.0 * det))

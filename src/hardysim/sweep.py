@@ -33,13 +33,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import gates
-from .engine import (
-    evolve,
-    experiment_distributions,
-    experiment_steps,
-    ground_state,
-    readout_distributions,
-)
+from .engine import cnot_free_distributions, experiment_distributions, experiment_steps
 from .hardy import CLASSES, analytic_q, chi_of, classify
 from .noise import NoiseModel, ShotConfig, estimate_batch
 
@@ -380,7 +374,7 @@ def reduced_circuit_compare(variant: str, noise: NoiseModel) -> dict:
     """
     theta, phi, reduced = _reduced_steps(variant)
     full = measure_points([math.degrees(theta)], [math.degrees(phi)], noise, None)[0]
-    reduced_eps = readout_distributions(evolve(ground_state(), reduced, noise), noise)[0]
+    reduced_eps = cnot_free_distributions(reduced, noise)[0]
     return {
         "variant": variant,
         "full_eps": float(full.eps5[0]),

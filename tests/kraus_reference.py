@@ -19,6 +19,7 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 SETTINGS = ((1, 1), (2, 1), (1, 2), (2, 2))
 BOTH = None  # target of a two-qubit operator
+GROUND = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)  # |00><00|
 
 
 def u1(lam):
@@ -86,18 +87,22 @@ def run_steps(rho, steps, p1, p2):
 
 def final_states(theta, phi, p1, p2):
     """Final density matrices, shape (4, 4, 4), of the experiments in SETTINGS."""
-    ground = np.zeros((4, 4), dtype=complex)
-    ground[0, 0] = 1.0
     return np.array(
-        [run_steps(ground, circuit(theta, phi, a, b), p1, p2) for a, b in SETTINGS]
+        [run_steps(GROUND, circuit(theta, phi, a, b), p1, p2) for a, b in SETTINGS]
     )
 
 
-def distributions(theta, phi, p1, p2, readout0, readout1):
-    """Reported-outcome distributions, shape (4, 4), after symmetric readout flips."""
+def read_out(rho, readout0, readout1):
+    """Reported-outcome distribution (last axis) of rho (..., 4, 4) after symmetric
+    readout flips."""
     def confusion(r):
         return np.array([[1 - r, r], [r, 1 - r]])
 
     transfer = np.kron(confusion(readout1), confusion(readout0)).T
-    true = np.real(np.diagonal(final_states(theta, phi, p1, p2), axis1=1, axis2=2))
+    true = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
     return true @ transfer.T
+
+
+def distributions(theta, phi, p1, p2, readout0, readout1):
+    """Reported-outcome distributions, shape (4, 4), of the experiments in SETTINGS."""
+    return read_out(final_states(theta, phi, p1, p2), readout0, readout1)

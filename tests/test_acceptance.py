@@ -13,10 +13,8 @@ import kraus_reference as ref
 from hardysim.cli import EXIT_OK, main
 from hardysim.engine import (
     FLAGGED_OUTCOME,
-    evolve,
     experiment_distributions,
-    ground_state,
-    preparation_steps,
+    prepared_state,
     steps_unitary,
 )
 from hardysim.hardy import analytic_q, classify, concurrence, optimal_angles, q_max
@@ -102,10 +100,9 @@ def test_c04_decomposition_identities():
 def test_c05_classification_table():
     theta, phi = np.radians([[0, 63, 90, 45, 51.827], [37, 0, 55, 90, 51.827]])
     assert classify(theta, phi).tolist() == ["PS", "PS", "PS", "MES", "NMES"]
-    optimum = DEG(51.827), DEG(51.827)
-    c = concurrence(*optimum)
+    c = concurrence(theta[-1], phi[-1])  # the optimum
     # pure prepared rho: concurrence = 2 sqrt(det Tr_Bob rho)
-    rho = evolve(ground_state(), preparation_steps(*optimum), NoiseModel.none())
+    rho = np.reshape(prepared_state(theta[-1:], phi[-1:], NoiseModel.none()), (4, 4))
     oracle = 2.0 * math.sqrt(np.linalg.det(rho[0::2, 0::2] + rho[1::2, 1::2]).real)
     assert abs(c - oracle) <= 1e-10
     report(5, f"4 table rows + NMES optimum, concurrence {c:.4f}")

@@ -444,16 +444,42 @@ class TestGoldenOutputs:
          "q_theory=0.0394309454\neps1=0.0393036493\nstat_err1=0\neps2=0.035214536\n"
          "stat_err2=0\neps3=0.0345695538\nstat_err3=0\neps5=0.0664682471\n"
          "stat_err5=0\neps5_run_std=0\neps4_est=0.0270373018\nnoise_profile=unequal\n"),
-        (["reduced", "ps_00"],
-         "variant=ps_00\nfull_eps=0.0121529646\nreduced_eps=0.000490409714\n"
-         "full_gate_count=14\nreduced_gate_count=3\n"),
     ]
 
-    @pytest.mark.parametrize("argv,expected", UNEQUAL_OUTPUTS, ids=["probe", "reduced"])
+    @pytest.mark.parametrize("argv,expected", UNEQUAL_OUTPUTS, ids=["probe"])
     def test_unequal_rates_profile_matches_saved_output(self, tmp_path, argv, expected):
         profile = tmp_path / "unequal.profile"
         profile.write_text(self.UNEQUAL_PROFILE)
         assert run_cli([*argv, "--noise", str(profile)]) == (EXIT_OK, expected)
+
+    # `reduced` stdout saved for both variants under four noise models, two of them
+    # profiles: (full_eps, reduced_eps).  ps_00's noiseless reduced_eps is a rounding
+    # residue of its gate entries, pinned as the engine computes it.
+    PROFILES = {
+        "unequal": UNEQUAL_PROFILE,
+        "large": "p1=0.3\np2=0.2\nreadout0=0.1\nreadout1=0.05\n",
+    }
+    REDUCED_OUTPUTS = {
+        ("ps_00", "none"): ("0", "4.62149164e-65"),
+        ("ps_01", "none"): ("0", "0"),
+        ("ps_00", "default"): ("0.00595515297", "0.00042925097"),
+        ("ps_01", "default"): ("0.00595515297", "0.00042925097"),
+        ("ps_00", "large"): ("0.227274115", "0.06149"),
+        ("ps_01", "large"): ("0.227274115", "0.06149"),
+        ("ps_00", "unequal"): ("0.0121529646", "0.000490409714"),
+        ("ps_01", "unequal"): ("0.0121529646", "0.000490409714"),
+    }
+
+    @pytest.mark.parametrize("variant,noise_name", REDUCED_OUTPUTS)
+    def test_reduced_matches_saved_output(self, tmp_path, variant, noise_name):
+        full_eps, reduced_eps = self.REDUCED_OUTPUTS[variant, noise_name]
+        noise_arg = noise_name
+        if noise_name in self.PROFILES:
+            noise_arg = tmp_path / f"{noise_name}.profile"
+            noise_arg.write_text(self.PROFILES[noise_name])
+        expected = (f"variant={variant}\nfull_eps={full_eps}\nreduced_eps={reduced_eps}\n"
+                    "full_gate_count=14\nreduced_gate_count=3\n")
+        assert run_cli(["reduced", variant, "--noise", str(noise_arg)]) == (EXIT_OK, expected)
 
     def test_metrics_matches_golden(self):
         golden = GOLDEN_DIR / "metrics_diagonal_5deg_sampled_default_seed7.txt"

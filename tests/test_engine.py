@@ -11,23 +11,55 @@ from hypothesis import strategies as st
 import kraus_reference as ref
 from hardysim.engine import (
     CX,
-    EXPERIMENT_SETTINGS,
     FLAGGED_OUTCOME,
     check_distributions,
-    evolve,
+    cnot_free_distributions,
     experiment_distributions,
-    experiment_steps,
-    ground_state,
-    preparation_steps,
-    readout_distributions,
+    prepared_state,
     steps_unitary,
 )
-from hardysim import engine, gates
-from hardysim.hardy import analytic_q, chi_of
+from hardysim import engine, gates, sweep
+from hardysim.hardy import analytic_q
 from hardysim.noise import NoiseModel
 
 angles = st.floats(0.0, math.pi)
 rates = st.floats(0.0, 1.0)
+edge_rates = st.one_of(st.sampled_from([0.0, 1.0]), rates)
+
+# Test-local gate matrices, independent of the gates module.
+I2 = np.eye(2, dtype=complex)
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+Z = np.array([[1, 0], [0, -1]], dtype=complex)
+H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+CNOT_HIGH_CTRL = np.array(
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+)
+QUIET = NoiseModel.none()
+
+
+def rho_of(entries):
+    """The engine's 16 entries over a batch as (*batch, 4, 4) matrices."""
+    stacked = np.stack(np.broadcast_arrays(*entries), axis=-1)
+    return stacked.reshape(stacked.shape[:-1] + (4, 4))
+
+
+def run(rho, steps, noise):
+    """`engine._run` on a (..., 4, 4) state: phase gates and CNOTs, each followed by
+    its channel, as the preparation runs them from its first CNOT on."""
+    batch = np.broadcast_shapes(np.shape(rho)[:-2], engine._batch_of(steps))
+    return engine._from_entries(engine._run(engine._to_entries(rho, batch), steps, noise), batch)
+
+
+def product_rho(steps, noise=QUIET):
+    """The engine's product state after one-qubit `steps` from |00>, as a (4, 4) matrix."""
+    return rho_of(engine._product_state(steps, noise))
+
+
+def assert_density_matrix(rho):
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+    assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -39,20 +71,23 @@ rates = st.floats(0.0, 1.0)
 @example(0.7, 1.1, 0.0, 0.0, 0.0, 1.0)
 @example(0.7, 1.1, 0.0, 0.0, 0.5, 1.0)
 def test_engine_matches_kraus_reference(theta, phi, p1, p2, readout0, readout1):
-    noise = NoiseModel(p1, p2, readout0, readout1)
-    chi = chi_of(theta, phi)
-    states = [
-        evolve(ground_state(), experiment_steps(a, b, theta, phi, chi), noise)
-        for a, b in EXPERIMENT_SETTINGS
-    ]
-    assert np.max(np.abs(np.array(states) - ref.final_states(theta, phi, p1, p2))) <= 1e-12
-    dists = experiment_distributions([theta], [phi], noise)[0]
+    dists = experiment_distributions([theta], [phi], NoiseModel(p1, p2, readout0, readout1))[0]
     expect = ref.distributions(theta, phi, p1, p2, readout0, readout1)
     assert np.max(np.abs(dists - expect)) <= 1e-12
-    for rho in states:
-        assert abs(np.trace(rho) - 1.0) <= 1e-12
-        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
-        assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(angles, angles, edge_rates, edge_rates)
+@example(0.7, 1.1, 0.0, 0.0)
+@example(0.7, 1.1, 1.0, 1.0)
+def test_prepared_state_matches_kraus_reference(theta, phi, p1, p2):
+    """The shared prepared state, a product and then phases, against the Kraus run of
+    the preparation's eight steps."""
+    noise = NoiseModel(p1, p2, 0.0, 0.0)
+    rho = rho_of(prepared_state(np.array([theta]), np.array([phi]), noise))[0]
+    expect = ref.run_steps(ref.GROUND, ref.circuit(theta, phi, 1, 1)[:8], p1, p2)
+    assert np.max(np.abs(rho - expect)) <= 1e-12
+    assert_density_matrix(rho)
 
 
 @settings(max_examples=60, deadline=None)
@@ -64,9 +99,6 @@ def test_noiseless_engine_meets_closed_forms(theta, phi):
     assert abs(flagged[3] - analytic_q(theta, phi)) <= 1e-12
 
 
-edge_rates = st.one_of(st.sampled_from([0.0, 1.0]), rates)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(angles, angles), min_size=1, max_size=8), *[edge_rates] * 4)
 @example([(0.0, 0.7), (math.pi / 2, 1.1)], 0.0, 0.0, 0.0, 0.0)
@@ -74,15 +106,12 @@ edge_rates = st.one_of(st.sampled_from([0.0, 1.0]), rates)
 @example([(0.0, math.pi / 2), (math.pi / 2, 0.0), (math.pi / 2, math.pi / 2)], 1.0, 0.0, 0.0, 1.0)
 @example([(math.pi / 2, 0.3), (0.0, 0.0), (0.0, math.pi)], 0.0, 1.0, 1.0, 0.0)
 def test_batch_matches_full_state_path(points, p1, p2, readout0, readout1):
-    """Every row of a batch, each setting, against the full final state of that experiment alone."""
-    noise = NoiseModel(p1, p2, readout0, readout1)
+    """Every row of a batch, each setting, against the Kraus reference's full final
+    states of that point alone."""
     theta, phi = np.array(points).T
-    dists = experiment_distributions(theta, phi, noise)
+    dists = experiment_distributions(theta, phi, NoiseModel(p1, p2, readout0, readout1))
     for row, (t, f) in zip(dists, points):
-        for dist, (a, b) in zip(row, EXPERIMENT_SETTINGS):
-            steps = experiment_steps(a, b, t, f, chi_of(t, f))
-            full = readout_distributions(evolve(ground_state(), steps, noise), noise)
-            assert np.max(np.abs(dist - full)) <= 1e-12
+        assert np.max(np.abs(row - ref.distributions(t, f, p1, p2, readout0, readout1))) <= 1e-12
 
 
 def test_point_and_grid_match_the_flat_batch():
@@ -123,6 +152,25 @@ def test_no_dense_gate_action_on_a_full_state(monkeypatch):
     assert dense == []
 
 
+@pytest.mark.parametrize(
+    "u",
+    [
+        gates.hadamard(),
+        np.exp(-0.35j) * gates.u1(0.7),
+        gates.u1(np.array([0.3, 0.7])) * np.array([1.0, np.exp(0.2j)])[:, None, None],
+        gates.u3(np.array([0.0, 0.4]), 0.0, 0.0),
+    ],
+    ids=["dense", "diagonal-not-one", "one-at-some-points", "diagonal-at-some-points"],
+)
+def test_a_non_phase_gate_is_refused(u):
+    """Only diag(1, e^{i lam}) over the whole batch acts on a full state: a gate with a
+    non-zero off-diagonal entry, or whose m[0][0] is not exactly 1, at any point, raises."""
+    with pytest.raises(ValueError, match="only a phase gate"):
+        steps_unitary([(0, u)])
+    with pytest.raises(ValueError, match="only a phase gate"):
+        run(np.eye(4) / 4, [CX, (1, u)], QUIET)
+
+
 def dense_action(m, r, axis):
     """The 2x2 gate `m` on `axis` of the 16 entries r, every entry by the full rule
     out[i] = m[i][0] r0 + m[i][1] r1, whatever the gate."""
@@ -138,25 +186,16 @@ def dense_action(m, r, axis):
 
 @pytest.mark.parametrize("qubit", [0, 1])
 @pytest.mark.parametrize("seed", range(4))
-def test_phase_and_general_rules_equal_the_dense_action(qubit, seed):
-    """U r U^dag of a diagonal gate, on random entries, equals the dense 2x2 action on
-    the rows and then, conjugated, on the columns, value for value: for u1 (the phase
-    rule), for a diagonal gate whose m[0][0] is not 1, and for a batch where it is 1 at
-    some points only (both the general rule: a phase rule taken for either fails)."""
+def test_phase_rule_equals_the_dense_action(qubit, seed):
+    """U r U^dag of u1, on random entries, equals the dense 2x2 action on the rows and
+    then, conjugated, on the columns, value for value."""
     rng = np.random.default_rng(seed)
     r = list(rng.normal(size=(16, 9)) + 1j * rng.normal(size=(16, 9)))
-    lam = rng.uniform(-2 * math.pi, 2 * math.pi, 9)
-    partly_one = np.where(np.arange(9) % 2 == 0, 1.0, np.exp(1j * lam))
-    for u in (
-        gates.u1(lam),
-        np.exp(-0.5j * lam)[:, None, None] * gates.u1(lam),
-        gates.u1(lam) * partly_one[:, None, None],
-    ):
-        m = engine._entries(u)
-        conj = tuple(tuple(np.conj(x) for x in row) for row in m)
-        dense = dense_action(conj, dense_action(m, r, 1 - qubit), 3 - qubit)
-        got = engine._conjugate(m, r, qubit)
-        assert all(np.array_equal(x, y) for x, y in zip(got, dense))
+    m = engine._entries(gates.u1(rng.uniform(-2 * math.pi, 2 * math.pi, 9)))
+    conj = tuple(tuple(np.conj(x) for x in row) for row in m)
+    dense = dense_action(conj, dense_action(m, r, 1 - qubit), 3 - qubit)
+    got = engine._conjugate(m, r, qubit)
+    assert all(np.array_equal(x, y) for x, y in zip(got, dense))
 
 
 # A step is "cx", (qubit, u3 angles) or (qubit, (u1 angle,)); drawn lists put CNOTs
@@ -164,16 +203,22 @@ def test_phase_and_general_rules_equal_the_dense_action(qubit, seed):
 # An angle may be a list over one batch axis.
 one_qubit_steps = st.tuples(st.integers(0, 1), st.tuples(angles, angles, angles))
 phase_steps = st.tuples(st.integers(0, 1), st.tuples(angles))
-step_lists = st.lists(st.one_of(st.just("cx"), one_qubit_steps, phase_steps), max_size=14)
+step_lists = st.lists(st.one_of(st.just("cx"), phase_steps), max_size=14)
 mixed_states = st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32)
-# u3(theta, 0, 0) with theta = 0 (diagonal) at some points of a batch and not at others
-PARTLY_DIAGONAL = [(0, ([0.0, 1.1, 0.0], 0.0, 0.0)), "cx", (1, (0.4,)), (0, ([0.7, 0.0, 0.0],))]
+# u1 angles over a batch of three, 0 (the identity) at some points and not at others
+PHASE_BATCH = [(0, ([0.0, 1.1, 0.0],)), "cx", (1, (0.4,)), (0, ([0.7, 0.0, 0.0],))]
 
 
 def engine_steps(steps):
     """Drawn steps as engine steps: three angles make a u3, one a u1."""
     gate = {3: gates.u3, 1: gates.u1}
     return [CX if s == "cx" else (s[0], gate[len(s[1])](*map(np.array, s[1]))) for s in steps]
+
+
+def reference_steps(steps):
+    """Drawn steps at one point as Kraus-reference (gate, target) steps."""
+    gate = {3: ref.u3, 1: ref.u1}
+    return [(ref.CNOT, ref.BOTH) if s == "cx" else (gate[len(s[1])](*s[1]), s[0]) for s in steps]
 
 
 def points_of(steps):
@@ -186,10 +231,6 @@ def points_of(steps):
     ]
 
 
-def reference_gate(angles):
-    return ref.u3(*angles) if len(angles) == 3 else ref.u1(*angles)
-
-
 def density_from(entries):
     """A full-rank mixed state A A^dag + I/10, normalised, from 32 real entries."""
     a = np.reshape(entries[:16], (4, 4)) + 1j * np.reshape(entries[16:], (4, 4))
@@ -197,50 +238,49 @@ def density_from(entries):
     return rho / np.trace(rho).real
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["ps_00", "ps_01"]), st.lists(one_qubit_steps, max_size=4),
+       *[edge_rates] * 4)
+@example("ps_00", [], 0.0, 0.0, 0.0, 0.0)
+@example("ps_01", [], 1.0, 1.0, 1.0, 1.0)
+def test_cnot_free_readout_matches_kraus_reference(variant, extra, p1, p2, readout0, readout1):
+    """The `reduced` circuits, each with drawn u3 gates after it, read out from their
+    product state, against the Kraus run of the same steps."""
+    steps = sweep._reduced_steps(variant)[2]
+    noise = NoiseModel(p1, p2, readout0, readout1)
+    got = cnot_free_distributions(steps + engine_steps(extra), noise)
+    kraus = [(u, qubit) for qubit, u in steps] + reference_steps(extra)
+    expect = ref.read_out(ref.run_steps(ref.GROUND, kraus, p1, p2), readout0, readout1)
+    assert np.max(np.abs(got - expect)) <= 1e-12
+
+
 @settings(max_examples=200, deadline=None)
 @given(step_lists, rates, rates, mixed_states)
 @example(["cx", "cx"], 0.3, 0.4, [0.5] * 32)
-@example(["cx", (0, (1.0, 2.0, 3.0)), (0, (0.5, 0.0, 1.5))], 0.2, 0.1, [0.3] * 32)
-@example(
-    [(1, (1.0, 2.0, 3.0)), (0, (0.7, 0.1, 0.2)), (1, (2.0, 0.3, 0.4)), "cx"], 0.5, 0.6, [-0.2] * 32
-)
-@example(PARTLY_DIAGONAL, 0.1, 0.2, [0.4] * 32)
-def test_fused_evolve_matches_step_by_step_kraus(steps, p1, p2, entries):
+@example(["cx", (0, (1.0,)), (0, (0.5,))], 0.2, 0.1, [0.3] * 32)
+@example([(1, (1.0,)), (0, (0.7,)), (1, (2.0,)), "cx"], 0.5, 0.6, [-0.2] * 32)
+@example(PHASE_BATCH, 0.1, 0.2, [0.4] * 32)
+def test_fused_run_matches_step_by_step_kraus(steps, p1, p2, entries):
     rho = density_from(entries)
-    got = evolve(rho, engine_steps(steps), NoiseModel(p1, p2, 0.0, 0.0)).reshape(-1, 4, 4)
+    got = run(rho, engine_steps(steps), NoiseModel(p1, p2, 0.0, 0.0)).reshape(-1, 4, 4)
     points = points_of(steps)
     assert len(got) == len(points)
     for point, state in zip(points, got):
-        reference_steps = [
-            (ref.CNOT, ref.BOTH) if s == "cx" else (reference_gate(s[1]), s[0]) for s in point
-        ]
-        assert np.max(np.abs(state - ref.run_steps(rho, reference_steps, p1, p2))) <= 1e-12
+        assert np.max(np.abs(state - ref.run_steps(rho, reference_steps(point), p1, p2))) <= 1e-12
 
 
 @settings(max_examples=100, deadline=None)
 @given(step_lists)
-@example(PARTLY_DIAGONAL)
+@example(PHASE_BATCH)
 def test_steps_unitary_matches_dense_product(steps):
     got = steps_unitary(engine_steps(steps)).reshape(-1, 4, 4)
     points = points_of(steps)
     assert len(got) == len(points)
     for point, unitary in zip(points, got):
         dense = np.eye(4, dtype=complex)
-        for s in point:
-            dense = (ref.CNOT if s == "cx" else ref.embed(reference_gate(s[1]), s[0])) @ dense
+        for gate, target in reference_steps(point):
+            dense = ref.embed(gate, target) @ dense
         assert np.max(np.abs(unitary - dense)) <= 1e-12
-
-
-# Test-local gate matrices, independent of the gates module.
-I2 = np.eye(2, dtype=complex)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-CNOT_HIGH_CTRL = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-QUIET = NoiseModel.none()
 
 
 def random_unitary(rng, dim):
@@ -249,48 +289,36 @@ def random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_amplitudes(rng):
-    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-    return amps / np.linalg.norm(amps)
-
-
 def pure(amps):
     amps = np.asarray(amps, dtype=complex)
     return np.outer(amps, amps.conj())
 
 
 def random_density(rng):
-    return pure(random_amplitudes(rng))
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return pure(amps / np.linalg.norm(amps))
 
 
-def gate(rho, u, qubit):
-    """`evolve` with one noiseless gate."""
-    return evolve(rho, [(qubit, u)], QUIET)
+def random_phase(rng):
+    return gates.u1(rng.uniform(-math.pi, math.pi))
 
 
 def depolarize_qubit(rho, p, qubit):
-    """`evolve` with the identity on `qubit`: the one-qubit channel alone."""
-    return evolve(rho, [(qubit, I2)], NoiseModel(p, 0.0, 0.0, 0.0))
+    """`_run` with the identity on `qubit`: the one-qubit channel alone."""
+    return run(rho, [(qubit, I2)], NoiseModel(p, 0.0, 0.0, 0.0))
 
 
 def depolarize_both(rho, p):
-    """`evolve` with one CX on CX rho CX: the two-qubit channel on rho alone."""
+    """`_run` with one CX on CX rho CX: the two-qubit channel on rho alone."""
     swapped = CNOT_HIGH_CTRL @ rho @ CNOT_HIGH_CTRL
-    return evolve(swapped, [CX], NoiseModel(0.0, p, 0.0, 0.0))
+    return run(swapped, [CX], NoiseModel(0.0, p, 0.0, 0.0))
 
 
-class TestGroundState:
-    def test_basis_state_for_every_point(self):
-        rho = ground_state((3,))
-        assert rho.shape == (3, 4, 4)
-        for point in rho:
-            np.testing.assert_array_equal(point, pure([1, 0, 0, 0]))
-
-    def test_complex_magnitudes_finite(self):
-        # magnitude computable without overflow across the working range
-        grid = np.linspace(-10, 10, 21)
-        values = grid[:, None] + 1j * grid[None, :]
-        assert np.isfinite(np.abs(values)).all()
+def test_complex_magnitudes_finite():
+    # magnitude computable without overflow across the working range
+    grid = np.linspace(-10, 10, 21)
+    values = grid[:, None] + 1j * grid[None, :]
+    assert np.isfinite(np.abs(values)).all()
 
 
 class TestCheckDistributions:
@@ -311,127 +339,77 @@ class TestCheckDistributions:
             check_distributions(np.array([[0.25] * 4, [1.1, -0.1, 0.0, 0.0]]))
 
 
-class TestReadoutDistributions:
+class TestCnotFreeDistributions:
+    """`cnot_free_distributions`: one-qubit gates from |00>, read out."""
+
     def test_nonunitary_gate_caught_by_final_check(self):
         # a non-unitary gate is not checked per step; the trace it breaks is
         # caught by the final-distribution check
-        rho = evolve(ground_state(), [(1, H), (1, np.diag([1.0, 2.0]))], QUIET)
         with pytest.raises(ValueError, match="sums differ"):
-            readout_distributions(rho, QUIET)
-
-    def test_bad_trace_rejected(self):
-        with pytest.raises(ValueError, match="sums differ"):
-            readout_distributions(np.eye(4, dtype=complex) / 2, QUIET)
+            cnot_free_distributions([(1, H), (1, np.diag([1.0, 2.0]))], QUIET)
 
     def test_basis_distribution(self):
-        np.testing.assert_array_equal(readout_distributions(ground_state(), QUIET), [1, 0, 0, 0])
+        np.testing.assert_array_equal(cnot_free_distributions([(0, I2)], QUIET), [1, 0, 0, 0])
 
-    def test_bell_distribution(self):
-        rho = pure(np.array([1, 0, 0, 1]) / np.sqrt(2))
-        np.testing.assert_allclose(readout_distributions(rho, QUIET), [0.5, 0, 0, 0.5], atol=1e-15)
+    def test_x_on_qubit0_flips_low_bit(self):
+        np.testing.assert_allclose(cnot_free_distributions([(0, X)], QUIET), [0, 1, 0, 0])
 
-    def test_flat_distribution_from_prepared_amplitudes(self):
-        # prepared state at theta=45deg, phi=0: all amplitudes of magnitude 1/2
-        rho = evolve(ground_state(), preparation_steps(math.pi / 4, 0.0), QUIET)
-        np.testing.assert_allclose(readout_distributions(rho, QUIET), [0.25] * 4, atol=1e-12)
+    def test_h_on_qubit1_splits_high_bit(self):
+        got = cnot_free_distributions([(1, H)], QUIET)
+        np.testing.assert_allclose(got, [0.5, 0, 0.5, 0], atol=1e-15)
+
+    def test_x_then_identity_goes_high(self):
+        got = cnot_free_distributions([(1, X), (0, I2)], QUIET)
+        np.testing.assert_allclose(got, [0, 0, 1, 0], atol=1e-15)
 
     def test_diagonal_equals_distribution(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            amps = random_amplitudes(rng)
-            np.testing.assert_allclose(
-                readout_distributions(pure(amps), QUIET), np.abs(amps) ** 2, atol=1e-12
-            )
-
-
-class TestEvolveGates:
-    """`evolve` with noiseless one-qubit gates and CNOTs."""
+            alice, bob = random_unitary(rng, 2), random_unitary(rng, 2)
+            amps = np.kron(alice[:, 0], bob[:, 0])
+            got = cnot_free_distributions([(1, alice), (0, bob)], QUIET)
+            np.testing.assert_allclose(got, np.abs(amps) ** 2, atol=1e-12)
 
     def test_rejects_non_2x2_gate(self):
         with pytest.raises(ValueError, match=r"must be \(\.\.\., 2, 2\)"):
-            gate(ground_state(), np.eye(3), 0)
+            cnot_free_distributions([(0, np.eye(3))], QUIET)
 
     def test_rejects_two_qubit_matrix(self):
         with pytest.raises(ValueError, match=r"must be \(\.\.\., 2, 2\)"):
-            gate(ground_state(), CNOT_HIGH_CTRL, 1)
+            cnot_free_distributions([(1, CNOT_HIGH_CTRL)], QUIET)
 
     def test_rejects_bad_targets(self):
         with pytest.raises(ValueError, match="qubit must be 0 or 1"):
-            evolve(ground_state(), [(2, X)], QUIET)
-        with pytest.raises(ValueError):
-            evolve(ground_state(), [(0, CNOT_HIGH_CTRL)], QUIET)
-
-    def test_out_of_range_target_rejected(self):
+            cnot_free_distributions([(2, X)], QUIET)
         with pytest.raises(ValueError, match="qubit must be 0 or 1"):
-            gate(ground_state(), I2, 2)
+            steps_unitary([(2, I2)])
+
+
+class TestStates:
+    """States on the one path: a product of one-qubit states, then phases and CNOTs."""
 
     def test_identity_leaves_state(self):
         rng = np.random.default_rng(0)
         rho = random_density(rng)
         for qubit in (0, 1):
-            np.testing.assert_allclose(gate(rho, I2, qubit), rho, atol=1e-15)
+            np.testing.assert_allclose(run(rho, [(qubit, I2)], QUIET), rho, atol=1e-15)
 
-    def test_x_on_qubit0_flips_low_bit(self):
-        np.testing.assert_allclose(gate(ground_state(), X, 0), pure([0, 1, 0, 0]), atol=1e-15)
-
-    def test_h_on_qubit1_splits_high_bit(self):
-        out = gate(ground_state(), H, 1)
-        np.testing.assert_allclose(out, pure(np.array([1, 0, 1, 0]) / np.sqrt(2)), atol=1e-15)
-
-    def test_norm_preserved(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            rho = random_density(rng)
-            out = gate(rho, random_unitary(rng, 2), int(rng.integers(2)))
-            assert abs(np.trace(out) - 1.0) < 1e-12
-
-    def test_disjoint_gates_commute(self):
-        rng = np.random.default_rng(2)
-        for _ in range(25):
-            rho = random_density(rng)
-            g1 = random_unitary(rng, 2)
-            g0 = random_unitary(rng, 2)
-            ab = gate(gate(rho, g1, 1), g0, 0)
-            ba = gate(gate(rho, g0, 0), g1, 1)
-            np.testing.assert_allclose(ab, ba, atol=1e-12)
-
-    def test_matches_dense_oracle(self):
-        # kron ordered high-to-low qubit, on a batch of states and gates
-        rng = np.random.default_rng(3)
-        rho = np.array([random_density(rng) for _ in range(5)])
-        u = np.array([random_unitary(rng, 2) for _ in range(5)])
-        for qubit in (0, 1):
-            got = gate(rho, u, qubit)
-            for k in range(5):
-                full = ref.embed(u[k], qubit)
-                np.testing.assert_allclose(got[k], full @ rho[k] @ full.conj().T, atol=1e-12)
-
-    def test_unitary_channel_matches_kraus_sum(self):
-        rng = np.random.default_rng(9)
-        rho = random_density(rng)
-        u = random_unitary(rng, 2)
-        np.testing.assert_allclose(gate(rho, u, 0), ref.kraus_channel(rho, [u], 0), atol=1e-12)
-
-    def test_x_then_identity_goes_high(self):
-        out = evolve(ground_state(), [(1, X), (0, I2)], QUIET)
-        np.testing.assert_allclose(out, pure([0, 0, 1, 0]), atol=1e-15)
+    def test_noiseless_gates_keep_state_pure(self):
+        # the engine's states stay projectors |psi><psi| under noiseless gates
+        rho = product_rho([(1, H)])
+        np.testing.assert_allclose(rho, pure(np.array([1, 0, 1, 0]) / np.sqrt(2)), atol=1e-15)
+        np.testing.assert_allclose(rho @ rho, rho, atol=1e-15)
 
     def test_bell_pair(self):
-        out = evolve(ground_state(), [(1, H), CX], QUIET)
-        np.testing.assert_allclose(out, pure(np.array([1, 0, 0, 1]) / np.sqrt(2)), atol=1e-15)
+        rho = rho_of(engine._run(engine._product_state([(1, H)], QUIET), [CX], QUIET))
+        np.testing.assert_allclose(rho, pure(np.array([1, 0, 0, 1]) / np.sqrt(2)), atol=1e-15)
 
     def test_cx_is_cnot_with_alice_as_control(self):
         rng = np.random.default_rng(11)
         rho = random_density(rng)
         np.testing.assert_allclose(
-            evolve(rho, [CX], QUIET), CNOT_HIGH_CTRL @ rho @ CNOT_HIGH_CTRL.conj().T, atol=1e-15
+            run(rho, [CX], QUIET), CNOT_HIGH_CTRL @ rho @ CNOT_HIGH_CTRL.conj().T, atol=1e-15
         )
-
-    def test_noiseless_gates_keep_state_pure(self):
-        # the engine's states stay projectors |psi><psi| under noiseless gates
-        rho = evolve(ground_state(), [(1, H)], QUIET)
-        np.testing.assert_allclose(rho, pure(np.array([1, 0, 1, 0]) / np.sqrt(2)), atol=1e-15)
-        np.testing.assert_allclose(rho @ rho, rho, atol=1e-15)
 
     def test_preparation_matches_closed_form(self):
         # prepared state at theta=30deg, phi=60deg against its closed form
@@ -440,35 +418,27 @@ class TestEvolveGates:
             [math.cos(theta), math.sin(theta), math.cos(theta),
              math.sin(theta) * np.exp(2j * phi)]
         ) / math.sqrt(2)
-        rho = evolve(ground_state(), preparation_steps(theta, phi), QUIET)
+        rho = rho_of(prepared_state(np.array([theta]), np.array([phi]), QUIET))[0]
         np.testing.assert_allclose(rho, pure(amps), atol=1e-12)
         assert abs(np.trace(rho @ rho) - 1.0) < 1e-12
         assert abs(np.trace(rho) - 1.0) < 1e-12
 
-    def test_interferometer_circuit_kills_first_outcome(self):
-        # full preparation plus the first setting pair at the q-maximizing
-        # angles: the (+1,+1) outcome amplitude cancels exactly
-        theta = phi = math.radians(51.827)
-        steps = [
-            (1, gates.beam_splitter(math.pi / 4)),
-            (0, gates.beam_splitter(theta)),
-            *gates.coupling_steps(phi),
-            (1, gates.beam_splitter(math.pi / 4)),  # b1 is the identity
-        ]
-        out = evolve(ground_state(), steps, QUIET)
-        assert readout_distributions(out, QUIET)[0] <= 1e-12
+    def test_flat_distribution_from_prepared_amplitudes(self):
+        # prepared state at theta=45deg, phi=0: all amplitudes of magnitude 1/2
+        rho = rho_of(prepared_state(np.array([math.pi / 4]), np.array([0.0]), QUIET))[0]
+        np.testing.assert_allclose(np.diagonal(rho).real, [0.25] * 4, atol=1e-12)
 
 
-class TestEvolveChannels:
-    """`evolve` with depolarizing noise: the closed-form channels."""
+class TestChannels:
+    """`_run` with depolarizing noise: the closed-form channels."""
 
     def test_empty_circuit_is_identity(self):
         rng = np.random.default_rng(4)
         rho = random_density(rng)
-        np.testing.assert_array_equal(evolve(rho, [], NoiseModel.default_profile()), rho)
+        np.testing.assert_array_equal(run(rho, [], NoiseModel.default_profile()), rho)
 
     def test_full_depolarizing_gives_maximally_mixed(self):
-        rho = ground_state()
+        rho = pure([1, 0, 0, 0])
         # p = 1 on one qubit leaves I/2 there and the other qubit untouched
         np.testing.assert_allclose(
             depolarize_qubit(rho, 1.0, 1), np.kron(0.5 * I2, pure([1, 0])), atol=1e-15
@@ -518,37 +488,25 @@ class TestEvolveChannels:
                 if rng.random() < 0.3:
                     steps.append(CX)
                 else:
-                    steps.append((int(rng.integers(2)), random_unitary(rng, 2)))
-            out = evolve(random_density(rng), steps, noise)
+                    steps.append((int(rng.integers(2)), random_phase(rng)))
+            out = run(random_density(rng), steps, noise)
             assert abs(np.trace(out) - 1.0) < 1e-10
             assert np.max(np.abs(out - out.conj().T)) < 1e-10
 
-
-class TestEvolveBatches:
     def test_two_axis_batch_equals_point_by_point(self):
         rng = np.random.default_rng(40)
         rho = np.array([[random_density(rng) for _ in range(3)] for _ in range(2)])
-        u = np.array([[random_unitary(rng, 2) for _ in range(3)] for _ in range(2)])
-        theta = rng.uniform(0, math.pi, (2, 3))
-        steps = [(1, u), (0, gates.u3(theta, 0.3, 0.1)), CX, (0, u), (1, gates.hadamard())]
+        lam = rng.uniform(-math.pi, math.pi, (2, 3))
+        steps = [(1, gates.u1(lam)), (0, gates.u1(0.3)), CX, (0, gates.u1(-lam)), CX]
         noise = NoiseModel(0.03, 0.07, 0.0, 0.0)
-        got = evolve(rho, steps, noise)
+        got = run(rho, steps, noise)
         assert got.shape == (2, 3, 4, 4)
         for i, j in np.ndindex(2, 3):
             point = [
                 step if step is CX or step[1].ndim == 2 else (step[0], step[1][i, j])
                 for step in steps
             ]
-            np.testing.assert_array_equal(got[i, j], evolve(rho[i, j], point, noise))
-
-    def test_gate_batch_broadcasts_over_one_state(self):
-        # one state, a batch of gates: the result takes the gates' batch shape
-        phi = np.linspace(0.0, math.pi, 4).reshape(2, 2)
-        got = evolve(ground_state(), [(1, H), (0, H), *gates.coupling_steps(phi)], QUIET)
-        assert got.shape == (2, 2, 4, 4)
-        for index in np.ndindex(2, 2):
-            steps = [(1, H), (0, H), *gates.coupling_steps(phi[index])]
-            np.testing.assert_array_equal(got[index], evolve(ground_state(), steps, QUIET))
+            np.testing.assert_array_equal(got[i, j], run(rho[i, j], point, noise))
 
 
 class TestStepsUnitary:
@@ -565,18 +523,14 @@ class TestStepsUnitary:
         )
         np.testing.assert_allclose(steps_unitary([(1, a), (0, b)]), oracle, atol=1e-15)
 
-    def test_matches_dense_oracle_and_evolve(self):
+    def test_matches_dense_oracle_and_run(self):
         rng = np.random.default_rng(6)
-        steps = [
-            (0, random_unitary(rng, 2)),
-            CX,
-            (1, random_unitary(rng, 2)),
-        ]
+        steps = [(0, random_phase(rng)), CX, (1, random_phase(rng))]
         u = steps_unitary(steps)
         oracle = ref.embed(steps[2][1], 1) @ CNOT_HIGH_CTRL @ ref.embed(steps[0][1], 0)
         np.testing.assert_allclose(u, oracle, atol=1e-12)
         rho = random_density(rng)
-        np.testing.assert_allclose(u @ rho @ u.conj().T, evolve(rho, steps, QUIET), atol=1e-12)
+        np.testing.assert_allclose(u @ rho @ u.conj().T, run(rho, steps, QUIET), atol=1e-12)
 
     def test_cx_alone_is_the_permutation(self):
         np.testing.assert_array_equal(steps_unitary([CX]), CNOT_HIGH_CTRL)

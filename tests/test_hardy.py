@@ -11,11 +11,8 @@ from hardysim.engine import (
     FLAGGED_OUTCOME,
     alice_steps,
     bob_steps,
-    evolve,
     experiment_distributions,
-    ground_state,
-    preparation_steps,
-    steps_unitary,
+    prepared_state,
 )
 from hardysim.hardy import (
     CLASSIFICATION_TOL,
@@ -35,8 +32,16 @@ EYE2 = np.eye(2)
 
 
 def prepared_rho(theta, phi):
-    """Noiseless prepared density matrix from the engine."""
-    return evolve(ground_state(), preparation_steps(theta, phi), QUIET)
+    """Noiseless prepared density matrix from the engine's 16 entries."""
+    return np.reshape(prepared_state(np.array([theta]), np.array([phi]), QUIET), (4, 4))
+
+
+def setting_matrix(steps):
+    """The 2x2 product of one party's setting steps, later gates on the left."""
+    product = EYE2
+    for _, u in steps:
+        product = u @ product
+    return product
 
 
 def prepared_amplitudes(theta, phi):
@@ -128,25 +133,29 @@ class TestPrepareState:
 
 class TestMeasurementSettings:
     def test_b1_is_identity(self):
-        rot = steps_unitary(bob_steps(1, 0.3, 0.9))
-        np.testing.assert_allclose(rot, np.eye(4), atol=1e-15)
+        rot = setting_matrix(bob_steps(1, 0.3, 0.9))
+        np.testing.assert_allclose(rot, EYE2, atol=1e-15)
 
     def test_a1_is_quarter_beam_splitter(self):
-        rot = steps_unitary(alice_steps(1, 0.3))
+        rot = setting_matrix(alice_steps(1, 0.3))
         oracle = SQ2 * np.array([[1, -1], [1, 1]])
-        np.testing.assert_allclose(rot, np.kron(oracle, EYE2), atol=1e-15)
+        np.testing.assert_allclose(rot, oracle, atol=1e-15)
+
+    def test_settings_act_on_their_party(self):
+        assert {qubit for qubit, _ in alice_steps(1, 0.3) + alice_steps(2, 0.3)} == {1}
+        assert {qubit for qubit, _ in bob_steps(1, 0.3, 0.9) + bob_steps(2, 0.3, 0.9)} == {0}
 
     def test_a2_matches_product_oracle(self):
         rng = np.random.default_rng(15)
         for phi in rng.uniform(0, 2 * math.pi, 25):
-            rot = steps_unitary(alice_steps(2, phi))
+            rot = setting_matrix(alice_steps(2, phi))
             oracle = SQ2 * np.array([[1, -np.exp(-2j * phi)], [np.exp(2j * phi), 1]])
-            np.testing.assert_allclose(rot, np.kron(oracle, EYE2), atol=1e-12)
+            np.testing.assert_allclose(rot, oracle, atol=1e-12)
 
     def test_b2_matches_product_oracle(self):
         rng = np.random.default_rng(16)
         for theta, phi in rng.uniform(0.1, 1.4, (25, 2)):
-            rot = steps_unitary(bob_steps(2, phi, chi_of(theta, phi)))
+            rot = setting_matrix(bob_steps(2, phi, chi_of(theta, phi)))
             chi = solve_chi_bisect(theta, phi)
             oracle = np.array(
                 [
@@ -154,7 +163,7 @@ class TestMeasurementSettings:
                     [math.sin(chi) * np.exp(1j * phi), math.cos(chi)],
                 ]
             )
-            np.testing.assert_allclose(rot, np.kron(EYE2, oracle), atol=1e-9)
+            np.testing.assert_allclose(rot, oracle, atol=1e-9)
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):

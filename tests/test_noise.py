@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 import kraus_reference as ref
-from hardysim import noise
+from hardysim import engine, noise
 from hardysim.engine import (
     CX,
     EXPERIMENT_SETTINGS,
     FLAGGED_OUTCOME,
     check_distributions,
-    evolve,
     experiment_distributions,
     experiment_steps,
 )
@@ -37,15 +36,17 @@ I2 = np.eye(2, dtype=complex)
 
 
 def depolarize(rho, p, num_targets, qubit=0):
-    """The engine's closed-form channel on one qubit or on both, run through `evolve`.
+    """The engine's closed-form channel on one qubit or on both, run through `_run`
+    on the (4, 4) state rho.
 
     One qubit: the identity gate on `qubit` at p1 = p.  Both: CX at p2 = p on
     CX rho CX, so the permutations cancel and the channel acts on rho.
     """
     if num_targets == 1:
-        return evolve(rho, [(qubit, I2)], NoiseModel(p, 0.0, 0.0, 0.0))
-    swapped = ref.CNOT @ rho @ ref.CNOT
-    return evolve(swapped, [CX], NoiseModel(0.0, p, 0.0, 0.0))
+        steps, noise_model = [(qubit, I2)], NoiseModel(p, 0.0, 0.0, 0.0)
+    else:
+        rho, steps, noise_model = ref.CNOT @ rho @ ref.CNOT, [CX], NoiseModel(0.0, p, 0.0, 0.0)
+    return engine._from_entries(engine._run(engine._to_entries(rho, ()), steps, noise_model), ())
 
 
 def random_rho(rng):
