@@ -24,20 +24,20 @@ scalars for fixed gates).  A single point runs as a batch of one.
 Every state is reached one way, and no dense gate acts on a full state.
 Before a circuit's first CNOT each qubit has its own gates from |0>, so the
 state there is the product rho_A (x) rho_B of two one-qubit states, built
-entry by entry (`_product_state`).  `_run` takes the steps from that CNOT
-on, in exactly merged form; for the preparation (`prepared_state`) their
-one-qubit gates are all phase gates.  `_act`, the one kernel that applies a
-gate to a full state, has one rule, for diag(1, e^{i lam}), and refuses any
-other gate.  No CNOT follows the settings, so `experiment_distributions`
-reads Alice's and Bob's in closed form from the prepared entries, and
-`cnot_free_distributions` reads out a circuit with no CNOT from its
-product state.  `steps_unitary` composes phase gates and CNOTs into one
-(..., 4, 4) unitary.
+entry by entry (`_product_state`).  `_run` applies the steps from that
+CNOT on one at a time, each one-qubit gate followed by its channel, and
+defers the CNOTs' channels to one at the end; for the preparation
+(`prepared_state`) those one-qubit gates are all phase gates.  `_act`, the
+one kernel that applies a gate to a full state, has one rule, for
+diag(1, e^{i lam}), and refuses any other gate.  No CNOT follows the
+settings, so `experiment_distributions` reads Alice's and Bob's in closed
+form from the prepared entries, and `cnot_free_distributions` reads out a
+circuit with no CNOT from its product state.  `steps_unitary` composes
+phase gates and CNOTs into one (..., 4, 4) unitary.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -102,11 +102,6 @@ def _conjugate(m, r, qubit: int) -> list:
     return _act(conj, rows, 3 - qubit, rows)
 
 
-def _batch_of(steps) -> tuple:
-    """Broadcast batch shape of every gate among `steps`."""
-    return np.broadcast_shapes(*(np.shape(s[1])[:-2] for s in steps if s is not CX))
-
-
 def _qubit(step) -> int:
     qubit = step[0]
     if qubit not in (0, 1):
@@ -134,44 +129,25 @@ def _depolarize_both(r, p: float) -> list:
     return out
 
 
-def _to_entries(rho, batch: tuple) -> list:
-    """(..., 4, 4) broadcast to `batch` as its 16 entries, views over the batch.
-
-    A single point is a batch of one: numpy's scalar math rounds complex products
-    differently from its array loops, and a point must come out as it does in a batch.
-    """
-    rho = np.broadcast_to(rho, (batch or (1,)) + (4, 4))
-    return [rho[..., k // 4, k % 4] for k in range(16)]
-
-
-def _from_entries(r, batch: tuple) -> np.ndarray:
-    """Inverse of `_to_entries`, as a new (*batch, 4, 4) array."""
-    r = np.broadcast_arrays(*r)
-    return np.stack(r, axis=-1).reshape(batch + (4, 4))
-
-
 def _run(r, steps, noise) -> list:
-    """Circuit steps, phase gates and CNOTs, each followed by its depolarizing channel,
-    on a state held as entries; returns new entries, `r` is not changed.
+    """Circuit steps, phase gates and CNOTs, applied in order to a state held as
+    entries; returns new entries, `r` is not changed.
 
-    Applied in exactly merged form.  Between CNOTs, each qubit's gates are multiplied
-    into one 2x2 gate (`_segment`), applied once, then followed by one depolarizing
-    channel at the composed rate 1 - (1 - p1)^n: the channel commutes with gates on the
-    other qubit and is covariant under gates on its own.  The post-CNOT channels commute
-    with every unitary and with the one-qubit channel, so all k of them become one at
-    1 - (1 - p2)^k, last.
+    A CNOT permutes the entries.  A phase gate is conjugated into the state and then
+    followed by its own one-qubit depolarizing channel, at `_segment`'s rate
+    1 - (1 - p1): in floating point that need not be p1, and the golden outputs hold
+    this rate.  The post-CNOT channels commute with every unitary and with the
+    one-qubit channel, so all k of them become one at 1 - (1 - p2)^k, last.
     """
-    for is_cx, group in itertools.groupby(steps, lambda step: step is CX):
-        group = list(group)
-        if is_cx:
-            for _ in group:
-                r = [r[k] for k in _CX_BOTH]
+    for step in steps:
+        if step is CX:
+            r = [r[k] for k in _CX_BOTH]
             continue
-        for qubit in dict.fromkeys(map(_qubit, group)):  # in the order of its first gate
-            m, p = _segment([step for step in group if step[0] == qubit], noise)
-            r = _conjugate(m, r, qubit)
-            if p != 0.0:
-                r = _depolarize_qubit(r, p, qubit)
+        qubit = _qubit(step)
+        m, p = _segment([step], noise)
+        r = _conjugate(m, r, qubit)
+        if p != 0.0:
+            r = _depolarize_qubit(r, p, qubit)
     p = 1.0 - (1.0 - noise.p2) ** sum(step is CX for step in steps)
     if p != 0.0:
         r = _depolarize_both(r, p)
@@ -181,14 +157,15 @@ def _run(r, steps, noise) -> list:
 def steps_unitary(steps) -> np.ndarray:
     """Noiseless circuit steps, phase gates and CNOTs, composed into one (..., 4, 4)
     unitary."""
-    batch = _batch_of(steps)
-    u = _to_entries(np.eye(4, dtype=np.complex128), batch)
+    batch = np.broadcast_shapes(*(np.shape(s[1])[:-2] for s in steps if s is not CX))
+    eye = np.broadcast_to(np.eye(4, dtype=np.complex128), (batch or (1,)) + (4, 4))
+    u = [eye[..., k // 4, k % 4] for k in range(16)]
     for step in steps:
         if step is CX:
             u = [u[k] for k in _CX_ROWS]
         else:
             u = _act(_entries(step[1]), u, 1 - _qubit(step))
-    return _from_entries(u, batch)
+    return np.stack(np.broadcast_arrays(*u), axis=-1).reshape(batch + (4, 4))
 
 
 def preparation_steps(theta, lam) -> list:
@@ -238,8 +215,10 @@ def experiment_steps(a_index: int, b_index: int, theta, lam, chi) -> list:
 
 
 def _segment(steps, noise) -> tuple:
-    """One qubit's steps, no CNOT among them: (their product, later gates on the left;
-    the rate 1 - (1 - p1)^n of the one channel after them)."""
+    """One qubit's steps, no CNOT among them, in exactly merged form: (their product,
+    later gates on the left; the rate 1 - (1 - p1)^n of the one channel after them).
+    The channel after each gate is covariant under the qubit's later gates, so the n
+    channels become one, after the product."""
     m = _entries(steps[0][1])
     for step in steps[1:]:
         m = _times(_entries(step[1]), m)
@@ -336,7 +315,9 @@ def experiment_distributions(theta, phi, noise) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     lam = np.asarray(phi, dtype=np.float64)
     batch = np.broadcast_shapes(theta.shape, lam.shape)
-    theta, lam = np.atleast_1d(theta, lam)  # a single point is a batch of one, as in `_to_entries`
+    # A single point is a batch of one: numpy's scalar math rounds complex products
+    # differently from its array loops, and a point must come out as it does in a batch.
+    theta, lam = np.atleast_1d(theta, lam)
     chi = chi_of(theta, lam)
     prepared = prepared_state(theta, lam, noise)
     blocks = [_alice_blocks(prepared, *_segment(alice_steps(i, lam), noise)) for i in (1, 2)]

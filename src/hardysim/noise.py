@@ -217,21 +217,19 @@ def _sample_counts(seed: int, n: np.ndarray, p: np.ndarray):
     pending, in blocks of _BLOCK_DRAWS draws, and leaves the draws it rejects
     to the next pass.  A count does not depend on the blocks or the passes.
     """
-    block = _BLOCK_DRAWS
     counts = np.empty(p.size, dtype=np.int64)
-    blocks = (np.arange(lo, min(lo + block, p.size)) for lo in range(0, p.size, block))
+    pending = np.arange(p.size)
     attempt = 0
-    while True:
-        rejected = [np.zeros(0, dtype=np.intp)]
-        for draws in blocks:
+    while pending.size:
+        rejected = []
+        for lo in range(0, pending.size, _BLOCK_DRAWS):
+            draws = pending[lo : lo + _BLOCK_DRAWS]
             x, again = _binomial(seed, draws, n.take(draws), p.take(draws), attempt)
             counts[draws] = x
             rejected.append(draws.take(again))
         pending = np.concatenate(rejected)
-        if not pending.size:
-            return counts
         attempt += 1
-        blocks = (pending[lo : lo + block] for lo in range(0, pending.size, block))
+    return counts
 
 
 def _binomial(seed: int, draws, n, p, attempt: int):

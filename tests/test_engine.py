@@ -46,9 +46,13 @@ def rho_of(entries):
 
 def run(rho, steps, noise):
     """`engine._run` on a (..., 4, 4) state: phase gates and CNOTs, each followed by
-    its channel, as the preparation runs them from its first CNOT on."""
-    batch = np.broadcast_shapes(np.shape(rho)[:-2], engine._batch_of(steps))
-    return engine._from_entries(engine._run(engine._to_entries(rho, batch), steps, noise), batch)
+    its channel, as the preparation runs them from its first CNOT on.  The state goes
+    in as its 16 entries over the batch of rho and the gates, a point as a batch of one."""
+    gate_shapes = (np.shape(s[1])[:-2] for s in steps if s is not CX)
+    batch = np.broadcast_shapes(np.shape(rho)[:-2], *gate_shapes)
+    rho = np.broadcast_to(rho, (batch or (1,)) + (4, 4))
+    out = engine._run([rho[..., k // 4, k % 4] for k in range(16)], steps, noise)
+    return rho_of(out).reshape(batch + (4, 4))
 
 
 def product_rho(steps, noise=QUIET):
@@ -260,7 +264,9 @@ def test_cnot_free_readout_matches_kraus_reference(variant, extra, p1, p2, reado
 @example(["cx", (0, (1.0,)), (0, (0.5,))], 0.2, 0.1, [0.3] * 32)
 @example([(1, (1.0,)), (0, (0.7,)), (1, (2.0,)), "cx"], 0.5, 0.6, [-0.2] * 32)
 @example(PHASE_BATCH, 0.1, 0.2, [0.4] * 32)
-def test_fused_run_matches_step_by_step_kraus(steps, p1, p2, entries):
+def test_run_matches_step_by_step_kraus(steps, p1, p2, entries):
+    """`_run` on drawn phase gates and CNOTs, at each point of their batch, against the
+    Kraus run of the same steps with every channel applied after its own gate."""
     rho = density_from(entries)
     got = run(rho, engine_steps(steps), NoiseModel(p1, p2, 0.0, 0.0)).reshape(-1, 4, 4)
     points = points_of(steps)
@@ -534,3 +540,20 @@ class TestStepsUnitary:
 
     def test_cx_alone_is_the_permutation(self):
         np.testing.assert_array_equal(steps_unitary([CX]), CNOT_HIGH_CTRL)
+
+    def test_shapes_and_batch_equals_point_by_point(self):
+        """The batch is the gates' broadcast shape, none for fixed gates, and each point
+        of a two-axis batch is bit for bit the same steps run on that point alone."""
+        assert steps_unitary([CX]).shape == (4, 4)
+        lam = np.linspace(-math.pi, math.pi, 200)
+        assert steps_unitary(gates.coupling_steps(lam)).shape == (200, 4, 4)
+        rng = np.random.default_rng(41)
+        col, row = rng.uniform(-math.pi, math.pi, (3, 1)), rng.uniform(-math.pi, math.pi, (1, 5))
+
+        def steps(col, row):
+            return [(0, gates.u1(col)), CX, (1, gates.u1(row)), (0, gates.u1(-row))]
+
+        u = steps_unitary(steps(col, row))
+        assert u.shape == (3, 5, 4, 4)
+        for i, j in np.ndindex(3, 5):
+            np.testing.assert_array_equal(u[i, j], steps_unitary(steps(col[i, 0], row[0, j])))

@@ -46,7 +46,8 @@ def depolarize(rho, p, num_targets, qubit=0):
         steps, noise_model = [(qubit, I2)], NoiseModel(p, 0.0, 0.0, 0.0)
     else:
         rho, steps, noise_model = ref.CNOT @ rho @ ref.CNOT, [CX], NoiseModel(0.0, p, 0.0, 0.0)
-    return engine._from_entries(engine._run(engine._to_entries(rho, ()), steps, noise_model), ())
+    entries = list(np.reshape(rho, (16, 1)))  # entry 4 row + column, a batch of one
+    return np.stack(engine._run(entries, steps, noise_model), axis=-1).reshape(4, 4)
 
 
 def random_rho(rng):
