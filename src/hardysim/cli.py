@@ -112,7 +112,10 @@ def _cmd_probe(args, out) -> int:
         check_runs(cfg)
     except ValueError as exc:
         raise _flag_error(exc) from exc
-    table, stat_err, eps5_per_run = measure_points([theta], [phi], noise, cfg)
+    try:
+        table, stat_err, eps5_per_run = measure_points([theta], [phi], noise, cfg)
+    except MemoryError as exc:
+        raise UsageError(f"--runs {args.runs} gives too many draws ({args.runs:.3g})") from exc
     eps, stat_err, q = table.eps[0].tolist(), stat_err[0].tolist(), float(table.q[0])
     _print_kv(out, "theta_deg", theta)
     _print_kv(out, "phi_deg", phi)
@@ -160,7 +163,10 @@ def _cmd_metrics(args, out) -> int:
             raise UsageError(f"--baseline must be in [0, 1], got {args.baseline:g}")
     if args.k_sigma <= 0:
         raise UsageError(f"--k-sigma must be positive, got {args.k_sigma:g}")
-    table = read_csv(args.in_path)
+    try:
+        table = read_csv(args.in_path)
+    except MemoryError as exc:
+        raise SweepCsvError(0, f"cannot read {args.in_path}: not enough memory") from exc
     try:
         report = performance_report(
             table, baseline=args.baseline, k_sigma=args.k_sigma, rho_deg=args.rho

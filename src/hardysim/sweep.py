@@ -14,7 +14,9 @@ axis directly.  The CSV interface is fixed:
 
 one row per grid point, decimal points, at least six significant digits.
 write_csv emits unquoted rows with LF endings.  read_csv parses every valid
-file in one call of numpy's C tokenizer (np.loadtxt) over the whole file.
+file in one call of numpy's C tokenizer (np.loadtxt) over the whole file
+and transposes the values once into one contiguous copy: the row checks
+(one mask per rule) run on it, and the table's columns are views into it.
 A file it cannot trust to that call, or one the call or the row checks
 reject, goes to _diagnose: one bisection over the lines, each tokenized on
 its own and checked, raises at the earliest bad line.  It accepts CRLF or
@@ -408,7 +410,9 @@ def read_csv(path) -> SweepTable:
     numeric field must be finite, and q_theory and eps1..eps5 must lie in
     [0, 1].  The eps4_est column is redundant (eps5 - q_theory); it is
     checked for consistency and the exact difference is used.  A bad file is
-    reported at its earliest bad line.
+    reported at its earliest bad line.  The values are checked in one
+    contiguous (9, N) copy, and each float column of the table is a
+    contiguous view into it.
     """
     try:
         with open(path, "rb") as handle:
@@ -436,17 +440,11 @@ def read_csv(path) -> SweepTable:
             rows = _loadtxt(handle, _ROW_DTYPE, skiprows=1)
     except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
         _diagnose(path)
-    if _check_rows(rows["values"], rows["kind"]) is not None:
+    columns = rows["values"].T.copy()  # checked, then viewed as the table's columns
+    if _check_rows(columns, rows["kind"]) is not None:
         _diagnose(path)
-    data = rows["values"]
-    return SweepTable(
-        theta_deg=data[:, 0],
-        phi_deg=data[:, 1],
-        q=data[:, 2],
-        eps=data[:, 3:7],
-        stat_err=data[:, 8],
-        kind=rows["kind"].astype(_CLASS_NAMES.dtype),
-    )
+    kind = rows["kind"].astype(_CLASS_NAMES.dtype)
+    return SweepTable(columns[0], columns[1], columns[2], columns[3:7].T, columns[8], kind)
 
 
 def _diagnose(path) -> NoReturn:
@@ -502,7 +500,7 @@ def _parse(lines: list[str]) -> str | None:
         return ""
     if len(rows) != len(lines) + 1:
         return ""
-    fault = _check_rows(rows["values"], rows["kind"])
+    fault = _check_rows(rows["values"].T, rows["kind"])
     return None if fault is None else fault[1]
 
 
@@ -538,33 +536,29 @@ def _fault(line: str) -> str:
     return "quoted field not closed on its line"
 
 
-def _check_rows(data, kinds) -> tuple[int, str] | None:
-    """(row index, message) of the earliest parsed row failing a check, or None.
+def _check_rows(columns, kinds) -> tuple[int, str] | None:
+    """(row index, message) of the earliest row failing a check, or None.
 
-    Within a row the checks apply in order: finite, probabilities in [0, 1],
-    known class, eps4_est consistent.  All rows are screened one column at a
-    time, on a transposed contiguous copy of the values (a probability in
-    [0, 1] is finite); only the first failing row is diagnosed.
+    columns holds the nine numeric fields as rows, shape (9, N).  Each rule
+    is one mask over all rows: finite, probabilities in [0, 1], known class,
+    eps4_est consistent.  The first failing row's message comes from the
+    first rule whose mask fails there, and within a rule from its first
+    failing column.
     """
-    columns = data.T.copy()
+    finite = np.isfinite(columns)
+    in_range = (columns[2:7] >= 0.0) & (columns[2:7] <= 1.0)
     known = np.isin(kinds, _CLASS_NAMES)
-    good = known & ~(np.abs(columns[7] - (columns[6] - columns[2])) > 1e-6)
-    for column in (0, 1, 7, 8):
-        good &= np.isfinite(columns[column])
-    for column in range(2, 7):
-        good &= columns[column] >= 0.0
-        good &= columns[column] <= 1.0
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN: consistent here, caught by finite
+        consistent = ~(np.abs(columns[7] - (columns[6] - columns[2])) > 1e-6)
+    good = finite.all(0) & in_range.all(0) & known & consistent
     if good.all():
         return None
     row = int(np.argmin(good))
-    finite = np.isfinite(data[row])
-    if not finite.all():
-        return row, f"non-finite {_HEADER_FIELDS[int(np.argmin(finite))]}"
-    probabilities = data[row, 2:7]
-    in_range = (probabilities >= 0.0) & (probabilities <= 1.0)
-    if not in_range.all():
-        column = int(np.argmin(in_range))
-        value = float(probabilities[column])
+    if not finite[:, row].all():
+        return row, f"non-finite {_HEADER_FIELDS[int(np.argmin(finite[:, row]))]}"
+    if not in_range[:, row].all():
+        column = int(np.argmin(in_range[:, row]))
+        value = float(columns[2 + column, row])
         return row, f"{_PROBABILITY_FIELDS[column]}={value!r} outside [0, 1]"
     if not known[row]:
         return row, f"unknown class {kinds[row]!r}"

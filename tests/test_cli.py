@@ -311,6 +311,24 @@ class TestExitCodes:
         assert err == "usage error: --runs 100000 gives too many draws (1e+05)\n"
         assert not path.exists()
 
+    @pytest.mark.parametrize("allocation", ["experiment_distributions", "estimate_batch"])
+    def test_probe_out_of_memory_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, allocation
+    ):
+        # runs that pass check_runs but that the engine or the draws cannot allocate
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(sweep, allocation, out_of_memory)
+        path = tmp_path / "x.csv"
+        argv = ["probe", "40", "40", "--noise", "default", "--runs", "100000"]
+        code, text = run_cli([*argv, "--out", str(path)])
+        assert code == EXIT_USAGE
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err == "usage error: --runs 100000 gives too many draws (1e+05)\n"
+        assert not path.exists()
+
     def test_sweep_runs_need_no_memory_per_run(self, tmp_path, monkeypatch):
         # a sweep draws 4 pooled counts per point whatever --runs is, so the
         # 1 MB that refuses probe's 100000 runs holds 19 points at 10000
@@ -331,6 +349,18 @@ class TestExitCodes:
         code, _ = run_cli(["metrics", "--in", str(path)])
         assert code == EXIT_IO
         assert "at least 3 rows" in capsys.readouterr().err
+
+    def test_metrics_out_of_memory_is_input_error(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        path = tmp_path / "peak.csv"
+        write_peaked_csv(path, 51.827)
+        monkeypatch.setattr(sweep, "_loadtxt", out_of_memory)
+        code, text = run_cli(["metrics", "--in", str(path)])
+        assert code == EXIT_IO
+        assert text == ""
+        assert capsys.readouterr().err == f"input error: cannot read {path}: not enough memory\n"
 
 
 class TestMetricsInputChecks:
@@ -374,6 +404,8 @@ class TestMetricsInputChecks:
             ({8: "inf"}, "non-finite stat_err"),
             ({3: "1.5"}, "eps1=1.5 outside [0, 1]"),
             ({2: "-0.25", 7: "0.35"}, "q_theory=-0.25 outside [0, 1]"),
+            # eps5 - q_theory is inf - inf: no numpy warning, only this line
+            ({2: "inf", 6: "inf"}, "non-finite q_theory"),
         ],
     )
     def test_bad_csv_cell_is_input_error(self, tmp_path, capsys, cells, message):
@@ -387,8 +419,7 @@ class TestMetricsInputChecks:
         path.write_text("\n".join(lines) + "\n")
         code, _ = run_cli(["metrics", "--in", str(path)])
         assert code == EXIT_IO
-        err = capsys.readouterr().err
-        assert "line 4" in err and message in err
+        assert capsys.readouterr().err == f"input error: line 4: {message}\n"
 
 
 class TestGoldenOutputs:

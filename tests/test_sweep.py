@@ -90,6 +90,24 @@ def reference_ladder(q, eps5, stat_err, baseline, k_sigma):
     return count, q.size, stop_q, min_q
 
 
+def reference_check(values, kinds):
+    """(row, message) of the first row failing the row checks, applied one
+    row at a time in plain Python and in their order; None when all pass."""
+    names = sweep._HEADER_FIELDS
+    for row, (cells, kind) in enumerate(zip(values.tolist(), kinds)):
+        for name, value in zip(names, cells):
+            if not math.isfinite(value):
+                return row, f"non-finite {name}"
+        for name, value in zip(names[2:7], cells[2:7]):
+            if not 0.0 <= value <= 1.0:
+                return row, f"{name}={value!r} outside [0, 1]"
+        if kind not in CLASSES:
+            return row, f"unknown class {kind!r}"
+        if abs(cells[7] - (cells[6] - cells[2])) > 1e-6:
+            return row, "eps4_est is not eps5 - q_theory"
+    return None
+
+
 # Cells that make a data line bad, each in its own way, in a number column
 # or in the class column.
 BAD_NUMBERS = ["x", "", "1_0", "1.5", "-0.5", "nan", "inf", "0.5\0", "1,2", '"0.5', '1"',
@@ -728,6 +746,50 @@ class TestCsv:
         path.write_text("\n".join([lines[0], lines[1], "", lines[2]]) + "\n")
         with pytest.raises(SweepCsvError, match="line 4: unknown class 'WAT'"):
             read_csv(path)
+
+    @pytest.mark.parametrize("cells,message", [
+        ({0: "nan", 2: "1.5"}, "non-finite theta_deg"),
+        ({2: "1.5", 3: "2.0"}, "q_theory=1.5 outside [0, 1]"),
+        ({4: "-0.5", 9: "WAT"}, "eps2=-0.5 outside [0, 1]"),
+        ({9: "WAT", 7: "0.9"}, "unknown class 'WAT'"),
+    ])
+    def test_first_rule_wins_within_a_row(self, tmp_path, cells, message):
+        text = rows_to_csv(table_of(synthetic_row(t, 0.1) for t in (10.0, 20.0)))
+        for column, value in cells.items():
+            text = edit_line(2, set_field(column, value))(text)
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(SweepCsvError) as info:
+            read_csv(path)
+        assert str(info.value) == f"line 3: {message}"
+
+    def test_row_checks_match_the_per_row_reference(self):
+        rng = np.random.default_rng(33)
+        faults = [np.nan, np.inf, -np.inf, -0.5, 1.5, 1.0 + 1e-12, -1e-300]
+        for _ in range(2000):
+            rows = int(rng.integers(1, 6))
+            values = rng.random((rows, 9))
+            values[:, 7] = values[:, 6] - values[:, 2]
+            kinds = [str(kind) for kind in rng.choice(CLASSES, rows)]
+            for _ in range(int(rng.integers(0, 4))):
+                row, column = int(rng.integers(rows)), int(rng.integers(10))
+                if column == 9:
+                    kinds[row] = str(rng.choice(["WAT", "NMES ", ""]))
+                elif column == 7 and rng.random() < 0.5:
+                    values[row, 7] += 0.1
+                else:
+                    values[row, column] = rng.choice(faults)
+            expected = reference_check(values, kinds)
+            kinds = np.array(kinds, dtype=object)
+            assert sweep._check_rows(values.T, kinds) == expected  # _parse's strided view
+            assert sweep._check_rows(values.T.copy(), kinds) == expected  # read_csv's copy
+
+    def test_read_columns_are_contiguous(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_csv(self._rows(), path)
+        back = read_csv(path)
+        for column in (back.theta_deg, back.phi_deg, back.q, *back.eps.T, back.stat_err):
+            assert column.flags.c_contiguous
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "bad.csv"
