@@ -30,7 +30,6 @@ from .sweep import (
     DEFAULT_K_SIGMA,
     REFERENCE_ANGLE_DEG,
     SweepCsvError,
-    check_runs,
     measure_points,
     performance_report,
     read_csv,
@@ -101,21 +100,16 @@ def _cmd_probe(args, out) -> int:
     # Only theta hits the tan singularity; phi = 90 is a regular point.
     theta = float(substitute_singular(args.theta_deg))
     phi = args.phi_deg
-    if theta != args.theta_deg:
-        print(
-            f"# note: singular theta substituted: {args.theta_deg:g} -> {theta:g}",
-            file=out,
-        )
     noise = _resolve_noise(args.noise)
     cfg = _resolve_shots(args)
-    try:
-        check_runs(cfg)
-    except ValueError as exc:
-        raise _flag_error(exc) from exc
     try:
         table, stat_err, eps5_per_run = measure_points([theta], [phi], noise, cfg)
     except MemoryError as exc:
         raise UsageError(f"--runs {args.runs} gives too many draws ({args.runs:.3g})") from exc
+    if args.out:  # before anything is printed, so a failed write prints nothing
+        write_csv(table, args.out)
+    if theta != args.theta_deg:
+        print(f"# note: singular theta substituted: {args.theta_deg:g} -> {theta:g}", file=out)
     eps, stat_err, q = table.eps[0].tolist(), stat_err[0].tolist(), float(table.q[0])
     _print_kv(out, "theta_deg", theta)
     _print_kv(out, "phi_deg", phi)
@@ -130,8 +124,6 @@ def _cmd_probe(args, out) -> int:
     _print_kv(out, "eps5_run_std", float(np.std(eps5_per_run)))
     _print_kv(out, "eps4_est", float(table.eps4_est[0]))
     _print_kv(out, "noise_profile", noise.name or "unnamed")
-    if args.out:
-        write_csv(table, args.out)
     return EXIT_OK
 
 

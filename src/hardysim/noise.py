@@ -216,48 +216,36 @@ def _sample_counts(seed: int, n: np.ndarray, p: np.ndarray):
     Attempts go in passes: pass a makes attempt a of every draw still
     pending, in blocks of _BLOCK_DRAWS draws, and leaves the draws it rejects
     to the next pass.  A count does not depend on the blocks or the passes.
+    p > 0.5 draws n - Binomial(n, 1 - p), in int64, so p = 1 gives exactly
+    n; p = 0 gives 0 and draws nothing.  n p < 10 takes sequential
+    inversion, the rest Hormann's BTRD.  The flipped p and the float n are
+    made per block, so the memory they take does not grow with the draws.
     """
-    counts = np.empty(p.size, dtype=np.int64)
+    counts = np.zeros(p.size, dtype=np.int64)
     pending = np.arange(p.size)
     attempt = 0
     while pending.size:
-        rejected = []
+        rejected = [pending[:0]]
         for lo in range(0, pending.size, _BLOCK_DRAWS):
             draws = pending[lo : lo + _BLOCK_DRAWS]
-            x, again = _binomial(seed, draws, n.take(draws), p.take(draws), attempt)
-            counts[draws] = x
-            rejected.append(draws.take(again))
+            block_p = p.take(draws)
+            flip = block_p > 0.5
+            block_p = np.where(flip, 1.0 - block_p, block_p)
+            nf = n.take(draws).astype(np.float64)
+            mean = nf * block_p
+            for method, mine in ((_inversion, (block_p > 0.0) & (mean < _INVERSION_MEAN)),
+                                 (_btrd, mean >= _INVERSION_MEAN)):
+                chosen = np.flatnonzero(mine)
+                if chosen.size:
+                    ids = draws.take(chosen)
+                    counts[ids], again = method(seed, ids.astype(np.uint64), attempt,
+                                                nf.take(chosen), block_p.take(chosen))
+                    rejected.append(ids.take(again))
+            flipped = draws.take(np.flatnonzero(flip))
+            counts[flipped] = n.take(flipped) - counts.take(flipped)
         pending = np.concatenate(rejected)
         attempt += 1
     return counts
-
-
-def _binomial(seed: int, draws, n, p, attempt: int):
-    """Attempt `attempt` of each of `draws`, Binomial(n, p) with each draw's own
-    n and p: (int64 counts, the positions of the draws it rejects).
-
-    p > 0.5 draws n - Binomial(n, 1 - p), in int64, so p = 1 gives exactly
-    n; p = 0 gives 0 and draws nothing.  n p < 10 takes sequential
-    inversion, the rest Hormann's BTRD.
-    """
-    flip = p > 0.5
-    p = np.where(flip, 1.0 - p, p)
-    nf = n.astype(np.float64)
-    mean = nf * p
-    counters = draws.astype(np.uint64)
-    x = np.zeros(draws.size)
-    again = [np.zeros(0, dtype=np.intp)]
-    for method, mine in ((_inversion, (p > 0.0) & (mean < _INVERSION_MEAN)),
-                         (_btrd, mean >= _INVERSION_MEAN)):
-        chosen = np.flatnonzero(mine)
-        if chosen.size:
-            x[chosen], rejected = method(seed, counters.take(chosen), attempt,
-                                         nf.take(chosen), p.take(chosen))
-            again.append(chosen.take(rejected))
-    x = x.astype(np.int64)
-    flipped = np.flatnonzero(flip)
-    x[flipped] = n.take(flipped) - x.take(flipped)
-    return x, np.concatenate(again)
 
 
 def _inversion(seed: int, draws, attempt: int, n, p):

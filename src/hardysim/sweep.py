@@ -60,13 +60,13 @@ _SENTINEL = "0,0,0,0,0,0,0,0,0,PS"  # a valid row; see _parse
 # the physical memory at this rate is rejected before it is built.
 ENGINE_BYTES_PER_POINT = 1700
 
-# Memory of probe's draws per run, in bytes: estimate_batch's per-draw int64
-# n and float64 p, the int64 counts and experiment 4's float64 frequencies.
-# tracemalloc's peak of estimate_batch at one point grows by 32.0 bytes per
-# run from 10**6 to 4 * 10**6 runs.  A sweep draws 4 pooled counts per point
-# whatever the runs (see cli._cmd_sweep), so only probe is checked: runs
-# needing more than the physical memory at this rate are rejected before the
-# engine runs.
+# Memory of the draws per run, in bytes, rounded down as ENGINE_BYTES_PER_POINT
+# is: estimate_batch's per-draw int64 n and float64 p, the int64 counts and
+# experiment 4's float64 frequencies.  tracemalloc's peak of estimate_batch at
+# one point grows by 33.1 to 33.6 bytes per run from 10**5 to 10**6 runs
+# (numpy 2.4.6).  measure_points refuses a batch whose points x runs need more
+# than the physical memory at this rate before the engine runs; a sweep pools
+# its runs into one (see cli._cmd_sweep), so only probe's runs can bind.
 SAMPLE_BYTES_PER_RUN = 32
 
 # How many statistical errors a measured epsilon must clear above the error
@@ -125,16 +125,6 @@ def _physical_memory() -> int | None:
         return None
 
 
-def check_runs(cfg: ShotConfig | None) -> None:
-    """Reject `cfg`'s runs when their draws at one point would need more than the
-    physical memory at SAMPLE_BYTES_PER_RUN; exact (cfg None) draws nothing."""
-    memory = _physical_memory()
-    if cfg is None or memory is None:
-        return
-    if cfg.runs * SAMPLE_BYTES_PER_RUN > memory:
-        raise ValueError(f"runs {cfg.runs} gives too many draws ({cfg.runs:.3g})")
-
-
 def substitute_singular(theta_deg) -> np.ndarray:
     """theta_deg (degrees, an array or a number) with each angle on the tan
     singularity (within 1e-9 of 90, 270, ...) moved 0.01 down.
@@ -187,7 +177,7 @@ def sweep_angles(
         earlier = np.maximum.accumulate(np.append(-np.inf, theta[:-1]))
         theta = theta[(theta == grid) | (theta > earlier)]
     except (MemoryError, ValueError) as exc:
-        raise ValueError(f"step {step_deg:g} gives too many points ({span:.3g})") from exc
+        raise ValueError(f"step {step_deg:g} gives too many points ({points:.3g})") from exc
     return (theta, theta) if mode == "diagonal" else (theta[:, None], grid[None, :])
 
 
@@ -204,11 +194,16 @@ def measure_points(
     per-run frequencies, as estimate_batch gives them.  Point i's counts
     depend only on cfg (`--shots`, `--runs`, `--seed`), i and its own
     distributions, not on the other points or on how the draws are batched.
+    A sampled batch whose points x runs would need more than the physical
+    memory at SAMPLE_BYTES_PER_RUN raises MemoryError before the engine runs.
     """
     theta_deg, phi_deg = (np.asarray(a, dtype=np.float64) for a in (theta_deg, phi_deg))
     shape = np.broadcast_shapes(theta_deg.shape, phi_deg.shape)
     if 0 in shape:
         raise ValueError("no sweep points")
+    memory = _physical_memory()
+    if cfg and memory is not None and math.prod(shape) * cfg.runs * SAMPLE_BYTES_PER_RUN > memory:
+        raise MemoryError(f"draws of {cfg.runs} runs at {math.prod(shape)} points")
     theta, phi = np.radians(np.fmod(theta_deg, 360.0)), np.radians(np.fmod(phi_deg, 360.0))
     dists = experiment_distributions(theta, phi, noise).reshape(-1, 4, 4)
     eps, stat_err, eps5_per_run = estimate_batch(dists, cfg)

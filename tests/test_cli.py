@@ -223,12 +223,18 @@ class TestExitCodes:
         assert code == EXIT_IO
         assert "line 2" in capsys.readouterr().err
 
-    def test_unwritable_output_is_io_error(self, tmp_path):
-        code, _ = run_cli(
-            ["sweep", "diagonal", "--step", "45", "--shots", "0",
-             "--out", str(tmp_path / "no" / "dir" / "x.csv")]
-        )
+    @pytest.mark.parametrize("command", [
+        ["sweep", "diagonal", "--step", "45", "--shots", "0"],
+        ["probe", "40", "40", "--noise", "default"],
+    ], ids=["sweep", "probe"])
+    def test_unwritable_output_is_io_error(self, tmp_path, capsys, command):
+        # the write comes before any output, so a failed run prints nothing
+        path = tmp_path / "no" / "dir" / "x.csv"
+        code, text = run_cli([*command, "--out", str(path)])
         assert code == EXIT_IO
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err == f"i/o error: [Errno 2] No such file or directory: '{path}'\n"
 
     def test_non_finite_angle_is_usage_error(self):
         code, _ = run_cli(["probe", "inf", "2"])
@@ -258,7 +264,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "mode,allocation,count",
         [
-            ("diagonal", "numpy.arange", "2"),  # the grid
+            ("diagonal", "numpy.arange", "3"),  # the grid
+            ("surface", "numpy.arange", "9"),
             ("surface", "hardysim.sweep.experiment_distributions", "9"),  # the engine
             ("diagonal", "hardysim.sweep.rows_to_csv", "3"),  # the render, before any file
         ],
@@ -315,7 +322,7 @@ class TestExitCodes:
     def test_probe_out_of_memory_is_usage_error(
         self, tmp_path, capsys, monkeypatch, allocation
     ):
-        # runs that pass check_runs but that the engine or the draws cannot allocate
+        # runs within physical memory that the engine or the draws cannot allocate
         def out_of_memory(*args, **kwargs):
             raise MemoryError
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -451,6 +452,21 @@ class TestShotSampler:
         counts = _sample_counts(*every_branch())
         digest = hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest()
         assert digest == "03d8de91307ca403a48231a9750496667bbb87da0fd3e4da2dfd598549fe5fd3"
+
+    def test_draws_memory_per_run_is_bounded(self):
+        # sweep.SAMPLE_BYTES_PER_RUN rounds this growth down to 32; it reads
+        # about 33 bytes per run, and 50 or more when the flipped p and the
+        # float n are made once over all draws instead of per block
+        dists = experiment_distributions([DEG(51.827)], [DEG(51.827)], NoiseModel.default_profile())
+        peaks = []
+        for runs in (10**5, 10**6):
+            tracemalloc.start()
+            try:
+                estimate_batch(dists, ShotConfig(8192, runs, seed=1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (10**6 - 10**5) <= 40.0
 
     def test_estimate_batch_lays_out_per_run_draws(self):
         # probe's counts: per point the pooled experiments 1-3, then
