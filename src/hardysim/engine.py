@@ -1,39 +1,28 @@
-"""Batched density-matrix engine for the four Hardy experiments.
+"""Density-matrix engine for the four Hardy experiments.
 
-Basis convention (fixed, tests pin it): basis index k = 2a + b encodes
-|a b>, with Alice (qubit 1, CNOT control) as the high bit and Bob (qubit 0,
-CNOT target) as the low bit.
+Basis convention (fixed, tests pin it): basis index k = 2a + b encodes |a b>,
+with Alice (qubit 1, CNOT control) as the high bit and Bob (qubit 0, CNOT
+target) as the low bit.
 
-Noise is symmetric depolarizing after every gate, applied in closed form
-(Nielsen & Chuang, section 8.3.4): rate p1 after a one-qubit gate on qubit
-q, rho -> (1 - p1) rho + p1 (I/2 on q) (x) Tr_q rho, and rate p2 after a
-CNOT, rho -> (1 - p2) rho + p2 I/4.  A terminal symmetric readout flip at
-rate r on each qubit is the same one-qubit mix at rate 2r on its outcome
-bit (`_mixed`, the engine's one form of a one-qubit channel), over Bob's
-bit and then Alice's.  The noiseless case is the same engine with zero
-rates.  Inputs are validated where they enter (NoiseModel,
-the CLI); the engine checks only its final distributions, never an
-intermediate step.
+Noise is symmetric depolarizing after every gate (Nielsen & Chuang, section
+8.3.4): rate p1 after a one-qubit gate on qubit q, rho -> (1 - p1) rho + p1
+(I/2 on q) (x) Tr_q rho, and rate p2 after a CNOT, rho -> (1 - p2) rho + p2
+I/4; then each qubit's readout flips at its own symmetric rate.  The
+noiseless case is the same engine with zero rates.  Inputs are validated
+where they enter (NoiseModel, the CLI); the engine checks only its final
+distributions.
 
-Inside the engine a state is held as its 16 entries rho[a b, a' b'] (Alice
-row, Bob row, Alice column, Bob column), entry 8a + 4b + 2a' + b', each an
-array over the batch, so every operation is a few ufunc calls on whole
-entries.  A 2x2 gate is held as its four entries (arrays over the batch, or
-scalars for fixed gates).  A single point runs as a batch of one.
-
-Every state is reached one way, and no dense gate acts on a full state.
-Before a circuit's first CNOT each qubit has its own gates from |0>, so the
-state there is the product rho_A (x) rho_B of two one-qubit states, built
-entry by entry (`_product_state`).  `_run` applies the steps from that
-CNOT on one at a time, each one-qubit gate followed by its channel, and
-defers the CNOTs' channels to one at the end; for the preparation
-(`prepared_state`) those one-qubit gates are all phase gates.  `_act`, the
-one kernel that applies a gate to a full state, has one rule, for
-diag(1, e^{i lam}), and refuses any other gate.  No CNOT follows the
-settings, so `experiment_distributions` reads Alice's and Bob's in closed
-form from the prepared entries, and `cnot_free_distributions` reads out a
-circuit with no CNOT from its product state.  `steps_unitary` composes
-phase gates and CNOTs into one (..., 4, 4) unitary.
+`experiment_distributions`, which every sweep, probe and grid reaches,
+reads the four experiments in closed form from the Pauli components of the
+noisy state, with no density matrix.  The gate-level path serves the checks
+and the CNOT-free `reduced` circuits: a state is held as its 16 entries
+rho[a b, a' b'], entry 8a + 4b + 2a' + b', each an array over the batch.
+Before a circuit's first CNOT it is the product rho_A (x) rho_B
+(`_product_state`); `_run` applies the steps from that CNOT on, each phase
+gate followed by its channel, and defers the CNOTs' channels to one at the
+end.  `_act`, the one kernel that applies a gate to a full state, takes only
+diag(1, e^{i lam}).  `steps_unitary` composes phase gates and CNOTs into
+one (..., 4, 4) unitary.
 """
 
 from __future__ import annotations
@@ -222,7 +211,12 @@ def _segment(steps, noise) -> tuple:
     m = _entries(steps[0][1])
     for step in steps[1:]:
         m = _times(_entries(step[1]), m)
-    return m, 1.0 - (1.0 - noise.p1) ** len(steps)
+    return m, _rate(len(steps), noise)
+
+
+def _rate(n: int, noise) -> float:
+    """The rate 1 - (1 - p1)^n of the one channel that n one-qubit gates' channels make."""
+    return 1.0 - (1.0 - noise.p1) ** n
 
 
 def _mixed(pair, p: float) -> list:
@@ -254,44 +248,16 @@ def _product_state(steps, noise) -> list:
     return [alice[a][a2] * bob[b][b2] for a, b, a2, b2 in np.ndindex(2, 2, 2, 2)]
 
 
-def _weights(m) -> list:
-    """Each row k of a one-qubit gate M as (|M_k0|^2, |M_k1|^2, M_k0 conj(M_k1)): the weights
-    of x00, x11 and x01 (conj for x10) in outcome k of M applied to a one-qubit block x."""
-    return [(abs(x) ** 2, abs(y) ** 2, x * np.conj(y)) for x, y in m]
-
-
-def _alice_blocks(r, m, p: float) -> list:
-    """Alice's diagonal blocks D[a] = rho'[a y, a y'] of rho' = her setting `m`, then her
-    channel at rate p, applied to the state r: at y y' = 00, 11 and 01, each over a.
-
-    D[a] = |M_a0|^2 rho[0y, 0y'] + |M_a1|^2 rho[1y, 1y'] + M_a0 conj(M_a1) rho[0y, 1y']
-    + conj(M_a0 conj(M_a1)) rho[1y, 0y']: her channel adds to these blocks alone.
-    """
-    terms = _weights(m)
-    blocks = []
-    for y, y2 in ((0, 0), (1, 1), (0, 1)):
-        x = {(a, a2): r[8 * a + 4 * y + 2 * a2 + y2] for a in (0, 1) for a2 in (0, 1)}
-        d = [u * x[0, 0] + v * x[1, 1] + c * x[0, 1] + np.conj(c) * x[1, 0] for u, v, c in terms]
-        blocks.append(_mixed(d, p))
-    return blocks
-
-
-def _read_out(probs, noise) -> np.ndarray:
-    """Ideal outcome probabilities (last axis, k = 2a + b) through each qubit's symmetric
-    readout flip, checked.  A flip at rate r is `_mixed` at 2r: readout0 over Bob's bit b,
-    then readout1 over Alice's bit a."""
-    x = [probs[..., k] for k in range(4)]
+def cnot_free_distributions(steps, noise) -> np.ndarray:
+    """Outcome distribution (last axis, k = 2a + b) of one-qubit `steps` from |00>, no
+    CNOT among them, checked: the diagonal of their product state through each qubit's
+    readout flip, `_mixed` at twice its rate over Bob's bit b, then over Alice's bit a."""
+    r = _product_state(steps, noise)
+    x = [r[k].real for k in (0, 5, 10, 15)]
     for bit, rate in ((1, noise.readout0), (2, noise.readout1)):
         for k in (0, 3 - bit):  # the other qubit's bit 0, then 1
             x[k], x[k | bit] = _mixed([x[k], x[k | bit]], 2.0 * rate)
     return check_distributions(np.stack(x, axis=-1))
-
-
-def cnot_free_distributions(steps, noise) -> np.ndarray:
-    """Outcome distribution (last axis, k = 2a + b) of one-qubit `steps` from |00>, no
-    CNOT among them, checked: the diagonal of their product state, read out."""
-    r = _product_state(steps, noise)
-    return _read_out(np.stack([r[k].real for k in (0, 5, 10, 15)], axis=-1), noise)
 
 
 def prepared_state(theta, lam, noise) -> list:
@@ -306,32 +272,63 @@ def prepared_state(theta, lam, noise) -> list:
 def experiment_distributions(theta, phi, noise) -> np.ndarray:
     """Outcome distributions, shape (*batch, 4, 4): point, experiment, outcome k = 2a + b.
 
-    The preparation runs once (`prepared_state`).  No CNOT follows the settings, so each
-    is read in closed form.  Each of Alice's keeps only her diagonal blocks
-    D[a] = rho[a y, a y'], the measured part (`_alice_blocks`).
-    Each of Bob's, one product M, reads them: P(a, b) = |M_b0|^2 D[a]_00 + |M_b1|^2 D[a]_11
-    + 2 Re(M_b0 conj(M_b1) D[a]_01), then his channel mixes P(a, .).
+    In closed form from the Pauli components of the noisy state (R. Horodecki &
+    M. Horodecki, Phys. Rev. A 54, 1838 (1996)), where a depolarizing channel only
+    shrinks components.  With lam = phi, C = cos lam, S = sin lam, chi = chi_of(theta,
+    lam), p(n) = `_rate(n, noise)` and d = 1 - p(1):
+
+    - Before the first CNOT the state is a product: Alice's Bloch vector is (cA, 0, 0),
+      Bob's cB (sin 2theta C, -sin 2theta S, cos 2theta), cA = d and cB = 1 - p(2).
+    - Each later step maps the components.  A CX takes X_A -> X_A X_B, Y_A -> Y_A X_B,
+      Y_B -> Z_A Y_B and Z_B -> Z_A Z_B; u1(alpha) rotates its qubit's (x, y) by alpha,
+      and its channel shrinks every component that is not the identity on its qubit by
+      d; the two deferred CNOT channels shrink all non-identity ones by g = (1 - p2)^2.
+    - Alice's settings read her axes (-1, 0, 0) and (-cos 2lam, -sin 2lam, 0), Bob's
+      (0, 0, 1) and (-sin 2chi C, -sin 2chi S, cos 2chi): the state's projections are
+      x_i (Alice's setting i), y_j (Bob's j) and their correlation z_ij.
+    - The channel after a setting and the readout flip scale its axis by kA or kB.
+
+    Then P(a, b) = (1 + s_a kA x_i + s_b kB y_j + s_a s_b kA kB z_ij) / 4, s = +1 for
+    outcome 0 and -1 for 1.  Factors of theta alone are computed on theta and of phi
+    alone on phi: a theta column times a phi row equals the flat pairs bit for bit.
     """
     theta = np.asarray(theta, dtype=np.float64)
     lam = np.asarray(phi, dtype=np.float64)
     batch = np.broadcast_shapes(theta.shape, lam.shape)
-    # A single point is a batch of one: numpy's scalar math rounds complex products
-    # differently from its array loops, and a point must come out as it does in a batch.
+    # A single point is a batch of one: numpy's scalar math may round differently from
+    # its array loops, and a point must come out as it does in a batch.
     theta, lam = np.atleast_1d(theta, lam)
-    chi = chi_of(theta, lam)
-    prepared = prepared_state(theta, lam, noise)
-    blocks = [_alice_blocks(prepared, *_segment(alice_steps(i, lam), noise)) for i in (1, 2)]
-    # D[a]_00, D[a]_11 and D[a]_01, each as (Alice's setting, a, batch)
-    low, high, cross = (np.array([setting[n] for setting in blocks]) for n in range(3))
-    low, high = low.real, high.real
-    bob = {}  # Bob's setting: b -> P(a, b) as (Alice's setting, a, batch)
-    for j in (1, 2):
-        m, p = _segment(bob_steps(j, lam, chi), noise)
-        terms = _weights(m)  # row b: M_b0, M_b1
-        bob[j] = _mixed([u * low + v * high + 2.0 * (c * cross).real for u, v, c in terms], p)
-    probs = [[bob[j][b][i - 1, a] for a in (0, 1) for b in (0, 1)] for i, j in EXPERIMENT_SETTINGS]
-    probs = np.moveaxis(np.array(probs), (0, 1), (-2, -1)).reshape(batch + (4, 4))
-    return _read_out(probs, noise)
+    # One-qubit gate counts (preparation_steps, alice_steps, bob_steps): Alice has 1 and
+    # Bob 2 before the first CNOT, and each party's setting 1 is 1 gate and setting 2 is 3.
+    d = c_a = 1.0 - _rate(1, noise)
+    c_b = 1.0 - _rate(2, noise)
+    big_g = (1.0 - (1.0 - (1.0 - noise.p2) ** 2)) * d * d  # g d^2, g as `_run` has it
+    kept = {1: d, 2: 1.0 - _rate(3, noise)}
+    kappa_a = {i: kept[i] * (1.0 - 2.0 * noise.readout1) for i in (1, 2)}
+    kappa_b = {j: kept[j] * (1.0 - 2.0 * noise.readout0) for j in (1, 2)}
+    cos2t = c_b * np.cos(2.0 * theta)  # theta alone
+    k, b, sin2t = 1.0 - cos2t, d * cos2t, c_b * np.sin(2.0 * theta)
+    cos, sin, cos2l = np.cos(lam), np.sin(lam), np.cos(2.0 * lam)  # lam alone
+    sin_sq, cos_sq = sin * sin, cos * cos
+    chi2 = 2.0 * chi_of(theta, lam)  # both
+    cos2x, sin2x = np.cos(chi2), np.sin(chi2)
+    h = sin2t * (cos * (1.0 - (1.0 - d) * sin_sq))
+    k_sin, k_cos = k * sin_sq, k * cos_sq
+    x = {1: -big_g * c_a * (1.0 - k_sin), 2: -big_g * c_a * (cos2l + k_sin)}
+    y = {1: big_g * b, 2: big_g * (cos2x * b - sin2x * h)}
+    w = {1: 1.0 - k_cos, 2: cos2l - k_cos}
+    z = {(i, 1): -big_g * c_a * d * w[i] for i in (1, 2)}
+    z.update({(i, 2): big_g * c_a * (sin2x * h - d * cos2x * w[i]) for i in (1, 2)})
+    probs = []
+    for i, j in EXPERIMENT_SETTINGS:
+        alice, bob = kappa_a[i] * x[i], kappa_b[j] * y[j]
+        corr = (kappa_a[i] * kappa_b[j]) * z[i, j]
+        same, differ = 1.0 + corr, 1.0 - corr
+        probs += [same + (alice + bob), differ + (alice - bob),
+                  differ - (alice - bob), same - (alice + bob)]
+    probs = np.stack(np.broadcast_arrays(*probs), axis=-1)
+    probs *= 0.25
+    return check_distributions(probs.reshape(batch + (4, 4)))
 
 
 def check_distributions(probs) -> np.ndarray:
@@ -341,7 +338,9 @@ def check_distributions(probs) -> np.ndarray:
     lowest = float(np.min(probs))
     if lowest < -DISTRIBUTION_TOL:
         raise ValueError(f"negative probability {lowest} in outcome distribution")
-    defect = float(np.max(np.abs(np.sum(probs, axis=-1) - 1.0)))
+    # term by term: numpy's sum over a last axis of 4 costs more than the closed form
+    total = sum(probs[..., k] for k in range(probs.shape[-1]))
+    defect = float(np.max(np.abs(total - 1.0)))
     if defect > DISTRIBUTION_TOL:
         raise ValueError(f"outcome distribution sums differ from 1 by {defect}")
     return probs

@@ -5,7 +5,7 @@ Each suite returns (name, passed, detail).
 The zero-condition and closed-form-q suites both read one noiseless engine
 batch over the whole 37 x 37 (theta, phi) grid (2.5-degree steps on
 [0, 90]), evaluated once per run: theta as a column and phi as a row, so
-the engine broadcasts them and builds its phi-only gates on 37 angles.
+the engine takes the sines and cosines of each on 37 angles, not 1369.
 
 The suites that check identities at arbitrary angles take them from a
 fixed, evenly spread sequence (the golden-ratio additive recurrence), not

@@ -53,11 +53,12 @@ _FIRST_LINE = re.compile(rb"([^\r\n]*)[\r\n]+[^\r\n]")
 _CLASS_NAMES = np.array(CLASSES)
 _SENTINEL = "0,0,0,0,0,0,0,0,0,PS"  # a valid row; see _parse
 
-# Peak memory of a sweep per grid point, in bytes, rounded down: from a
-# 0.002-degree to a 0.0005-degree sampled default-noise diagonal (45,000 to
-# 180,000 points) the peak RSS grew from 105.2 to 329.7 MiB, about 1,745
-# bytes per point (a surface needs about 1,400).  A grid needing more than
-# the physical memory at this rate is rejected before it is built.
+# Peak memory of a sweep per grid point, in bytes, a conservative bound: from
+# a 0.002- to a 0.0005-degree sampled default-noise diagonal (45,000 to 180,000
+# points) the peak RSS grows from 71.7 to 193.3 MiB, about 950 bytes per point
+# (1,431 with the entry-by-entry engine); the 0.25-degree sampled surface peaks
+# at 143 MiB (203 before).  A grid needing more than the physical memory at
+# this rate is rejected before it is built.
 ENGINE_BYTES_PER_POINT = 1700
 
 # Memory of the draws per run, in bytes, rounded down as ENGINE_BYTES_PER_POINT

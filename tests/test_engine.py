@@ -1,6 +1,7 @@
 """Engine tests: each public function of `hardysim.engine` against dense
 matrices written out by hand and against the Kraus-sum reference."""
 
+import itertools
 import math
 
 import numpy as np
@@ -141,19 +142,49 @@ def test_point_and_grid_match_the_flat_batch():
 
 
 def test_no_dense_gate_action_on_a_full_state(monkeypatch):
-    """No gate with a non-zero off-diagonal entry acts on a full state: before the first
-    CNOT the state is built as a product, after it the preparation's gates are phases,
-    and Alice's and Bob's settings are read in closed form."""
-    act, dense = engine._act, []
+    """No gate with a non-zero off-diagonal entry acts on a full state in
+    `prepared_state`, the one path that applies gates to one: before the first CNOT the
+    state is built as a product, and after it the preparation's gates are phases."""
+    act, calls, dense = engine._act, [], []
 
     def counting(m, r, axis, *rest):
+        calls.append(axis)
         if np.any(m[0][1]) or np.any(m[1][0]):
             dense.append(axis)
         return act(m, r, axis, *rest)
 
     monkeypatch.setattr(engine, "_act", counting)
-    experiment_distributions([0.3, 0.9], [0.4, 1.2], NoiseModel.default_profile())
-    assert dense == []
+    prepared_state(np.array([0.3, 0.9]), np.array([0.4, 1.2]), NoiseModel.default_profile())
+    assert calls and dense == []
+
+
+# Noise models from none to every rate 1, with one that depolarizes and flips one
+# qubit only.
+NOISE_MODELS = [
+    NoiseModel.none(),
+    NoiseModel.default_profile(),
+    NoiseModel(0.003, 0.02, 0.01, 0.04),
+    NoiseModel(0.3, 0.2, 0.1, 0.05),
+    NoiseModel(1.0, 1.0, 1.0, 1.0),
+    NoiseModel(0.5, 0.0, 0.5, 0.0),
+]
+
+
+def rates_of(noise):
+    return noise.p1, noise.p2, noise.readout0, noise.readout1
+
+
+@pytest.mark.parametrize("noise", NOISE_MODELS, ids=lambda m: repr(rates_of(m)))
+def test_surface_layout_matches_kraus_reference(noise):
+    """A theta column times a phi row, with angles on the axes and outside [0, pi],
+    against the Kraus reference at every point."""
+    theta = np.array([0.0, math.pi / 2, math.pi, 4.4])
+    phi = np.array([0.0, 0.7, math.pi / 2, math.pi, -2.1])
+    dists = experiment_distributions(theta[:, None], phi[None, :], noise)
+    assert dists.shape == (4, 5, 4, 4)
+    rates = rates_of(noise)
+    for (i, t), (j, f) in itertools.product(enumerate(theta), enumerate(phi)):
+        assert np.max(np.abs(dists[i, j] - ref.distributions(t, f, *rates))) <= 1e-12
 
 
 @pytest.mark.parametrize(
