@@ -1,4 +1,4 @@
-"""Density-matrix engine for the four Hardy experiments.
+"""The engine for the four Hardy experiments and the circuits' step lists.
 
 Basis convention (fixed, tests pin it): basis index k = 2a + b encodes |a b>,
 with Alice (qubit 1, CNOT control) as the high bit and Bob (qubit 0, CNOT
@@ -14,15 +14,11 @@ distributions.
 
 `experiment_distributions`, which every sweep, probe and grid reaches,
 reads the four experiments in closed form from the Pauli components of the
-noisy state, with no density matrix.  The gate-level path serves the checks
-and the CNOT-free `reduced` circuits: a state is held as its 16 entries
-rho[a b, a' b'], entry 8a + 4b + 2a' + b', each an array over the batch.
-Before a circuit's first CNOT it is the product rho_A (x) rho_B
-(`_product_state`); `_run` applies the steps from that CNOT on, each phase
-gate followed by its channel, and defers the CNOTs' channels to one at the
-end.  `_act`, the one kernel that applies a gate to a full state, takes only
-diag(1, e^{i lam}).  `steps_unitary` composes phase gates and CNOTs into
-one (..., 4, 4) unitary.
+noisy state, with no density matrix.  The step lists stay the one circuit
+definition, which the checks and the CNOT-free `reduced` circuits read.
+Before a circuit's first CNOT each qubit evolves alone, as its U|0> and the
+rate of its one channel (`first_columns`); `steps_unitary` composes the phase
+gates and CNOTs after it into one (..., 4, 4) unitary.
 """
 
 from __future__ import annotations
@@ -43,11 +39,8 @@ FLAGGED_OUTCOME = (0, 1, 2, 0)
 # Final distributions must be non-negative and sum to 1 within this.
 DISTRIBUTION_TOL = 1e-9
 
-_CX_ORDER = [0, 1, 3, 2]  # CNOT as a basis permutation: |10> <-> |11>
-# CX as a permutation of the 16 entries, 4 row + column: of the rows alone
-# (CX U) and of rows and columns (CX rho CX).
-_CX_ROWS = [4 * row + column for row in _CX_ORDER for column in range(4)]
-_CX_BOTH = [4 * row + column for row in _CX_ORDER for column in _CX_ORDER]
+# CX U as a permutation of U's 16 entries, 4 row + column: CNOT swaps rows |10> and |11>.
+_CX_ROWS = [4 * row + column for row in (0, 1, 3, 2) for column in range(4)]
 
 
 def _entries(u) -> tuple:
@@ -65,30 +58,19 @@ def _times(a, b) -> tuple:
     )
 
 
-def _act(m, r, axis: int, out=None) -> list:
-    """The phase gate `m` applied to `axis` of the state r: on each pair (r0, r1) of
-    entries that differ only there, r0 is kept and r1 becomes m[1][1] r1, with the gate
-    entry on the left, as numpy's fused multiply-add rounds m r and r m differently.
-    Any other gate, one with a non-zero off-diagonal entry or an m[0][0] that is not
-    exactly 1 at some point of the batch, raises ValueError.  The result goes into the
-    list `out` (a copy of r by default), which may be r itself."""
+def _act(m, r, axis: int) -> list:
+    """The phase gate `m` on `axis` of the 16 entries r: of each pair (r0, r1) that differ
+    only there, r0 is kept and r1 becomes m[1][1] r1, the gate entry on the left, as
+    numpy's fused multiply-add rounds m r and r m differently.  Any other gate, with a
+    non-zero off-diagonal entry or an m[0][0] not exactly 1 anywhere, raises ValueError."""
     if m[0][1].any() or m[1][0].any() or not (m[0][0] == 1.0).all():
         raise ValueError("only a phase gate diag(1, e^{i lam}) acts on a full state")
     bit = 8 >> axis
-    out = list(r) if out is None else out
+    out = list(r)
     for k in range(16):
         if k & bit:
             out[k] = m[1][1] * r[k]
     return out
-
-
-def _conjugate(m, r, qubit: int) -> list:
-    """U r U^dag, with U = `m` on `qubit`: rows on axis 1 - qubit, columns on 3 - qubit."""
-    conj = tuple(tuple(np.conj(x) for x in row) for row in m)
-    rows = _act(m, r, 1 - qubit)
-    # `rows` is this call's own: its entries are replaced as they are used, so at most
-    # one state besides r is alive, and the blocks numpy frees are reused at once
-    return _act(conj, rows, 3 - qubit, rows)
 
 
 def _qubit(step) -> int:
@@ -96,51 +78,6 @@ def _qubit(step) -> int:
     if qubit not in (0, 1):
         raise ValueError(f"qubit must be 0 or 1, got {qubit!r}")
     return qubit
-
-
-def _depolarize_qubit(r, p: float, qubit: int) -> list:
-    """(1 - p) r + p (I/2 on `qubit`) (x) (partial trace of r over `qubit`)."""
-    both = (8 >> (1 - qubit)) | (8 >> (3 - qubit))  # the qubit's row and column bits
-    out = list(r)
-    for k in range(16):
-        if not k & both:  # k and k | both: the qubit is 0, then 1, in row and column
-            out[k], out[k | both] = _mixed([r[k], r[k | both]], p)
-        elif k & both != both:  # the qubit's row and column differ: scaled only
-            out[k] = r[k] * (1.0 - p)
-    return out
-
-
-def _depolarize_both(r, p: float) -> list:
-    """(1 - p) r + p I/4."""
-    out = [x * (1.0 - p) for x in r]
-    for k in (0, 5, 10, 15):  # the diagonal
-        out[k] = out[k] + 0.25 * p
-    return out
-
-
-def _run(r, steps, noise) -> list:
-    """Circuit steps, phase gates and CNOTs, applied in order to a state held as
-    entries; returns new entries, `r` is not changed.
-
-    A CNOT permutes the entries.  A phase gate is conjugated into the state and then
-    followed by its own one-qubit depolarizing channel, at `_segment`'s rate
-    1 - (1 - p1): in floating point that need not be p1, and the golden outputs hold
-    this rate.  The post-CNOT channels commute with every unitary and with the
-    one-qubit channel, so all k of them become one at 1 - (1 - p2)^k, last.
-    """
-    for step in steps:
-        if step is CX:
-            r = [r[k] for k in _CX_BOTH]
-            continue
-        qubit = _qubit(step)
-        m, p = _segment([step], noise)
-        r = _conjugate(m, r, qubit)
-        if p != 0.0:
-            r = _depolarize_qubit(r, p, qubit)
-    p = 1.0 - (1.0 - noise.p2) ** sum(step is CX for step in steps)
-    if p != 0.0:
-        r = _depolarize_both(r, p)
-    return r
 
 
 def steps_unitary(steps) -> np.ndarray:
@@ -221,52 +158,37 @@ def _rate(n: int, noise) -> float:
 
 def _mixed(pair, p: float) -> list:
     """Each of (x0, x1) as (1 - p) x + p/2 (x0 + x1): a qubit's channel at rate p on
-    its two diagonal blocks (it adds to no other) or on its two outcomes.  A readout
-    flip at rate r is this mix at p = 2r, so p reaches 2 for a rate of 1 (a swap)."""
+    its two populations, or on its two outcomes.  A readout flip at rate r is this mix
+    at p = 2r, so p reaches 2 for a rate of 1 (a swap)."""
     if p == 0.0:
         return pair
     mean = (pair[0] + pair[1]) * (0.5 * p)
     return [x * (1.0 - p) + mean for x in pair]
 
 
-def _factor(steps, noise) -> tuple:
-    """One qubit's state after its `steps` from |0>, no CNOT among them, as entries
-    ((rho00, rho01), (rho10, rho11)): (1 - p) U|0><0|U^dag + p I/2, (U, p) from `_segment`."""
-    if not steps:  # the qubit stays |0>
-        return (1.0, 0.0), (0.0, 0.0)
-    m, p = _segment(steps, noise)
-    column = m[0][0], m[1][0]  # U|0>
-    low, high = _mixed([(x * np.conj(x)).real for x in column], p)
-    cross = column[0] * np.conj(column[1]) * (1.0 - p)
-    return (low, cross), (np.conj(cross), high)
-
-
-def _product_state(steps, noise) -> list:
-    """The state after `steps` from |00>, no CNOT among them: each qubit evolves alone,
-    so the state is rho_A (x) rho_B, its 16 entries products of `_factor` entries."""
-    alice, bob = (_factor([s for s in steps if _qubit(s) == q], noise) for q in (1, 0))
-    return [alice[a][a2] * bob[b][b2] for a, b, a2, b2 in np.ndindex(2, 2, 2, 2)]
+def first_columns(steps, noise) -> tuple:
+    """Each qubit's state after one-qubit `steps` from |00>, Alice's first: (U|0>, p) for
+    (1 - p) U|0><0|U^dag + p I/2, U and p the qubit's `_segment`; a qubit with no step
+    keeps |0>, ((1.0, 0.0), 0.0)."""
+    columns = []
+    for qubit in (1, 0):
+        own = [s for s in steps if _qubit(s) == qubit]
+        m, p = _segment(own, noise) if own else (((1.0, 0.0), (0.0, 1.0)), 0.0)
+        columns.append(((m[0][0], m[1][0]), p))
+    return tuple(columns)
 
 
 def cnot_free_distributions(steps, noise) -> np.ndarray:
-    """Outcome distribution (last axis, k = 2a + b) of one-qubit `steps` from |00>, no
-    CNOT among them, checked: the diagonal of their product state through each qubit's
-    readout flip, `_mixed` at twice its rate over Bob's bit b, then over Alice's bit a."""
-    r = _product_state(steps, noise)
-    x = [r[k].real for k in (0, 5, 10, 15)]
+    """Outcome distribution (last axis, k = 2a + b) of one-qubit `steps` from |00>,
+    checked: the product of the qubits' populations, each `_mixed` at its channel's rate,
+    then each readout flip, `_mixed` at twice its rate over Bob's bit b, then Alice's a."""
+    alice, bob = (_mixed([(x * np.conj(x)).real for x in column], p)
+                  for column, p in first_columns(steps, noise))
+    x = [alice[a] * bob[b] for a, b in np.ndindex(2, 2)]
     for bit, rate in ((1, noise.readout0), (2, noise.readout1)):
         for k in (0, 3 - bit):  # the other qubit's bit 0, then 1
             x[k], x[k | bit] = _mixed([x[k], x[k | bit]], 2.0 * rate)
     return check_distributions(np.stack(x, axis=-1))
-
-
-def prepared_state(theta, lam, noise) -> list:
-    """The state after `preparation_steps(theta, lam)` from |00>, as its 16 entries over
-    the batch (theta and lam arrays of at least one dimension): a product up to the
-    first CNOT, then `_run` on the rest, whose one-qubit gates are all phase gates."""
-    steps = preparation_steps(theta, lam)
-    first_cx = steps.index(CX)
-    return _run(_product_state(steps[:first_cx], noise), steps[first_cx:], noise)
 
 
 def experiment_distributions(theta, phi, noise) -> np.ndarray:
@@ -302,7 +224,8 @@ def experiment_distributions(theta, phi, noise) -> np.ndarray:
     # Bob 2 before the first CNOT, and each party's setting 1 is 1 gate and setting 2 is 3.
     d = c_a = 1.0 - _rate(1, noise)
     c_b = 1.0 - _rate(2, noise)
-    big_g = (1.0 - (1.0 - (1.0 - noise.p2) ** 2)) * d * d  # g d^2, g as `_run` has it
+    # g d^2, g as 1 - the two CNOT channels' merged rate: it rounds as the goldens hold
+    big_g = (1.0 - (1.0 - (1.0 - noise.p2) ** 2)) * d * d
     kept = {1: d, 2: 1.0 - _rate(3, noise)}
     kappa_a = {i: kept[i] * (1.0 - 2.0 * noise.readout1) for i in (1, 2)}
     kappa_b = {j: kept[j] * (1.0 - 2.0 * noise.readout0) for j in (1, 2)}

@@ -4,7 +4,8 @@ The noise mechanism is symmetric depolarizing after every gate application
 (rate p1 for single-qubit gates, p2 for CNOTs) plus a terminal symmetric
 readout flip on each qubit (rates readout0, readout1).  The experiment
 names error magnitudes only, so the mechanism is a modeling choice, kept
-swappable behind NoiseModel; `engine` evolves the density matrices under it.
+swappable behind NoiseModel; `engine` reads each experiment under it from the
+noisy state's Pauli components, its step lists the one circuit definition.
 
 Randomness enters only at shot sampling, which uses no numpy.random: each
 flagged count is an exact binomial draw (inversion or Hormann's BTRD) from

@@ -20,7 +20,13 @@ import math
 import numpy as np
 
 from . import gates
-from .engine import CX, FLAGGED_OUTCOME, experiment_distributions, prepared_state, steps_unitary
+from .engine import (
+    FLAGGED_OUTCOME,
+    experiment_distributions,
+    first_columns,
+    preparation_steps,
+    steps_unitary,
+)
 from .hardy import analytic_q, classify, concurrence, optimal_angles, q_max
 from .noise import NoiseModel
 
@@ -44,7 +50,7 @@ def _suite_gate_unitarity() -> tuple[str, bool, str]:
     theta, phi, lam = _spread(150, -2 * math.pi, 2 * math.pi).reshape(50, 3).T
     one_qubit = (gates.u1(lam), gates.u3(theta, phi, lam), gates.beam_splitter(theta),
                  gates.hadamard(), gates.pauli_x())
-    two_qubit = (gates.coupling(phi), steps_unitary([CX]))
+    two_qubit = (gates.coupling(phi), steps_unitary([gates.CX]))
     worst = 0.0
     for family in (one_qubit, two_qubit):
         gate = np.concatenate([g.reshape(-1, *g.shape[-2:]) for g in family])
@@ -89,6 +95,17 @@ def _suite_q_equivalence(theta, phi, flagged) -> tuple[str, bool, str]:
     return "analytic-q-equivalence", worst <= VALIDATION_TOL, f"worst |diff| {worst:.2e}"
 
 
+def prepared_psi(theta, phi) -> np.ndarray:
+    """The noiseless prepared state's amplitudes, last axis k = 2a + b: the product of
+    the two qubits' U|0> up to the first CNOT (`first_columns`), then the rest of the
+    preparation, phase gates and CNOTs, as one unitary (`steps_unitary`)."""
+    steps = preparation_steps(theta, phi)
+    first_cx = steps.index(gates.CX)
+    (alice, _), (bob, _) = first_columns(steps[:first_cx], NoiseModel.none())
+    product = np.stack(np.broadcast_arrays(*(a * b for a in alice for b in bob)), axis=-1)
+    return (steps_unitary(steps[first_cx:]) @ product[..., None])[..., 0]
+
+
 def _suite_classification() -> tuple[str, bool, str]:
     cases = [
         ((0.0, 37.0), "PS"),
@@ -101,11 +118,10 @@ def _suite_classification() -> tuple[str, bool, str]:
     theta, phi = np.radians([angles for angles, _ in cases]).T
     kinds = classify(theta, phi)
     c = concurrence(theta, phi)
-    # Independent check from the prepared states: for a pure rho,
-    # concurrence^2 = 4 det(Tr_Bob rho), (Tr_Bob rho)[a, a'] the sum over b of entry
-    # 8a + 4b + 2a' + b.
-    r = prepared_state(theta, phi, NoiseModel.none())
-    det = ((r[0] + r[5]) * (r[10] + r[15]) - (r[2] + r[7]) * (r[8] + r[13])).real
+    # Independent check from the prepared states: for a pure state with amplitudes
+    # psi[2a + b], concurrence^2 = 4 det(Tr_Bob rho) = 4 |psi_00 psi_11 - psi_01 psi_10|^2.
+    psi = prepared_psi(theta, phi)
+    det = np.abs(psi[..., 0] * psi[..., 3] - psi[..., 1] * psi[..., 2]) ** 2
     failures = [
         (*angles, str(kind), expected)
         for (angles, expected), kind, defect in zip(cases, kinds, np.abs(c**2 - 4.0 * det))

@@ -14,7 +14,6 @@ from hardysim.cli import EXIT_OK, main
 from hardysim.engine import (
     FLAGGED_OUTCOME,
     experiment_distributions,
-    prepared_state,
     steps_unitary,
 )
 from hardysim.hardy import analytic_q, classify, concurrence, optimal_angles, q_max
@@ -24,6 +23,7 @@ from hardysim.noise import (
     estimate_batch,
     statistical_error,
 )
+from hardysim.selftest import prepared_psi
 from hardysim.sweep import CSV_HEADER, reduced_circuit_compare
 from hardysim import gates
 
@@ -102,7 +102,8 @@ def test_c05_classification_table():
     assert classify(theta, phi).tolist() == ["PS", "PS", "PS", "MES", "NMES"]
     c = concurrence(theta[-1], phi[-1])  # the optimum
     # pure prepared rho: concurrence = 2 sqrt(det Tr_Bob rho)
-    rho = np.reshape(prepared_state(theta[-1:], phi[-1:], NoiseModel.none()), (4, 4))
+    psi = prepared_psi(theta[-1], phi[-1])
+    rho = np.outer(psi, psi.conj())
     oracle = 2.0 * math.sqrt(np.linalg.det(rho[0::2, 0::2] + rho[1::2, 1::2]).real)
     assert abs(c - oracle) <= 1e-10
     report(5, f"4 table rows + NMES optimum, concurrence {c:.4f}")

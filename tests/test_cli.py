@@ -490,12 +490,15 @@ class TestGoldenOutputs:
         profile.write_text(self.UNEQUAL_PROFILE)
         assert run_cli([*argv, "--noise", str(profile)]) == (EXIT_OK, expected)
 
-    # `reduced` stdout saved for both variants under four noise models, two of them
+    # `reduced` stdout saved for both variants under six noise models, four of them
     # profiles: (full_eps, reduced_eps).  ps_00's noiseless reduced_eps is a rounding
-    # residue of its gate entries, pinned as the engine computes it.
+    # residue of its gate entries, pinned as the engine computes it.  "ones" and "half"
+    # are the extremes: a rate-1 readout flip is a swap, `_mixed` at p = 2.
     PROFILES = {
         "unequal": UNEQUAL_PROFILE,
         "large": "p1=0.3\np2=0.2\nreadout0=0.1\nreadout1=0.05\n",
+        "ones": "p1=1\np2=1\nreadout0=1\nreadout1=1\n",
+        "half": "p1=0.5\np2=0\nreadout0=0.5\nreadout1=0\n",
     }
     REDUCED_OUTPUTS = {
         ("ps_00", "none"): ("0", "4.62149164e-65"),
@@ -506,6 +509,10 @@ class TestGoldenOutputs:
         ("ps_01", "large"): ("0.227274115", "0.06149"),
         ("ps_00", "unequal"): ("0.0121529646", "0.000490409714"),
         ("ps_01", "unequal"): ("0.0121529646", "0.000490409714"),
+        ("ps_00", "ones"): ("0.25", "0.25"),
+        ("ps_01", "ones"): ("0.25", "0.25"),
+        ("ps_00", "half"): ("0.24609375", "0.1875"),
+        ("ps_01", "half"): ("0.24609375", "0.1875"),
     }
 
     @pytest.mark.parametrize("variant,noise_name", REDUCED_OUTPUTS)
@@ -897,8 +904,12 @@ SUITE_NAMES = [
 
 # Runs one command in a fresh interpreter and reports whether numpy.random
 # and secrets (which numpy.random imports, and with it OpenSSL) were
-# imported; prints "numpy-imports-random" when `import numpy` alone imports
-# numpy.random (numpy before 2.0), where the question cannot be asked.
+# imported, then every module `main` itself imported; prints
+# "numpy-imports-random" when `import numpy` alone imports numpy.random
+# (numpy before 2.0), where the question cannot be asked.  A module first
+# imported inside `main` costs every fresh process (np.unique imports
+# numpy.ma, np.loadtxt given a str path imports gzip), which in-process
+# timing never shows.
 NO_RANDOM_SCRIPT = """
 import io, sys
 import numpy
@@ -906,8 +917,10 @@ if "numpy.random" in sys.modules:
     print("numpy-imports-random")
     raise SystemExit(0)
 from hardysim.cli import main
+before = set(sys.modules)
 code = main(sys.argv[1:], out=io.StringIO())
-print(code, "numpy.random" in sys.modules, "secrets" in sys.modules)
+print(code, "numpy.random" in sys.modules, "secrets" in sys.modules,
+      *sorted(set(sys.modules) - before))
 """
 
 
@@ -938,11 +951,15 @@ class TestValidateCommand:
             # sampled: the shot sampler hashes its own uniforms in plain numpy
             ["sweep", "diagonal", "--step", "5", "--noise", "default", "--seed", "3"],
             ["probe", "40", "40", "--noise", "default", "--seed", "3"],
+            ["probe", "51.827", "51.827", "--noise", "default"],
+            ["metrics", "--in", str(GOLDEN_DIR / "diagonal_5deg_sampled_default_seed7.csv")],
+            ["reduced", "ps_00", "--noise", "default"],
         ],
-        ids=["validate", "exact-sweep", "sampled-sweep", "sampled-probe"],
+        ids=["validate", "exact-sweep", "sampled-sweep", "sampled-probe", "probe", "metrics",
+             "reduced"],
     )
-    def test_commands_import_neither_numpy_random_nor_secrets(self, tmp_path, argv):
-        if argv[0] != "validate":
+    def test_commands_import_no_module_inside_main(self, tmp_path, argv):
+        if argv[0] == "sweep" or argv[1:3] == ["40", "40"]:
             argv = argv + ["--out", str(tmp_path / "out.csv")]
         src = str(Path(hardysim.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}

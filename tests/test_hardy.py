@@ -12,7 +12,6 @@ from hardysim.engine import (
     alice_steps,
     bob_steps,
     experiment_distributions,
-    prepared_state,
 )
 from hardysim.hardy import (
     CLASSIFICATION_TOL,
@@ -24,6 +23,7 @@ from hardysim.hardy import (
     q_max,
 )
 from hardysim.noise import NoiseModel
+from hardysim.selftest import prepared_psi
 
 DEG = math.radians
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -32,8 +32,9 @@ EYE2 = np.eye(2)
 
 
 def prepared_rho(theta, phi):
-    """Noiseless prepared density matrix from the engine's 16 entries."""
-    return np.reshape(prepared_state(np.array([theta]), np.array([phi]), QUIET), (4, 4))
+    """Noiseless prepared density matrix |psi><psi|, psi as `validate` builds it."""
+    psi = prepared_psi(theta, phi)
+    return np.outer(psi, psi.conj())
 
 
 def setting_matrix(steps):

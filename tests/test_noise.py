@@ -10,10 +10,10 @@ import pytest
 import kraus_reference as ref
 from hardysim import engine, noise
 from hardysim.engine import (
-    CX,
     EXPERIMENT_SETTINGS,
     FLAGGED_OUTCOME,
     check_distributions,
+    cnot_free_distributions,
     experiment_distributions,
     experiment_steps,
 )
@@ -34,21 +34,6 @@ from hardysim.sweep import SweepTable, measure_points
 DEG = math.radians
 
 I2 = np.eye(2, dtype=complex)
-
-
-def depolarize(rho, p, num_targets, qubit=0):
-    """The engine's closed-form channel on one qubit or on both, run through `_run`
-    on the (4, 4) state rho.
-
-    One qubit: the identity gate on `qubit` at p1 = p.  Both: CX at p2 = p on
-    CX rho CX, so the permutations cancel and the channel acts on rho.
-    """
-    if num_targets == 1:
-        steps, noise_model = [(qubit, I2)], NoiseModel(p, 0.0, 0.0, 0.0)
-    else:
-        rho, steps, noise_model = ref.CNOT @ rho @ ref.CNOT, [CX], NoiseModel(0.0, p, 0.0, 0.0)
-    entries = list(np.reshape(rho, (16, 1)))  # entry 4 row + column, a batch of one
-    return np.stack(engine._run(entries, steps, noise_model), axis=-1).reshape(4, 4)
 
 
 def random_rho(rng):
@@ -81,13 +66,21 @@ def ideal(theta, phi, a_index, b_index):
 
 
 class TestDepolarizingKraus:
-    """The closed-form channels against the Pauli Kraus sums of the reference."""
+    """The reference's Pauli Kraus sums against the channels as Nielsen & Chuang
+    section 8.3.4 writes them, and the engine's one-qubit channel and merged rate
+    against the Kraus sums."""
 
     def test_zero_probability_leaves_state_exactly(self):
         rho = random_rho(np.random.default_rng(29))
-        for qubit in (0, 1):
-            np.testing.assert_array_equal(depolarize(rho, 0.0, 1, qubit), rho)
-        np.testing.assert_array_equal(depolarize(rho, 0.0, 2), rho)
+        for k, target in ((1, 0), (1, 1), (2, ref.BOTH)):
+            out = ref.kraus_channel(rho, ref.depolarizing_kraus(0.0, k), target)
+            np.testing.assert_array_equal(out, rho)
+        # the engine's channel at rate 0 returns its populations as they are
+        pair = [np.array([0.3]), np.array([0.7])]
+        assert engine._mixed(pair, 0.0) is pair
+        u = ref.u3(0.7, 0.2, 1.1)
+        got = cnot_free_distributions([(1, u)], NoiseModel(0.0, 0.3, 0.0, 0.0))
+        np.testing.assert_array_equal(got, [abs(u[0, 0]) ** 2, 0, abs(u[1, 0]) ** 2, 0])
 
     @pytest.mark.parametrize("p", [0.0, 0.01, 0.37, 1.0])
     @pytest.mark.parametrize("k", [1, 2])
@@ -96,32 +89,36 @@ class TestDepolarizingKraus:
         total = sum(o.conj().T @ o for o in ops)
         np.testing.assert_allclose(total, np.eye(2**k), atol=1e-12)
         rho = random_rho(np.random.default_rng(28))
-        target = 0 if k == 1 else ref.BOTH
-        expect = ref.kraus_channel(rho, ops, target)
-        out = depolarize(rho, p, k)
+        if k == 1:  # on qubit 0, the low bit: (1 - p) rho + p (Tr_0 rho) (x) I/2
+            reduced = rho.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
+            expect = (1.0 - p) * rho + p * np.kron(reduced, I2 / 2)
+        else:  # (1 - p) rho + p I/4
+            expect = (1.0 - p) * rho + p * np.eye(4) / 4
+        out = ref.kraus_channel(rho, ops, 0 if k == 1 else ref.BOTH)
         np.testing.assert_allclose(out, expect, atol=1e-12)
         assert abs(np.trace(out) - 1.0) < 1e-12
 
     def test_full_mixing_single_qubit(self):
-        rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-        out = depolarize(rho, 1.0, 1, qubit=0)
-        np.testing.assert_allclose(out, np.diag([0.5, 0.5, 0.0, 0.0]), atol=1e-12)
+        noise_model = NoiseModel(1.0, 0.0, 0.0, 0.0)
+        got = cnot_free_distributions([(0, I2)], noise_model)
+        np.testing.assert_allclose(got, [0.5, 0.5, 0.0, 0.0], atol=1e-15)
+        kraus = ref.run_steps(ref.GROUND, [(I2, 0)], 1.0, 0.0)
+        np.testing.assert_allclose(got, ref.read_out(kraus, 0.0, 0.0), atol=1e-12)
 
     def test_small_p_diagonal(self):
         p = 0.01
-        rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-        out = depolarize(rho, p, 1, qubit=1)
-        np.testing.assert_allclose(out, np.diag([1 - p / 2, 0, p / 2, 0]), atol=1e-12)
+        got = cnot_free_distributions([(1, I2)], NoiseModel(p, 0.0, 0.0, 0.0))
+        np.testing.assert_allclose(got, [1 - p / 2, 0, p / 2, 0], atol=1e-15)
 
     def test_composition_effective_probability(self):
-        # two passes at p equal one pass at 1 - (1-p)^2, exactly
+        # two Kraus passes at p equal one pass at the engine's merged rate 1 - (1-p)^2
         p = 0.01
-        p_eff = 1.0 - (1.0 - p) ** 2
-        rng = np.random.default_rng(30)
-        rho = random_rho(rng)
-        for k in (1, 2):
-            twice = depolarize(depolarize(rho, p, k), p, k)
-            once = depolarize(rho, p_eff, k)
+        p_eff = engine._rate(2, NoiseModel(p, 0.0, 0.0, 0.0))
+        rho = random_rho(np.random.default_rng(30))
+        for k, target in ((1, 0), (1, 1), (2, ref.BOTH)):
+            ops = ref.depolarizing_kraus(p, k)
+            twice = ref.kraus_channel(ref.kraus_channel(rho, ops, target), ops, target)
+            once = ref.kraus_channel(rho, ref.depolarizing_kraus(p_eff, k), target)
             np.testing.assert_allclose(twice, once, atol=1e-12)
 
     def test_out_of_range_rejected(self):
