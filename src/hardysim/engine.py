@@ -17,8 +17,8 @@ reads the four experiments in closed form from the Pauli components of the
 noisy state, with no density matrix.  The step lists stay the one circuit
 definition, which the checks and the CNOT-free `reduced` circuits read.
 Before a circuit's first CNOT each qubit evolves alone, as its U|0> and the
-rate of its one channel (`first_columns`); `steps_unitary` composes the phase
-gates and CNOTs after it into one (..., 4, 4) unitary.
+rate of its one channel (`first_columns`); after it the phase gates and CNOTs
+permute the basis and put a phase on each column (`steps_unitary`).
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ FLAGGED_OUTCOME = (0, 1, 2, 0)
 # Final distributions must be non-negative and sum to 1 within this.
 DISTRIBUTION_TOL = 1e-9
 
-# CX U as a permutation of U's 16 entries, 4 row + column: CNOT swaps rows |10> and |11>.
-_CX_ROWS = [4 * row + column for row in (0, 1, 3, 2) for column in range(4)]
-
 
 def _entries(u) -> tuple:
     """A (..., 2, 2) gate as views of its entries ((u00, u01), (u10, u11)), each over the batch."""
@@ -49,28 +46,6 @@ def _entries(u) -> tuple:
     if u.shape[-2:] != (2, 2):
         raise ValueError(f"one-qubit gate must be (..., 2, 2), got shape {u.shape}")
     return tuple(tuple(u[..., i, j] for j in (0, 1)) for i in (0, 1))
-
-
-def _times(a, b) -> tuple:
-    """Product a b of two gates held as entry lists."""
-    return tuple(
-        tuple(a[i][0] * b[0][k] + a[i][1] * b[1][k] for k in (0, 1)) for i in (0, 1)
-    )
-
-
-def _act(m, r, axis: int) -> list:
-    """The phase gate `m` on `axis` of the 16 entries r: of each pair (r0, r1) that differ
-    only there, r0 is kept and r1 becomes m[1][1] r1, the gate entry on the left, as
-    numpy's fused multiply-add rounds m r and r m differently.  Any other gate, with a
-    non-zero off-diagonal entry or an m[0][0] not exactly 1 anywhere, raises ValueError."""
-    if m[0][1].any() or m[1][0].any() or not (m[0][0] == 1.0).all():
-        raise ValueError("only a phase gate diag(1, e^{i lam}) acts on a full state")
-    bit = 8 >> axis
-    out = list(r)
-    for k in range(16):
-        if k & bit:
-            out[k] = m[1][1] * r[k]
-    return out
 
 
 def _qubit(step) -> int:
@@ -82,16 +57,25 @@ def _qubit(step) -> int:
 
 def steps_unitary(steps) -> np.ndarray:
     """Noiseless circuit steps, phase gates and CNOTs, composed into one (..., 4, 4)
-    unitary."""
+    unitary: basis column k lands on basis state order[k] with phase[k].  A CX swaps
+    |10> and |11>; u1 on qubit q multiplies phase[k] by its m11, the gate entry on the
+    left (numpy's fused multiply-add rounds m r and r m differently), wherever order[k]
+    has bit 1 << q.  Any other gate, with a non-zero off-diagonal entry or an m00 not
+    exactly 1 anywhere, raises ValueError."""
     batch = np.broadcast_shapes(*(np.shape(s[1])[:-2] for s in steps if s is not CX))
-    eye = np.broadcast_to(np.eye(4, dtype=np.complex128), (batch or (1,)) + (4, 4))
-    u = [eye[..., k // 4, k % 4] for k in range(16)]
+    order, phase = [0, 1, 2, 3], [np.ones(batch or (1,), dtype=np.complex128)] * 4
     for step in steps:
         if step is CX:
-            u = [u[k] for k in _CX_ROWS]
-        else:
-            u = _act(_entries(step[1]), u, 1 - _qubit(step))
-    return np.stack(np.broadcast_arrays(*u), axis=-1).reshape(batch + (4, 4))
+            order = [(0, 1, 3, 2)[row] for row in order]
+            continue
+        m, bit = _entries(step[1]), 1 << _qubit(step)
+        if m[0][1].any() or m[1][0].any() or not (m[0][0] == 1.0).all():
+            raise ValueError("only a phase gate diag(1, e^{i lam}) acts on a full state")
+        phase = [m[1][1] * x if row & bit else x for row, x in zip(order, phase)]
+    u = np.zeros((batch or (1,)) + (4, 4), dtype=np.complex128)
+    for k in range(4):
+        u[..., order[k], k] = phase[k]
+    return u.reshape(batch + (4, 4))
 
 
 def preparation_steps(theta, lam) -> list:
@@ -140,17 +124,6 @@ def experiment_steps(a_index: int, b_index: int, theta, lam, chi) -> list:
     return preparation_steps(theta, lam) + alice_steps(a_index, lam) + bob_steps(b_index, lam, chi)
 
 
-def _segment(steps, noise) -> tuple:
-    """One qubit's steps, no CNOT among them, in exactly merged form: (their product,
-    later gates on the left; the rate 1 - (1 - p1)^n of the one channel after them).
-    The channel after each gate is covariant under the qubit's later gates, so the n
-    channels become one, after the product."""
-    m = _entries(steps[0][1])
-    for step in steps[1:]:
-        m = _times(_entries(step[1]), m)
-    return m, _rate(len(steps), noise)
-
-
 def _rate(n: int, noise) -> float:
     """The rate 1 - (1 - p1)^n of the one channel that n one-qubit gates' channels make."""
     return 1.0 - (1.0 - noise.p1) ** n
@@ -168,13 +141,17 @@ def _mixed(pair, p: float) -> list:
 
 def first_columns(steps, noise) -> tuple:
     """Each qubit's state after one-qubit `steps` from |00>, Alice's first: (U|0>, p) for
-    (1 - p) U|0><0|U^dag + p I/2, U and p the qubit's `_segment`; a qubit with no step
-    keeps |0>, ((1.0, 0.0), 0.0)."""
+    (1 - p) U|0><0|U^dag + p I/2.  U|0> is the qubit's gates applied in order to (1.0,
+    0.0), the gate entries on the left, and p = `_rate` of their count: the channel after
+    each gate is covariant under the qubit's later gates, so its n channels become one,
+    after them.  A qubit with no step keeps |0>, ((1.0, 0.0), 0.0)."""
     columns = []
     for qubit in (1, 0):
-        own = [s for s in steps if _qubit(s) == qubit]
-        m, p = _segment(own, noise) if own else (((1.0, 0.0), (0.0, 1.0)), 0.0)
-        columns.append(((m[0][0], m[1][0]), p))
+        own = [s[1] for s in steps if _qubit(s) == qubit]
+        column = (1.0, 0.0)
+        for m in map(_entries, own):
+            column = tuple(m[i][0] * column[0] + m[i][1] * column[1] for i in (0, 1))
+        columns.append((column, _rate(len(own), noise)))
     return tuple(columns)
 
 

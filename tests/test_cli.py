@@ -440,7 +440,9 @@ class TestGoldenOutputs:
     checks it).  The metrics lines were saved from the per-row
     implementation, before the columnar table, with the zero_condition_max
     line appended when it was added; their input is the sampled CSV of the
-    earlier per-run multinomial sampler.
+    earlier per-run multinomial sampler.  The validate lines were saved from
+    the 16-entry phase-gate kernel that composed the checks' circuits before
+    the basis-permutation form.
     """
 
     @pytest.mark.parametrize(
@@ -534,6 +536,12 @@ class TestGoldenOutputs:
         assert code == EXIT_OK
         lines = "".join(line + "\n" for line in text.splitlines() if "=" in line)
         assert lines.encode() == golden.read_bytes()
+
+    def test_validate_matches_golden(self):
+        # every suite's printed residual, byte for byte, not only its name and verdict
+        code, text = run_cli(["validate"])
+        assert code == EXIT_OK
+        assert text.encode() == (GOLDEN_DIR / "validate.txt").read_bytes()
 
 
 class TestSweepCommand:

@@ -19,7 +19,7 @@ from hardysim.engine import (
     first_columns,
     steps_unitary,
 )
-from hardysim import engine, gates, sweep
+from hardysim import engine, gates, selftest, sweep
 from hardysim.hardy import analytic_q
 from hardysim.noise import NoiseModel
 from hardysim.selftest import prepared_psi
@@ -128,20 +128,29 @@ def test_point_and_grid_match_the_flat_batch():
 
 def test_no_dense_gate_action_on_a_full_state(monkeypatch):
     """No gate with a non-zero off-diagonal entry acts on a full state in
-    `prepared_psi`, the classification suite's state: before the first CNOT the state
-    is built as a product (`first_columns`), and after it the preparation's gates are
-    phases (`steps_unitary`)."""
-    act, calls, dense = engine._act, [], []
+    `prepared_psi`, the classification suite's state: every gate before the first CNOT
+    goes to `first_columns`, which builds the state as a product, and `steps_unitary`
+    gets the rest of the preparation, CNOTs and diagonal gates only."""
+    seen = {}
 
-    def counting(m, r, axis, *rest):
-        calls.append(axis)
-        if np.any(m[0][1]) or np.any(m[1][0]):
-            dense.append(axis)
-        return act(m, r, axis, *rest)
+    def recording(name):
+        real = getattr(selftest, name)
 
-    monkeypatch.setattr(engine, "_act", counting)
-    prepared_psi(np.array([0.3, 0.9]), np.array([0.4, 1.2]))
-    assert calls and dense == []
+        def record(steps, *rest):
+            seen[name] = list(steps)
+            return real(steps, *rest)
+
+        return record
+
+    for name in ("first_columns", "steps_unitary"):
+        monkeypatch.setattr(selftest, name, recording(name))
+    theta, phi = np.array([0.3, 0.9]), np.array([0.4, 1.2])
+    prepared_psi(theta, phi)
+    before, after = seen["first_columns"], seen["steps_unitary"]
+    assert CX not in before and after[0] is CX
+    assert len(before) + len(after) == len(engine.preparation_steps(theta, phi))
+    for step in after:
+        assert step is CX or not (step[1][..., 0, 1].any() or step[1][..., 1, 0].any())
 
 
 # Noise models from none to every rate 1, with one that depolarizes and flips one
@@ -192,8 +201,9 @@ def test_a_non_phase_gate_is_refused(u):
 
 
 def dense_action(m, r, axis):
-    """The 2x2 gate `m` on `axis` of the 16 entries r, every entry by the full rule
-    out[i] = m[i][0] r0 + m[i][1] r1, whatever the gate."""
+    """The 2x2 gate `m` on `axis` of the 16 entries r (4 row + column), axis 0 Alice's
+    row bit and 1 Bob's, every entry by the full rule out[i] = m[i][0] r0 + m[i][1] r1,
+    whatever the gate."""
     bit = 8 >> axis
     out = list(r)
     for k in range(16):
@@ -207,15 +217,24 @@ def dense_action(m, r, axis):
 @pytest.mark.parametrize("qubit", [0, 1])
 @pytest.mark.parametrize("seed", range(4))
 def test_phase_rule_equals_the_dense_action(qubit, seed):
-    """`_act` of u1, on random entries, on the rows and then, conjugated, on the columns
-    (U r U^dag), equals the dense 2x2 action on each, value for value."""
+    """`steps_unitary` of a random u1 and CX list that starts with a u1 on `qubit`, over a
+    batch of nine, equals value for value the 16 entries built step by step from the
+    identity: each u1 by the dense 2x2 action on its qubit's row bit, each CX as the swap
+    of rows |10> and |11>."""
     rng = np.random.default_rng(seed)
-    r = list(rng.normal(size=(16, 9)) + 1j * rng.normal(size=(16, 9)))
-    m = engine._entries(gates.u1(rng.uniform(-2 * math.pi, 2 * math.pi, 9)))
-    conj = tuple(tuple(np.conj(x) for x in row) for row in m)
-    dense = dense_action(conj, dense_action(m, r, 1 - qubit), 3 - qubit)
-    got = engine._act(conj, engine._act(m, r, 1 - qubit), 3 - qubit)
-    assert all(np.array_equal(x, y) for x, y in zip(got, dense))
+
+    def phase(q):
+        return q, gates.u1(rng.uniform(-2 * math.pi, 2 * math.pi, 9))
+
+    steps = [phase(qubit)] + [CX if rng.random() < 0.3 else phase(int(rng.integers(2)))
+                              for _ in range(11)]
+    r = list(np.broadcast_to(np.eye(4, dtype=complex), (9, 4, 4)).reshape(9, 16).T)
+    for step in steps:
+        if step is CX:
+            r = [r[4 * row + column] for row in (0, 1, 3, 2) for column in range(4)]
+        else:
+            r = dense_action(engine._entries(step[1]), r, 1 - step[0])
+    assert np.array_equal(steps_unitary(steps), np.stack(r, axis=-1).reshape(9, 4, 4))
 
 
 # A step is "cx", (qubit, u3 angles) or (qubit, (u1 angle,)); drawn lists put CNOTs
@@ -379,6 +398,31 @@ class TestStates:
         np.testing.assert_array_equal(bob, [0, 1])
         assert abs(p_a - 0.19) <= 1e-15 and abs(p_b - 0.1) <= 1e-15
         assert first_columns([(0, X)], noise)[0] == ((1.0, 0.0), 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(angles, angles, angles), max_size=4),
+           st.lists(st.tuples(angles, angles, angles), max_size=4), rates, st.booleans())
+    @example([], [], 0.3, False)
+    @example([(0.4, 1.0, 2.0)] * 4, [(2.5, 0.1, 3.0)] * 4, 1.0, True)
+    def test_first_columns_of_general_gates(self, alice, bob, p1, batched):
+        """Each qubit's column is the first column of the dense product of its u3 gates,
+        later gates on the left, and its rate is 1 - (1 - p1)^n for its n gates; the
+        qubits' steps interleaved, scalar or over a batch of three."""
+        scale = np.array([1.0, 0.5, -2.0]) if batched else 1.0
+
+        def u3s(drawn):
+            return [gates.u3(*(scale * a for a in angles)) for angles in drawn]
+
+        own = {1: u3s(alice), 0: u3s(bob)}
+        steps = [step for pair in itertools.zip_longest(
+            [(1, u) for u in own[1]], [(0, u) for u in own[0]]) for step in pair if step]
+        for (column, p), qubit in zip(first_columns(steps, NoiseModel(p1, 0.0, 0.0, 0.0)), (1, 0)):
+            dense = np.eye(2, dtype=complex)
+            for u in own[qubit]:
+                dense = u @ dense
+            got = np.stack(np.broadcast_arrays(*column), axis=-1)
+            assert np.max(np.abs(got - dense[..., 0])) <= 1e-15
+            assert p == 1.0 - (1.0 - p1) ** len(own[qubit])
 
     def test_identity_leaves_state(self):
         # an identity gate leaves a qubit at |0>, and the identity as a phase gate
