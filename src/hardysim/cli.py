@@ -1,10 +1,10 @@
-"""Command-line front end: probe, sweep, metrics, reduced, validate.
+"""Command-line front end: probe, sweep, metrics, reduced, validate; each
+parses its arguments and prints what the library returns.
 
-Angles are degrees here and throughout `sweep`; its `measure_points`
-reduces them exactly modulo 360 and converts them to radians for `engine`,
-`hardy` and `gates` (`probe` does the same for the concurrence).  A radians
-flag is deliberately omitted to avoid dual-unit bugs.  Exit codes:
-0 success, 1 usage error, 2 I/O or input-file error, 3 validation failure.
+Angles are degrees; `sweep` alone reduces them exactly modulo 360 and
+converts them to radians.  A radians flag is deliberately omitted to avoid
+dual-unit bugs.  Exit codes: 0 success, 1 usage error, 2 I/O or input-file
+error, 3 validation failure.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ import math
 import re
 import sys
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from .hardy import concurrence
 from .noise import (
     DEFAULT_SHOTS_PER_RUN,
     NoiseModel,
@@ -32,9 +31,9 @@ from .sweep import (
     SweepCsvError,
     measure_points,
     performance_report,
+    probe_report,
     read_csv,
     reduced_circuit_compare,
-    substitute_singular,
     sweep_angles,
     write_csv,
 )
@@ -97,33 +96,19 @@ def _require_finite(**angles) -> None:
 
 def _cmd_probe(args, out) -> int:
     _require_finite(theta_deg=args.theta_deg, phi_deg=args.phi_deg)
-    # Only theta hits the tan singularity; phi = 90 is a regular point.
-    theta = float(substitute_singular(args.theta_deg))
-    phi = args.phi_deg
     noise = _resolve_noise(args.noise)
     cfg = _resolve_shots(args)
     try:
-        table, stat_err, eps5_per_run = measure_points([theta], [phi], noise, cfg)
+        table, report = probe_report(args.theta_deg, args.phi_deg, noise, cfg)
     except MemoryError as exc:
         raise UsageError(f"--runs {args.runs} gives too many draws ({args.runs:.3g})") from exc
     if args.out:  # before anything is printed, so a failed write prints nothing
         write_csv(table, args.out)
+    theta = report["theta_deg"]
     if theta != args.theta_deg:
         print(f"# note: singular theta substituted: {args.theta_deg:g} -> {theta:g}", file=out)
-    eps, stat_err, q = table.eps[0].tolist(), stat_err[0].tolist(), float(table.q[0])
-    _print_kv(out, "theta_deg", theta)
-    _print_kv(out, "phi_deg", phi)
-    _print_kv(out, "class", table.kind[0])
-    _print_kv(out, "concurrence", float(concurrence(*np.radians(np.fmod([theta, phi], 360.0)))))
-    _print_kv(out, "q_theory", q)
-    for i in range(3):
-        _print_kv(out, f"eps{i + 1}", eps[i])
-        _print_kv(out, f"stat_err{i + 1}", stat_err[i])
-    _print_kv(out, "eps5", eps[3])
-    _print_kv(out, "stat_err5", stat_err[3])
-    _print_kv(out, "eps5_run_std", float(np.std(eps5_per_run)))
-    _print_kv(out, "eps4_est", float(table.eps4_est[0]))
-    _print_kv(out, "noise_profile", noise.name or "unnamed")
+    for key, value in report.items():
+        _print_kv(out, key, value)
     return EXIT_OK
 
 
@@ -164,8 +149,7 @@ def _cmd_metrics(args, out) -> int:
             table, baseline=args.baseline, k_sigma=args.k_sigma, rho_deg=args.rho
         )
     except ValueError as exc:  # usable CSV but unusable sweep (too few rows, no coverage)
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise SweepCsvError(0, str(exc)) from exc
     if report["baseline_source"] == "none":
         print("note: no MES/PS rows and no --baseline; min q is not established",
               file=sys.stderr)
@@ -194,61 +178,49 @@ def _cmd_validate(args, out) -> int:
     return EXIT_OK if failed == 0 else EXIT_VALIDATION
 
 
-class _Arg(NamedTuple):
-    """One positional (a bare name) or flag (`--name`) of a command, as argparse takes it."""
-
-    name: str
-    type: Callable[[str], object] | None = None
-    default: object = None
-    choices: tuple[str, ...] | None = None
-    required: bool = False
-    metavar: str | None = None
-    help: str | None = None
-    dest: str | None = None  # a flag's dest when not derived from its name
+def _dest(name: str, options: dict) -> str:
+    """The namespace attribute of argument `name`, named as argparse names it."""
+    return options.get("dest") or name.lstrip("-").replace("-", "_")
 
 
-def _dest(arg: _Arg) -> str:
-    """The namespace attribute of arg, named as argparse names it."""
-    return arg.dest or arg.name.lstrip("-").replace("-", "_")
-
-
-_NOISE = _Arg("--noise", default="none", metavar="PROFILE",
-              help="noise profile file, or 'none' / 'default'")
+_NOISE = ("--noise", dict(default="none", metavar="PROFILE",
+                          help="noise profile file, or 'none' / 'default'"))
 _SHOT_FLAGS = (
     _NOISE,
-    _Arg("--shots", int, DEFAULT_SHOTS_PER_RUN, metavar="N",
-         help="shots per run; 0 = exact distributions, no sampling"),
-    _Arg("--runs", int, ShotConfig.runs, metavar="R"),
-    _Arg("--seed", int, ShotConfig.seed, metavar="S"),
+    ("--shots", dict(type=int, default=DEFAULT_SHOTS_PER_RUN, metavar="N",
+                     help="shots per run; 0 = exact distributions, no sampling")),
+    ("--runs", dict(type=int, default=ShotConfig.runs, metavar="R")),
+    ("--seed", dict(type=int, default=ShotConfig.seed, metavar="S")),
 )
 
-# Each command's handler, help line and arguments, positionals first, in the
-# order help lists them.  Both parsers read this table and nothing else.
-_COMMANDS: dict[str, tuple[Callable, str, tuple[_Arg, ...]]] = {
+# Each command's handler, help line and arguments, positionals (a bare name)
+# first, in the order help lists them.  An argument is its name and its
+# add_argument keywords.  Both parsers read this table and nothing else.
+_COMMANDS: dict[str, tuple[Callable, str, tuple[tuple[str, dict], ...]]] = {
     "probe": (_cmd_probe, "single-point epsilons and classification", (
-        _Arg("theta_deg", float),
-        _Arg("phi_deg", float),
+        ("theta_deg", dict(type=float)),
+        ("phi_deg", dict(type=float)),
         *_SHOT_FLAGS,
-        _Arg("--out", metavar="FILE", help="also write a one-row sweep CSV"),
+        ("--out", dict(metavar="FILE", help="also write a one-row sweep CSV")),
     )),
     "sweep": (_cmd_sweep, "diagonal or surface parameter sweep to CSV", (
-        _Arg("mode", choices=("diagonal", "surface")),
-        _Arg("--from", float, 0.0, metavar="DEG", dest="start_deg"),
-        _Arg("--to", float, 90.0, metavar="DEG", dest="stop_deg"),
-        _Arg("--step", float, 5.0, metavar="DEG"),
+        ("mode", dict(choices=("diagonal", "surface"))),
+        ("--from", dict(type=float, default=0.0, metavar="DEG", dest="start_deg")),
+        ("--to", dict(type=float, default=90.0, metavar="DEG", dest="stop_deg")),
+        ("--step", dict(type=float, default=5.0, metavar="DEG")),
         *_SHOT_FLAGS,
-        _Arg("--out", required=True, metavar="FILE"),
+        ("--out", dict(required=True, metavar="FILE")),
     )),
     "metrics": (_cmd_metrics, "performance measures from a sweep CSV", (
-        _Arg("--in", required=True, metavar="FILE", dest="in_path"),
-        _Arg("--k-sigma", float, DEFAULT_K_SIGMA),
-        _Arg("--baseline", float,
-             help="error floor; default: largest eps5 on MES/PS rows"),
-        _Arg("--rho", float, REFERENCE_ANGLE_DEG,
-             help="reference angle (deg) for shift and interval"),
+        ("--in", dict(required=True, metavar="FILE", dest="in_path")),
+        ("--k-sigma", dict(type=float, default=DEFAULT_K_SIGMA)),
+        ("--baseline", dict(type=float,
+                            help="error floor; default: largest eps5 on MES/PS rows")),
+        ("--rho", dict(type=float, default=REFERENCE_ANGLE_DEG,
+                       help="reference angle (deg) for shift and interval")),
     )),
     "reduced": (_cmd_reduced, "exact error of the full circuit vs a few-gate preparation", (
-        _Arg("variant", choices=("ps_00", "ps_01")),
+        ("variant", dict(choices=("ps_00", "ps_01"))),
         _NOISE,
     )),
     "validate": (_cmd_validate, "run the built-in invariant suites", ()),
@@ -271,8 +243,8 @@ def _parse_exact(argv: list[str]) -> SimpleNamespace | None:
     if not argv or argv[0] not in _COMMANDS:
         return None
     args = _COMMANDS[argv[0]][2]
-    positionals = [arg for arg in args if not arg.name.startswith("-")]
-    flags = {arg.name: arg for arg in args if arg.name.startswith("-")}
+    positionals = [arg for arg in args if not arg[0].startswith("-")]
+    flags = {name: options for name, options in args if name.startswith("-")}
     tokens = argv[1 + len(positionals):]
     if len(argv) < 1 + len(positionals) or len(tokens) % 2:
         return None
@@ -280,21 +252,23 @@ def _parse_exact(argv: list[str]) -> SimpleNamespace | None:
     for name, token in zip(tokens[::2], tokens[1::2]):
         if name not in flags:
             return None
-        pairs.append((flags[name], token))
+        pairs.append(((name, flags[name]), token))
     given = {}
-    for arg, token in pairs:
+    for (name, options), token in pairs:
         if token.startswith("-") and token != "-" and not _NEGATIVE_NUMBER.match(token):
             return None
+        convert, choices = options.get("type"), options.get("choices")
         try:
-            value = token if arg.type is None else arg.type(token)
+            value = token if convert is None else convert(token)
         except (TypeError, ValueError):
             return None
-        if arg.choices is not None and value not in arg.choices:
+        if choices is not None and value not in choices:
             return None
-        given[_dest(arg)] = value
-    if any(arg.required and _dest(arg) not in given for arg in flags.values()):
+        given[_dest(name, options)] = value
+    if any(options.get("required") and _dest(name, options) not in given
+           for name, options in flags.items()):
         return None
-    defaults = {_dest(arg): arg.default for arg in flags.values()}
+    defaults = {_dest(name, options): options.get("default") for name, options in flags.items()}
     return SimpleNamespace(command=argv[0], **{**defaults, **given})
 
 
@@ -313,12 +287,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, args) in _COMMANDS.items():
         command_parser = sub.add_parser(command, help=help_text)
-        for arg in args:
-            options = dict(type=arg.type, default=arg.default, choices=arg.choices,
-                           metavar=arg.metavar, help=arg.help)
-            if arg.name.startswith("-"):  # argparse refuses both on a positional
-                options.update(required=arg.required, dest=arg.dest)
-            command_parser.add_argument(arg.name, **options)
+        for name, options in args:
+            command_parser.add_argument(name, **options)
     return parser
 
 

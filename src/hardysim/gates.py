@@ -22,14 +22,10 @@ CX = "cx"
 
 
 def _matrix(a, b, c, d) -> np.ndarray:
-    """Stack broadcast entries into [[a, b], [c, d]] along two new last axes.
-
-    Each entry is written as one contiguous block, so the entries of a batch of
-    gates, read as views, are contiguous arrays."""
-    blocks = np.empty((4,) + np.broadcast(a, b, c, d).shape, dtype=np.complex128)
-    for k, x in enumerate((a, b, c, d)):
-        blocks[k] = x
-    return blocks.transpose(*range(1, blocks.ndim), 0).reshape(blocks.shape[1:] + (2, 2))
+    """Broadcast entries as [[a, b], [c, d]] along two new last axes, in complex128."""
+    m = np.empty(np.broadcast(a, b, c, d).shape + (2, 2), dtype=np.complex128)
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = a, b, c, d
+    return m
 
 
 def u1(lam) -> np.ndarray:

@@ -6,7 +6,7 @@ per grid point.  A surface reaches the engine as a theta column times a phi
 row, so each gate is built once per angle it depends on; measure_points
 flattens the result once.  sweep_angles is the one grid builder: it checks
 the range and the size and moves theta off the tan singularity by one array
-rule, substitute_singular, that probe applies to its one angle too.  Rows
+rule, substitute_singular, that probe_report applies to its one angle.  Rows
 stay in sweep order (no internal sorting) so plotted curves match the swept
 axis directly.  The CSV interface is fixed:
 
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import gates
 from .engine import cnot_free_distributions, experiment_distributions, experiment_steps
-from .hardy import CLASSES, analytic_q, chi_of, classify
+from .hardy import CLASSES, analytic_q, chi_of, classify, concurrence
 from .noise import NoiseModel, ShotConfig, estimate_batch
 
 CSV_HEADER = "theta_deg,phi_deg,q_theory,eps1,eps2,eps3,eps5,eps4_est,stat_err,class"
@@ -55,10 +55,9 @@ _SENTINEL = "0,0,0,0,0,0,0,0,0,PS"  # a valid row; see _parse
 
 # Peak memory of a sweep per grid point, in bytes, a conservative bound: from
 # a 0.002- to a 0.0005-degree sampled default-noise diagonal (45,000 to 180,000
-# points) the peak RSS grows from 71.7 to 193.3 MiB, about 950 bytes per point
-# (1,431 with the entry-by-entry engine); the 0.25-degree sampled surface peaks
-# at 143 MiB (203 before).  A grid needing more than the physical memory at
-# this rate is rejected before it is built.
+# points) the peak RSS grows from 71.7 to 193.3 MiB, about 950 bytes per point;
+# the 0.25-degree sampled surface peaks at 143 MiB.  A grid needing more than
+# the physical memory at this rate is rejected before it is built.
 ENGINE_BYTES_PER_POINT = 1700
 
 # Memory of the draws per run, in bytes, rounded down as ENGINE_BYTES_PER_POINT
@@ -182,6 +181,11 @@ def sweep_angles(
     return (theta, theta) if mode == "diagonal" else (theta[:, None], grid[None, :])
 
 
+def _radians(degrees) -> np.ndarray:
+    """degrees reduced exactly modulo 360, in radians."""
+    return np.radians(np.fmod(degrees, 360.0))
+
+
 def measure_points(
     theta_deg, phi_deg, noise: NoiseModel, cfg: ShotConfig | None
 ) -> tuple[SweepTable, np.ndarray, np.ndarray]:
@@ -205,7 +209,7 @@ def measure_points(
     memory = _physical_memory()
     if cfg and memory is not None and math.prod(shape) * cfg.runs * SAMPLE_BYTES_PER_RUN > memory:
         raise MemoryError(f"draws of {cfg.runs} runs at {math.prod(shape)} points")
-    theta, phi = np.radians(np.fmod(theta_deg, 360.0)), np.radians(np.fmod(phi_deg, 360.0))
+    theta, phi = _radians(theta_deg), _radians(phi_deg)
     dists = experiment_distributions(theta, phi, noise).reshape(-1, 4, 4)
     eps, stat_err, eps5_per_run = estimate_batch(dists, cfg)
     columns = theta_deg, phi_deg, analytic_q(theta, phi), classify(theta, phi)
@@ -330,6 +334,24 @@ def performance_report(
         "free_passes": free_passes,
         "exact_input": not table.stat_err.any(),
     }
+
+
+def probe_report(
+    theta_deg: float, phi_deg: float, noise: NoiseModel, cfg: ShotConfig | None
+) -> tuple[SweepTable, dict]:
+    """(table, report) of one point: its one-row table, and the `probe` output lines,
+    in their order, as keys.  theta_deg alone goes through substitute_singular (phi =
+    90 is a regular point); report["theta_deg"] is the angle measured."""
+    theta_deg = float(substitute_singular(theta_deg))
+    table, stat_err, eps5_per_run = measure_points([theta_deg], [phi_deg], noise, cfg)
+    report = {"theta_deg": theta_deg, "phi_deg": phi_deg, "class": str(table.kind[0]),
+              "concurrence": float(concurrence(*_radians([theta_deg, phi_deg]))),
+              "q_theory": float(table.q[0])}
+    for n, eps, err in zip((1, 2, 3, 5), table.eps[0].tolist(), stat_err[0].tolist()):
+        report[f"eps{n}"], report[f"stat_err{n}"] = eps, err
+    report.update(eps5_run_std=float(np.std(eps5_per_run)), eps4_est=float(table.eps4_est[0]),
+                  noise_profile=noise.name or "unnamed")
+    return table, report
 
 
 def _reduced_steps(variant: str) -> tuple[float, float, list]:

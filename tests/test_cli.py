@@ -201,6 +201,13 @@ class TestExitCodes:
         code, _ = run_cli(["probe", "1", "2", "--noise", str(path)])
         assert code == EXIT_IO
 
+    def test_noise_line_without_equals_sign_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.profile"
+        path.write_text("p1=0\np2 0.01\nreadout0=0\nreadout1=0\n")
+        assert run_cli(["probe", "1", "2", "--noise", str(path)]) == (EXIT_IO, "")
+        expected = f"input error: {path}:2: expected key=value, got 'p2 0.01'\n"
+        assert capsys.readouterr().err == expected
+
     def test_readme_profile_example(self, tmp_path):
         # the README's example profile, inline comments included
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -442,7 +449,8 @@ class TestGoldenOutputs:
     line appended when it was added; their input is the sampled CSV of the
     earlier per-run multinomial sampler.  The validate lines were saved from
     the 16-entry phase-gate kernel that composed the checks' circuits before
-    the basis-permutation form.
+    the basis-permutation form.  The probe lines and the probe CSV were saved
+    while the CLI still built probe's lines itself, before `probe_report`.
     """
 
     @pytest.mark.parametrize(
@@ -454,12 +462,28 @@ class TestGoldenOutputs:
             ("diagonal_5deg_sampled_default_seed7_binomial.csv",
              ["sweep", "diagonal", "--from", "0", "--to", "90", "--step", "5",
               "--noise", "default", "--seed", "7"]),
+            ("probe_optimum_default_runs100.csv",
+             ["probe", "51.827", "51.827", "--noise", "default", "--runs", "100"]),
         ],
     )
     def test_csv_matches_golden(self, tmp_path, name, argv):
         out = tmp_path / name
         assert run_cli([*argv, "--out", str(out)])[0] == EXIT_OK
         assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "name,argv",
+        [
+            # every draw by BTRD (n p >= 10); eps5_run_std is not 0
+            ("probe_optimum_default_runs100.txt",
+             ["probe", "51.827", "51.827", "--noise", "default", "--runs", "100"]),
+            # the singular-theta note, then the substitute's lines
+            ("probe_singular_theta_default_runs100_seed5.txt",
+             ["probe", "90", "45", "--noise", "default", "--runs", "100", "--seed", "5"]),
+        ],
+    )
+    def test_probe_matches_golden(self, name, argv):
+        assert run_cli(argv) == (EXIT_OK, (GOLDEN_DIR / name).read_text())
 
     def test_sampled_golden_is_within_6_sigma_of_exact(self, tmp_path):
         # checks every regeneration of the sampled golden against the exact
@@ -1077,13 +1101,13 @@ ODD_VALUES = ["-", "-5", "-.5", "-5.", "-1e3", "1e3", "nan", "", "spiral", "ps_0
 ODD_TOKENS = [*ODD_VALUES, "--frob", "-h", "--help", "--", "--out", "--noise", "--step", "5"]
 
 
-def argument_values(arg):
-    """Tokens that convert with arg's type into its choices, some starting with "-"."""
-    if arg.choices is not None:
-        return st.sampled_from(arg.choices)
-    if arg.type is int:
+def argument_values(options):
+    """Tokens that convert with an argument's type into its choices, some starting with "-"."""
+    if options.get("choices") is not None:
+        return st.sampled_from(options["choices"])
+    if options.get("type") is int:
         return st.integers(-(2**70), 2**70).map(str)
-    if arg.type is float:
+    if options.get("type") is float:
         return st.one_of(
             st.floats(min_value=0.0).map(repr),
             st.sampled_from(["-5", "-.5", "-0", "-0.25", "nan", "inf", "1e3", "1_0", " 7 "]),
@@ -1099,12 +1123,12 @@ def canonical_lines(draw):
     """A command, its positionals, then `--flag value` pairs, required flags included."""
     command = draw(st.sampled_from(sorted(_COMMANDS)))
     args = _COMMANDS[command][2]
-    line = [command, *(draw(argument_values(a)) for a in args if not a.name.startswith("-"))]
-    flags = [a for a in args if a.name.startswith("-")]
-    chosen = set(draw(st.lists(st.sampled_from(flags), unique=True))) if flags else set()
-    chosen |= {a for a in flags if a.required}
-    for arg in draw(st.permutations(sorted(chosen))):
-        line += [arg.name, draw(argument_values(arg))]
+    line = [command, *(draw(argument_values(o)) for n, o in args if not n.startswith("-"))]
+    flags = {n: o for n, o in args if n.startswith("-")}
+    chosen = set(draw(st.lists(st.sampled_from(sorted(flags)), unique=True))) if flags else set()
+    chosen |= {n for n, o in flags.items() if o.get("required")}
+    for name in draw(st.permutations(sorted(chosen))):
+        line += [name, draw(argument_values(flags[name]))]
     return line
 
 

@@ -20,7 +20,7 @@ from hardysim.engine import (
     steps_unitary,
 )
 from hardysim import engine, gates, selftest, sweep
-from hardysim.hardy import analytic_q
+from hardysim.hardy import analytic_q, chi_of
 from hardysim.noise import NoiseModel
 from hardysim.selftest import prepared_psi
 
@@ -63,6 +63,25 @@ def test_engine_matches_kraus_reference(theta, phi, p1, p2, readout0, readout1):
     dists = experiment_distributions([theta], [phi], NoiseModel(p1, p2, readout0, readout1))[0]
     expect = ref.distributions(theta, phi, p1, p2, readout0, readout1)
     assert np.max(np.abs(dists - expect)) <= 1e-12
+
+
+@pytest.mark.parametrize("a_index,b_index", engine.EXPERIMENT_SETTINGS)
+@pytest.mark.parametrize(
+    "theta,phi", [(0.0, 0.0), (0.7, 1.1), (0.9045, 0.9045), (math.pi / 2, math.pi / 2), (2.9, 0.3)]
+)
+def test_experiment_steps_are_the_reference_circuit(a_index, b_index, theta, phi):
+    """The step lists, whose gate counts the closed form assumes and `reduced` prints,
+    are the Kraus reference's circuit gate for gate: the same qubit or CX at each step,
+    and the same matrix."""
+    steps = engine.experiment_steps(a_index, b_index, theta, phi, chi_of(theta, phi))
+    expect = ref.circuit(theta, phi, a_index, b_index)
+    assert len(steps) == len(expect)
+    for step, (matrix, target) in zip(steps, expect):
+        if target is ref.BOTH:
+            assert step is CX
+        else:
+            assert step is not CX and step[0] == target
+            assert np.max(np.abs(step[1] - matrix)) <= 1e-15
 
 
 @settings(max_examples=60, deadline=None)

@@ -181,6 +181,13 @@ class TestProfileFile:
             load_noise_profile(path)
         assert str(info.value) == f"{path}:5: repeated key 'p1'"
 
+    def test_line_without_equals_sign(self, tmp_path):
+        path = tmp_path / "bad.profile"
+        path.write_text("p1=0\np2 0.01  # no sign\nreadout0=0\nreadout1=0\n")
+        with pytest.raises(ProfileError) as info:
+            load_noise_profile(path)
+        assert str(info.value) == f"{path}:2: expected key=value, got 'p2 0.01  # no sign'"
+
     def test_unreadable(self, tmp_path):
         with pytest.raises(ProfileError, match="cannot read"):
             load_noise_profile(tmp_path / "missing.profile")
