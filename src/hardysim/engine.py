@@ -10,12 +10,13 @@ Noise is symmetric depolarizing after every gate (Nielsen & Chuang, section
 I/4; then each qubit's readout flips at its own symmetric rate.  The
 noiseless case is the same engine with zero rates.  Inputs are validated
 where they enter (NoiseModel, the CLI); the engine checks only its final
-distributions.
+probabilities.
 
-`experiment_distributions`, which every sweep, probe and grid reaches,
-reads the four experiments in closed form from the Pauli components of the
-noisy state, with no density matrix.  The step lists stay the one circuit
-definition, which the checks and the CNOT-free `reduced` circuits read.
+`flagged_probabilities`, which every sweep, probe and grid reaches, reads
+the one probability Hardy's test takes from each experiment, its flagged
+outcome's, in closed form from the Pauli components of the noisy state, with
+no density matrix.  The step lists stay the one circuit definition, which
+the checks and the CNOT-free `reduced` circuits read.
 Before a circuit's first CNOT each qubit evolves alone, as its U|0> and the
 rate of its one channel (`first_columns`); after it the phase gates and CNOTs
 permute the basis and put a phase on each column (`steps_unitary`).
@@ -36,7 +37,8 @@ from .hardy import chi_of
 EXPERIMENT_SETTINGS = ((1, 1), (2, 1), (1, 2), (2, 2))
 FLAGGED_OUTCOME = (0, 1, 2, 0)
 
-# Final distributions must be non-negative and sum to 1 within this.
+# Final probabilities must be non-negative, and a CNOT-free circuit's
+# distribution sum to 1, within this.
 DISTRIBUTION_TOL = 1e-9
 
 
@@ -168,8 +170,9 @@ def cnot_free_distributions(steps, noise) -> np.ndarray:
     return check_distributions(np.stack(x, axis=-1))
 
 
-def experiment_distributions(theta, phi, noise) -> np.ndarray:
-    """Outcome distributions, shape (*batch, 4, 4): point, experiment, outcome k = 2a + b.
+def flagged_probabilities(theta, phi, noise) -> np.ndarray:
+    """Each experiment's probability of its flagged outcome, shape (*batch, 4): point,
+    experiment (EXPERIMENT_SETTINGS order, FLAGGED_OUTCOME's outcome k = 2a + b).
 
     In closed form from the Pauli components of the noisy state (R. Horodecki &
     M. Horodecki, Phys. Rev. A 54, 1838 (1996)), where a depolarizing channel only
@@ -187,9 +190,10 @@ def experiment_distributions(theta, phi, noise) -> np.ndarray:
       x_i (Alice's setting i), y_j (Bob's j) and their correlation z_ij.
     - The channel after a setting and the readout flip scale its axis by kA or kB.
 
-    Then P(a, b) = (1 + s_a kA x_i + s_b kB y_j + s_a s_b kA kB z_ij) / 4, s = +1 for
-    outcome 0 and -1 for 1.  Factors of theta alone are computed on theta and of phi
-    alone on phi: a theta column times a phi row equals the flat pairs bit for bit.
+    Then P(a, b) = ((1 + s_a s_b kA kB z_ij) + (s_a kA x_i + s_b kB y_j)) / 4 at the
+    flagged (a, b), s = +1 for outcome 0 and -1 for 1.  Factors of theta alone are
+    computed on theta and of phi alone on phi: a theta column times a phi row equals
+    the flat pairs bit for bit.
     """
     theta = np.asarray(theta, dtype=np.float64)
     lam = np.asarray(phi, dtype=np.float64)
@@ -220,27 +224,30 @@ def experiment_distributions(theta, phi, noise) -> np.ndarray:
     z = {(i, 1): -big_g * c_a * d * w[i] for i in (1, 2)}
     z.update({(i, 2): big_g * c_a * (sin2x * h - d * cos2x * w[i]) for i in (1, 2)})
     probs = []
-    for i, j in EXPERIMENT_SETTINGS:
-        alice, bob = kappa_a[i] * x[i], kappa_b[j] * y[j]
-        corr = (kappa_a[i] * kappa_b[j]) * z[i, j]
-        same, differ = 1.0 + corr, 1.0 - corr
-        probs += [same + (alice + bob), differ + (alice - bob),
-                  differ - (alice - bob), same - (alice + bob)]
+    for (i, j), flagged in zip(EXPERIMENT_SETTINGS, FLAGGED_OUTCOME):
+        # s_a and s_b on the scalar kappas: a sign flip is exact
+        ka = -kappa_a[i] if flagged & 2 else kappa_a[i]
+        kb = -kappa_b[j] if flagged & 1 else kappa_b[j]
+        probs.append((1.0 + (ka * kb) * z[i, j]) + (ka * x[i] + kb * y[j]))
     probs = np.stack(np.broadcast_arrays(*probs), axis=-1)
     probs *= 0.25
-    return check_distributions(probs.reshape(batch + (4, 4)))
+    return check_probabilities(probs.reshape(batch + (4,)))
 
 
-def check_distributions(probs) -> np.ndarray:
-    """Reject distributions (last axis) that are non-finite, negative or not summing to 1."""
+def check_probabilities(probs) -> np.ndarray:
+    """Reject probabilities that are non-finite or negative."""
     if not np.isfinite(probs).all():
         raise ValueError("non-finite probability in outcome distribution")
     lowest = float(np.min(probs))
     if lowest < -DISTRIBUTION_TOL:
         raise ValueError(f"negative probability {lowest} in outcome distribution")
-    # term by term: numpy's sum over a last axis of 4 costs more than the closed form
-    total = sum(probs[..., k] for k in range(probs.shape[-1]))
-    defect = float(np.max(np.abs(total - 1.0)))
+    return probs
+
+
+def check_distributions(probs) -> np.ndarray:
+    """Reject distributions (last axis) that `check_probabilities` rejects or that do
+    not sum to 1."""
+    defect = float(np.max(np.abs(check_probabilities(probs).sum(axis=-1) - 1.0)))
     if defect > DISTRIBUTION_TOL:
         raise ValueError(f"outcome distribution sums differ from 1 by {defect}")
     return probs

@@ -4,8 +4,9 @@ The noise mechanism is symmetric depolarizing after every gate application
 (rate p1 for single-qubit gates, p2 for CNOTs) plus a terminal symmetric
 readout flip on each qubit (rates readout0, readout1).  The experiment
 names error magnitudes only, so the mechanism is a modeling choice, kept
-swappable behind NoiseModel; `engine` reads each experiment under it from the
-noisy state's Pauli components, its step lists the one circuit definition.
+swappable behind NoiseModel; `engine` reads each experiment's flagged
+probability under it from the noisy state's Pauli components, its step lists
+the one circuit definition.
 
 Randomness enters only at shot sampling, which uses no numpy.random: each
 flagged count is an exact binomial draw (inversion or Hormann's BTRD) from
@@ -21,8 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .engine import FLAGGED_OUTCOME
 
 DEFAULT_SHOTS_PER_RUN = 8192
 
@@ -130,8 +129,9 @@ def statistical_error(P, runs: int, shots_per_run: int = DEFAULT_SHOTS_PER_RUN):
     return np.sqrt(P * (1.0 - P) / (shots_per_run * runs))
 
 
-def estimate_batch(dists, cfg: ShotConfig | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Epsilon estimates for N points from their (N, 4, 4) experiment distributions.
+def estimate_batch(flagged, cfg: ShotConfig | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Epsilon estimates for N points from their (N, 4) flagged-outcome probabilities,
+    one column per experiment (the engine's `flagged_probabilities`).
 
     Returns (eps, stat_err, eps5_per_run): eps and stat_err have shape (N, 4)
     with columns eps1, eps2, eps3, eps5 (the flagged-outcome frequencies of
@@ -140,29 +140,24 @@ def estimate_batch(dists, cfg: ShotConfig | None) -> tuple[np.ndarray, np.ndarra
     the counting-statistics formula.  eps4 is not measurable on its own; its
     estimate is eps5 - q_theory.
 
-    With cfg=None the infinite-shot limit is returned: the exact flagged
-    entries, zero errors and one "run".  Otherwise only the flagged cell of
-    each experiment is counted, and that cell alone is exactly binomial.
+    Both modes read one p, the probabilities clipped to [0, 1].  With
+    cfg=None the infinite-shot limit is returned: p itself, zero errors and
+    one "run".  Otherwise each flagged count is an exact binomial draw at p.
     The draws are laid out here alone: point i draws (3 + runs) i + s, where
-    slots 0-2 pool experiments 1-3, Binomial(shots_per_run * runs, p_flag),
-    and slots 3 on are experiment 4's runs, Binomial(shots_per_run, p_flag),
-    whose mean is eps5 (a sweep, at runs = 1, draws 4 i + e).  Each point's
-    counts depend only on cfg, its index and its own p_flag.  The
-    distributions are the engine's, already checked; they are only clipped
-    at 0 and renormalised.
+    slots 0-2 pool experiments 1-3, Binomial(shots_per_run * runs, p), and
+    slots 3 on are experiment 4's runs, Binomial(shots_per_run, p), whose
+    mean is eps5 (a sweep, at runs = 1, draws 4 i + e).  Each point's counts
+    depend only on cfg, its index and its own p.
     """
-    dists = np.asarray(dists, dtype=np.float64)
-    flagged = dists[:, np.arange(4), FLAGGED_OUTCOME]
+    p = np.clip(flagged, 0.0, 1.0)
     if cfg is None:
-        eps = np.clip(flagged, 0.0, 1.0)
-        return eps, np.zeros_like(eps), eps[:, 3:].copy()
-    p_flag = np.clip(flagged, 0.0, None) / np.clip(dists, 0.0, None).sum(axis=-1)
+        return p, np.zeros_like(p), p[:, 3:].copy()
     total = cfg.shots_per_run * cfg.runs
-    p = np.repeat(p_flag, [1, 1, 1, cfg.runs], axis=1)
-    n = np.full(p.shape, cfg.shots_per_run, dtype=np.int64)
+    p_draw = np.repeat(p, [1, 1, 1, cfg.runs], axis=1)
+    n = np.full(p_draw.shape, cfg.shots_per_run, dtype=np.int64)
     n[:, :3] = total
-    counts = _sample_counts(cfg.seed, n.ravel(), p.ravel()).reshape(p.shape)
-    eps = np.empty_like(p_flag)
+    counts = _sample_counts(cfg.seed, n.ravel(), p_draw.ravel()).reshape(p_draw.shape)
+    eps = np.empty_like(p)
     eps[:, :3] = counts[:, :3] / total
     eps[:, 3] = counts[:, 3:].sum(axis=-1) / total
     eps5_per_run = counts[:, 3:] / cfg.shots_per_run

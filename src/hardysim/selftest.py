@@ -20,13 +20,7 @@ import math
 import numpy as np
 
 from . import gates
-from .engine import (
-    FLAGGED_OUTCOME,
-    experiment_distributions,
-    first_columns,
-    preparation_steps,
-    steps_unitary,
-)
+from .engine import first_columns, flagged_probabilities, preparation_steps, steps_unitary
 from .hardy import analytic_q, classify, concurrence, optimal_angles, q_max
 from .noise import NoiseModel
 
@@ -77,12 +71,11 @@ def _suite_coupling_identity() -> tuple[str, bool, str]:
 def _ideal_grid():
     """theta (37, 1) and phi (1, 37) in radians, the 2.5-degree grid as an outer
     product, and their noiseless flagged-outcome probabilities, shape (37, 37, 4) by
-    experiment: one engine batch.  These are the engine's raw entries, not measure_points'
-    eps, whose clip at 0 would hide a negative flagged q where q is exactly 0."""
+    experiment: one engine batch as returned, not measure_points' eps, whose clip at 0
+    would hide a negative flagged q where q is exactly 0."""
     axis = np.radians(np.arange(0.0, 90.0 + 1e-9, 2.5))
     theta, phi = axis[:, None], axis[None, :]
-    dists = experiment_distributions(theta, phi, NoiseModel.none())
-    return theta, phi, dists[..., range(4), FLAGGED_OUTCOME]
+    return theta, phi, flagged_probabilities(theta, phi, NoiseModel.none())
 
 
 def _suite_zero_probabilities(flagged) -> tuple[str, bool, str]:

@@ -35,7 +35,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import gates
-from .engine import cnot_free_distributions, experiment_distributions, experiment_steps
+from .engine import cnot_free_distributions, experiment_steps, flagged_probabilities
 from .hardy import CLASSES, analytic_q, chi_of, classify, concurrence
 from .noise import NoiseModel, ShotConfig, estimate_batch
 
@@ -189,18 +189,20 @@ def _radians(degrees) -> np.ndarray:
 def measure_points(
     theta_deg, phi_deg, noise: NoiseModel, cfg: ShotConfig | None
 ) -> tuple[SweepTable, np.ndarray, np.ndarray]:
-    """One engine batch and one estimate batch for angle arrays that broadcast
-    (degrees, reduced exactly modulo 360 and converted here to the radians of
-    `engine` and `hardy`).  The engine runs on the arrays as given; row i of the
-    table is point i of the broadcast shape in row-major (theta-major) order.
+    """One engine batch, each point's four flagged probabilities, and one
+    estimate batch for angle arrays that broadcast (degrees, reduced exactly
+    modulo 360 and converted here to the radians of `engine` and `hardy`).
+    The engine runs on the arrays as given; row i of the table is point i of
+    the broadcast shape in row-major (theta-major) order.
 
     Returns (table, stat_err, eps5_per_run): the table, then the statistical
     errors of all four columns of table.eps and the fourth experiment's
     per-run frequencies, as estimate_batch gives them.  Point i's counts
-    depend only on cfg (`--shots`, `--runs`, `--seed`), i and its own
-    distributions, not on the other points or on how the draws are batched.
-    A sampled batch whose points x runs would need more than the physical
-    memory at SAMPLE_BYTES_PER_RUN raises MemoryError before the engine runs.
+    depend only on cfg (`--shots`, `--runs`, `--seed`), i and its own four
+    flagged probabilities, not on the other points or on how the draws are
+    batched.  A sampled batch whose points x runs would need more than the
+    physical memory at SAMPLE_BYTES_PER_RUN raises MemoryError before the
+    engine runs.
     """
     theta_deg, phi_deg = (np.asarray(a, dtype=np.float64) for a in (theta_deg, phi_deg))
     shape = np.broadcast_shapes(theta_deg.shape, phi_deg.shape)
@@ -210,8 +212,8 @@ def measure_points(
     if cfg and memory is not None and math.prod(shape) * cfg.runs * SAMPLE_BYTES_PER_RUN > memory:
         raise MemoryError(f"draws of {cfg.runs} runs at {math.prod(shape)} points")
     theta, phi = _radians(theta_deg), _radians(phi_deg)
-    dists = experiment_distributions(theta, phi, noise).reshape(-1, 4, 4)
-    eps, stat_err, eps5_per_run = estimate_batch(dists, cfg)
+    flagged = flagged_probabilities(theta, phi, noise).reshape(-1, 4)
+    eps, stat_err, eps5_per_run = estimate_batch(flagged, cfg)
     columns = theta_deg, phi_deg, analytic_q(theta, phi), classify(theta, phi)
     theta_deg, phi_deg, q, kind = (np.broadcast_to(x, shape).ravel() for x in columns)
     table = SweepTable(theta_deg, phi_deg, q, eps, stat_err[:, 3], kind)

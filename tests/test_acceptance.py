@@ -11,11 +11,7 @@ import pytest
 
 import kraus_reference as ref
 from hardysim.cli import EXIT_OK, main
-from hardysim.engine import (
-    FLAGGED_OUTCOME,
-    experiment_distributions,
-    steps_unitary,
-)
+from hardysim.engine import FLAGGED_OUTCOME, flagged_probabilities, steps_unitary
 from hardysim.hardy import analytic_q, classify, concurrence, optimal_angles, q_max
 from hardysim.noise import (
     NoiseModel,
@@ -71,8 +67,7 @@ def test_c03_hardy_equations_on_grid():
     phi = np.radians(np.arange(181.0))
     for theta_deg in range(181):  # one engine batch per theta row
         theta = np.full_like(phi, math.radians(theta_deg))
-        dists = experiment_distributions(theta, phi, NoiseModel.none())
-        flagged = dists[:, range(4), FLAGGED_OUTCOME]
+        flagged = flagged_probabilities(theta, phi, NoiseModel.none())
         worst_zero = max(worst_zero, float(np.max(flagged[:, :3])))
         worst_diff = max(worst_diff, float(np.max(np.abs(flagged[:, 3] - analytic_q(theta, phi)))))
     assert worst_zero <= 1e-12
@@ -131,11 +126,11 @@ def test_c07_optimum_location():
 
 def test_c08_shot_statistics():
     theta, phi = optimal_angles()
-    dists = experiment_distributions([theta], [phi], NoiseModel.none())
-    tol = 4 * statistical_error(float(dists[0, 3, 0]), 10)
+    flagged = flagged_probabilities([theta], [phi], NoiseModel.none())
+    tol = 4 * statistical_error(float(flagged[0, 3]), 10)
     worst = 0.0
     for seed in range(20):
-        pooled = estimate_batch(dists, ShotConfig(seed=seed))[0][0, 3]
+        pooled = estimate_batch(flagged, ShotConfig(seed=seed))[0][0, 3]
         worst = max(worst, abs(pooled - 0.09017))
         assert abs(pooled - 0.09017) <= tol, seed
     assert abs(statistical_error(0.5, 1) - 0.005524) < 1e-6
@@ -146,16 +141,16 @@ def test_c09_noisy_model_properties():
     optimum = [[angle] for angle in optimal_angles()]
 
     def exact_eps(model):
-        return estimate_batch(experiment_distributions(*optimum, model), None)[0][0]
+        return estimate_batch(flagged_probabilities(*optimum, model), None)[0][0]
 
-    # (a) zero-noise engine reproduces the ideal distributions of the
+    # (a) zero-noise engine reproduces the ideal flagged probabilities of the
     # independent dense Kraus-sum reference
     quiet = NoiseModel.none()
     for theta_deg, phi_deg in ((51.827, 51.827), (30, 60), (45, 90), (0, 0)):
         theta, phi = DEG(theta_deg), DEG(phi_deg)
         np.testing.assert_allclose(
-            experiment_distributions([theta], [phi], quiet)[0],
-            ref.distributions(theta, phi, 0.0, 0.0, 0.0, 0.0),
+            flagged_probabilities([theta], [phi], quiet)[0],
+            ref.distributions(theta, phi, 0.0, 0.0, 0.0, 0.0)[range(4), FLAGGED_OUTCOME],
             atol=1e-10,
         )
     # (b) default profile keeps the three zero-equations in (0, 0.1)

@@ -273,7 +273,7 @@ class TestExitCodes:
         [
             ("diagonal", "numpy.arange", "3"),  # the grid
             ("surface", "numpy.arange", "9"),
-            ("surface", "hardysim.sweep.experiment_distributions", "9"),  # the engine
+            ("surface", "hardysim.sweep.flagged_probabilities", "9"),  # the engine
             ("diagonal", "hardysim.sweep.rows_to_csv", "3"),  # the render, before any file
         ],
     )
@@ -315,7 +315,7 @@ class TestExitCodes:
             raise AssertionError("engine ran")
 
         monkeypatch.setattr(sweep, "_physical_memory", lambda: 10**6)
-        monkeypatch.setattr(sweep, "experiment_distributions", ran)
+        monkeypatch.setattr(sweep, "flagged_probabilities", ran)
         path = tmp_path / "x.csv"
         argv = ["probe", "40", "40", "--noise", "default", "--runs", "100000"]
         code, text = run_cli([*argv, "--out", str(path)])
@@ -325,7 +325,7 @@ class TestExitCodes:
         assert err == "usage error: --runs 100000 gives too many draws (1e+05)\n"
         assert not path.exists()
 
-    @pytest.mark.parametrize("allocation", ["experiment_distributions", "estimate_batch"])
+    @pytest.mark.parametrize("allocation", ["flagged_probabilities", "estimate_batch"])
     def test_probe_out_of_memory_is_usage_error(
         self, tmp_path, capsys, monkeypatch, allocation
     ):
@@ -444,10 +444,13 @@ class TestGoldenOutputs:
     inversion and BTRD, each experiment one pooled draw per point), whose
     every epsilon lies within 6 sigma of the `--shots 0` values (the worst
     cell at 3.36 sigma; test_sampled_golden_is_within_6_sigma_of_exact
-    checks it).  The metrics lines were saved from the per-row
-    implementation, before the columnar table, with the zero_condition_max
-    line appended when it was added; their input is the sampled CSV of the
-    earlier per-run multinomial sampler.  The validate lines were saved from
+    checks it).  The sampled surface CSV was saved while the engine still
+    returned all sixteen outcome probabilities of a point and the sampler
+    drew at each flagged one divided by its experiment's sum.  The metrics
+    lines were saved from the per-row implementation, before the columnar
+    table, with the zero_condition_max line appended when it was added;
+    their input is the sampled CSV of the earlier per-run multinomial
+    sampler.  The validate lines were saved from
     the 16-entry phase-gate kernel that composed the checks' circuits before
     the basis-permutation form.  The probe lines and the probe CSV were saved
     while the CLI still built probe's lines itself, before `probe_report`.
@@ -462,6 +465,9 @@ class TestGoldenOutputs:
             ("diagonal_5deg_sampled_default_seed7_binomial.csv",
              ["sweep", "diagonal", "--from", "0", "--to", "90", "--step", "5",
               "--noise", "default", "--seed", "7"]),
+            ("surface_15deg_sampled_default_seed3.csv",
+             ["sweep", "surface", "--from", "0", "--to", "90", "--step", "15",
+              "--noise", "default", "--seed", "3"]),
             ("probe_optimum_default_runs100.csv",
              ["probe", "51.827", "51.827", "--noise", "default", "--runs", "100"]),
         ],
@@ -580,13 +586,13 @@ class TestSweepCommand:
     def test_surface_is_one_engine_call_on_a_column_and_a_row(
         self, tmp_path, monkeypatch, flags, shapes
     ):
-        engine_call, calls = sweep.experiment_distributions, []
+        engine_call, calls = sweep.flagged_probabilities, []
 
         def recording(theta, phi, noise):
             calls.append((np.shape(theta), np.shape(phi)))
             return engine_call(theta, phi, noise)
 
-        monkeypatch.setattr(sweep, "experiment_distributions", recording)
+        monkeypatch.setattr(sweep, "flagged_probabilities", recording)
         code, _ = run_cli(["sweep", "surface", *flags, "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_OK
         assert calls == [shapes]
@@ -1036,13 +1042,13 @@ class TestValidateCommand:
     def test_grid_is_one_engine_batch(self, monkeypatch):
         import hardysim.selftest as selftest_mod
 
-        engine_call, batches = selftest_mod.experiment_distributions, []
+        engine_call, batches = selftest_mod.flagged_probabilities, []
 
         def counting(theta, phi, noise):
             batches.append(np.broadcast_shapes(np.shape(theta), np.shape(phi)))
             return engine_call(theta, phi, noise)
 
-        monkeypatch.setattr(selftest_mod, "experiment_distributions", counting)
+        monkeypatch.setattr(selftest_mod, "flagged_probabilities", counting)
         results = run_validation_suites()
         assert all(ok for _, ok, _ in results)
         assert batches == [(37, 37)]
@@ -1050,32 +1056,32 @@ class TestValidateCommand:
     def test_perturbed_flagged_entry_fails_zero_suite(self, monkeypatch):
         import hardysim.selftest as selftest_mod
 
-        engine_call = selftest_mod.experiment_distributions
+        engine_call = selftest_mod.flagged_probabilities
 
         def perturbed(theta, phi, noise):
-            dists = engine_call(theta, phi, noise).copy()
-            dists[18, 34, 1, 1] += 1e-9  # second experiment's flagged outcome |01>
-            return dists
+            flagged = engine_call(theta, phi, noise).copy()
+            flagged[18, 34, 1] += 1e-9  # second experiment's flagged outcome |01>
+            return flagged
 
-        monkeypatch.setattr(selftest_mod, "experiment_distributions", perturbed)
+        monkeypatch.setattr(selftest_mod, "flagged_probabilities", perturbed)
         results = {name: ok for name, ok, _ in run_validation_suites()}
         assert results["hardy-zero-probabilities"] is False
         assert results["analytic-q-equivalence"] is True
 
     def test_negative_flagged_q_fails_q_suite(self, monkeypatch):
-        # The grid suites read the engine's raw flagged entries, not measure_points'
-        # eps, which are clipped at 0: a flagged q below an exact q = 0 (phi = 0)
-        # would read as 0 there and pass.
+        # The grid suites read the engine's flagged probabilities as it returns them,
+        # not measure_points' eps, which are clipped at 0: a flagged q below an exact
+        # q = 0 (phi = 0) would read as 0 there and pass.
         import hardysim.selftest as selftest_mod
 
-        engine_call = selftest_mod.experiment_distributions
+        engine_call = selftest_mod.flagged_probabilities
 
         def perturbed(theta, phi, noise):
-            dists = engine_call(theta, phi, noise).copy()
-            dists[18, 0, 3, 0] -= 5e-10  # fourth experiment's flagged outcome |00>
-            return dists
+            flagged = engine_call(theta, phi, noise).copy()
+            flagged[18, 0, 3] -= 5e-10  # fourth experiment's flagged outcome |00>
+            return flagged
 
-        monkeypatch.setattr(selftest_mod, "experiment_distributions", perturbed)
+        monkeypatch.setattr(selftest_mod, "flagged_probabilities", perturbed)
         results = {name: ok for name, ok, _ in run_validation_suites()}
         assert results["analytic-q-equivalence"] is False
         assert results["hardy-zero-probabilities"] is True

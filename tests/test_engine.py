@@ -15,8 +15,8 @@ from hardysim.engine import (
     FLAGGED_OUTCOME,
     check_distributions,
     cnot_free_distributions,
-    experiment_distributions,
     first_columns,
+    flagged_probabilities,
     steps_unitary,
 )
 from hardysim import engine, gates, selftest, sweep
@@ -37,6 +37,11 @@ CNOT_HIGH_CTRL = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
 QUIET = NoiseModel.none()
+
+
+def ref_flagged(theta, phi, *rates):
+    """The Kraus reference's probability of each experiment's flagged outcome."""
+    return ref.distributions(theta, phi, *rates)[range(4), FLAGGED_OUTCOME]
 
 
 def prepared_rho(theta, phi):
@@ -60,9 +65,9 @@ def assert_density_matrix(rho):
 @example(0.7, 1.1, 0.0, 0.0, 0.0, 1.0)
 @example(0.7, 1.1, 0.0, 0.0, 0.5, 1.0)
 def test_engine_matches_kraus_reference(theta, phi, p1, p2, readout0, readout1):
-    dists = experiment_distributions([theta], [phi], NoiseModel(p1, p2, readout0, readout1))[0]
-    expect = ref.distributions(theta, phi, p1, p2, readout0, readout1)
-    assert np.max(np.abs(dists - expect)) <= 1e-12
+    flagged = flagged_probabilities([theta], [phi], NoiseModel(p1, p2, readout0, readout1))[0]
+    expect = ref_flagged(theta, phi, p1, p2, readout0, readout1)
+    assert np.max(np.abs(flagged - expect)) <= 1e-12
 
 
 @pytest.mark.parametrize("a_index,b_index", engine.EXPERIMENT_SETTINGS)
@@ -102,8 +107,7 @@ def test_classification_state_matches_kraus_reference(theta, phi):
 @settings(max_examples=60, deadline=None)
 @given(angles, angles)
 def test_noiseless_engine_meets_closed_forms(theta, phi):
-    dists = experiment_distributions([theta], [phi], NoiseModel.none())[0]
-    flagged = dists[range(4), FLAGGED_OUTCOME]
+    flagged = flagged_probabilities([theta], [phi], NoiseModel.none())[0]
     assert np.max(flagged[:3]) <= 1e-12
     assert abs(flagged[3] - analytic_q(theta, phi)) <= 1e-12
 
@@ -118,30 +122,30 @@ def test_batch_matches_full_state_path(points, p1, p2, readout0, readout1):
     """Every row of a batch, each setting, against the Kraus reference's full final
     states of that point alone."""
     theta, phi = np.array(points).T
-    dists = experiment_distributions(theta, phi, NoiseModel(p1, p2, readout0, readout1))
-    for row, (t, f) in zip(dists, points):
-        assert np.max(np.abs(row - ref.distributions(t, f, p1, p2, readout0, readout1))) <= 1e-12
+    flagged = flagged_probabilities(theta, phi, NoiseModel(p1, p2, readout0, readout1))
+    for row, (t, f) in zip(flagged, points):
+        assert np.max(np.abs(row - ref_flagged(t, f, p1, p2, readout0, readout1))) <= 1e-12
 
 
 def test_point_and_grid_match_the_flat_batch():
-    """A scalar point gives one (4, 4) distribution set, a (3, 5) grid a (3, 5, 4, 4)
-    array and a theta column times a phi row (a surface's layout) a (15, 15, 4, 4) one,
-    each the same points' rows of one flat batch (the grid's and the surface's bit for
-    bit, the surface's against theta repeated and phi tiled)."""
+    """A scalar point gives one (4,) probability set, a (3, 5) grid a (3, 5, 4) array
+    and a theta column times a phi row (a surface's layout) a (15, 15, 4) one, each
+    the same points' rows of one flat batch (the grid's and the surface's bit for bit,
+    the surface's against theta repeated and phi tiled)."""
     theta = np.linspace(0.0, math.pi / 2, 15)
     phi = np.linspace(0.2, 3.0, 15)
     noise = NoiseModel(0.01, 0.05, 0.02, 0.03)
-    flat = experiment_distributions(theta, phi, noise)
-    grid = experiment_distributions(theta.reshape(3, 5), phi.reshape(3, 5), noise)
-    assert grid.shape == (3, 5, 4, 4)
-    np.testing.assert_array_equal(grid.reshape(15, 4, 4), flat)
-    surface = experiment_distributions(theta[:, None], phi[None, :], noise)
-    assert surface.shape == (15, 15, 4, 4)
-    pairs = experiment_distributions(np.repeat(theta, 15), np.tile(phi, 15), noise)
-    np.testing.assert_array_equal(surface.reshape(225, 4, 4), pairs)
+    flat = flagged_probabilities(theta, phi, noise)
+    grid = flagged_probabilities(theta.reshape(3, 5), phi.reshape(3, 5), noise)
+    assert grid.shape == (3, 5, 4)
+    np.testing.assert_array_equal(grid.reshape(15, 4), flat)
+    surface = flagged_probabilities(theta[:, None], phi[None, :], noise)
+    assert surface.shape == (15, 15, 4)
+    pairs = flagged_probabilities(np.repeat(theta, 15), np.tile(phi, 15), noise)
+    np.testing.assert_array_equal(surface.reshape(225, 4), pairs)
     for k in (0, 7, 14):
-        point = experiment_distributions(theta[k], phi[k], noise)
-        assert point.shape == (4, 4)
+        point = flagged_probabilities(theta[k], phi[k], noise)
+        assert point.shape == (4,)
         np.testing.assert_allclose(point, flat[k], rtol=0.0, atol=1e-15)
 
 
@@ -194,11 +198,11 @@ def test_surface_layout_matches_kraus_reference(noise):
     against the Kraus reference at every point."""
     theta = np.array([0.0, math.pi / 2, math.pi, 4.4])
     phi = np.array([0.0, 0.7, math.pi / 2, math.pi, -2.1])
-    dists = experiment_distributions(theta[:, None], phi[None, :], noise)
-    assert dists.shape == (4, 5, 4, 4)
+    flagged = flagged_probabilities(theta[:, None], phi[None, :], noise)
+    assert flagged.shape == (4, 5, 4)
     rates = rates_of(noise)
     for (i, t), (j, f) in itertools.product(enumerate(theta), enumerate(phi)):
-        assert np.max(np.abs(dists[i, j] - ref.distributions(t, f, *rates))) <= 1e-12
+        assert np.max(np.abs(flagged[i, j] - ref_flagged(t, f, *rates))) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -357,6 +361,10 @@ class TestCheckDistributions:
         with pytest.raises(ValueError, match="negative probability"):
             check_distributions(np.array([[0.25] * 4, [1.1, -0.1, 0.0, 0.0]]))
 
+    def test_nan_angle_rejected_by_the_engine(self):
+        with pytest.raises(ValueError, match="non-finite probability"):
+            flagged_probabilities([0.3, np.nan], [0.4, 0.5], QUIET)
+
 
 class TestCnotFreeDistributions:
     """`cnot_free_distributions`: one-qubit gates from |00>, read out."""
@@ -489,7 +497,7 @@ class TestStates:
 
 class TestChannels:
     """The engine's depolarizing channels, on the populations (`cnot_free_distributions`)
-    and on the Pauli components (`experiment_distributions`)."""
+    and on the Pauli components (`flagged_probabilities`)."""
 
     def test_empty_circuit_is_identity(self):
         noise = NoiseModel(0.01, 0.05, 0.0, 0.0)
@@ -508,9 +516,9 @@ class TestChannels:
         )
         # p2 = 1 mixes the state at the preparation's CNOTs; later gates keep it mixed
         theta, phi = 0.6, 1.3
-        got = experiment_distributions(theta, phi, NoiseModel(0.0, 1.0, 0.0, 0.0))
-        np.testing.assert_allclose(got, np.full((4, 4), 0.25), atol=1e-15)
-        np.testing.assert_allclose(got, ref.distributions(theta, phi, 0, 1, 0, 0), atol=1e-12)
+        got = flagged_probabilities(theta, phi, NoiseModel(0.0, 1.0, 0.0, 0.0))
+        np.testing.assert_allclose(got, np.full(4, 0.25), atol=1e-15)
+        np.testing.assert_allclose(got, ref_flagged(theta, phi, 0, 1, 0, 0), atol=1e-12)
 
     def test_small_p_matches_bruteforce_sum(self):
         p = 0.01

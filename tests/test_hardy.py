@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardysim.engine import (
-    FLAGGED_OUTCOME,
-    alice_steps,
-    bob_steps,
-    experiment_distributions,
-)
+from hardysim.engine import alice_steps, bob_steps, flagged_probabilities
 from hardysim.hardy import (
     CLASSIFICATION_TOL,
     analytic_q,
@@ -51,14 +46,10 @@ def prepared_amplitudes(theta, phi):
     return rho[:, 0] / math.sqrt(rho[0, 0].real)
 
 
-def ideal_distributions(theta, phi):
-    """Noiseless (4, 4) distributions: experiment (a1b1, a2b1, a1b2, a2b2), outcome 2a + b."""
-    return experiment_distributions([theta], [phi], QUIET)[0]
-
-
 def hardy_probabilities(theta, phi):
-    """The four Hardy probabilities: the three zero conditions, then q."""
-    return ideal_distributions(theta, phi)[range(4), FLAGGED_OUTCOME]
+    """The four noiseless Hardy probabilities, experiments (a1b1, a2b1, a1b2, a2b2):
+    the three zero conditions, then q."""
+    return flagged_probabilities([theta], [phi], QUIET)[0]
 
 
 def closed_form_amplitudes(theta, phi):
@@ -178,29 +169,23 @@ class TestJointProbabilities:
         # the |00> amplitude after a1 (x) b1 cancels: (c - c)/2 = 0
         rng = np.random.default_rng(17)
         for theta, phi in rng.uniform(0.1, 1.5, (30, 2)):
-            assert ideal_distributions(theta, phi)[0, 0] <= 1e-12
+            assert hardy_probabilities(theta, phi)[0] <= 1e-12
 
     def test_q_at_optimum(self):
-        p = ideal_distributions(DEG(51.827), DEG(51.827))[3, 0]
+        p = hardy_probabilities(DEG(51.827), DEG(51.827))[3]
         assert abs(p - 0.09017) < 1e-4
 
     def test_q_zero_for_mes(self):
-        assert ideal_distributions(DEG(45), DEG(90))[3, 0] <= 1e-12
-
-    def test_distributions_sum_to_one(self):
-        rng = np.random.default_rng(18)
-        theta, phi = rng.uniform(0, math.pi, (2, 20))
-        dists = experiment_distributions(theta, phi, QUIET)
-        assert np.max(np.abs(dists.sum(axis=-1) - 1.0)) < 1e-10
+        assert hardy_probabilities(DEG(45), DEG(90))[3] <= 1e-12
 
     def test_hardy_vector_consistent_with_joint(self):
-        # a batch gives each point exactly the distributions it gets alone
+        # a batch gives each point exactly the probabilities it gets alone
         rng = np.random.default_rng(22)
         theta, phi = rng.uniform(0, math.pi, (2, 6))
         noise = NoiseModel.default_profile()
-        batch = experiment_distributions(theta, phi, noise)
+        batch = flagged_probabilities(theta, phi, noise)
         for k in range(6):
-            alone = experiment_distributions([theta[k]], [phi[k]], noise)
+            alone = flagged_probabilities([theta[k]], [phi[k]], noise)
             np.testing.assert_array_equal(batch[k], alone[0])
 
 
@@ -220,8 +205,7 @@ class TestHardyVector:
     def test_zero_equations_on_grid(self):
         axis = np.radians(np.arange(0, 181, 10))
         theta, phi = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
-        dists = experiment_distributions(theta, phi, QUIET)
-        assert np.max(dists[:, range(3), FLAGGED_OUTCOME[:3]]) <= 1e-12
+        assert np.max(flagged_probabilities(theta, phi, QUIET)[:, :3]) <= 1e-12
 
 
 class TestAnalyticQ:
@@ -255,7 +239,7 @@ class TestAnalyticQ:
     def test_equals_pipeline_on_grid(self):
         axis = np.radians(np.arange(0, 181, 6))
         theta, phi = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
-        pipeline = experiment_distributions(theta, phi, QUIET)[:, 3, 0]
+        pipeline = flagged_probabilities(theta, phi, QUIET)[:, 3]
         assert np.max(np.abs(pipeline - analytic_q(theta, phi))) <= 1e-10
 
 

@@ -10,12 +10,11 @@ import pytest
 import kraus_reference as ref
 from hardysim import engine, noise
 from hardysim.engine import (
-    EXPERIMENT_SETTINGS,
     FLAGGED_OUTCOME,
     check_distributions,
     cnot_free_distributions,
-    experiment_distributions,
     experiment_steps,
+    flagged_probabilities,
 )
 from hardysim.hardy import analytic_q, chi_of, optimal_angles
 from hardysim.noise import (
@@ -42,27 +41,19 @@ def random_rho(rng):
     return np.outer(amps, amps.conj())
 
 
-def simulate(theta, phi, a_index, b_index, noise):
-    """Engine distribution of one experiment at one point."""
-    dists = experiment_distributions([theta], [phi], noise)[0]
-    return dists[EXPERIMENT_SETTINGS.index((a_index, b_index))]
+def engine_flagged(theta, phi, noise):
+    """The engine's four flagged probabilities at one point."""
+    return flagged_probabilities([theta], [phi], noise)[0]
 
 
 def measure_point(theta, phi, noise, cfg):
     """(eps, stat_err, eps5_per_run) at one point: a batch of one."""
-    dists = experiment_distributions([theta], [phi], noise)
-    return tuple(a[0] for a in estimate_batch(dists, cfg))
+    return tuple(a[0] for a in estimate_batch(flagged_probabilities([theta], [phi], noise), cfg))
 
 
-def every_experiment(*dists):
-    """Batch of shape (len(dists), 4, 4): each point runs `dist` in all four experiments."""
-    return np.repeat(np.asarray(dists, dtype=np.float64)[:, None, :], 4, axis=1)
-
-
-def ideal(theta, phi, a_index, b_index):
-    """Noiseless distribution of one experiment from the Kraus reference."""
-    dists = ref.distributions(theta, phi, 0.0, 0.0, 0.0, 0.0)
-    return dists[EXPERIMENT_SETTINGS.index((a_index, b_index))]
+def ideal(theta, phi):
+    """Noiseless distributions (experiment, outcome) from the Kraus reference."""
+    return ref.distributions(theta, phi, 0.0, 0.0, 0.0, 0.0)
 
 
 class TestDepolarizingKraus:
@@ -213,52 +204,47 @@ class TestExperimentCircuit:
         rng = np.random.default_rng(31)
         quiet = NoiseModel.none()
         for theta, phi in rng.uniform(0, math.pi, (8, 2)):
-            for a, b in EXPERIMENT_SETTINGS:
-                noisy = simulate(theta, phi, a, b, quiet)
-                np.testing.assert_allclose(noisy, ideal(theta, phi, a, b), atol=1e-10)
+            noisy = engine_flagged(theta, phi, quiet)
+            expect = ideal(theta, phi)[range(4), FLAGGED_OUTCOME]
+            np.testing.assert_allclose(noisy, expect, atol=1e-10)
 
     def test_full_readout_flip_relabels_outcomes(self):
+        # both bits flipped: each experiment's flagged outcome k reads the noiseless 3 - k
         flipped = NoiseModel(0.0, 0.0, 1.0, 1.0)
-        noisy = simulate(DEG(40), DEG(70), 2, 2, flipped)
-        np.testing.assert_allclose(noisy, ideal(DEG(40), DEG(70), 2, 2)[[3, 2, 1, 0]], atol=1e-10)
+        noisy = engine_flagged(DEG(40), DEG(70), flipped)
+        expect = ideal(DEG(40), DEG(70))[range(4), [3 - k for k in FLAGGED_OUTCOME]]
+        np.testing.assert_allclose(noisy, expect, atol=1e-10)
 
     def test_default_profile_epsilon_band(self):
         eps, _, _ = measure_point(DEG(51.827), DEG(51.827), NoiseModel.default_profile(), None)
         assert np.all((0.0 < eps[:3]) & (eps[:3] < 0.1))
 
-    def test_distribution_sums_to_one(self):
-        dist = simulate(DEG(30), DEG(60), 2, 2, NoiseModel.default_profile())
-        assert abs(dist.sum() - 1.0) < 1e-10
-
 
 class TestSampling:
     def test_point_mass(self):
         cfg = ShotConfig(shots_per_run=100, runs=3, seed=1)
-        dists = np.zeros((2, 4, 4))
-        dists[0, range(4), FLAGGED_OUTCOME] = 1.0
-        dists[1, range(4), (np.array(FLAGGED_OUTCOME) + 1) % 4] = 1.0
-        eps, err, per_run = estimate_batch(dists, cfg)
+        eps, err, per_run = estimate_batch(np.array([[1.0] * 4, [0.0] * 4]), cfg)
         np.testing.assert_array_equal(eps, [[1.0] * 4, [0.0] * 4])
         np.testing.assert_array_equal(err, np.zeros((2, 4)))
         np.testing.assert_array_equal(per_run, [[1.0] * 3, [0.0] * 3])
 
     def test_uniform_concentration(self):
         cfg = ShotConfig(shots_per_run=8192, runs=1, seed=2)
-        eps, _, _ = estimate_batch(every_experiment([0.25] * 4), cfg)
+        eps, _, _ = estimate_batch(np.full((1, 4), 0.25), cfg)
         sigma = math.sqrt(8192 * 0.25 * 0.75)
         assert np.all(np.abs(eps * 8192 - 2048) <= 5 * sigma)
 
     def test_deterministic_for_equal_seed(self):
         cfg = ShotConfig(shots_per_run=512, runs=5, seed=77)
-        dists = every_experiment([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1])
-        first, second = (estimate_batch(dists, cfg) for _ in range(2))
+        flagged = np.array([[0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]])
+        first, second = (estimate_batch(flagged, cfg) for _ in range(2))
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
 
     def test_streams_are_independent(self):
         # two identical points in one batch draw different counts
         cfg = ShotConfig(shots_per_run=512, runs=2, seed=77)
-        _, _, per_run = estimate_batch(every_experiment([0.25] * 4, [0.25] * 4), cfg)
+        _, _, per_run = estimate_batch(np.full((2, 4), 0.25), cfg)
         assert not np.array_equal(per_run[0], per_run[1])
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -268,21 +254,19 @@ class TestSampling:
             ShotConfig(seed=seed)
 
     def test_seed_range_ends_accepted(self):
-        dists = every_experiment([0.5, 0.5, 0.0, 0.0])
+        flagged = np.array([[0.5, 0.5, 0.0, 0.5]])
         first, last = (
-            estimate_batch(dists, ShotConfig(shots_per_run=64, runs=2, seed=seed))[2]
+            estimate_batch(flagged, ShotConfig(shots_per_run=64, runs=2, seed=seed))[2]
             for seed in (0, 2**64 - 1)
         )
         assert not np.array_equal(first, last)
 
     @pytest.mark.parametrize("p", [0.0, 0.02, 0.09017, 0.5, 1.0])
     def test_binomial_moments(self, p):
-        # the fourth experiment's flagged outcome is 0; its per-run counts
-        # over many identical points are samples of Binomial(shots, p)
+        # the fourth experiment's per-run counts over many identical points
+        # are samples of Binomial(shots, p)
         shots, runs, points = 8192, 10, 2000
-        rest = (1.0 - p) / 3.0
-        dists = every_experiment(*[[p, rest, rest, rest]] * points)
-        _, _, per_run = estimate_batch(dists, ShotConfig(shots, runs, seed=4))
+        _, _, per_run = estimate_batch(np.full((points, 4), p), ShotConfig(shots, runs, seed=4))
         counts = (per_run * shots).ravel()  # shots is a power of 2: exact
         n = counts.size
         mean, var = shots * p, shots * p * (1.0 - p)
@@ -292,12 +276,10 @@ class TestSampling:
         assert abs(counts.var(ddof=1) - var) <= 5.0 * math.sqrt(var_of_var)
 
     def test_frequency_convergence(self):
-        dist = np.array([0.6, 0.25, 0.1, 0.05])
-        flagged = dist[list(FLAGGED_OUTCOME)]
+        flagged = np.array([0.6, 0.25, 0.1, 0.05])
         n = 8192 * 10
-        dists = every_experiment(dist)
         for seed in range(5):
-            eps, _, _ = estimate_batch(dists, ShotConfig(runs=10, seed=seed))
+            eps, _, _ = estimate_batch(flagged[None], ShotConfig(runs=10, seed=seed))
             bound = 6 * np.sqrt(flagged * (1 - flagged) / n)
             assert np.all(np.abs(eps[0] - flagged) <= bound)
 
@@ -320,7 +302,7 @@ class TestSampling:
             with pytest.raises(ValueError, match=r"shots_per_run \* runs must be < 2\*\*63"):
                 ShotConfig(shots_per_run=shots, runs=runs)
         cfg = ShotConfig(shots_per_run=2**63 - 1, runs=1)
-        eps, _, per_run = estimate_batch(every_experiment([1.0, 0.0, 0.0, 0.0]), cfg)
+        eps, _, per_run = estimate_batch(np.array([[1.0, 0.0, 0.0, 1.0]]), cfg)
         np.testing.assert_array_equal(eps[0, [0, 3]], [1.0, 1.0])
         np.testing.assert_array_equal(per_run, [[1.0]])
 
@@ -461,12 +443,12 @@ class TestShotSampler:
         # sweep.SAMPLE_BYTES_PER_RUN rounds this growth down to 32; it reads
         # about 33 bytes per run, and 50 or more when the flipped p and the
         # float n are made once over all draws instead of per block
-        dists = experiment_distributions([DEG(51.827)], [DEG(51.827)], NoiseModel.default_profile())
+        flagged = flagged_probabilities([DEG(51.827)], [DEG(51.827)], NoiseModel.default_profile())
         peaks = []
         for runs in (10**5, 10**6):
             tracemalloc.start()
             try:
-                estimate_batch(dists, ShotConfig(8192, runs, seed=1))
+                estimate_batch(flagged, ShotConfig(8192, runs, seed=1))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -475,11 +457,8 @@ class TestShotSampler:
     def test_estimate_batch_lays_out_per_run_draws(self):
         # probe's counts: per point the pooled experiments 1-3, then
         # experiment 4 once per run, at consecutive counters
-        p_flag = np.random.default_rng(14).integers(0, 205, size=(5, 4)) / 1024  # 1 - p exact
-        dists = np.zeros((5, 4, 4))
-        dists[:, range(4), FLAGGED_OUTCOME] = p_flag
-        dists[:, range(4), (np.array(FLAGGED_OUTCOME) + 1) % 4] = 1.0 - p_flag
-        eps, _, per_run = estimate_batch(dists, ShotConfig(1000, 6, seed=2))
+        p_flag = np.random.default_rng(14).integers(0, 205, size=(5, 4)) / 1024
+        eps, _, per_run = estimate_batch(p_flag, ShotConfig(1000, 6, seed=2))
         counts = _sample_counts(2, *per_run_layout(p_flag, 1000, 6)).reshape(5, 9)
         np.testing.assert_array_equal(eps[:, :3], counts[:, :3] / 6000)
         np.testing.assert_array_equal(per_run, counts[:, 3:] / 1000)
@@ -518,8 +497,7 @@ class TestEpsilonEstimates:
         runs, shots = 10, 8192
         cfg = ShotConfig(shots_per_run=shots, runs=runs, seed=5)
         noise = NoiseModel.default_profile()
-        dists = experiment_distributions([0.9], [0.9], noise)
-        eps, err, per_run = estimate_batch(dists, cfg)
+        eps, err, per_run = estimate_batch(flagged_probabilities([0.9], [0.9], noise), cfg)
         hits = eps * (runs * shots)
         np.testing.assert_array_equal(hits, np.round(hits))
         assert abs(eps[0, 3] - per_run[0].mean()) < 1e-15
@@ -540,8 +518,8 @@ class TestEpsilonEstimates:
 
     def test_range_validation(self):
         # exact-mode estimates stay in [0, 1] despite rounding in the engine
-        dists = every_experiment([-1e-17, 1.0, 0.0, 0.0], [1.0 + 1e-16, 0.0, 0.0, 0.0])
-        eps, err, _ = estimate_batch(dists, None)
+        flagged = np.array([[-1e-17, 1.0, 0.0, -1e-17], [1.0 + 4e-16, 0.0, 0.0, 1.0 + 4e-16]])
+        eps, err, _ = estimate_batch(flagged, None)
         np.testing.assert_array_equal(eps[0, [0, 3]], [0.0, 0.0])
         np.testing.assert_array_equal(eps[1, [0, 3]], [1.0, 1.0])
         np.testing.assert_array_equal(err, np.zeros((2, 4)))
@@ -552,11 +530,12 @@ class TestEpsilonEstimates:
         # still counts 0, so no count moves
         axis = np.radians(np.arange(0.0, 91.0, 5.0))
         theta, phi = (grid.ravel() for grid in np.meshgrid(axis, axis, indexing="ij"))
-        dists = experiment_distributions(theta, phi, NoiseModel.none())
-        signs = np.random.default_rng(41).choice([-1.0, 1.0], size=dists.shape)
+        flagged = flagged_probabilities(theta, phi, NoiseModel.none())
+        signs = np.random.default_rng(41).choice([-1.0, 1.0], size=flagged.shape)
         cfg = ShotConfig(seed=6)
-        eps, _, per_run = estimate_batch(dists, cfg)
-        for perturbed in (dists + 1e-15 * signs, dists - 1e-15 * signs, np.clip(dists, 0.0, None)):
+        eps, _, per_run = estimate_batch(flagged, cfg)
+        for perturbed in (flagged + 1e-15 * signs, flagged - 1e-15 * signs,
+                          np.clip(flagged, 0.0, None)):
             perturbed_eps, _, perturbed_per_run = estimate_batch(perturbed, cfg)
             np.testing.assert_array_equal(perturbed_eps, eps)
             np.testing.assert_array_equal(perturbed_per_run, per_run)
@@ -578,9 +557,26 @@ class TestEpsilonEstimates:
     def test_exact_mode_matches_distributions(self):
         noise = NoiseModel.default_profile()
         eps, err, _ = measure_point(DEG(51.827), DEG(51.827), noise, None)
-        dist = simulate(DEG(51.827), DEG(51.827), 2, 2, noise)
-        assert abs(eps[3] - dist[0]) < 1e-14
-        assert err[3] == 0.0
+        np.testing.assert_array_equal(eps, engine_flagged(DEG(51.827), DEG(51.827), noise))
+        np.testing.assert_array_equal(err, 0.0)
+
+    def test_one_p_in_both_modes(self, monkeypatch):
+        # the sampler draws at the flagged probabilities clipped to [0, 1], as they
+        # are, and exact mode returns that same p
+        flagged = np.array([[0.1, 0.2, 0.3, 0.7], [-1e-17, 1.0 + 4e-16, 0.6, 0.9]])
+        p = np.clip(flagged, 0.0, 1.0)
+        sent, real = [], noise._sample_counts
+
+        def spy(seed, n, p_draws):
+            sent.append(p_draws.copy())
+            return real(seed, n, p_draws)
+
+        monkeypatch.setattr(noise, "_sample_counts", spy)
+        estimate_batch(flagged, ShotConfig(64, 3, seed=1))
+        np.testing.assert_array_equal(sent[0], np.repeat(p, [1, 1, 1, 3], axis=1).ravel())
+        eps, _, per_run = estimate_batch(flagged, None)
+        np.testing.assert_array_equal(eps, p)
+        np.testing.assert_array_equal(per_run, p[:, 3:])
 
 
 class TestMonotonicity:
