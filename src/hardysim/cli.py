@@ -227,7 +227,9 @@ _COMMANDS: dict[str, tuple[Callable, str, tuple[tuple[str, dict], ...]]] = {
 }
 
 # argparse's own test (Python 3.10, 3.11) for a token starting with "-" that
-# is a value, not a flag: a negative number, while no flag looks like one.
+# is a value, not a flag: a negative number, while no flag looks like one.  A
+# later argparse that counts more spellings as numbers only gets those lines
+# back from _parse_exact; CI runs the equivalence tests on the newest Python.
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 

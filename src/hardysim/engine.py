@@ -15,8 +15,9 @@ probabilities.
 `flagged_probabilities`, which every sweep, probe and grid reaches, reads
 the one probability Hardy's test takes from each experiment, its flagged
 outcome's, in closed form from the Pauli components of the noisy state, with
-no density matrix.  The step lists stay the one circuit definition, which
-the checks and the CNOT-free `reduced` circuits read.
+no density matrix.  The step lists stay the one circuit definition: the
+closed form reads its gate counts from them (`_COUNTS`), `validate` its
+preparation, and `reduced` the full circuit's gate count.
 Before a circuit's first CNOT each qubit evolves alone, as its U|0> and the
 rate of its one channel (`first_columns`); after it the phase gates and CNOTs
 permute the basis and put a phase on each column (`steps_unitary`).
@@ -170,6 +171,30 @@ def cnot_free_distributions(steps, noise) -> np.ndarray:
     return check_distributions(np.stack(x, axis=-1))
 
 
+def _gate_counts() -> tuple:
+    """The gate counts `flagged_probabilities` reads, from the step lists at generic angles
+    (at 0, u3(0, 0, 0) would pass for a phase gate): (Alice's, Bob's) one-qubit gates in
+    each CNOT-delimited segment of the preparation, then Alice's and Bob's {setting: gates}.
+    Raises ValueError unless there are two CNOTs, both in the preparation, only phase gates
+    follow the first (`steps_unitary`'s refusal), and each setting acts on its own party."""
+    steps = preparation_steps(0.3, 0.7)
+    settings = ({i: alice_steps(i, 0.7) for i in (1, 2)},
+                {j: bob_steps(j, 0.7, 1.1) for j in (1, 2)})
+    cuts = [k for k, step in enumerate(steps) if step is CX]
+    if len(cuts) != 2 or any(s is CX for party in settings for own in party.values() for s in own):
+        raise ValueError("the closed form needs exactly two CNOTs, both in the preparation")
+    steps_unitary(steps[cuts[0]:])
+    for qubit, party in zip((1, 0), settings):
+        if any(_qubit(s) != qubit for own in party.values() for s in own):
+            raise ValueError(f"a setting acts only on its own party, qubit {qubit}")
+    segments = steps[:cuts[0]], steps[cuts[0] + 1:cuts[1]], steps[cuts[1] + 1:]
+    return (*(tuple(sum(_qubit(s) == q for s in own) for q in (1, 0)) for own in segments),
+            *({i: len(own) for i, own in party.items()} for party in settings))
+
+
+_COUNTS = _gate_counts()
+
+
 def flagged_probabilities(theta, phi, noise) -> np.ndarray:
     """Each experiment's probability of its flagged outcome, shape (*batch, 4): point,
     experiment (EXPERIMENT_SETTINGS order, FLAGGED_OUTCOME's outcome k = 2a + b).
@@ -177,18 +202,23 @@ def flagged_probabilities(theta, phi, noise) -> np.ndarray:
     In closed form from the Pauli components of the noisy state (R. Horodecki &
     M. Horodecki, Phys. Rev. A 54, 1838 (1996)), where a depolarizing channel only
     shrinks components.  With lam = phi, C = cos lam, S = sin lam, chi = chi_of(theta,
-    lam), p(n) = `_rate(n, noise)` and d = 1 - p(1):
+    lam) and p(n) = `_rate(n, noise)`, a party's n gates in one segment (`_COUNTS`) keep
+    1 - p(n): each gate's channel is covariant under the party's later gates.
 
     - Before the first CNOT the state is a product: Alice's Bloch vector is (cA, 0, 0),
-      Bob's cB (sin 2theta C, -sin 2theta S, cos 2theta), cA = d and cB = 1 - p(2).
+      Bob's cB (sin 2theta C, -sin 2theta S, cos 2theta), cA and cB their segment's.
     - Each later step maps the components.  A CX takes X_A -> X_A X_B, Y_A -> Y_A X_B,
       Y_B -> Z_A Y_B and Z_B -> Z_A Z_B; u1(alpha) rotates its qubit's (x, y) by alpha,
-      and its channel shrinks every component that is not the identity on its qubit by
-      d; the two deferred CNOT channels shrink all non-identity ones by g = (1 - p2)^2.
+      and a party's channels shrink every component that is not the identity on it, by
+      d_am or d_bm between the CNOTs (Alice's, Bob's) and d_ap (on kA) or d_bp after
+      them; the deferred CNOT channels shrink all non-identity ones by g = (1 - p2)^2.
     - Alice's settings read her axes (-1, 0, 0) and (-cos 2lam, -sin 2lam, 0), Bob's
       (0, 0, 1) and (-sin 2chi C, -sin 2chi S, cos 2chi): the state's projections are
       x_i (Alice's setting i), y_j (Bob's j) and their correlation z_ij.
     - The channel after a setting and the readout flip scale its axis by kA or kB.
+    - h(d) = sin 2theta C (C^2 + d S^2) sums two components between the CNOTs: C^2 one
+      that passes one party's channel, d S^2 one that passes both.  In y_2 it is Bob's
+      X_B, which skips Alice's channel (d = d_am); in z_i2 Alice's X_A (d = d_bm).
 
     Then P(a, b) = ((1 + s_a s_b kA kB z_ij) + (s_a kA x_i + s_b kB y_j)) / 4 at the
     flagged (a, b), s = +1 for outcome 0 and -1 for 1.  Factors of theta alone are
@@ -201,28 +231,28 @@ def flagged_probabilities(theta, phi, noise) -> np.ndarray:
     # A single point is a batch of one: numpy's scalar math may round differently from
     # its array loops, and a point must come out as it does in a batch.
     theta, lam = np.atleast_1d(theta, lam)
-    # One-qubit gate counts (preparation_steps, alice_steps, bob_steps): Alice has 1 and
-    # Bob 2 before the first CNOT, and each party's setting 1 is 1 gate and setting 2 is 3.
-    d = c_a = 1.0 - _rate(1, noise)
-    c_b = 1.0 - _rate(2, noise)
-    # g d^2, g as 1 - the two CNOT channels' merged rate: it rounds as the goldens hold
-    big_g = (1.0 - (1.0 - (1.0 - noise.p2) ** 2)) * d * d
-    kept = {1: d, 2: 1.0 - _rate(3, noise)}
-    kappa_a = {i: kept[i] * (1.0 - 2.0 * noise.readout1) for i in (1, 2)}
-    kappa_b = {j: kept[j] * (1.0 - 2.0 * noise.readout0) for j in (1, 2)}
+    *segments, alice, bob = _COUNTS
+    (c_a, c_b), (d_am, d_bm), (d_ap, d_bp) = (
+        [1.0 - _rate(n, noise) for n in pair] for pair in segments)
+    # g as 1 - the CNOTs' merged rate, one CNOT between two segments: it rounds as the goldens hold
+    g = 1.0 - (1.0 - (1.0 - noise.p2) ** (len(segments) - 1))
+    g_x, g_y, g_z = g * d_am * d_bm, g * d_bm * d_bp, g * d_am * d_bp
+    flip_a, flip_b = 1.0 - 2.0 * noise.readout1, 1.0 - 2.0 * noise.readout0
+    kappa_a = {i: d_ap * (1.0 - _rate(n, noise)) * flip_a for i, n in alice.items()}
+    kappa_b = {j: (1.0 - _rate(n, noise)) * flip_b for j, n in bob.items()}
     cos2t = c_b * np.cos(2.0 * theta)  # theta alone
-    k, b, sin2t = 1.0 - cos2t, d * cos2t, c_b * np.sin(2.0 * theta)
+    k, b, sin2t = 1.0 - cos2t, d_am * cos2t, c_b * np.sin(2.0 * theta)
     cos, sin, cos2l = np.cos(lam), np.sin(lam), np.cos(2.0 * lam)  # lam alone
     sin_sq, cos_sq = sin * sin, cos * cos
     chi2 = 2.0 * chi_of(theta, lam)  # both
     cos2x, sin2x = np.cos(chi2), np.sin(chi2)
-    h = sin2t * (cos * (1.0 - (1.0 - d) * sin_sq))
+    h = {d: sin2t * (cos * (1.0 - (1.0 - d) * sin_sq)) for d in {d_am, d_bm}}
     k_sin, k_cos = k * sin_sq, k * cos_sq
-    x = {1: -big_g * c_a * (1.0 - k_sin), 2: -big_g * c_a * (cos2l + k_sin)}
-    y = {1: big_g * b, 2: big_g * (cos2x * b - sin2x * h)}
+    x = {1: -g_x * c_a * (1.0 - k_sin), 2: -g_x * c_a * (cos2l + k_sin)}
+    y = {1: g_y * b, 2: g_y * (cos2x * b - sin2x * h[d_am])}
     w = {1: 1.0 - k_cos, 2: cos2l - k_cos}
-    z = {(i, 1): -big_g * c_a * d * w[i] for i in (1, 2)}
-    z.update({(i, 2): big_g * c_a * (sin2x * h - d * cos2x * w[i]) for i in (1, 2)})
+    z = {(i, 1): -g_x * c_a * d_bp * w[i] for i in (1, 2)}
+    z.update({(i, 2): g_z * c_a * (sin2x * h[d_bm] - d_bm * cos2x * w[i]) for i in (1, 2)})
     probs = []
     for (i, j), flagged in zip(EXPERIMENT_SETTINGS, FLAGGED_OUTCOME):
         # s_a and s_b on the scalar kappas: a sign flip is exact

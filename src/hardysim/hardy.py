@@ -6,7 +6,8 @@ The prepared state (Alice = first ket symbol = qubit 1, Bob = qubit 0) is
 
 built operationally as coupling(phi) applied after beam_splitter(pi/4) on
 Alice and beam_splitter(theta) on Bob; the gate-level circuit, with its
-measurement settings, is defined once in `engine`.  Each party measures in the sigma_z
+measurement settings, is defined once, as `engine`'s step lists, and the
+engine's closed form reads its gate counts from them.  Each party measures in the sigma_z
 basis after one of two local rotations; outcome |0> maps to +1 and |1> to -1
 for both parties.  That outcome mapping is the unique symmetric choice under
 which the three zero conditions of Hardy's equations vanish identically for

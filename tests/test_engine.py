@@ -75,7 +75,7 @@ def test_engine_matches_kraus_reference(theta, phi, p1, p2, readout0, readout1):
     "theta,phi", [(0.0, 0.0), (0.7, 1.1), (0.9045, 0.9045), (math.pi / 2, math.pi / 2), (2.9, 0.3)]
 )
 def test_experiment_steps_are_the_reference_circuit(a_index, b_index, theta, phi):
-    """The step lists, whose gate counts the closed form assumes and `reduced` prints,
+    """The step lists, whose gate counts the closed form reads and `reduced` prints,
     are the Kraus reference's circuit gate for gate: the same qubit or CX at each step,
     and the same matrix."""
     steps = engine.experiment_steps(a_index, b_index, theta, phi, chi_of(theta, phi))
@@ -87,6 +87,122 @@ def test_experiment_steps_are_the_reference_circuit(a_index, b_index, theta, phi
         else:
             assert step is not CX and step[0] == target
             assert np.max(np.abs(step[1] - matrix)) <= 1e-15
+
+
+def pad(steps, pairs, is_cx, identity):
+    """`steps` with identity(qubit) appended to each CNOT-delimited segment, as many for
+    Alice (qubit 1), then Bob (qubit 0), as that segment's (Alice's, Bob's) pair says."""
+    out, pairs = [], iter(pairs)
+    for step in [*steps, None]:
+        if step is None or is_cx(step):
+            alice, bob = next(pairs)
+            out += [identity(1)] * alice + [identity(0)] * bob
+        if step is not None:
+            out.append(step)
+    return out
+
+
+def padded_engine(monkeypatch, segments, alice, bob):
+    """Patch the step lists with u1(0) gates padded in, as `pad` places them: `segments`
+    in the preparation, alice[i] in Alice's setting i and bob[j] in Bob's j; then
+    re-derive the closed form's counts from them."""
+    def engine_pad(steps, pairs):
+        return pad(steps, pairs, lambda s: s is CX, lambda q: (q, gates.u1(0.0)))
+
+    prep, alice_steps, bob_steps = engine.preparation_steps, engine.alice_steps, engine.bob_steps
+    monkeypatch.setattr(engine, "preparation_steps",
+                        lambda theta, lam: engine_pad(prep(theta, lam), segments))
+    monkeypatch.setattr(engine, "alice_steps",
+                        lambda i, lam: engine_pad(alice_steps(i, lam), [(alice[i], 0)]))
+    monkeypatch.setattr(engine, "bob_steps",
+                        lambda j, lam, chi: engine_pad(bob_steps(j, lam, chi), [(0, bob[j])]))
+    monkeypatch.setattr(engine, "_COUNTS", engine._gate_counts())
+
+
+def padded_ref_flagged(theta, phi, segments, alice, bob, *rates):
+    """`ref_flagged` of the Kraus reference's circuit padded as `padded_engine` pads."""
+    def ref_pad(steps, pairs):
+        return pad(steps, pairs, lambda s: s[1] is ref.BOTH, lambda q: (ref.u1(0.0), q))
+
+    states = []
+    for a, b in ref.SETTINGS:
+        steps = ref.circuit(theta, phi, a, b)
+        circuit = (ref_pad(steps[:8], segments)
+                   + ref_pad([s for s in steps[8:] if s[1] == 1], [(alice[a], 0)])
+                   + ref_pad([s for s in steps[8:] if s[1] == 0], [(0, bob[b])]))
+        states.append(ref.run_steps(ref.GROUND, circuit, *rates[:2]))
+    return ref.read_out(np.array(states), *rates[2:])[range(4), FLAGGED_OUTCOME]
+
+
+COUNTS = ((1, 2), (1, 1), (0, 1), {1: 1, 2: 3}, {1: 1, 2: 3})
+pads = st.integers(0, 2)
+segment_pads = st.tuples(*[st.tuples(pads, pads)] * 3)
+setting_pads = st.fixed_dictionaries({1: pads, 2: pads})
+
+
+@settings(max_examples=40, deadline=None)
+@given(angles, angles, segment_pads, setting_pads, setting_pads, *[rates] * 4)
+# one gate in Alice's segment after the CNOTs (none today), then in each other segment
+@example(0.7, 1.1, ((0, 0), (0, 0), (1, 0)), {1: 0, 2: 0}, {1: 0, 2: 0}, 0.3, 0.2, 0.1, 0.05)
+@example(0.7, 1.1, ((0, 0), (1, 0), (0, 0)), {1: 0, 2: 0}, {1: 0, 2: 0}, 0.3, 0.2, 0.1, 0.05)
+@example(0.7, 1.1, ((0, 0), (0, 1), (0, 0)), {1: 0, 2: 0}, {1: 0, 2: 0}, 0.3, 0.2, 0.1, 0.05)
+@example(0.7, 1.1, ((0, 0), (0, 0), (0, 1)), {1: 0, 2: 0}, {1: 0, 2: 0}, 0.3, 0.2, 0.1, 0.05)
+@example(0.7, 1.1, ((1, 1), (0, 0), (0, 0)), {1: 1, 2: 1}, {1: 1, 2: 1}, 0.3, 0.2, 0.1, 0.05)
+def test_padded_circuit_matches_kraus_reference(theta, phi, segments, alice, bob,
+                                                p1, p2, readout0, readout1):
+    """u1(0) gates padded into each segment of the step lists change only the gate
+    counts, and so each segment's channel: the closed form, reading the re-derived
+    counts, still equals the Kraus reference run of the same padded circuit."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        padded_engine(monkeypatch, segments, alice, bob)
+        assert engine._COUNTS == (
+            *(tuple(n + m for n, m in zip(pair, more)) for pair, more in zip(COUNTS, segments)),
+            {i: COUNTS[3][i] + alice[i] for i in (1, 2)},
+            {j: COUNTS[4][j] + bob[j] for j in (1, 2)},
+        )
+        flagged = flagged_probabilities([theta], [phi], NoiseModel(p1, p2, readout0, readout1))[0]
+    expect = padded_ref_flagged(theta, phi, segments, alice, bob, p1, p2, readout0, readout1)
+    assert np.max(np.abs(flagged - expect)) <= 1e-12
+
+
+def test_gate_counts_are_derived_from_the_step_lists():
+    assert engine._COUNTS == engine._gate_counts() == COUNTS
+
+
+def test_padded_bob_setting_reaches_the_sweep_table(monkeypatch):
+    """One more gate in Bob's setting 2 (u1(0), the identity) changes the exact
+    eps3 and eps5 of `measure_points` to the Kraus reference's of that circuit."""
+    theta_deg, phi_deg = np.array([[20.0], [51.827], [75.0]]), np.array([[30.0, 51.827, 80.0]])
+    before = sweep.measure_points(theta_deg, phi_deg, NoiseModel.default_profile(), None)[0]
+    padded_engine(monkeypatch, ((0, 0),) * 3, {1: 0, 2: 0}, {1: 0, 2: 1})
+    table = sweep.measure_points(theta_deg, phi_deg, NoiseModel.default_profile(), None)[0]
+    np.testing.assert_array_equal(table.eps[:, :2], before.eps[:, :2])
+    assert (table.eps[:, 2:] != before.eps[:, 2:]).all()
+    rates = rates_of(NoiseModel.default_profile())
+    for t, f, eps in zip(table.theta_deg, table.phi_deg, table.eps):
+        expect = padded_ref_flagged(math.radians(t), math.radians(f), ((0, 0),) * 3,
+                                    {1: 0, 2: 0}, {1: 0, 2: 1}, *rates)
+        assert np.max(np.abs(eps - expect)) <= 1e-12
+
+
+@pytest.mark.parametrize("function,change,message", [
+    ("preparation_steps", lambda steps: [*steps, CX], "exactly two CNOTs"),
+    ("bob_steps", lambda steps: [*steps, CX], "both in the preparation"),
+    ("preparation_steps", lambda steps: [*steps, (0, gates.u3(0.4, 0.0, 0.0))], "only a phase gate"),
+    ("preparation_steps", lambda steps: [steps[0], steps[3], steps[1], steps[2], *steps[4:]],
+     "only a phase gate"),
+    ("alice_steps", lambda steps: [*steps, (0, gates.u1(0.0))], "its own party, qubit 1"),
+    ("bob_steps", lambda steps: [(1, gates.u1(0.0)), *steps], "its own party, qubit 0"),
+], ids=["third-cx", "cx-in-setting", "u3-after-cx", "cx-moved-first", "alice-on-bob",
+        "bob-on-alice"])
+def test_circuit_outside_the_closed_form_is_refused(monkeypatch, function, change, message):
+    """A step list the closed form was not derived for: a third CNOT, a CNOT in a
+    setting, a gate other than a phase gate after the first CNOT (one appended, or
+    the first CNOT moved before Bob's u3), or a setting gate on the other party."""
+    real = getattr(engine, function)
+    monkeypatch.setattr(engine, function, lambda *args: change(real(*args)))
+    with pytest.raises(ValueError, match=message):
+        engine._gate_counts()
 
 
 @settings(max_examples=60, deadline=None)
